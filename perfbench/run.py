@@ -5,8 +5,8 @@ One workload, one run (what a comparison driver calls)::
     python3 perfbench/run.py --workload vit-noisy --seed 1 --seconds 10 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics untraced; ``--trace 1``
-runs the workload untraced and then traced for the same number of
-rounds and reports the per-layer metrics.  The last line of standard
+alternates untraced and traced rounds on two systems built alike and
+reports the per-layer metrics.  The last line of standard
 output is one JSON object with ``correct``, ``attempted``, ``failed``
 and the metrics ``BENCHMARK.json`` lists for that mode; ``--out`` also
 writes the full result (raw samples, checks, digests, environment).
@@ -39,10 +39,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 #: Independent set-ups per untraced run; ``setup_s`` is their median.
-SETUPS = 9
+SETUPS = 15
 
 #: Rounds after which ``peak_rss_mb`` is read.
 RSS_ROUNDS = 5
+
+#: Validity bounds of a traced run: traced over untraced wall time, and
+#: the share of the wall time that no wrapped layer accounts for.
+MAX_TRACE_OVERHEAD = 2.0
+MAX_DRIVER_SHARE = 0.25
 
 UNITS = {
     "setup_s": "s",
@@ -116,51 +121,48 @@ def environment() -> dict:
 
 
 def _git_sha() -> str | None:
-    """HEAD of the checkout's own ``.git``, read without running git."""
-    git = os.path.join(ROOT, ".git")
+    """HEAD of the checkout, or None when it is not a git work tree.
+
+    git runs only when the checkout has its own ``.git``, so a plain
+    copy of the tree is never looked up in a repository above it.
+    """
+    if not os.path.exists(os.path.join(ROOT, ".git")):
+        return None
     try:
-        with open(os.path.join(git, "HEAD")) as head:
-            ref = head.read().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        name = ref[5:]
-        path = os.path.join(git, name)
-        if os.path.isfile(path):
-            with open(path) as handle:
-                return handle.read().strip()
-        with open(os.path.join(git, "packed-refs")) as packed:
-            for line in packed:
-                if line.rstrip().endswith(" " + name):
-                    return line.split()[0]
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        )
     except OSError:
         return None
-    return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 # -- runs ---------------------------------------------------------------------
-def _rounds(workload, system, *, seconds=None, count=None, recorder=None, gemms=None):
-    """Run rounds until ``seconds`` pass (at least one) or ``count`` are done.
+def _timed_round(workload, system, gemms=None):
+    """One round and its wall time; ``gemms`` records the executor's GEMM shapes."""
+    start = time.perf_counter()
+    with gemms() if gemms is not None else nullcontext() as shapes:
+        result = workload.run_round(system)
+    wall = time.perf_counter() - start
+    if gemms is not None:
+        result.counters["gemms"] = shapes
+    return result, wall
 
-    ``gemms`` records the executor's GEMM shapes during the first round.
+
+def _rounds(workload, system, seconds: float, gemms):
+    """Run rounds until ``seconds`` pass (at least one); ``gemms`` in the first.
+
     Also returns the peak resident set (MB) after the first
     :data:`RSS_ROUNDS` rounds: a fixed amount of work, so a faster
     program does not read as one that uses more memory.
     """
     results, walls = [], []
     peak_rss_mb = 0.0
-    deadline = time.perf_counter() + (seconds or 0.0)
-    while not results or (
-        len(results) < count if count is not None else time.perf_counter() < deadline
-    ):
-        recording = gemms is not None and not results
-        with recorder.round() if recorder is not None else nullcontext():
-            start = time.perf_counter()
-            with gemms() if recording else nullcontext() as shapes:
-                result = workload.run_round(system)
-            walls.append(time.perf_counter() - start)
-        if recording:
-            result.counters["gemms"] = shapes
+    deadline = time.perf_counter() + seconds
+    while not results or time.perf_counter() < deadline:
+        result, wall = _timed_round(workload, system, None if results else gemms)
         results.append(result)
+        walls.append(wall)
         if len(results) <= RSS_ROUNDS:
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return results, walls, peak_rss_mb
@@ -178,9 +180,7 @@ def run_untraced(workload, seconds: float) -> dict:
         if index < SETUPS - 1:
             workload.close(system)
     try:
-        results, walls, peak_rss_mb = _rounds(
-            workload, system, seconds=seconds, gemms=recording_gemms
-        )
+        results, walls, peak_rss_mb = _rounds(workload, system, seconds, recording_gemms)
     finally:
         workload.close(system)
     oracle = workload.check(results[0].outputs)
@@ -226,27 +226,38 @@ def run_untraced(workload, seconds: float) -> dict:
 
 
 def run_traced(workload, seconds: float) -> dict:
-    """Per-layer metrics: untraced rounds, then the same rounds traced."""
+    """Per-layer metrics from untraced and traced rounds, alternating.
+
+    Two systems are built alike.  Each untraced round on the first is
+    followed by the same round traced on the second, so both halves of
+    a pair see the same load and ``trace.overhead`` (the median ratio
+    of the pairs' wall times) compares like with like.
+    """
     from perfbench.modeled import modeled_costs, recording_gemms
     from perfbench.spans import Recorder, rollup, targets, traced
 
-    system = workload.build()
-    try:
-        plain, plain_walls, _ = _rounds(
-            workload, system, seconds=seconds / 2, gemms=recording_gemms
-        )
-    finally:
-        workload.close(system)
     before = [vars(owner).get(name) for owner, name, _, _ in targets()]
     recorder = Recorder()
-    system = workload.build()
+    plain, plain_walls, results, walls = [], [], [], []
+    systems = []
     try:
-        with traced(recorder):
-            results, walls, _ = _rounds(
-                workload, system, count=len(plain), recorder=recorder
+        for _ in range(2):
+            systems.append(workload.build())
+        plain_system, traced_system = systems
+        deadline = time.perf_counter() + seconds
+        while not results or time.perf_counter() < deadline:
+            result, wall = _timed_round(
+                workload, plain_system, None if plain else recording_gemms
             )
+            plain.append(result)
+            plain_walls.append(wall)
+            with traced(recorder), recorder.round():
+                result, wall = _timed_round(workload, traced_system)
+            results.append(result)
+            walls.append(wall)
     finally:
-        workload.close(system)
+        for system in systems:
+            workload.close(system)
     after = [vars(owner).get(name) for owner, name, _, _ in targets()]
     rounds = rollup(recorder)
     modeled = modeled_costs(plain[0].counters["gemms"], plain[0].items)
@@ -255,7 +266,7 @@ def run_traced(workload, seconds: float) -> dict:
     metrics["arch.tile_utilization"] = {"value": modeled["tile_utilization"], "unit": "ratio"}
     overhead = [wall / base for wall, base in zip(walls, plain_walls)]
     metrics["trace.overhead"] = {
-        "value": sum(walls) / sum(plain_walls),
+        "value": statistics.median(overhead),
         "unit": "ratio",
         "samples": overhead,
     }
@@ -267,6 +278,7 @@ def run_traced(workload, seconds: float) -> dict:
         )
         for r in rounds
     )
+    driver_share = sum(r["driver_s"] for r in rounds) / sum(r["wall_s"] for r in rounds)
     return {
         "rounds": len(results),
         "wall_s": sum(walls),
@@ -278,9 +290,13 @@ def run_traced(workload, seconds: float) -> dict:
             ),
             "wrappers_restored": all(x is y for x, y in zip(before, after)),
             "self_times_sum_to_wall": residual <= 1e-9 * max(sum(walls), 1.0),
+            "trace_overhead_bounded": metrics["trace.overhead"]["value"]
+            <= MAX_TRACE_OVERHEAD,
+            "driver_share_bounded": driver_share <= MAX_DRIVER_SHARE,
         },
         "digest": _digest(results[0].outputs),
         "sum_residual_s": residual,
+        "driver_share": driver_share,
         "layers": [
             {key: value for key, value in r.items() if key != "counters"} for r in rounds
         ],

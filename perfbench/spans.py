@@ -9,10 +9,10 @@ plus the time outside every span (``driver``) add up to the wall time
 exactly.  Spans opened on other threads (the sharded engine's core
 pool) are reported separately as busy time.
 
-Work the wrappers themselves do after a call (counting normals, noting
-quantized operands) is timed with the span and reported as the
-pseudo-layer ``perfbench``, so it is not charged to any layer of the
-program.
+The wrappers' own work on both sides of a call (building the span,
+keeping the stack, counting normals, noting quantized operands) is
+timed with the span and reported as the pseudo-layer ``perfbench``, so
+it is not charged to any layer of the program.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class Span:
         self.start = 0.0
         self.end = 0.0
         self.children_s = 0.0
-        self.book_s = 0.0  # the hook's bookkeeping, right after the span
+        self.book_s = 0.0  # the wrapper's own time, just outside the span
         self.attrs: dict | None = None
 
     @property
@@ -103,6 +103,7 @@ class Recorder:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            entry = time.perf_counter()
             stack = recorder._stack()
             parent = stack[-1] if stack else None
             caller = threading.get_ident() == recorder._caller
@@ -116,9 +117,9 @@ class Recorder:
                 stack.pop()
                 recorder.spans.append(span)
             if after is not None:
-                start = time.perf_counter()
                 after(recorder, span, args, kwargs, result)
-                span.book_s = time.perf_counter() - start
+            # The wrapper's own work on both sides of the call.
+            span.book_s = (span.start - entry) + (time.perf_counter() - span.end)
             return result
 
         return wrapper

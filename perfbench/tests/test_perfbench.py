@@ -88,18 +88,21 @@ def test_tail_is_the_eleventh_largest_sample():
 def _run(workload, trace, delay=None):
     measure = run.run_traced if trace else run.run_untraced
     with spans.delayed(*delay) if delay else contextlib.nullcontext():
-        result = measure(workload, 1.5)
+        result = measure(workload, 3.0)
     return dict(result, workload=workload.name, trace=trace)
 
 
 def test_compare_flags_an_injected_delay_and_calls_clean_reruns_noise():
     spec = _spec()
-    delay = ("neural.quantization", 50e-6)
+    # Large enough that tokens_per_s drops by well over its 0.24 bound.
+    delay = ("neural.quantization", 200e-6)
 
     def runs(delayed):
         return {
             "runs": [
-                _run(DecodeCluster(5, sessions=16), trace, delay if delayed else None)
+                # Short rounds, so even the delayed traced run gives the
+                # rank test enough round pairs to reach p < 0.01.
+                _run(DecodeCluster(5, sessions=8), trace, delay if delayed else None)
                 for trace in (0, 1)
             ]
         }

@@ -158,20 +158,20 @@ class DecodeCluster:
     block_size = 4
     pool_blocks = 14  # per replica; the longest session needs 9
     prompt_len = 16
+    min_steps = 8
+    max_steps = 32
     # Two system prompts, alternating by session: cache_aware routing
     # places every fork of one prompt with its holders, so a single
     # prompt would leave the second replica idle.
     prefixes = ("system-a", "system-b")
 
-    def __init__(
-        self, seed: int, sessions: int = 48, min_steps: int = 8, max_steps: int = 32
-    ) -> None:
+    def __init__(self, seed: int, sessions: int = 48) -> None:
         self.seed = seed
         rng = np.random.default_rng(seed)
         # A fixed multiset of lengths in seeded order: every seed decodes
         # the same number of tokens, so throughput compares across seeds.
-        lengths = rng.permutation(np.linspace(min_steps, max_steps, sessions).round())
-        lengths = lengths.astype(int)
+        lengths = np.linspace(self.min_steps, self.max_steps, sessions).round()
+        lengths = rng.permutation(lengths).astype(int)
         self.sessions = [rng.normal(0.0, 1.0, (length, DECODER.dim)) for length in lengths]
         self.warmup = rng.normal(0.0, 1.0, (2, DECODER.dim))
         self._rounds = 0
@@ -326,13 +326,11 @@ class TrainNoisy:
         "change every step; the only workload on sharding and autograd"
     )
     item = "sample"
+    batch = 16
 
-    def __init__(
-        self, seed: int, samples: int = 64, batch: int = 16, epochs: int = 2
-    ) -> None:
+    def __init__(self, seed: int, samples: int = 64, epochs: int = 2) -> None:
         self.seed = seed
         self.dataset = striped_image_dataset(n_samples=samples, seed=seed)
-        self.batch = batch
         self.epochs = epochs
 
     def build(self):
