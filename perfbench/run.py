@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -38,8 +39,13 @@ from contextlib import nullcontext
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
-#: Independent set-ups per untraced run; ``setup_s`` is their median.
-SETUPS = 15
+#: Share of a run's rounds, and of its set-ups, that the timing metrics
+#: are taken from: the fastest ones, at least :data:`QUIET_MIN`.
+#: On a shared host the program's speed swings by a third for seconds at
+#: a time as other tenants load the machine.  The fastest rounds are the
+#: ones that ran while it was quiet, and they vary least between runs.
+QUIET_SHARE = 0.05
+QUIET_MIN = 5
 
 #: Rounds after which ``peak_rss_mb`` is read.
 RSS_ROUNDS = 5
@@ -87,6 +93,12 @@ def tail(values: list[float]) -> dict:
         "percentile": round(100.0 * (n - 10) / n, 2),
         "count": n,
     }
+
+
+def quiet(times: list[float]) -> list[int]:
+    """Indices, in run order, of the fastest :data:`QUIET_SHARE` of ``times``."""
+    keep = min(len(times), max(QUIET_MIN, math.ceil(QUIET_SHARE * len(times))))
+    return sorted(sorted(range(len(times)), key=times.__getitem__)[:keep])
 
 
 def _latency(prefix: str, seconds: list[float]) -> dict:
@@ -149,73 +161,91 @@ def _timed_round(workload, system, gemms=None):
     return result, wall
 
 
+def _timed_setup(workload):
+    """A new system and the time its set-up took."""
+    start = time.perf_counter()
+    system = workload.build()
+    return system, time.perf_counter() - start
+
+
 def _rounds(workload, system, seconds: float, gemms):
     """Run rounds until ``seconds`` pass (at least one); ``gemms`` in the first.
 
-    Also returns the peak resident set (MB) after the first
+    After each round one more system is set up, timed and closed, so
+    set-ups are sampled across the whole run as rounds are.  Also
+    returns the peak resident set (MB) after the first
     :data:`RSS_ROUNDS` rounds: a fixed amount of work, so a faster
     program does not read as one that uses more memory.
     """
-    results, walls = [], []
+    results, walls, setups = [], [], []
     peak_rss_mb = 0.0
     deadline = time.perf_counter() + seconds
     while not results or time.perf_counter() < deadline:
         result, wall = _timed_round(workload, system, None if results else gemms)
         results.append(result)
         walls.append(wall)
+        spare, setup = _timed_setup(workload)
+        workload.close(spare)
+        setups.append(setup)
         if len(results) <= RSS_ROUNDS:
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return results, walls, peak_rss_mb
+    return results, walls, setups, peak_rss_mb
 
 
 def run_untraced(workload, seconds: float) -> dict:
-    """End-to-end metrics: set-up, timed rounds, then the oracle check."""
+    """End-to-end metrics: set-up, timed rounds, then the oracle check.
+
+    Every timing metric is taken from the quiet rounds and set-ups (see
+    :data:`QUIET_SHARE`); the rates of all rounds and the times of all
+    set-ups are kept beside them as ``all_samples``.
+    """
     from perfbench.modeled import modeled_costs, recording_gemms
 
-    setups = []
-    for index in range(SETUPS):
-        start = time.perf_counter()
-        system = workload.build()
-        setups.append(time.perf_counter() - start)
-        if index < SETUPS - 1:
-            workload.close(system)
+    system, setup = _timed_setup(workload)
     try:
-        results, walls, peak_rss_mb = _rounds(workload, system, seconds, recording_gemms)
+        results, walls, setups, peak_rss_mb = _rounds(
+            workload, system, seconds, recording_gemms
+        )
     finally:
         workload.close(system)
+    setups.insert(0, setup)
     oracle = workload.check(results[0].outputs)
 
     attempted = sum(r.attempted for r in results)
     failed = sum(r.failed for r in results)
     first = results[0]
     modeled = modeled_costs(first.counters["gemms"], first.items)
-    per_round_tokens = [r.tokens / wall for r, wall in zip(results, walls)]
-    per_round_items = [r.items / wall for r, wall in zip(results, walls)]
+    calm = quiet(walls)
+    calm_setups = [setups[i] for i in quiet(setups)]
+
+    def rate(count) -> dict:
+        rates = [count(r) / wall for r, wall in zip(results, walls)]
+        samples = [rates[i] for i in calm]
+        return {"value": statistics.median(samples), "samples": samples, "all_samples": rates}
+
     metrics = {
-        "setup_s": {"value": statistics.median(setups), "samples": setups},
+        "setup_s": {
+            "value": statistics.median(calm_setups),
+            "samples": calm_setups,
+            "all_samples": setups,
+        },
         "peak_rss_mb": {"value": peak_rss_mb},
         "error_rate": {"value": failed / attempted},
         "modeled_latency_us": {"value": modeled["modeled_latency_us"]},
         "modeled_energy_uj": {"value": modeled["modeled_energy_uj"]},
-        # Medians over rounds: a burst of load from outside the process
-        # slows a few rounds, not the median one.
-        "tokens_per_s": {
-            "value": statistics.median(per_round_tokens),
-            "samples": per_round_tokens,
-        },
-        workload.item + "s_per_s": {
-            "value": statistics.median(per_round_items),
-            "samples": per_round_items,
-        },
+        "tokens_per_s": rate(lambda r: r.tokens),
+        workload.item + "s_per_s": rate(lambda r: r.items),
     }
-    metrics.update(_latency("step", [s for r in results for s in r.steps_s]))
+    calm_results = [results[i] for i in calm]
+    metrics.update(_latency("step", [s for r in calm_results for s in r.steps_s]))
     if first.ttft_s:
-        metrics.update(_latency("ttft", [s for r in results for s in r.ttft_s]))
-        metrics.update(_latency("tpot", [s for r in results for s in r.tpot_s]))
+        metrics.update(_latency("ttft", [s for r in calm_results for s in r.ttft_s]))
+        metrics.update(_latency("tpot", [s for r in calm_results for s in r.tpot_s]))
     for name, metric in metrics.items():
         metric["unit"] = UNITS[name]
     return {
         "rounds": len(results),
+        "quiet_rounds": calm,
         "wall_s": sum(walls),
         "attempted": attempted,
         "failed": failed,
@@ -262,7 +292,10 @@ def run_traced(workload, seconds: float) -> dict:
     rounds = rollup(recorder)
     modeled = modeled_costs(plain[0].counters["gemms"], plain[0].items)
 
-    metrics = layer_metrics(rounds, results)
+    # Layer times come from the quiet traced rounds, as end-to-end times
+    # come from the quiet untraced ones; the checks below cover every round.
+    calm = quiet(walls)
+    metrics = layer_metrics([rounds[i] for i in calm], [results[i] for i in calm])
     metrics["arch.tile_utilization"] = {"value": modeled["tile_utilization"], "unit": "ratio"}
     overhead = [wall / base for wall, base in zip(walls, plain_walls)]
     metrics["trace.overhead"] = {
@@ -281,6 +314,7 @@ def run_traced(workload, seconds: float) -> dict:
     driver_share = sum(r["driver_s"] for r in rounds) / sum(r["wall_s"] for r in rounds)
     return {
         "rounds": len(results),
+        "quiet_rounds": calm,
         "wall_s": sum(walls),
         "attempted": sum(r.attempted for r in results),
         "failed": sum(r.failed for r in results),

@@ -88,26 +88,40 @@ def test_tail_is_the_eleventh_largest_sample():
 def _run(workload, trace, delay=None):
     measure = run.run_traced if trace else run.run_untraced
     with spans.delayed(*delay) if delay else contextlib.nullcontext():
-        result = measure(workload, 3.0)
+        result = measure(workload, 1.0)
     return dict(result, workload=workload.name, trace=trace)
+
+
+def _merged(pieces):
+    """One run whose samples are those of ``pieces``, in order."""
+    merged = dict(pieces[0], metrics={})
+    for name, metric in pieces[0]["metrics"].items():
+        samples = [s for piece in pieces for s in piece["metrics"][name].get("samples", [])]
+        merged["metrics"][name] = dict(metric, samples=samples)
+    return merged
 
 
 def test_compare_flags_an_injected_delay_and_calls_clean_reruns_noise():
     spec = _spec()
     # Large enough that tokens_per_s drops by well over its 0.24 bound.
     delay = ("neural.quantization", 200e-6)
+    sides = {"clean": None, "rerun": None, "slow": delay}
 
-    def runs(delayed):
-        return {
-            "runs": [
-                # Short rounds, so even the delayed traced run gives the
-                # rank test enough round pairs to reach p < 0.01.
-                _run(DecodeCluster(5, sessions=8), trace, delay if delayed else None)
-                for trace in (0, 1)
-            ]
-        }
-
-    clean, rerun, slow = runs(False), runs(False), runs(True)
+    # Short runs of each side in turn, merged per side: the host's load
+    # changes over seconds to minutes, and interleaving in a rotating
+    # order, after a warm-up, puts every side under the same load.
+    # Short rounds give the rank test enough samples to reach p < 0.01.
+    for trace in (0, 1):
+        _run(DecodeCluster(5, sessions=8), trace)
+    pieces = {(side, trace): [] for side in sides for trace in (0, 1)}
+    order = list(sides.items())
+    for cycle in range(4):
+        for side, injected in order[cycle % 3 :] + order[: cycle % 3]:
+            for trace in (0, 1):
+                pieces[side, trace].append(_run(DecodeCluster(5, sessions=8), trace, injected))
+    clean, rerun, slow = (
+        {"runs": [_merged(pieces[side, trace]) for trace in (0, 1)]} for side in sides
+    )
 
     flagged = compare.compare(clean, slow, spec)
     assert flagged[("decode-cluster", 1)]["neural.quantization.self_ms"]["verdict"] == "regressed"

@@ -165,7 +165,7 @@ class DecodeCluster:
     # prompt would leave the second replica idle.
     prefixes = ("system-a", "system-b")
 
-    def __init__(self, seed: int, sessions: int = 48) -> None:
+    def __init__(self, seed: int, sessions: int = 16) -> None:
         self.seed = seed
         rng = np.random.default_rng(seed)
         # A fixed multiset of lengths in seeded order: every seed decodes
@@ -328,7 +328,7 @@ class TrainNoisy:
     item = "sample"
     batch = 16
 
-    def __init__(self, seed: int, samples: int = 64, epochs: int = 2) -> None:
+    def __init__(self, seed: int, samples: int = 64, epochs: int = 1) -> None:
         self.seed = seed
         self.dataset = striped_image_dataset(n_samples=samples, seed=seed)
         self.epochs = epochs
