@@ -41,9 +41,10 @@ SRC = os.path.join(ROOT, "src")
 
 #: Share of a run's rounds, and of its set-ups, that the timing metrics
 #: are taken from: the fastest ones, at least :data:`QUIET_MIN`.
-#: On a shared host the program's speed swings by a third for seconds at
-#: a time as other tenants load the machine.  The fastest rounds are the
-#: ones that ran while it was quiet, and they vary least between runs.
+#: On a shared host the program's speed changes by up to a factor of two
+#: for seconds to minutes at a time as other tenants load the machine.
+#: The fastest rounds are the ones that ran while it was quiet, and they
+#: vary least between runs.
 QUIET_SHARE = 0.05
 QUIET_MIN = 5
 
