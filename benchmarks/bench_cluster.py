@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.cluster import (
     AutoscalerPolicy,
+    ClusterConfig,
     ServiceModel,
     ServingCluster,
     run_virtual_open_loop,
@@ -41,6 +42,7 @@ from repro.neural.photonic import PhotonicExecutor
 from repro.neural.vision import TinyViT
 from repro.serving import (
     DecodeServable,
+    EngineConfig,
     ServingEngine,
     SimulatedClock,
     TenantSpec,
@@ -105,9 +107,11 @@ def _sequential(factory, payloads, session_ids=None) -> list:
     """Single-engine, batch-size-1 reference run (the ground truth)."""
     engine = ServingEngine(
         factory(0),
-        max_batch_size=1,
-        max_wait_us=0.0,
-        queue_depth=len(payloads),
+        config=EngineConfig(
+            max_batch_size=1,
+            max_wait_us=0.0,
+            queue_depth=len(payloads),
+        ),
         clock=SimulatedClock(),
         close_executor=True,
     )
@@ -128,11 +132,15 @@ def _clustered(factory, payloads, policy, session_ids=None, replicas=3) -> list:
     sessions quiesce and non-sticky policies genuinely move them."""
     cluster = ServingCluster(
         factory,
-        replicas=replicas,
-        policy=policy,
-        max_batch_size=4,
-        max_wait_us=0.0,
-        queue_depth=len(payloads),
+        config=ClusterConfig(
+            replicas=replicas,
+            policy=policy,
+            engine=EngineConfig(
+                max_batch_size=4,
+                max_wait_us=0.0,
+                queue_depth=len(payloads),
+            ),
+        ),
         clock=SimulatedClock(),
     )
     with cluster:
@@ -202,13 +210,17 @@ def fleet_scaling() -> list[dict]:
         images = [payload_rng.normal(size=(16, 16)) for _ in range(LOAD_REQUESTS)]
         cluster = ServingCluster(
             vision_factory,
-            replicas=replicas,
-            policy="least_outstanding",
-            max_batch_size=8,
-            max_wait_us=500.0,
-            queue_depth=2 * LOAD_REQUESTS,
+            config=ClusterConfig(
+                replicas=replicas,
+                policy="least_outstanding",
+                engine=EngineConfig(
+                    max_batch_size=8,
+                    max_wait_us=500.0,
+                    queue_depth=2 * LOAD_REQUESTS,
+                ),
+                service_model=SERVICE_MODEL,
+            ),
             clock=SimulatedClock(),
-            service_model=SERVICE_MODEL,
         )
         with cluster:
             report = run_virtual_open_loop(cluster, images, gaps)
@@ -238,11 +250,15 @@ def affinity_hit_rates() -> dict:
         }
         cluster = ServingCluster(
             decode_factory,
-            replicas=3,
-            policy=policy,
-            max_batch_size=4,
-            max_wait_us=0.0,
-            queue_depth=len(arrivals),
+            config=ClusterConfig(
+                replicas=3,
+                policy=policy,
+                engine=EngineConfig(
+                    max_batch_size=4,
+                    max_wait_us=0.0,
+                    queue_depth=len(arrivals),
+                ),
+            ),
             clock=SimulatedClock(),
         )
         with cluster:
@@ -276,13 +292,17 @@ def autoscaler_trajectory() -> dict:
     clock = SimulatedClock()
     cluster = ServingCluster(
         vision_factory,
-        replicas=1,
-        policy="least_outstanding",
-        max_batch_size=2,
-        max_wait_us=0.0,
-        queue_depth=128,
+        config=ClusterConfig(
+            replicas=1,
+            policy="least_outstanding",
+            engine=EngineConfig(
+                max_batch_size=2,
+                max_wait_us=0.0,
+                queue_depth=128,
+            ),
+            service_model=SERVICE_MODEL,
+        ),
         clock=clock,
-        service_model=SERVICE_MODEL,
         autoscaler=AutoscalerPolicy(
             min_replicas=1,
             max_replicas=4,

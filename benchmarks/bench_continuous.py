@@ -35,9 +35,10 @@ import os
 
 import numpy as np
 
-from repro.cluster import ServingCluster
+from repro.cluster import ClusterConfig, ServingCluster
 from repro.serving import (
     DecodeServable,
+    EngineConfig,
     IterationCost,
     ServingEngine,
     SimulatedClock,
@@ -92,9 +93,11 @@ def sequential_reference(config, specs) -> dict:
     for i, spec in enumerate(specs):
         engine = ServingEngine(
             DecodeServable(config, seed=WEIGHT_SEED),
-            max_batch_size=1,
-            max_wait_us=0.0,
-            queue_depth=spec.steps,
+            config=EngineConfig(
+                max_batch_size=1,
+                max_wait_us=0.0,
+                queue_depth=spec.steps,
+            ),
             clock=SimulatedClock(),
         )
         with engine:
@@ -111,12 +114,14 @@ def _engine_trace(config, specs, *, scheduler, window_us, **servable_kwargs):
     servable = DecodeServable(config, seed=WEIGHT_SEED, **servable_kwargs)
     engine = ServingEngine(
         servable,
-        max_batch_size=MAX_BATCH,
-        max_wait_us=window_us,
-        queue_depth=4 * TRACE_SESSIONS,
+        config=EngineConfig(
+            max_batch_size=MAX_BATCH,
+            max_wait_us=window_us,
+            queue_depth=4 * TRACE_SESSIONS,
+            scheduler=scheduler,
+            iteration_cost=COST,
+        ),
         clock=SimulatedClock(),
-        scheduler=scheduler,
-        iteration_cost=COST,
     )
     with engine:
         result = run_decode_trace(
@@ -202,12 +207,14 @@ def paged_accounting(specs) -> dict:
         servable = DecodeServable(config, seed=WEIGHT_SEED, block_size=block_size)
         engine = ServingEngine(
             servable,
-            max_batch_size=MAX_BATCH,
-            max_wait_us=0.0,
-            queue_depth=4 * TRACE_SESSIONS,
+            config=EngineConfig(
+                max_batch_size=MAX_BATCH,
+                max_wait_us=0.0,
+                queue_depth=4 * TRACE_SESSIONS,
+                scheduler="continuous",
+                iteration_cost=COST,
+            ),
             clock=SimulatedClock(),
-            scheduler="continuous",
-            iteration_cost=COST,
         )
         with engine:
             run_decode_trace(
@@ -236,14 +243,18 @@ def paged_accounting(specs) -> dict:
 def _cluster_trace(config, specs, *, policy, replicas=3, fail_after=None):
     cluster = ServingCluster(
         lambda replica_id: DecodeServable(config, seed=WEIGHT_SEED, block_size=2),
-        replicas=replicas,
-        policy=policy,
-        max_batch_size=4,
-        max_wait_us=0.0,
-        queue_depth=8 * TRACE_SESSIONS,
+        config=ClusterConfig(
+            replicas=replicas,
+            policy=policy,
+            engine=EngineConfig(
+                max_batch_size=4,
+                max_wait_us=0.0,
+                queue_depth=8 * TRACE_SESSIONS,
+                scheduler="continuous",
+                iteration_cost=COST,
+            ),
+        ),
         clock=SimulatedClock(),
-        scheduler="continuous",
-        iteration_cost=COST,
     )
     if fail_after is not None:
         state = {"executed": 0, "failed": False}

@@ -8,8 +8,8 @@ Sections, each with a hard gate and a measurement:
 
   - hot path: ``pipelined_matmul`` under an active
     :class:`~repro.obs.trace.Tracer` is bit-identical to the untraced
-    run and to the sequential (depth-0) chunk oracle — the traced
-    twin consumes the RNG through the same fused per-chunk draws;
+    run and to the sequential (depth-0) chunk oracle — one body serves
+    both, consuming the RNG through the same fused per-chunk draws;
   - sharded: a multi-core :class:`~repro.core.sharding.ShardedDPTC`
     matmul is bit-identical traced vs untraced;
   - serving: the canonical demo workload

@@ -32,8 +32,8 @@ import numpy as np
 from repro.neural.photonic import PhotonicExecutor
 from repro.neural.vision import TinyViT
 from repro.serving import (
-    BatchingPolicy,
     DecodeServable,
+    EngineConfig,
     ServingEngine,
     SessionCache,
     SimulatedClock,
@@ -78,9 +78,11 @@ def _run_all(servable, payloads, max_batch_size, *, session_ids=None) -> list:
     """Submit everything into a manual-mode engine and drain it."""
     engine = ServingEngine(
         servable,
-        max_batch_size=max_batch_size,
-        max_wait_us=0.0,
-        queue_depth=len(payloads),
+        config=EngineConfig(
+            max_batch_size=max_batch_size,
+            max_wait_us=0.0,
+            queue_depth=len(payloads),
+        ),
         clock=SimulatedClock(),
         close_executor=True,
     )
@@ -144,7 +146,7 @@ def batching_equivalence() -> dict:
     cache = SessionCache(capacity_bytes=1 << 20)
     engine = ServingEngine(
         VisionServable(_vision_model()),
-        max_batch_size=4,
+        config=EngineConfig(max_batch_size=4),
         clock=SimulatedClock(),
         cache=cache,
         close_executor=True,
@@ -180,9 +182,11 @@ def throughput_curve() -> list[dict]:
             )
             engine = ServingEngine(
                 VisionServable(_vision_model()),
-                max_batch_size=max_batch_size,
-                max_wait_us=500.0,
-                queue_depth=2 * LOAD_REQUESTS,
+                config=EngineConfig(
+                    max_batch_size=max_batch_size,
+                    max_wait_us=500.0,
+                    queue_depth=2 * LOAD_REQUESTS,
+                ),
                 close_executor=True,
             )
             with engine:
@@ -200,8 +204,7 @@ def closed_loop_row(max_batch_size: int = 8) -> dict:
     images = [rng.normal(size=(16, 16)) for _ in range(8)]
     engine = ServingEngine(
         VisionServable(_vision_model()),
-        max_batch_size=max_batch_size,
-        max_wait_us=500.0,
+        config=EngineConfig(max_batch_size=max_batch_size, max_wait_us=500.0),
         close_executor=True,
     )
     with engine:
@@ -215,7 +218,7 @@ def simulated_metrics() -> dict:
     clock = SimulatedClock()
     engine = ServingEngine(
         VisionServable(_vision_model()),
-        policy=BatchingPolicy(max_batch_size=4, max_wait_us=2_000.0),
+        config=EngineConfig(max_batch_size=4, max_wait_us=2_000.0),
         clock=clock,
         close_executor=True,
     )
@@ -265,9 +268,11 @@ def multi_tenant_mix() -> dict:
         )
         engine = ServingEngine(
             DecodeServable(decoder, seed=0),
-            max_batch_size=4,
-            max_wait_us=0.0,
-            queue_depth=len(arrivals),
+            config=EngineConfig(
+                max_batch_size=4,
+                max_wait_us=0.0,
+                queue_depth=len(arrivals),
+            ),
             clock=SimulatedClock(),
         )
         per_tenant: dict[str, int] = {}

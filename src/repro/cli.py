@@ -746,6 +746,7 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
     from repro.core.dptc import DPTC
     from repro.core.hotpath import pipelined_matmul, profile_stages
     from repro.core.noise import NoiseModel
+    from repro.obs.trace import NULL_TRACER
 
     if min(args.batch, args.m, args.d, args.n) < 1:
         raise SystemExit("hotpath-bench: --batch/--m/--d/--n must be >= 1")
@@ -767,19 +768,13 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
         chunk_size=chunk, pipeline_depth=0,
     )
     with ThreadPoolExecutor(max_workers=1) as prefetch:
-        if tracer is None:
+        # Trace only the correctness-check run: the timing loops below
+        # stay untraced so the reported numbers are clean.
+        with (tracer if tracer is not None else NULL_TRACER).activate():
             pipelined = pipelined_matmul(
                 core, a, b, np.random.default_rng(args.seed),
                 chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
             )
-        else:
-            # Trace only the correctness-check run: the timing loops
-            # below stay untraced so the reported numbers are clean.
-            with tracer.activate():
-                pipelined = pipelined_matmul(
-                    core, a, b, np.random.default_rng(args.seed),
-                    chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-                )
         if not np.array_equal(sequential, pipelined):
             raise SystemExit(
                 "hotpath-bench: pipelined result differs from sequential"

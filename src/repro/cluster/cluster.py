@@ -54,13 +54,11 @@ from repro.cluster.replica import (
     Replica,
     ServiceModel,
 )
-from repro.cluster.router import NoHealthyReplica, Router, RoutingPolicy
+from repro.cluster.router import NoHealthyReplica, Router
 from repro.cluster.store import SharedCacheTier
-from repro.obs.trace import NULL_TRACER
-from repro.serving.batcher import BatchingPolicy
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.serving.cache import MISS, SessionCache
 from repro.serving.clock import WallClock
-from repro.serving.config import EngineConfig, warn_deprecated_kwargs
 from repro.serving.request import EngineClosed, RequestHandle, ServingError
 from repro.serving.servable import Servable
 
@@ -85,8 +83,8 @@ class _InFlight:
     tenant: str | None = None
     prefix_id: str | None = None
     retries: int = field(default=0)
-    #: Open cluster.request trace span (None with tracing disabled).
-    span: Any = None
+    #: Open cluster.request trace span (inert with tracing disabled).
+    span: Any = NULL_SPAN
 
 
 class ServingCluster:
@@ -97,29 +95,23 @@ class ServingCluster:
             the initial fleet and every autoscaler scale-up.  Build with
             a fixed seed for cross-replica bit-exactness.
         config: a :class:`~repro.cluster.config.ClusterConfig` carrying
-            every construction knob (the preferred API).  The legacy
-            keyword arguments below keep working through a deprecation
-            shim that warns once; mixing them with ``config`` is an
-            error.
+            the fleet knobs (``replicas``, routing ``policy``,
+            ``max_retries``, ``close_executors``, the virtual-time
+            ``service_model``, the shared cache tier) and the
+            per-replica ``engine`` :class:`EngineConfig` (batching,
+            ``queue_depth`` backpressure, ``scheduler``,
+            ``iteration_cost``); the defaults when omitted.  A full
+            replica queue surfaces
+            :class:`~repro.serving.request.QueueFull` to the submitter —
+            cluster-level backpressure.
+        clock: shared time source; a :class:`SimulatedClock` selects
+            manual stepping.
+        autoscaler: an :class:`AutoscalerPolicy` to enable scaling.
         tier: an externally-built
             :class:`~repro.cluster.store.SharedCacheTier` (e.g. backed
             by a custom :class:`~repro.cluster.store.KVStore`); by
             default ``config.shared_cache`` builds a local one on the
             cluster clock.
-        replicas: initial fleet size.
-        policy: routing policy name (``round_robin`` /
-            ``least_outstanding`` / ``session_affinity`` /
-            ``cache_aware``) or a :class:`RoutingPolicy` instance.
-        batching / max_batch_size / max_wait_us: per-replica batching
-            policy (same knobs as :class:`ServingEngine`).
-        queue_depth: per-replica admission bound.  A full replica queue
-            surfaces :class:`~repro.serving.request.QueueFull` to the
-            submitter — cluster-level backpressure.
-        clock: shared time source; a :class:`SimulatedClock` selects
-            manual stepping.
-        service_model: virtual per-batch service times (manual mode
-            only).
-        autoscaler: an :class:`AutoscalerPolicy` to enable scaling.
         tracer: an :class:`~repro.obs.trace.Tracer` for cluster.request
             spans (route / failover / retry / complete events), a root
             ``cluster`` span carrying fleet lifecycle events, and —
@@ -140,19 +132,6 @@ class ServingCluster:
             appending burn-rate transitions to the alert ledger), and
             the autoscaler — when both are configured — treats firing
             alerts as a scale-up signal.
-        max_retries: re-dispatches after a non-failover execution error
-            before the handle fails.
-        close_executors: close each servable's photonic executor when
-            its replica shuts down.
-        scheduler: per-replica batch-composition mode (``"request"`` or
-            ``"continuous"``), passed to every
-            :class:`~repro.serving.engine.ServingEngine` — iteration-level
-            scheduling with paged KV sessions that migrate and fail
-            over wholesale.
-        iteration_cost: per-replica
-            :class:`~repro.serving.scheduler.IterationCost` (manual mode
-            only); an alternative to ``service_model`` that advances the
-            shared simulated clock per executed iteration.
     """
 
     def __init__(
@@ -166,81 +145,8 @@ class ServingCluster:
         tracer=None,
         recorder=None,
         slo_monitor=None,
-        replicas: int | None = None,
-        policy: "str | RoutingPolicy | None" = None,
-        batching: BatchingPolicy | None = None,
-        max_batch_size: int | None = None,
-        max_wait_us: float | None = None,
-        queue_depth: int | None = None,
-        service_model: ServiceModel | None = None,
-        max_retries: int | None = None,
-        close_executors: bool | None = None,
-        scheduler: str | None = None,
-        iteration_cost=None,
     ) -> None:
-        legacy = {
-            name
-            for name, value in (
-                ("replicas", replicas),
-                ("policy", policy),
-                ("batching", batching),
-                ("max_batch_size", max_batch_size),
-                ("max_wait_us", max_wait_us),
-                ("queue_depth", queue_depth),
-                ("service_model", service_model),
-                ("max_retries", max_retries),
-                ("close_executors", close_executors),
-                ("scheduler", scheduler),
-                ("iteration_cost", iteration_cost),
-            )
-            if value is not None
-        }
-        if config is not None and legacy:
-            raise ValueError(
-                "pass either config=ClusterConfig(...) or the legacy knobs "
-                f"{sorted(legacy)}, not both"
-            )
-        # A RoutingPolicy *instance* routes as given; the config records
-        # its registry name (or the default for unregistered customs).
-        policy_obj: "str | RoutingPolicy | None" = policy
-        if config is None:
-            if batching is not None and (
-                max_batch_size is not None or max_wait_us is not None
-            ):
-                raise ValueError(
-                    "pass either batching or the individual knobs, not both"
-                )
-            if legacy:
-                warn_deprecated_kwargs("ServingCluster", legacy)
-            coalesced = (
-                batching
-                if batching is not None
-                else BatchingPolicy(
-                    max_batch_size=8 if max_batch_size is None else max_batch_size,
-                    max_wait_us=1_000.0 if max_wait_us is None else max_wait_us,
-                )
-            )
-            from repro.cluster.router import POLICIES
-
-            policy_name = "round_robin"
-            if isinstance(policy, str):
-                policy_name = policy
-            elif policy is not None and policy.name in POLICIES:
-                policy_name = policy.name
-            config = ClusterConfig(
-                replicas=2 if replicas is None else replicas,
-                policy=policy_name,
-                engine=EngineConfig(
-                    max_batch_size=coalesced.max_batch_size,
-                    max_wait_us=coalesced.max_wait_us,
-                    queue_depth=64 if queue_depth is None else queue_depth,
-                    scheduler="request" if scheduler is None else scheduler,
-                    iteration_cost=iteration_cost,
-                ),
-                service_model=service_model,
-                max_retries=1 if max_retries is None else max_retries,
-                close_executors=True if close_executors is None else close_executors,
-            )
+        config = config if config is not None else ClusterConfig()
         self.config = config
         self.factory = factory
         self.batching = config.engine.batching
@@ -262,13 +168,9 @@ class ServingCluster:
         self.recorder = recorder
         self.slo_monitor = slo_monitor
         #: Root span carrying fleet lifecycle events (scale_up / drain /
-        #: retire / replica_failed); None with tracing disabled.
-        self._span = (
-            self.tracer.start_span("cluster") if self.tracer.enabled else None
-        )
-        self.router = Router(
-            policy_obj if policy_obj is not None else config.policy
-        )
+        #: retire / replica_failed).
+        self._span = self.tracer.start_span("cluster")
+        self.router = Router(config.policy)
         self.tier: SharedCacheTier | None = tier
         if self.tier is None and config.shared_cache:
             self.tier = SharedCacheTier(
@@ -322,11 +224,6 @@ class ServingCluster:
             replica.engine.start()
         return replica
 
-    def _trace_event(self, kind: str, **attrs: Any) -> None:
-        """Mirror one fleet lifecycle event onto the root cluster span."""
-        if self._span is not None:
-            self._span.add_event(kind, **attrs)
-
     def _healthy_locked(self) -> list[Replica]:
         return sorted(
             (r for r in self._replicas.values() if r.state == HEALTHY),
@@ -341,7 +238,7 @@ class ServingCluster:
                 len(self._healthy_locked()), reason,
             )
         )
-        self._trace_event(
+        self._span.add_event(
             "scale_up", replica_id=replica.replica_id, reason=reason
         )
         return replica
@@ -354,7 +251,7 @@ class ServingCluster:
                 len(self._healthy_locked()), reason,
             )
         )
-        self._trace_event(
+        self._span.add_event(
             "drain", replica_id=replica.replica_id, reason=reason
         )
 
@@ -420,8 +317,7 @@ class ServingCluster:
         for replica in replicas:
             if not replica.engine.closed:
                 replica.engine.close(drain=drain)
-        if self._span is not None:
-            self.tracer.end(self._span)
+        self.tracer.end(self._span)
 
     @property
     def closed(self) -> bool:
@@ -523,16 +419,14 @@ class ServingCluster:
                 raise ValueError("prefix_id needs a session_id to fork")
             self._next_request_id += 1
             handle = ClusterHandle(self._next_request_id - 1, self.clock.now())
-            span = None
-            if self.tracer.enabled:
-                span = self.tracer.start_span(
-                    "cluster.request",
-                    parent=self._span,
-                    request_id=handle.request_id,
-                    session_id=session_id,
-                    tenant=tenant,
-                )
-                span.add_event("submit")
+            span = self.tracer.start_span(
+                "cluster.request",
+                parent=self._span,
+                request_id=handle.request_id,
+                session_id=session_id,
+                tenant=tenant,
+            )
+            span.add_event("submit")
             if cache_key is not None and self.tier is not None:
                 hit = self.tier.get_memo(cache_key)
                 if hit is not MISS:
@@ -548,17 +442,21 @@ class ServingCluster:
                             cache_hit=True, tenant=tenant,
                         )
                     )
-                    if span is not None:
-                        span.set_attr("cache_hit", True)
-                        span.add_event("complete", tier_hit=True)
-                        self.tracer.end(span)
+                    span.set_attr("cache_hit", True)
+                    span.add_event("complete", tier_hit=True)
+                    self.tracer.end(span)
                     return handle
         record = _InFlight(
             handle, payload,
             cache_key=cache_key, session_id=session_id, tenant=tenant,
             prefix_id=prefix_id, span=span,
         )
-        self._dispatch(record)
+        try:
+            self._dispatch(record)
+        except Exception as error:  # unroutable / invalid payload / full
+            span.add_event("rejected", error=type(error).__name__)
+            self.tracer.end(span)
+            raise
         return handle
 
     def _dispatch(self, record: _InFlight) -> None:
@@ -594,13 +492,12 @@ class ServingCluster:
                 affinity_hit=decision.affinity_hit,
                 new_session=decision.new_session,
             )
-            if record.span is not None:
-                record.span.add_event(
-                    "route",
-                    replica_id=replica.replica_id,
-                    affinity_hit=decision.affinity_hit,
-                    migrated=decision.migrate_from is not None,
-                )
+            record.span.add_event(
+                "route",
+                replica_id=replica.replica_id,
+                affinity_hit=decision.affinity_hit,
+                migrated=decision.migrate_from is not None,
+            )
         engine_handle.add_done_callback(
             lambda eh, rec=record, rep=replica: self._on_done(rep, rec, eh)
         )
@@ -683,13 +580,12 @@ class ServingCluster:
                         tenant=record.tenant,
                     )
                 )
-                if record.span is not None:
-                    record.span.add_event(
-                        "complete",
-                        replica_id=replica.replica_id,
-                        cache_hit=engine_handle.cache_hit,
-                    )
-                    self.tracer.end(record.span)
+                record.span.add_event(
+                    "complete",
+                    replica_id=replica.replica_id,
+                    cache_hit=engine_handle.cache_hit,
+                )
+                self.tracer.end(record.span)
                 return
             if record.handle.done():
                 return  # already settled (double-failure race)
@@ -707,16 +603,14 @@ class ServingCluster:
         if failover or retryable:
             if failover:
                 self.metrics.record_failover()
-                if record.span is not None:
-                    record.span.add_event(
-                        "failover", from_replica=replica.replica_id
-                    )
+                record.span.add_event(
+                    "failover", from_replica=replica.replica_id
+                )
             else:
                 record.retries += 1
                 record.handle.retries = record.retries
                 self.metrics.record_retry()
-                if record.span is not None:
-                    record.span.add_event("retry", attempt=record.retries)
+                record.span.add_event("retry", attempt=record.retries)
             try:
                 self._dispatch(record)
                 return
@@ -729,9 +623,8 @@ class ServingCluster:
             batch_size=engine_handle.batch_size,
         )
         self.metrics.record_failure()
-        if record.span is not None:
-            record.span.add_event("failed", error=type(error).__name__)
-            self.tracer.end(record.span)
+        record.span.add_event("failed", error=type(error).__name__)
+        self.tracer.end(record.span)
 
     def release_session(self, session_id: str) -> int:
         """Retire a finished decode session fleet-wide.
@@ -781,7 +674,7 @@ class ServingCluster:
                     len(self._healthy_locked()), "fault injection",
                 )
             )
-            self._trace_event(
+            self._span.add_event(
                 "replica_failed", replica_id=replica_id, evicted=len(records)
             )
         # Outside the lock: joins the worker thread, whose completion
@@ -791,17 +684,15 @@ class ServingCluster:
             self._rehome_sessions_locked(replica)
         rerouted = 0
         for record in records:
-            if record.span is not None:
-                record.span.add_event("failover", from_replica=replica_id)
+            record.span.add_event("failover", from_replica=replica_id)
             try:
                 self._dispatch(record)
                 rerouted += 1
             except ServingError as error:
                 record.handle._fail(error)
                 self.metrics.record_failure()
-                if record.span is not None:
-                    record.span.add_event("failed", error=type(error).__name__)
-                    self.tracer.end(record.span)
+                record.span.add_event("failed", error=type(error).__name__)
+                self.tracer.end(record.span)
         self.metrics.record_failover(rerouted)
         if self.recorder is not None:
             self.recorder.note(
@@ -896,7 +787,7 @@ class ServingCluster:
                         len(self._healthy_locked()), "drain complete",
                     )
                 )
-                self._trace_event("retire", replica_id=replica.replica_id)
+                self._span.add_event("retire", replica_id=replica.replica_id)
         for replica in ready:
             replica.engine.close(drain=True)
 

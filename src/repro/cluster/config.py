@@ -5,9 +5,9 @@
 policy, retry/drain behaviour, the virtual-time
 :class:`~repro.cluster.replica.ServiceModel`, and the shared cache
 tier's knobs, with one ``engine`` sub-config applied to every replica.
-Accepted by :class:`~repro.cluster.cluster.ServingCluster` (the legacy
-keyword arguments keep working through the same warn-once deprecation
-shim) and by the ``repro cluster-bench`` CLI via ``--config`` JSON.
+It is the only way to set those knobs on
+:class:`~repro.cluster.cluster.ServingCluster`, and the ``repro
+cluster-bench`` CLI reads the same form via ``--config`` JSON.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serving.batcher import BatchingPolicy
 from repro.serving.cache import SessionCache
 from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
@@ -77,20 +76,28 @@ class ServiceModel:
 
 
 class Replica:
-    """One serving engine inside a cluster, with health and load state."""
+    """One serving engine inside a cluster, with health and load state.
+
+    Args:
+        replica_id: the replica's fleet-unique id.
+        servable: the model adapter its engine executes.
+        config: the :class:`~repro.serving.config.EngineConfig` its
+            engine is built from (the cluster's ``config.engine``).
+        clock: shared time source, passed to the engine.
+        close_executor: close the servable's photonic executor when the
+            engine closes.
+        memo_cache: replica-private memoization cache for the engine.
+        tracer / recorder: passed through to the engine.
+    """
 
     def __init__(
         self,
         replica_id: int,
         servable: Servable,
         *,
-        config: EngineConfig | None = None,
-        policy: BatchingPolicy | None = None,
-        queue_depth: int | None = None,
+        config: EngineConfig,
         clock=None,
         close_executor: bool = True,
-        scheduler: str | None = None,
-        iteration_cost=None,
         memo_cache: SessionCache | None = None,
         tracer=None,
         recorder=None,
@@ -98,18 +105,6 @@ class Replica:
         self.replica_id = replica_id
         self.name = f"replica-{replica_id}"
         self.servable = servable
-        if config is None:
-            # Internal plumbing: fold the per-knob arguments into an
-            # EngineConfig here so the engine sees the unified API
-            # (and no deprecation warning fires for cluster internals).
-            batching = policy if policy is not None else BatchingPolicy()
-            config = EngineConfig(
-                max_batch_size=batching.max_batch_size,
-                max_wait_us=batching.max_wait_us,
-                queue_depth=64 if queue_depth is None else queue_depth,
-                scheduler="request" if scheduler is None else scheduler,
-                iteration_cost=iteration_cost,
-            )
         self.config = config
         #: Replica-private memo cache handed to the engine (``None``
         #: unless the cluster configures per-replica memoization).

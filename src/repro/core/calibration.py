@@ -81,13 +81,13 @@ class CalibratedDPTC(DPTC):
     term).  Both use only the *known* dispersion profile — stochastic
     encoding noise remains, as in hardware.
 
-    The calibration is woven into the hot-path stage pair
-    (:meth:`prepare_chunk` / :meth:`finish_chunk`) rather than wrapped
-    around :meth:`matmul`, so chunked/pipelined execution calibrates
-    each chunk exactly like the whole-batch call would.  The
-    compensated operand has the same shape and the same zero set as the
-    raw one (channel gains are finite and nonzero), so the sampling
-    order and the all-zero short-circuit are untouched.
+    The calibration is woven into the hot-path stages
+    (:meth:`prepare_chunk`, :meth:`compute_chunk`, :meth:`detect_chunk`)
+    rather than wrapped around :meth:`matmul`, so chunked/pipelined
+    execution calibrates each chunk exactly like the whole-batch call
+    would.  The compensated operand has the same shape and the same
+    zero set as the raw one (channel gains are finite and nonzero), so
+    the sampling order and the all-zero short-circuit are untouched.
     """
 
     def __init__(
@@ -137,12 +137,21 @@ class CalibratedDPTC(DPTC):
         )
         return CalibratedPrepared(inner=inner, correction=correction)
 
-    def finish_chunk(
+    def compute_chunk(
         self, prepared: CalibratedPrepared | PreparedMatmul
     ) -> np.ndarray:
         if isinstance(prepared, CalibratedPrepared):
-            return super().finish_chunk(prepared.inner) - prepared.correction
-        return super().finish_chunk(prepared)
+            prepared = prepared.inner
+        return super().compute_chunk(prepared)
+
+    def detect_chunk(
+        self, prepared: CalibratedPrepared | PreparedMatmul, out: np.ndarray
+    ) -> np.ndarray:
+        if isinstance(prepared, CalibratedPrepared):
+            return (
+                super().detect_chunk(prepared.inner, out) - prepared.correction
+            )
+        return super().detect_chunk(prepared, out)
 
 
 def dispersion_error_reduction(

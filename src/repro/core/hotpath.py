@@ -137,59 +137,15 @@ def pipelined_matmul(
     if rng is None:
         rng = np.random.default_rng()
 
+    # SAMPLE runs as ``predraw`` and ENCODE as ``prepare_chunk`` with
+    # that pre-sampled draw: the exact RNG consumption and arithmetic of
+    # ``prepare_chunk(rng=rng)``, split so each stage gets its own span.
+    # COMPUTE/DETECT likewise split ``finish_chunk``.  Stage spans parent
+    # under one ``hotpath.matmul`` span passed explicitly (prefetch
+    # threads have no ambient context); ``prefetch`` marks the
+    # SAMPLE+ENCODE pairs that ran on the prefetch worker.
     batch_rank = len(batch)
     tracer = current_tracer()
-    if tracer.enabled:
-        return _pipelined_matmul_traced(
-            tracer, core, a, b, rng, bounds, batch_rank, out_shape,
-            pipeline_depth=pipeline_depth, prefetch=prefetch,
-        )
-
-    def prepare(k: int):
-        start, stop = bounds[k]
-        return core.prepare_chunk(
-            slice_batch_operand(a, batch_rank, start, stop),
-            slice_batch_operand(b, batch_rank, start, stop),
-            rng=rng,
-        )
-
-    def finish(k: int, prepared) -> np.ndarray:
-        if prepared is None:  # all-zero chunk: no draws were consumed
-            start, stop = bounds[k]
-            return np.zeros((stop - start,) + out_shape[1:])
-        return core.finish_chunk(prepared)
-
-    return _run_chunk_schedule(
-        bounds, prepare, finish, pipeline_depth=pipeline_depth,
-        prefetch=prefetch,
-    )
-
-
-def _pipelined_matmul_traced(
-    tracer,
-    core: DPTC,
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-    bounds: list[tuple[int, int]],
-    batch_rank: int,
-    out_shape: tuple[int, ...],
-    *,
-    pipeline_depth: int,
-    prefetch: Executor | None,
-) -> np.ndarray:
-    """The traced chunk schedule: per-stage spans, bit-identical math.
-
-    SAMPLE is timed through :meth:`DPTC.predraw` and ENCODE through
-    :meth:`DPTC.prepare_chunk` with that pre-sampled draw — the exact
-    RNG consumption and arithmetic of ``prepare_chunk(rng=rng)``, just
-    observable as two stages.  COMPUTE/DETECT likewise split
-    :meth:`DPTC.finish_chunk` into its two public stage calls.  Stage
-    spans parent under one ``hotpath.matmul`` span (captured on the
-    caller thread, passed explicitly — prefetch threads have no ambient
-    context) and carry a ``prefetch`` attribute marking which SAMPLE+
-    ENCODE pairs genuinely overlapped compute on the prefetch worker.
-    """
     caller_ident = threading.get_ident()
     span = tracer.start_span(
         "hotpath.matmul",

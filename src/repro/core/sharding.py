@@ -440,8 +440,8 @@ class ShardedDPTC:
         a: np.ndarray,
         b: np.ndarray,
         stream: np.random.Generator | None,
+        trace: tuple,
         sequential: bool = False,
-        trace: tuple | None = None,
     ) -> np.ndarray:
         """One core's shard, chunk-pipelined when ``chunk_size`` is set.
 
@@ -454,56 +454,49 @@ class ShardedDPTC:
         contextvars are empty, so the shard span crosses explicitly and
         is re-activated here for the hot path beneath.
         """
-        if trace is not None:
-            tracer, parent = trace
-            with tracer.span(
-                "shard.core", parent=parent, core=index
-            ) as core_span:
-                with tracer.activate(core_span):
-                    return self._core_matmul(
-                        index, a, b, stream, sequential=sequential
-                    )
-        core = self.cores[index]
-        if self.chunk_size is None:
-            return core.matmul(a, b, rng=stream)
-        prefetch = None
-        depth = 0
-        if not sequential and self.parallel and self.pipeline_depth >= 1:
-            depth = self.pipeline_depth
-            prefetch = self._prefetch(index)
-        return pipelined_matmul(
-            core,
-            a,
-            b,
-            stream,
-            chunk_size=self.chunk_size,
-            pipeline_depth=depth,
-            prefetch=prefetch,
-        )
+        tracer, parent = trace
+        with (
+            tracer.span("shard.core", parent=parent, core=index) as core_span,
+            tracer.activate(core_span),
+        ):
+            core = self.cores[index]
+            if self.chunk_size is None:
+                return core.matmul(a, b, rng=stream)
+            prefetch = None
+            depth = 0
+            if not sequential and self.parallel and self.pipeline_depth >= 1:
+                depth = self.pipeline_depth
+                prefetch = self._prefetch(index)
+            return pipelined_matmul(
+                core,
+                a,
+                b,
+                stream,
+                chunk_size=self.chunk_size,
+                pipeline_depth=depth,
+                prefetch=prefetch,
+            )
 
-    def _run_jobs(
-        self, jobs: list[tuple], trace: tuple | None = None
-    ) -> list[np.ndarray]:
+    def _run_jobs(self, jobs: list[tuple], trace: tuple) -> list[np.ndarray]:
         """Execute ``(core_index, a, b, stream)`` jobs, results in job order."""
         if not self.parallel:
             return [
-                self._core_matmul(index, a, b, stream, sequential=True, trace=trace)
+                self._core_matmul(index, a, b, stream, trace, sequential=True)
                 for index, a, b, stream in jobs
             ]
         if self.backend == "process":
-            if trace is not None:
-                # Spans cannot cross the process boundary; the parent's
-                # SAMPLE stage + dispatch is visible as one point event.
-                trace[1].add_event(
-                    "process_dispatch",
-                    jobs=len(jobs),
-                    cores=sorted({job[0] for job in jobs}),
-                )
+            # Spans cannot cross the process boundary; the parent's
+            # SAMPLE stage + dispatch is visible as one point event.
+            trace[1].add_event(
+                "process_dispatch",
+                jobs=len(jobs),
+                cores=sorted({job[0] for job in jobs}),
+            )
             return self._run_jobs_process(jobs)
 
         def run(job: tuple) -> np.ndarray:
             index, a, b, stream = job
-            return self._core_matmul(index, a, b, stream, trace=trace)
+            return self._core_matmul(index, a, b, stream, trace)
 
         return list(self._workers().map(run, jobs))
 
@@ -671,10 +664,6 @@ class ShardedDPTC:
         b = np.asarray(b, dtype=float)
         out_shape = DPTC._broadcast_out_shape(a.shape, b.shape)
         tracer = current_tracer()
-        if not tracer.enabled:
-            if self.shard_axis == "contraction":
-                return self._matmul_contraction(a, b, out_shape, rng)
-            return self._matmul_batch(a, b, out_shape, rng)
         with tracer.span(
             "shard.matmul",
             num_cores=self.num_cores,
@@ -684,21 +673,19 @@ class ShardedDPTC:
         ) as span:
             trace = (tracer, span)
             if self.shard_axis == "contraction":
-                return self._matmul_contraction(
-                    a, b, out_shape, rng, trace=trace
-                )
-            return self._matmul_batch(a, b, out_shape, rng, trace=trace)
+                return self._matmul_contraction(a, b, out_shape, rng, trace)
+            return self._matmul_batch(a, b, out_shape, rng, trace)
 
     def _single(
         self,
         a: np.ndarray,
         b: np.ndarray,
         stream: np.random.Generator | None,
-        trace: tuple | None = None,
+        trace: tuple,
     ) -> np.ndarray:
         """Whole problem on core 0 (chunk-pipelined in the parent)."""
         return self._core_matmul(
-            0, a, b, stream, sequential=not self.parallel, trace=trace
+            0, a, b, stream, trace, sequential=not self.parallel
         )
 
     def _matmul_batch(
@@ -707,7 +694,7 @@ class ShardedDPTC:
         b: np.ndarray,
         out_shape: tuple[int, ...],
         rng: np.random.Generator | None,
-        trace: tuple | None = None,
+        trace: tuple,
     ) -> np.ndarray:
         """Leading-batch-axis sharding (concatenate in shard order)."""
         batch = out_shape[:-2]
@@ -715,7 +702,7 @@ class ShardedDPTC:
         # <= 1 covers the zero-size batch axis too: core 0 returns the
         # empty stack exactly like the single-core engine.
         if not batch or batch[0] <= 1 or self.num_cores == 1:
-            return self._single(a, b, streams[0], trace=trace)
+            return self._single(a, b, streams[0], trace)
 
         batch_rank = len(batch)
         jobs = []  # (core_index, a_shard, b_shard, stream)
@@ -734,7 +721,7 @@ class ShardedDPTC:
             )
         # batch[0] >= 2 and num_cores >= 2 here, so there are always at
         # least two non-empty shards.
-        results = self._run_jobs(jobs, trace=trace)
+        results = self._run_jobs(jobs, trace)
         out = np.concatenate(results, axis=0)
         assert out.shape == out_shape
         return out
@@ -745,7 +732,7 @@ class ShardedDPTC:
         b: np.ndarray,
         out_shape: tuple[int, ...],
         rng: np.random.Generator | None,
-        trace: tuple | None = None,
+        trace: tuple,
     ) -> np.ndarray:
         """Contraction-axis sharding with digital partial-sum accumulation.
 
@@ -765,7 +752,7 @@ class ShardedDPTC:
             # Ideal: exact digital accumulation == the exact product.
             # num_cores == 1 (or a single-element contraction): the
             # plain batched engine, one slab on core 0 / stream 0.
-            return self._single(a, b, streams[0], trace=trace)
+            return self._single(a, b, streams[0], trace)
 
         a_slabs = contraction_slabs(a, self.num_cores, axis=-1)
         b_slabs = contraction_slabs(b, self.num_cores, axis=-2)
@@ -774,7 +761,7 @@ class ShardedDPTC:
             for index, (a_slab, b_slab) in enumerate(zip(a_slabs, b_slabs))
             if a_slab.shape[-1] > 0  # num_cores > d: trailing cores idle
         ]
-        partials = self._run_jobs(jobs, trace=trace)
+        partials = self._run_jobs(jobs, trace)
         out = DigitalAccumulator.accumulate(partials)
         assert out.shape == out_shape
         return out

@@ -5,8 +5,8 @@ The observability subsystem of the serving stack:
 * :mod:`repro.obs.trace` — clock-injected :class:`Tracer` emitting
   nested :class:`Span` trees (request lifecycle, iterations, shards,
   hot-path stages) into a :class:`SpanCollector`; the
-  :data:`NULL_TRACER` default keeps every instrumented path at its
-  pre-tracing behaviour.
+  :data:`NULL_TRACER` default records nothing and leaves every output
+  unchanged.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`
   (counters/gauges/histograms with labels) with JSON snapshot and
   Prometheus text exposition; the substrate under

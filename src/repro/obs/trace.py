@@ -11,13 +11,18 @@ and therefore byte-for-byte reproducible across reruns.
 
 Design rules that keep the layer big-but-safe:
 
-* **Disabled by default.**  Every instrumented call site reads the
-  ambient tracer (:func:`current_tracer`), which is the
-  :data:`NULL_TRACER` singleton unless a real tracer was activated or
-  passed in.  The null tracer's ``enabled`` flag gates instrumentation
-  behind one attribute read, and its span handles swallow attribute and
-  event writes — the disabled hot path executes the exact pre-tracing
-  code.
+* **Disabled by default, one code path.**  Every instrumented call
+  site reads the ambient tracer (:func:`current_tracer`) or its
+  constructor-wired one, which is the :data:`NULL_TRACER` singleton
+  unless a real tracer was activated or passed in.  Instrumented layers
+  have a single body that always calls its tracer: the null tracer
+  hands out the inert, shared :data:`NULL_SPAN` (also its own no-op
+  context manager), so disabled tracing costs a few method calls per
+  instrumented operation and never changes what is computed.
+* **The null tracer never shadows a real one.**
+  ``NULL_TRACER.activate()`` leaves the ambient tracer and span in
+  place, so a :class:`Tracer` activated around an untraced engine still
+  records the sharded-core and hot-path spans beneath it.
 * **Caller-thread id assignment.**  Span ids are allocated sequentially
   under the tracer lock.  Single-threaded regimes (manual-mode engines,
   ``pipeline_depth=0`` hot paths) therefore produce identical id
@@ -129,6 +134,13 @@ class _NullSpan:
     def as_dict(self) -> dict:
         return {}
 
+    # The null span doubles as the null tracer's ``span()`` context.
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
 
 NULL_SPAN = _NullSpan()
 
@@ -202,8 +214,6 @@ class Tracer:
         collector: sink for created spans; a fresh
             :class:`SpanCollector` by default.
     """
-
-    enabled = True
 
     def __init__(self, clock=None, collector: SpanCollector | None = None) -> None:
         self.clock = clock if clock is not None else _MonotonicClock()
@@ -299,14 +309,15 @@ class Tracer:
 
 
 class NullTracer:
-    """The default no-op tracer: tracing off, zero overhead.
+    """The default no-op tracer: tracing off, near-zero overhead.
 
     Shares the interface of :class:`Tracer`; every span it hands out is
-    the inert :data:`NULL_SPAN` and nothing is recorded.  Call sites
-    gate the non-trivial instrumentation on :attr:`enabled`.
+    the inert :data:`NULL_SPAN` and nothing is recorded.  :meth:`span`
+    and :meth:`activate` return shared no-op context objects (no
+    generator frame per call), and :meth:`activate` leaves whatever
+    tracer is already ambient in place.
     """
 
-    enabled = False
     collector = None
 
     def now(self) -> float:
@@ -318,20 +329,21 @@ class NullTracer:
     def end(self, span) -> None:
         pass
 
-    @contextmanager
-    def span(self, name: str, *, parent=None, **attrs: Any) -> Iterator[_NullSpan]:
-        yield NULL_SPAN
+    def span(self, name: str, *, parent=None, **attrs: Any) -> _NullSpan:
+        return NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> None:
         pass
 
-    @contextmanager
-    def activate(self, parent=None) -> Iterator["NullTracer"]:
-        token = _current_tracer.set(self)
-        try:
-            yield self
-        finally:
-            _current_tracer.reset(token)
+    def activate(self, parent=None) -> "NullTracer":
+        """A no-op context: an already-active ambient tracer stays."""
+        return self
+
+    def __enter__(self) -> "NullTracer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
 
 
 #: The process-wide default: tracing disabled.

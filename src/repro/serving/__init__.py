@@ -24,7 +24,7 @@ from repro.serving.cache import (
     SessionCache,
 )
 from repro.serving.clock import SimulatedClock, WallClock
-from repro.serving.config import EngineConfig, reset_deprecation_warnings
+from repro.serving.config import EngineConfig
 from repro.serving.engine import SCHEDULERS, ServingEngine
 from repro.serving.loadgen import (
     Arrival,
@@ -92,7 +92,6 @@ __all__ = [
     "mixed_decode_trace",
     "multi_tenant_arrivals",
     "poisson_gaps",
-    "reset_deprecation_warnings",
     "run_closed_loop",
     "run_decode_trace",
     "run_open_loop",

@@ -10,10 +10,10 @@ that surface into one frozen, validated dataclass accepted by
 :class:`~repro.serving.engine.ServingEngine`,
 :func:`~repro.workloads.transformer.servable_model` and
 :func:`~repro.workloads.llm.decode_servable` (and embedded per-replica
-inside :class:`~repro.cluster.config.ClusterConfig`).  The old keyword
-arguments keep working through :func:`warn_deprecated_kwargs` — a
-shim that warns **once per process per API** and refuses ambiguous
-calls that mix a config object with legacy knobs.
+inside :class:`~repro.cluster.config.ClusterConfig`).  It is the only
+way to set those knobs: the engine constructor takes the config plus
+its runtime collaborators (clock, caches, tracer, recorder) and nothing
+else.
 
 Configs round-trip through JSON (:meth:`EngineConfig.to_dict` /
 :meth:`EngineConfig.from_dict`) so the CLI's ``--config`` flag and the
@@ -23,9 +23,8 @@ benchmark scripts share one serialized form.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.scheduler import IterationCost
@@ -38,29 +37,6 @@ SCHEDULERS = ("request", "continuous")
 #: :meth:`repro.neural.photonic.PhotonicExecutor.ideal`.
 SHARD_AXES = ("batch", "contraction")
 BACKENDS = ("thread", "process")
-
-# One deprecation warning per API name per process: repeated legacy
-# call sites (test suites, benchmark loops) stay quiet after the first.
-_WARNED: set[str] = set()
-
-
-def warn_deprecated_kwargs(api: str, names: Iterable[str]) -> None:
-    """Warn (once per process per ``api``) about legacy knob kwargs."""
-    if api in _WARNED:
-        return
-    _WARNED.add(api)
-    warnings.warn(
-        f"{api}: keyword arguments {sorted(names)} are deprecated; pass "
-        "config=EngineConfig(...) / ClusterConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which APIs already warned (test isolation hook)."""
-    _WARNED.clear()
-
 
 @dataclass(frozen=True)
 class EngineConfig:

@@ -27,11 +27,11 @@ from typing import Any
 import numpy as np
 
 from repro.neural.autograd import no_grad
-from repro.obs.trace import NULL_TRACER
-from repro.serving.batcher import BatchingPolicy, DynamicBatcher
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.serving.batcher import DynamicBatcher
 from repro.serving.cache import MISS, SessionCache
 from repro.serving.clock import WallClock
-from repro.serving.config import SCHEDULERS, EngineConfig, warn_deprecated_kwargs
+from repro.serving.config import SCHEDULERS, EngineConfig
 from repro.serving.metrics import Metrics
 from repro.serving.request import (
     EngineClosed,
@@ -40,7 +40,7 @@ from repro.serving.request import (
     RequestQueue,
     ServingError,
 )
-from repro.serving.scheduler import IterationCost, IterationScheduler
+from repro.serving.scheduler import IterationScheduler
 from repro.serving.servable import Servable
 
 __all__ = ["SCHEDULERS", "ServingEngine"]
@@ -57,13 +57,18 @@ class ServingEngine:
     Args:
         servable: the model adapter executing coalesced batches.
         config: an :class:`~repro.serving.config.EngineConfig` carrying
-            every construction knob (the preferred API).  The legacy
-            keyword arguments below keep working through a deprecation
-            shim that warns once per process; mixing them with
-            ``config`` is an error.
-        policy: batching policy; or pass ``max_batch_size`` /
-            ``max_wait_us`` directly.  *Deprecated* — use ``config``.
-        queue_depth: bound of the admission queue (backpressure).
+            the batching, queueing and scheduling knobs (``max_batch_size``,
+            ``max_wait_us``, ``queue_depth``, ``scheduler``,
+            ``iteration_cost``); the defaults when omitted.  With
+            ``scheduler="request"`` batch composition is frozen per batch
+            and partial batches wait out the policy window;
+            ``"continuous"`` is iteration-level scheduling via the
+            :class:`~repro.serving.scheduler.IterationScheduler`, which
+            re-admits arrivals, retires finished sessions and preempts
+            the lowest-priority sessions when the servable's KV
+            :class:`~repro.serving.cache.BlockPool` is exhausted.  An
+            ``iteration_cost`` advances the simulated clock by
+            ``batch_seconds(b)`` per executed batch in both modes.
         clock: time source.  A real clock (default) enables the
             background worker thread; a simulated clock selects manual
             stepping and never sleeps.
@@ -74,31 +79,16 @@ class ServingEngine:
             iteration / batch spans into (and to activate around batch
             execution, so the sharded engine and hot path beneath trace
             too).  Defaults to the no-op
-            :data:`~repro.obs.trace.NULL_TRACER` — with it, every
-            instrumented path executes its exact pre-tracing code.
+            :data:`~repro.obs.trace.NULL_TRACER`, whose inert spans leave
+            every output unchanged; an ambient tracer activated around
+            an untraced engine still records the spans beneath it.
         recorder: an optional
             :class:`~repro.obs.recorder.FlightRecorder`; the engine
             freezes a postmortem bundle (recent spans/events + its
             metrics registry) when an iteration dooms a session or a
-            batch fails with an execution error.  ``None`` (default)
-            keeps every path byte-identical to the unrecorded engine —
-            the failure paths gate on one ``is not None`` check.
+            batch fails with an execution error.
         close_executor: close the servable's photonic executor (its
             sharded worker pools) when the engine closes.
-        scheduler: batch-composition mode.  ``"request"`` (default) is
-            classic dynamic batching — composition frozen per batch,
-            partial batches wait out the policy window.  ``"continuous"``
-            is iteration-level scheduling via the
-            :class:`~repro.serving.scheduler.IterationScheduler`: every
-            iteration re-admits arrivals, retires finished sessions,
-            recomposes the photonic GEMV batch from the active set, and
-            preempts lowest-priority sessions when the servable's KV
-            :class:`~repro.serving.cache.BlockPool` is exhausted.
-        iteration_cost: optional
-            :class:`~repro.serving.scheduler.IterationCost` — in manual
-            (simulated-clock) mode the engine advances virtual time by
-            ``batch_seconds(b)`` per executed batch, in *both* scheduler
-            modes, so throughput comparisons share one cost model.
     """
 
     def __init__(
@@ -106,60 +96,14 @@ class ServingEngine:
         servable: Servable,
         *,
         config: EngineConfig | None = None,
-        policy: BatchingPolicy | None = None,
-        max_batch_size: int | None = None,
-        max_wait_us: float | None = None,
-        queue_depth: int | None = None,
         clock=None,
         cache: SessionCache | None = None,
         metrics: Metrics | None = None,
         tracer=None,
         recorder=None,
         close_executor: bool = False,
-        scheduler: str | None = None,
-        iteration_cost: IterationCost | None = None,
     ) -> None:
-        legacy = {
-            name
-            for name, value in (
-                ("policy", policy),
-                ("max_batch_size", max_batch_size),
-                ("max_wait_us", max_wait_us),
-                ("queue_depth", queue_depth),
-                ("scheduler", scheduler),
-                ("iteration_cost", iteration_cost),
-            )
-            if value is not None
-        }
-        if config is not None and legacy:
-            raise ValueError(
-                "pass either config=EngineConfig(...) or the legacy knobs "
-                f"{sorted(legacy)}, not both"
-            )
-        if config is None:
-            if policy is not None and (
-                max_batch_size is not None or max_wait_us is not None
-            ):
-                raise ValueError(
-                    "pass either policy or the individual knobs, not both"
-                )
-            if legacy:
-                warn_deprecated_kwargs("ServingEngine", legacy)
-            batching = (
-                policy
-                if policy is not None
-                else BatchingPolicy(
-                    max_batch_size=8 if max_batch_size is None else max_batch_size,
-                    max_wait_us=1_000.0 if max_wait_us is None else max_wait_us,
-                )
-            )
-            config = EngineConfig(
-                max_batch_size=batching.max_batch_size,
-                max_wait_us=batching.max_wait_us,
-                queue_depth=64 if queue_depth is None else queue_depth,
-                scheduler="request" if scheduler is None else scheduler,
-                iteration_cost=iteration_cost,
-            )
+        config = config if config is not None else EngineConfig()
         self.config = config
         self.servable = servable
         self.policy = config.batching
@@ -246,9 +190,8 @@ class ServingEngine:
             for request in abandoned:
                 request.handle._fail(EngineClosed("engine closed before execution"))
                 self.metrics.record_failures()
-                if request.span is not None:
-                    request.span.add_event("abandoned")
-                    self.tracer.end(request.span)
+                request.span.add_event("abandoned")
+                self.tracer.end(request.span)
         self._queue.close()  # worker drains the remainder, then exits
         if thread is not None:
             thread.join()
@@ -286,10 +229,9 @@ class ServingEngine:
         for request in evicted:
             # The engine-level span ends here; a re-dispatch elsewhere
             # opens a fresh one on the adopting engine.
-            if request.span is not None:
-                request.span.add_event("evicted")
-                self.tracer.end(request.span)
-                request.span = None
+            request.span.add_event("evicted")
+            self.tracer.end(request.span)
+            request.span = NULL_SPAN
         return evicted
 
     def release_session(self, session_id: str) -> int:
@@ -338,12 +280,10 @@ class ServingEngine:
         arrival = self.clock.now()
         handle = RequestHandle(request_id, arrival)
         tracer = self.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start_span(
-                "request", request_id=request_id, session_id=session_id
-            )
-            span.add_event("submit")
+        span = tracer.start_span(
+            "request", request_id=request_id, session_id=session_id
+        )
+        span.add_event("submit")
         # Consult the cache before prepare(): hits skip validation and
         # padding entirely — the memoization path stays allocation-free.
         if cache_key is not None and self.cache is not None:
@@ -357,32 +297,28 @@ class ServingEngine:
                     cache_hit=True,
                 )
                 self.metrics.record_request(handle)
-                if span is not None:
-                    span.set_attr("cache_hit", True)
-                    span.add_event("complete", cache_hit=True)
-                    tracer.end(span)
+                span.set_attr("cache_hit", True)
+                span.add_event("complete", cache_hit=True)
+                tracer.end(span)
                 return handle
-        prepared = self.servable.prepare(payload)
-        request = InferenceRequest(
-            payload=prepared,
-            handle=handle,
-            arrival=arrival,
-            cache_key=cache_key,
-            session_id=session_id,
-            request_id=request_id,
-            span=span,
-        )
         try:
+            request = InferenceRequest(
+                payload=self.servable.prepare(payload),
+                handle=handle,
+                arrival=arrival,
+                cache_key=cache_key,
+                session_id=session_id,
+                request_id=request_id,
+                span=span,
+            )
             self._queue.put(
                 request, block=block and not self.manual, timeout=timeout
             )
-        except Exception as error:  # backpressure rejection / closed queue
-            if span is not None:
-                span.add_event("rejected", error=type(error).__name__)
-                tracer.end(span)
+        except Exception as error:  # invalid payload / backpressure / closed
+            span.add_event("rejected", error=type(error).__name__)
+            tracer.end(span)
             raise
-        if span is not None:
-            span.add_event("queue", depth=len(self._queue))
+        span.add_event("queue", depth=len(self._queue))
         return handle
 
     @property
@@ -425,19 +361,6 @@ class ServingEngine:
         Returns requests progressed (executed + doomed).
         """
         tracer = self.tracer
-        if not tracer.enabled:
-            with self._sched_lock:
-                for request in arrivals:
-                    self._scheduler.enqueue(request)
-                iteration = self._scheduler.compose()
-            for request in iteration.doomed:
-                request.handle._fail(self._scheduler.doom_error(request))
-                self.metrics.record_failures()
-                self._record_doom(request)
-            if iteration.batch:
-                self.metrics.record_iteration(len(iteration.batch))
-                self._execute(iteration.batch)
-            return len(iteration.batch) + len(iteration.doomed)
         span = tracer.start_span("engine.iteration", arrivals=len(arrivals))
         try:
             with self._sched_lock:
@@ -459,16 +382,15 @@ class ServingEngine:
                     request_id=request.request_id,
                     session_id=request.session_id,
                 )
-                if request.span is not None:
-                    request.span.add_event("doomed")
-                    tracer.end(request.span)
+                request.span.add_event("doomed")
+                tracer.end(request.span)
                 request.handle._fail(self._scheduler.doom_error(request))
                 self.metrics.record_failures()
                 self._record_doom(request)
             span.set_attr("batch", len(iteration.batch))
             if iteration.batch:
                 self.metrics.record_iteration(len(iteration.batch))
-                self._execute_traced(iteration.batch, parent=span)
+                self._execute(iteration.batch, parent=span)
             return len(iteration.batch) + len(iteration.doomed)
         finally:
             tracer.end(span)
@@ -558,48 +480,14 @@ class ServingEngine:
             self.clock.advance(self.iteration_cost.batch_seconds(batch_size))
         return self.clock.now()
 
-    def _execute(self, batch: list[InferenceRequest]) -> None:
-        if self.tracer.enabled:
-            self._execute_traced(batch)
-            return
-        started = self.clock.now()
-        try:
-            with no_grad():
-                outputs = self.servable.execute(batch)
-            if len(outputs) != len(batch):
-                raise ServingError(
-                    f"servable returned {len(outputs)} outputs for a "
-                    f"batch of {len(batch)}"
-                )
-        except Exception as error:  # noqa: BLE001 - failures go to handles
-            finished = self._finished_time(len(batch))
-            for request in batch:
-                request.handle._fail(
-                    error, started=started, finished=finished, batch_size=len(batch)
-                )
-            self.metrics.record_failures(len(batch))
-            self._record_batch_failure(error, len(batch))
-            return
-        finished = self._finished_time(len(batch))
-        self.metrics.record_batch(len(batch))
-        for request, output in zip(batch, outputs):
-            if request.cache_key is not None and self.cache is not None:
-                # Store an isolated copy: the requester's result array
-                # must never alias the cache entry (or later hits).
-                self.cache.put(request.cache_key, _isolated(output))
-            request.handle._resolve(
-                output, started=started, finished=finished, batch_size=len(batch)
-            )
-            self.metrics.record_request(request.handle)
+    def _execute(self, batch: list[InferenceRequest], parent=None) -> None:
+        """Run one batch and settle every request's handle.
 
-    def _execute_traced(self, batch: list[InferenceRequest], parent=None) -> None:
-        """The traced twin of :meth:`_execute`.
-
-        Identical control flow plus an ``engine.batch`` span (activated
-        around ``servable.execute`` so the sharded engine and hot path
-        trace beneath it) and dispatch/complete/failed events on each
-        request's span.  Kept as a separate body so the default
-        untraced path stays byte-identical to its pre-tracing code.
+        An ``engine.batch`` span (activated around ``servable.execute``,
+        so the sharded engine and hot path trace beneath it) carries the
+        batch; dispatch/complete/failed events land on each request's
+        span.  ``parent`` is the ``engine.iteration`` span in continuous
+        mode.
         """
         tracer = self.tracer
         span = tracer.start_span(
@@ -609,51 +497,40 @@ class ServingEngine:
             request_ids=[request.request_id for request in batch],
         )
         for request in batch:
-            if request.span is not None:
-                request.span.add_event("dispatch", batch_size=len(batch))
+            request.span.add_event("dispatch", batch_size=len(batch))
         started = self.clock.now()
         try:
-            try:
-                with tracer.activate(span):
-                    with no_grad():
-                        outputs = self.servable.execute(batch)
-                if len(outputs) != len(batch):
-                    raise ServingError(
-                        f"servable returned {len(outputs)} outputs for a "
-                        f"batch of {len(batch)}"
-                    )
-            except Exception as error:  # noqa: BLE001 - failures go to handles
-                finished = self._finished_time(len(batch))
-                span.add_event("failed", error=type(error).__name__)
-                for request in batch:
-                    request.handle._fail(
-                        error,
-                        started=started,
-                        finished=finished,
-                        batch_size=len(batch),
-                    )
-                    if request.span is not None:
-                        request.span.add_event(
-                            "failed", error=type(error).__name__
-                        )
-                        tracer.end(request.span)
-                self.metrics.record_failures(len(batch))
-                self._record_batch_failure(error, len(batch))
-                return
+            with tracer.activate(span), no_grad():
+                outputs = self.servable.execute(batch)
+            if len(outputs) != len(batch):
+                raise ServingError(
+                    f"servable returned {len(outputs)} outputs for a "
+                    f"batch of {len(batch)}"
+                )
+        except Exception as error:  # noqa: BLE001 - failures go to handles
+            finished = self._finished_time(len(batch))
+            span.add_event("failed", error=type(error).__name__)
+            for request in batch:
+                request.handle._fail(
+                    error, started=started, finished=finished, batch_size=len(batch)
+                )
+                request.span.add_event("failed", error=type(error).__name__)
+                tracer.end(request.span)
+            self.metrics.record_failures(len(batch))
+            self._record_batch_failure(error, len(batch))
+        else:
             finished = self._finished_time(len(batch))
             self.metrics.record_batch(len(batch))
             for request, output in zip(batch, outputs):
                 if request.cache_key is not None and self.cache is not None:
+                    # Store an isolated copy: the requester's result array
+                    # must never alias the cache entry (or later hits).
                     self.cache.put(request.cache_key, _isolated(output))
                 request.handle._resolve(
-                    output,
-                    started=started,
-                    finished=finished,
-                    batch_size=len(batch),
+                    output, started=started, finished=finished, batch_size=len(batch)
                 )
-                if request.span is not None:
-                    request.span.add_event("complete", batch_size=len(batch))
-                    tracer.end(request.span)
+                request.span.add_event("complete", batch_size=len(batch))
+                tracer.end(request.span)
                 self.metrics.record_request(request.handle)
         finally:
             tracer.end(span)

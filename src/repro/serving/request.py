@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.trace import NULL_SPAN
+
 
 class ServingError(RuntimeError):
     """Base class for serving-subsystem failures."""
@@ -145,10 +147,10 @@ class RequestHandle:
 class InferenceRequest:
     """One queued unit of work (payload already ``prepare()``-d).
 
-    ``span`` is the request's open trace span when the engine's tracer
-    is enabled (``None`` otherwise — the default no-tracing path never
-    allocates one); it rides along so dispatch and completion events
-    land on the span that opened at submission.
+    ``span`` is the request's open trace span (the inert
+    :data:`~repro.obs.trace.NULL_SPAN` when the engine does not trace);
+    it rides along so dispatch and completion events land on the span
+    that opened at submission.
     """
 
     payload: Any
@@ -157,7 +159,7 @@ class InferenceRequest:
     cache_key: Any = None
     session_id: str | None = None
     request_id: int = field(default=0)
-    span: Any = None
+    span: Any = NULL_SPAN
 
 
 class RequestQueue:

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.cluster import AutoscalerPolicy, ServiceModel, ServingCluster
-from repro.serving import SimulatedClock
+from repro.cluster import (
+    AutoscalerPolicy,
+    ClusterConfig,
+    ServiceModel,
+    ServingCluster,
+)
+from repro.serving import EngineConfig, SimulatedClock
 
 
 class EchoServable:
@@ -16,18 +21,23 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
-def scaled_cluster(policy: AutoscalerPolicy, *, clock=None, **kwargs):
-    kwargs.setdefault("max_batch_size", 2)
-    kwargs.setdefault("max_wait_us", 0.0)
-    kwargs.setdefault("service_model", ServiceModel(base_s=1e-3, per_request_s=0.0))
+def scaled_cluster(
+    policy: AutoscalerPolicy,
+    *,
+    clock=None,
+    service_model=ServiceModel(base_s=1e-3, per_request_s=0.0),
+):
     return ServingCluster(
         lambda rid: EchoServable(),
-        replicas=policy.min_replicas,
-        policy="least_outstanding",
+        config=ClusterConfig(
+            replicas=policy.min_replicas,
+            policy="least_outstanding",
+            engine=EngineConfig(max_batch_size=2, max_wait_us=0.0),
+            service_model=service_model,
+            close_executors=False,
+        ),
         clock=clock if clock is not None else SimulatedClock(),
         autoscaler=policy,
-        close_executors=False,
-        **kwargs,
     )
 
 

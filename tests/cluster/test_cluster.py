@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import (
     FAILED,
     STOPPED,
+    ClusterConfig,
     NoHealthyReplica,
     ServiceModel,
     ServingCluster,
@@ -13,6 +14,7 @@ from repro.cluster import (
 from repro.serving import (
     DecodeServable,
     EngineClosed,
+    EngineConfig,
     QueueFull,
     ServingEngine,
     SimulatedClock,
@@ -40,22 +42,43 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
-def echo_cluster(replicas=2, **kwargs):
-    kwargs.setdefault("clock", SimulatedClock())
-    kwargs.setdefault("max_wait_us", 0.0)
-    kwargs.setdefault("close_executors", False)
-    return ServingCluster(lambda rid: EchoServable(), replicas=replicas, **kwargs)
+def manual_cluster(
+    factory,
+    replicas,
+    policy="round_robin",
+    service_model=None,
+    *,
+    clock=None,
+    tracer=None,
+    **engine,
+):
+    """A simulated-clock fleet; ``engine`` holds :class:`EngineConfig`
+    fields (``max_wait_us`` defaults to 0)."""
+    config = ClusterConfig(
+        replicas=replicas,
+        policy=policy,
+        engine=EngineConfig(**{"max_wait_us": 0.0, **engine}),
+        service_model=service_model,
+        close_executors=False,
+    )
+    return ServingCluster(
+        factory,
+        config=config,
+        clock=clock if clock is not None else SimulatedClock(),
+        tracer=tracer,
+    )
+
+
+def echo_cluster(replicas=2, **knobs):
+    return manual_cluster(lambda rid: EchoServable(), replicas, **knobs)
 
 
 DECODER = DecoderConfig("cluster-test", depth=2, dim=16, heads=2, mlp_ratio=2.0)
 
 
-def decode_cluster(replicas=3, **kwargs):
-    kwargs.setdefault("clock", SimulatedClock())
-    kwargs.setdefault("max_wait_us", 0.0)
-    kwargs.setdefault("close_executors", False)
-    return ServingCluster(
-        lambda rid: DecodeServable(DECODER, seed=0), replicas=replicas, **kwargs
+def decode_cluster(replicas=3, **knobs):
+    return manual_cluster(
+        lambda rid: DecodeServable(DECODER, seed=0), replicas, **knobs
     )
 
 
@@ -71,8 +94,7 @@ def decode_steps(sessions=4, rounds=3, seed=0):
 def sequential_decode(steps):
     engine = ServingEngine(
         DecodeServable(DECODER, seed=0),
-        max_batch_size=1,
-        max_wait_us=0.0,
+        config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
         clock=SimulatedClock(),
     )
     with engine:
@@ -108,7 +130,8 @@ class TestSubmitAndStep:
 
     def test_step_requires_manual_mode(self):
         cluster = ServingCluster(
-            lambda rid: EchoServable(), replicas=1, close_executors=False
+            lambda rid: EchoServable(),
+            config=ClusterConfig(replicas=1, close_executors=False),
         )
         with pytest.raises(RuntimeError, match="manual"):
             cluster.step()
@@ -224,16 +247,7 @@ class TestFailover:
             servables[rid] = EchoServable(fail_times=1 if rid == 0 else 0)
             return servables[rid]
 
-        cluster = ServingCluster(
-            factory,
-            replicas=2,
-            policy="round_robin",
-            max_batch_size=1,
-            max_wait_us=0.0,
-            clock=SimulatedClock(),
-            max_retries=1,
-            close_executors=False,
-        )
+        cluster = manual_cluster(factory, 2, max_batch_size=1)
         with cluster:
             handle = cluster.submit(21)  # round robin -> replica 0, which fails
             cluster.run_until_idle()
@@ -243,14 +257,8 @@ class TestFailover:
         assert cluster.metrics.failed == 0
 
     def test_error_propagates_once_retries_exhausted(self):
-        cluster = ServingCluster(
-            lambda rid: EchoServable(fail_times=10),
-            replicas=2,
-            max_batch_size=1,
-            max_wait_us=0.0,
-            clock=SimulatedClock(),
-            max_retries=1,
-            close_executors=False,
+        cluster = manual_cluster(
+            lambda rid: EchoServable(fail_times=10), 2, max_batch_size=1
         )
         with cluster:
             handle = cluster.submit(1)
@@ -303,9 +311,9 @@ class TestVirtualTime:
         with pytest.raises(ValueError, match="SimulatedClock"):
             ServingCluster(
                 lambda rid: EchoServable(),
-                replicas=1,
-                service_model=ServiceModel(),
-                close_executors=False,
+                config=ClusterConfig(
+                    replicas=1, service_model=ServiceModel(), close_executors=False
+                ),
             )
 
     def test_virtual_stamps_follow_the_service_model(self):

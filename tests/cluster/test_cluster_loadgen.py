@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ServiceModel, ServingCluster, run_virtual_open_loop
+from repro.cluster import (
+    ClusterConfig,
+    ServiceModel,
+    ServingCluster,
+    run_virtual_open_loop,
+)
 from repro.cluster.loadgen import run_virtual_schedule
-from repro.serving import SimulatedClock, TenantSpec, multi_tenant_arrivals
+from repro.serving import (
+    EngineConfig,
+    SimulatedClock,
+    TenantSpec,
+    multi_tenant_arrivals,
+)
 
 
 class EchoServable:
@@ -18,20 +28,24 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
-def virtual_cluster(replicas=2, **kwargs):
-    kwargs.setdefault("clock", SimulatedClock())
-    kwargs.setdefault("service_model", ServiceModel(base_s=1e-3, per_request_s=0.0))
-    kwargs.setdefault("max_batch_size", 4)
-    kwargs.setdefault("max_wait_us", 500.0)
+def virtual_cluster(replicas=2):
     return ServingCluster(
-        lambda rid: EchoServable(), replicas=replicas, close_executors=False, **kwargs
+        lambda rid: EchoServable(),
+        config=ClusterConfig(
+            replicas=replicas,
+            engine=EngineConfig(max_batch_size=4, max_wait_us=500.0),
+            service_model=ServiceModel(base_s=1e-3, per_request_s=0.0),
+            close_executors=False,
+        ),
+        clock=SimulatedClock(),
     )
 
 
 class TestRunVirtualOpenLoop:
     def test_requires_manual_mode(self):
         cluster = ServingCluster(
-            lambda rid: EchoServable(), replicas=1, close_executors=False
+            lambda rid: EchoServable(),
+            config=ClusterConfig(replicas=1, close_executors=False),
         )
         with pytest.raises(ValueError, match="SimulatedClock"):
             run_virtual_open_loop(cluster, [1], [0.0])

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.cluster import STOPPED, ServingCluster
-from repro.serving import DecodeServable
+from repro.cluster import STOPPED, ClusterConfig, ServingCluster
+from repro.serving import DecodeServable, EngineConfig
 from repro.workloads.llm import DecoderConfig
 
 
@@ -17,15 +17,23 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
+def wall_cluster(factory, policy="round_robin", max_wait_us=200.0):
+    """A two-replica wall-clock fleet batching up to 4 requests."""
+    return ServingCluster(
+        factory,
+        config=ClusterConfig(
+            replicas=2,
+            policy=policy,
+            engine=EngineConfig(max_batch_size=4, max_wait_us=max_wait_us),
+            close_executors=False,
+        ),
+    )
+
+
 class TestWallClock:
     def test_results_propagate_through_callbacks(self):
-        cluster = ServingCluster(
-            lambda rid: EchoServable(),
-            replicas=2,
-            policy="least_outstanding",
-            max_batch_size=4,
-            max_wait_us=200.0,
-            close_executors=False,
+        cluster = wall_cluster(
+            lambda rid: EchoServable(), policy="least_outstanding"
         )
         with cluster:
             handles = [cluster.submit(i) for i in range(16)]
@@ -39,13 +47,8 @@ class TestWallClock:
     def test_decode_sessions_work_across_wall_clock_replicas(self):
         decoder = DecoderConfig("wall-decode", depth=1, dim=8, heads=2, mlp_ratio=2.0)
         rng = np.random.default_rng(0)
-        cluster = ServingCluster(
-            lambda rid: DecodeServable(decoder, seed=0),
-            replicas=2,
-            policy="session_affinity",
-            max_batch_size=4,
-            max_wait_us=200.0,
-            close_executors=False,
+        cluster = wall_cluster(
+            lambda rid: DecodeServable(decoder, seed=0), policy="session_affinity"
         )
         with cluster:
             for _ in range(3):
@@ -63,13 +66,7 @@ class TestWallClock:
             assert cache.session(sid).context_len == 3
 
     def test_drain_finalizes_via_maintain(self):
-        cluster = ServingCluster(
-            lambda rid: EchoServable(),
-            replicas=2,
-            max_batch_size=4,
-            max_wait_us=100.0,
-            close_executors=False,
-        )
+        cluster = wall_cluster(lambda rid: EchoServable(), max_wait_us=100.0)
         with cluster:
             handles = [cluster.submit(i) for i in range(8)]
             for handle in handles:

@@ -5,9 +5,10 @@ and fails over intact, and sessions retire fleet-wide."""
 import numpy as np
 import pytest
 
-from repro.cluster import ServiceModel, ServingCluster
+from repro.cluster import ClusterConfig, ServiceModel, ServingCluster
 from repro.serving import (
     DecodeServable,
+    EngineConfig,
     IterationCost,
     ServingEngine,
     SimulatedClock,
@@ -36,8 +37,7 @@ def sequential_reference(specs):
     for i, spec in enumerate(specs):
         engine = ServingEngine(
             DecodeServable(DECODER, seed=0, block_size=2),
-            max_batch_size=1,
-            max_wait_us=0.0,
+            config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
             clock=SimulatedClock(),
         )
         with engine:
@@ -50,18 +50,26 @@ def sequential_reference(specs):
     return outputs
 
 
-def continuous_cluster(replicas=3, **kwargs):
-    kwargs.setdefault("clock", SimulatedClock())
-    kwargs.setdefault("max_wait_us", 0.0)
-    kwargs.setdefault("max_batch_size", 4)
-    kwargs.setdefault("queue_depth", 256)
-    kwargs.setdefault("close_executors", False)
-    kwargs.setdefault("scheduler", "continuous")
-    kwargs.setdefault("iteration_cost", COST)
+#: Per-replica engine of every continuous fleet below.
+CONTINUOUS = EngineConfig(
+    max_batch_size=4,
+    max_wait_us=0.0,
+    queue_depth=256,
+    scheduler="continuous",
+    iteration_cost=COST,
+)
+
+
+def continuous_cluster(replicas=3, policy="round_robin"):
     return ServingCluster(
         lambda rid: DecodeServable(DECODER, seed=0, block_size=2),
-        replicas=replicas,
-        **kwargs,
+        config=ClusterConfig(
+            replicas=replicas,
+            policy=policy,
+            engine=CONTINUOUS,
+            close_executors=False,
+        ),
+        clock=SimulatedClock(),
     )
 
 
@@ -155,14 +163,7 @@ class TestReleaseSession:
 class TestValidation:
     def test_service_model_and_iteration_cost_conflict(self):
         with pytest.raises(ValueError):
-            ServingCluster(
-                lambda rid: DecodeServable(DECODER, seed=0),
-                replicas=2,
-                clock=SimulatedClock(),
-                close_executors=False,
-                service_model=ServiceModel(),
-                iteration_cost=COST,
-            )
+            ClusterConfig(service_model=ServiceModel(), engine=CONTINUOUS)
 
     def test_scheduler_knob_reaches_replicas(self):
         with continuous_cluster(replicas=2) as cluster:

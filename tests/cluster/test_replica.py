@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import DRAINING, FAILED, HEALTHY, STOPPED, Replica, ServiceModel
-from repro.serving import EngineClosed, SimulatedClock
+from repro.serving import EngineClosed, EngineConfig, SimulatedClock
 
 
 class EchoServable:
@@ -16,10 +16,14 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
-def replica(**kwargs):
-    kwargs.setdefault("clock", SimulatedClock())
-    kwargs.setdefault("close_executor", False)
-    return Replica(0, EchoServable(), **kwargs)
+def replica():
+    return Replica(
+        0,
+        EchoServable(),
+        config=EngineConfig(),
+        clock=SimulatedClock(),
+        close_executor=False,
+    )
 
 
 class TestLifecycle:

@@ -12,7 +12,7 @@ from repro.cluster import (
     SessionAffinityPolicy,
     make_policy,
 )
-from repro.serving import SimulatedClock
+from repro.serving import EngineConfig, SimulatedClock
 
 
 class NullServable:
@@ -28,7 +28,11 @@ class NullServable:
 def fleet(n=3):
     replicas = {
         rid: Replica(
-            rid, NullServable(), clock=SimulatedClock(), close_executor=False
+            rid,
+            NullServable(),
+            config=EngineConfig(),
+            clock=SimulatedClock(),
+            close_executor=False,
         )
         for rid in range(n)
     }

@@ -77,7 +77,6 @@ class TestSpans:
 class TestAmbientContext:
     def test_default_tracer_is_null(self):
         assert current_tracer() is NULL_TRACER
-        assert not current_tracer().enabled
         assert current_span() is None
 
     def test_activate_sets_and_restores(self):

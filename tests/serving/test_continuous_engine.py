@@ -5,9 +5,11 @@ round-trips, eviction/close semantics, and the virtual cost model."""
 import numpy as np
 import pytest
 
+from repro.obs import Tracer
 from repro.serving import (
     DecodeServable,
     EngineClosed,
+    EngineConfig,
     IterationCost,
     ServingEngine,
     SimulatedClock,
@@ -22,6 +24,10 @@ def toy_decoder(name="toy") -> DecoderConfig:
     return DecoderConfig(name, depth=2, dim=16, heads=2, mlp_ratio=2.0)
 
 
+#: A four-lane continuous engine with no batching window.
+CONTINUOUS = EngineConfig(max_batch_size=4, max_wait_us=0.0, scheduler="continuous")
+
+
 def payload_fn(config, seed=3):
     return lambda i, t: decode_payload(seed, i, t, config.dim)
 
@@ -33,8 +39,7 @@ def sequential_outputs(config, specs, *, seed=1):
     for i, spec in enumerate(specs):
         engine = ServingEngine(
             DecodeServable(config, seed=seed),
-            max_batch_size=1,
-            max_wait_us=0.0,
+            config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
             clock=SimulatedClock(),
         )
         with engine:
@@ -47,15 +52,21 @@ def sequential_outputs(config, specs, *, seed=1):
     return outputs
 
 
-def trace_outputs(config, specs, *, scheduler, window_us=0.0, **servable_kwargs):
+def trace_outputs(
+    config, specs, *, scheduler, window_us=0.0, traced=False, **servable_kwargs
+):
+    clock = SimulatedClock()
     engine = ServingEngine(
         DecodeServable(config, seed=1, **servable_kwargs),
-        max_batch_size=4,
-        max_wait_us=window_us,
-        queue_depth=256,
-        clock=SimulatedClock(),
-        scheduler=scheduler,
-        iteration_cost=IterationCost(base_s=2e-4, per_request_s=5e-5),
+        config=EngineConfig(
+            max_batch_size=4,
+            max_wait_us=window_us,
+            queue_depth=256,
+            scheduler=scheduler,
+            iteration_cost=IterationCost(base_s=2e-4, per_request_s=5e-5),
+        ),
+        clock=clock,
+        tracer=Tracer(clock=clock) if traced else None,
     )
     with engine:
         result = run_decode_trace(
@@ -138,13 +149,13 @@ class TestIterationMetrics:
 
 
 class TestLifecycle:
-    def _engine(self, **kwargs):
+    def _engine(self):
         config = toy_decoder()
-        kwargs.setdefault("max_batch_size", 4)
-        kwargs.setdefault("max_wait_us", 0.0)
-        kwargs.setdefault("clock", SimulatedClock())
-        kwargs.setdefault("scheduler", "continuous")
-        return config, ServingEngine(DecodeServable(config, seed=1), **kwargs)
+        return config, ServingEngine(
+            DecodeServable(config, seed=1),
+            config=CONTINUOUS,
+            clock=SimulatedClock(),
+        )
 
     def test_close_without_drain_fails_scheduler_held(self):
         config, engine = self._engine()
@@ -178,11 +189,7 @@ class TestLifecycle:
         config = toy_decoder()
         servable = DecodeServable(config, seed=1, block_size=2)
         engine = ServingEngine(
-            servable,
-            max_batch_size=4,
-            max_wait_us=0.0,
-            clock=SimulatedClock(),
-            scheduler="continuous",
+            servable, config=CONTINUOUS, clock=SimulatedClock()
         )
         with engine:
             fn = payload_fn(config)
@@ -207,7 +214,8 @@ class TestValidation:
         config = toy_decoder()
         with pytest.raises(ValueError):
             ServingEngine(
-                DecodeServable(config, seed=1), scheduler="sorcery"
+                DecodeServable(config, seed=1),
+                config=EngineConfig(scheduler="sorcery"),
             )
 
     def test_iteration_cost_requires_simulated_clock(self):
@@ -215,7 +223,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ServingEngine(
                 DecodeServable(config, seed=1),
-                iteration_cost=IterationCost(),
+                config=EngineConfig(iteration_cost=IterationCost()),
             )
 
     def test_trace_helpers_validate(self):
@@ -232,12 +240,7 @@ class TestValidation:
 class TestWallClockContinuous:
     def test_background_worker_serves_sessions(self):
         config = toy_decoder()
-        engine = ServingEngine(
-            DecodeServable(config, seed=1),
-            max_batch_size=4,
-            max_wait_us=0.0,
-            scheduler="continuous",
-        )
+        engine = ServingEngine(DecodeServable(config, seed=1), config=CONTINUOUS)
         fn = payload_fn(config)
         with engine:
             handles = [

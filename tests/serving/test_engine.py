@@ -6,6 +6,7 @@ import pytest
 from repro.serving import (
     BatchingPolicy,
     EngineClosed,
+    EngineConfig,
     QueueFull,
     Servable,
     ServingEngine,
@@ -40,9 +41,17 @@ class EchoServable(Servable):
         return outputs[:-1] if self.short_output else outputs
 
 
-def manual_engine(servable=None, **kwargs) -> ServingEngine:
-    kwargs.setdefault("clock", SimulatedClock())
-    return ServingEngine(servable if servable is not None else EchoServable(), **kwargs)
+def manual_engine(
+    servable=None, *, clock=None, cache=None, close_executor=False, **knobs
+) -> ServingEngine:
+    """A simulated-clock engine; ``knobs`` are :class:`EngineConfig` fields."""
+    return ServingEngine(
+        servable if servable is not None else EchoServable(),
+        config=EngineConfig(**knobs),
+        clock=clock if clock is not None else SimulatedClock(),
+        cache=cache,
+        close_executor=close_executor,
+    )
 
 
 class TestSubmitAndStep:
@@ -67,9 +76,7 @@ class TestSubmitAndStep:
 
     def test_policy_respected_without_force(self):
         clock = SimulatedClock()
-        engine = manual_engine(
-            policy=BatchingPolicy(max_batch_size=2, max_wait_us=1_000.0), clock=clock
-        )
+        engine = manual_engine(max_batch_size=2, max_wait_us=1_000.0, clock=clock)
         engine.submit(1)
         assert engine.step(force=False) == 0, "partial batch inside the wait budget"
         clock.advance(1.5e-3)
@@ -166,8 +173,12 @@ class TestLifecycle:
         engine.close()
 
     def test_policy_and_knobs_are_exclusive(self):
-        with pytest.raises(ValueError):
-            manual_engine(policy=BatchingPolicy(), max_batch_size=4)
+        """The batching policy is a view of the config's knobs, never a
+        second way to set them."""
+        engine = manual_engine(max_batch_size=4)
+        assert engine.policy == BatchingPolicy(max_batch_size=4)
+        with pytest.raises(TypeError):
+            EngineConfig(policy=BatchingPolicy())
 
     def test_close_executor_releases_the_pool(self):
         from repro.neural.photonic import PhotonicExecutor
@@ -256,7 +267,9 @@ class TestRemainingBranches:
         from repro.serving import WallClock
 
         # Unstarted wall-clock engine: the queue fills with no consumer.
-        engine = ServingEngine(EchoServable(), queue_depth=1, clock=WallClock())
+        engine = ServingEngine(
+            EchoServable(), config=EngineConfig(queue_depth=1), clock=WallClock()
+        )
         engine.submit(1, block=False)
         with pytest.raises(QueueFull):
             engine.submit(2, block=False)

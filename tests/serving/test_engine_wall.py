@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    EngineConfig,
     ServingEngine,
     VisionServable,
     poisson_gaps,
@@ -18,15 +19,20 @@ from tests.serving.test_engine import EchoServable
 from tests.serving.test_servable import tiny_vit
 
 
+def wall_engine(servable, **knobs) -> ServingEngine:
+    """A wall-clock engine; ``knobs`` are :class:`EngineConfig` fields."""
+    return ServingEngine(servable, config=EngineConfig(**knobs))
+
+
 class TestWorkerThread:
     def test_submit_and_result_roundtrip(self):
-        with ServingEngine(EchoServable(), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(), max_wait_us=100.0) as engine:
             assert engine.submit(21).result(timeout=5.0) == 42
 
     def test_concurrent_submissions_coalesce(self):
         servable = EchoServable()
         # A generous window lets the burst coalesce before dispatch.
-        with ServingEngine(
+        with wall_engine(
             servable, max_batch_size=8, max_wait_us=50_000.0
         ) as engine:
             handles = [engine.submit(i) for i in range(8)]
@@ -36,13 +42,13 @@ class TestWorkerThread:
         assert max(servable.batches) > 1, "burst should have been coalesced"
 
     def test_execution_errors_reach_the_caller(self):
-        with ServingEngine(EchoServable(fail=True), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(fail=True), max_wait_us=100.0) as engine:
             handle = engine.submit(1)
             with pytest.raises(RuntimeError):
                 handle.result(timeout=5.0)
 
     def test_close_drains_in_flight_work(self):
-        engine = ServingEngine(EchoServable(), max_batch_size=2, max_wait_us=100.0)
+        engine = wall_engine(EchoServable(), max_batch_size=2, max_wait_us=100.0)
         engine.start()
         handles = [engine.submit(i) for i in range(6)]
         engine.close()
@@ -52,7 +58,7 @@ class TestWorkerThread:
         model = tiny_vit(seed=5)
         servable = VisionServable(model)
         image = np.random.default_rng(0).normal(size=(16, 16))
-        with ServingEngine(servable, max_wait_us=100.0) as engine:
+        with wall_engine(servable, max_wait_us=100.0) as engine:
             logits = engine.submit(image).result(timeout=10.0)
         assert np.array_equal(logits, model(image).data)
 
@@ -74,7 +80,7 @@ class TestLoadGenerators:
             poisson_gaps(4, -1.0, np.random.default_rng(0))
 
     def test_open_loop_reports_throughput_and_latency(self):
-        with ServingEngine(
+        with wall_engine(
             EchoServable(), max_batch_size=4, max_wait_us=200.0, queue_depth=64
         ) as engine:
             gaps = poisson_gaps(12, 1e-4, np.random.default_rng(2))
@@ -86,12 +92,12 @@ class TestLoadGenerators:
         assert result["mean_batch_size"] >= 1.0
 
     def test_open_loop_validates_schedule(self):
-        with ServingEngine(EchoServable(), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(), max_wait_us=100.0) as engine:
             with pytest.raises(ValueError):
                 run_open_loop(engine, [1, 2], [0.0])
 
     def test_closed_loop_runs_every_round(self):
-        with ServingEngine(
+        with wall_engine(
             EchoServable(), max_batch_size=4, max_wait_us=200.0
         ) as engine:
             result = run_closed_loop(engine, [1, 2, 3], rounds=3)
@@ -101,19 +107,19 @@ class TestLoadGenerators:
         assert result["throughput_rps"] > 0
 
     def test_closed_loop_validates_rounds(self):
-        with ServingEngine(EchoServable(), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(), max_wait_us=100.0) as engine:
             with pytest.raises(ValueError):
                 run_closed_loop(engine, [1], rounds=0)
 
     def test_closed_loop_surfaces_user_errors(self):
-        with ServingEngine(EchoServable(fail=True), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(fail=True), max_wait_us=100.0) as engine:
             with pytest.raises(RuntimeError):
                 run_closed_loop(engine, [1, 2], rounds=1)
 
 
 class TestLoadGenEdgeCases:
     def test_empty_open_loop_reports_zeros(self):
-        with ServingEngine(EchoServable(), max_wait_us=100.0) as engine:
+        with wall_engine(EchoServable(), max_wait_us=100.0) as engine:
             result = run_open_loop(engine, [], [])
         assert result["requests"] == 0
         assert result["throughput_rps"] == 0.0

@@ -235,12 +235,17 @@ class TestDecodeBatchAtomicity:
 
 class TestCacheIsolation:
     def test_cached_results_never_alias(self):
-        from repro.serving import ServingEngine, SessionCache, SimulatedClock
+        from repro.serving import (
+            EngineConfig,
+            ServingEngine,
+            SessionCache,
+            SimulatedClock,
+        )
 
         cache = SessionCache(capacity_bytes=1 << 16)
         engine = ServingEngine(
             VisionServable(tiny_vit(seed=0)),
-            max_batch_size=2,
+            config=EngineConfig(max_batch_size=2),
             clock=SimulatedClock(),
             cache=cache,
         )

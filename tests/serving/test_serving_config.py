@@ -1,19 +1,18 @@
 """The unified serving configuration API: EngineConfig / ClusterConfig
 validation and JSON round-trips, config-object construction of engines,
-clusters and servables, and the warn-once legacy-kwarg shim."""
+clusters and servables, and config-only construction."""
 
-import warnings
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ServiceModel, ServingCluster
+from repro.cluster import ClusterConfig, Replica, ServiceModel, ServingCluster
 from repro.serving import (
     EngineConfig,
     IterationCost,
     ServingEngine,
     SimulatedClock,
-    reset_deprecation_warnings,
 )
 from repro.workloads.llm import DecoderConfig, decode_servable
 from repro.workloads.transformer import TransformerConfig, servable_model
@@ -29,13 +28,6 @@ class EchoServable:
 
     def execute(self, requests):
         return [2 * request.payload for request in requests]
-
-
-@pytest.fixture(autouse=True)
-def fresh_deprecation_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestEngineConfigValidation:
@@ -206,87 +198,28 @@ class TestConfigConstruction:
         )
         assert servable.cache.block_size == 2
 
-
-class TestDeprecationShim:
-    def test_engine_legacy_kwargs_warn_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ServingEngine(
-                EchoServable(), max_batch_size=2, clock=SimulatedClock()
-            )
-            ServingEngine(
-                EchoServable(), max_batch_size=4, clock=SimulatedClock()
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "max_batch_size" in str(deprecations[0].message)
-        assert "EngineConfig" in str(deprecations[0].message)
-
-    def test_warn_state_is_per_api(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ServingEngine(EchoServable(), queue_depth=4, clock=SimulatedClock())
-            ServingCluster(
-                lambda rid: EchoServable(),
-                replicas=1,
-                close_executors=False,
-                clock=SimulatedClock(),
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2  # one per API, not one per process
-
-    def test_config_objects_never_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ServingEngine(
-                EchoServable(), config=EngineConfig(), clock=SimulatedClock()
-            )
-            ServingCluster(
-                lambda rid: EchoServable(),
-                config=ClusterConfig(replicas=1, close_executors=False),
-                clock=SimulatedClock(),
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_engine_rejects_config_plus_legacy(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServingEngine(
-                EchoServable(),
-                config=EngineConfig(),
-                max_batch_size=2,
-                clock=SimulatedClock(),
-            )
-
-    def test_cluster_rejects_config_plus_legacy(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServingCluster(
-                lambda rid: EchoServable(),
-                config=ClusterConfig(),
-                replicas=3,
-                clock=SimulatedClock(),
-            )
-
-    def test_legacy_cluster_kwargs_still_work(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cluster = ServingCluster(
-                lambda rid: EchoServable(),
-                replicas=3,
-                policy="least_outstanding",
-                max_wait_us=0.0,
-                close_executors=False,
-                clock=SimulatedClock(),
-            )
-        assert cluster.config.replicas == 3
-        assert cluster.config.policy == "least_outstanding"
-        assert cluster.config.engine.max_wait_us == 0.0
-        with cluster:
-            handle = cluster.submit(np.ones(2))
-            cluster.run_until_idle()
-            np.testing.assert_array_equal(handle.result(timeout=0), 2 * np.ones(2))
+    @pytest.mark.parametrize(
+        "cls, runtime",
+        [
+            (
+                ServingEngine,
+                {"clock", "cache", "metrics", "tracer", "recorder",
+                 "close_executor"},
+            ),
+            (
+                ServingCluster,
+                {"clock", "autoscaler", "tier", "tracer", "recorder",
+                 "slo_monitor"},
+            ),
+            (
+                Replica,
+                {"replica_id", "clock", "close_executor", "memo_cache",
+                 "tracer", "recorder"},
+            ),
+        ],
+    )
+    def test_knobs_come_only_from_config(self, cls, runtime):
+        """Constructors take a config plus runtime collaborators only:
+        every batching/scheduling/fleet knob lives on the config."""
+        params = set(inspect.signature(cls).parameters)
+        assert params - {"servable", "factory", "config"} == runtime

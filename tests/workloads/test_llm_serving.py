@@ -11,6 +11,7 @@ import pytest
 
 from repro.serving import (
     DecodeServable,
+    EngineConfig,
     InferenceRequest,
     RequestHandle,
     ServingEngine,
@@ -54,7 +55,7 @@ class TestSingleTokenGEMVBatches:
         servable = DecodeServable(toy_decoder(), seed=0)
         rng = np.random.default_rng(0)
         engine = ServingEngine(
-            servable, max_batch_size=8, clock=SimulatedClock()
+            servable, config=EngineConfig(max_batch_size=8), clock=SimulatedClock()
         )
         with engine:
             handles = [
@@ -75,7 +76,9 @@ class TestSingleTokenGEMVBatches:
         def run(max_batch_size):
             servable = DecodeServable(toy_decoder(), seed=0)
             engine = ServingEngine(
-                servable, max_batch_size=max_batch_size, clock=SimulatedClock()
+                servable,
+                config=EngineConfig(max_batch_size=max_batch_size),
+                clock=SimulatedClock(),
             )
             with engine:
                 handles = [
@@ -133,7 +136,9 @@ class TestKVAccountingConsistency:
         cache = SessionCache(config)
         servable = DecodeServable(config, cache=cache, seed=0)
         rng = np.random.default_rng(3)
-        engine = ServingEngine(servable, max_batch_size=4, clock=SimulatedClock())
+        engine = ServingEngine(
+            servable, config=EngineConfig(max_batch_size=4), clock=SimulatedClock()
+        )
         with engine:
             for step in range(2):
                 for sid in ("a", "b"):
