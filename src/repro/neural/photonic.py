@@ -6,10 +6,20 @@ the DPTC analytics: every matrix multiplication of the network is
 of Eq. 9 in the forward pass, while gradients flow through the ideal
 product (a straight-through estimator — the standard approach for
 noise-aware training, as in the paper's artifact).
+
+Static weights are quantized once.  A deployed model's weights are
+fixed, so the executor memoizes the quantized grid of every weight
+operand whose array is read-only and owns its memory (a frozen array,
+e.g. :class:`~repro.serving.servable.DecodeServable`'s projections).
+The memo is keyed on the array's identity and precision and holds a
+weak reference to it, so an entry dies with its array.  Writeable
+arrays (training parameters, which ``Adam`` replaces every step) and
+views are quantized afresh on every call, so no entry can go stale.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +27,9 @@ import numpy as np
 from repro.core.dptc import DPTC, DPTCGeometry
 from repro.core.noise import NoiseModel
 from repro.core.sharding import BACKENDS, SHARD_AXES, ShardedDPTC
+from repro.neural import quantization
 from repro.neural.autograd import Tensor
-from repro.neural.quantization import QuantConfig, fake_quantize
+from repro.neural.quantization import QuantConfig, fake_quantize, straight_through
 
 
 @dataclass
@@ -97,6 +108,8 @@ class PhotonicExecutor:
                 chunk_size=self.chunk_size,
                 pipeline_depth=self.pipeline_depth,
             )
+        # (id(weight array), bits) -> (weakref to the array, its grid).
+        self._weight_memo: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
     def close(self) -> None:
         """Release the sharded engine's worker pool (no-op single-core)."""
@@ -169,7 +182,8 @@ class PhotonicExecutor:
                 2-D weight against 3-D activations — runs in one
                 batched photonic call.
             weight_operand: 0 or 1 if one operand is a weight matrix
-                (quantized at ``quant.weight_bits``); activations use
+                (quantized at ``quant.weight_bits``, once per frozen
+                array — see the module docstring); activations use
                 ``quant.activation_bits``.
         """
         if self.quant is not None:
@@ -187,8 +201,8 @@ class PhotonicExecutor:
             # gets its own grid (like the DPTC's per-matrix beta), so
             # batched execution quantizes each sample exactly as the
             # per-sample path would — no cross-batch scale coupling.
-            a = fake_quantize(a, bits_a, per_matrix=True)
-            b = fake_quantize(b, bits_b, per_matrix=True)
+            a = self._fake_quantize(a, bits_a, weight=weight_operand == 0)
+            b = self._fake_quantize(b, bits_b, weight=weight_operand == 1)
 
         out_data = self._execute(a.data, b.data)
 
@@ -200,6 +214,29 @@ class PhotonicExecutor:
                 b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ grad)
 
         return Tensor.make(out_data, (a, b), backward)
+
+    def _fake_quantize(self, operand: Tensor, bits: int, weight: bool) -> Tensor:
+        """Per-matrix fake quantization, memoized for frozen weights."""
+        data = operand.data
+        if not weight or data.flags.writeable or not data.flags.owndata:
+            return fake_quantize(operand, bits, per_matrix=True)
+        key = (id(data), bits)
+        entry = self._weight_memo.get(key)
+        if entry is None or entry[0]() is not data:
+            # Concurrent misses on a shared executor each store the same
+            # grid; the later store wins and no lookup sees a stale one.
+            grid = quantization.quantize_array(data, bits, per_matrix=True)
+            grid.flags.writeable = False
+            # A weak owner keeps the memo out of a cycle with its entries.
+            owner = weakref.ref(self)
+
+            def forget(_dead: weakref.ref) -> None:
+                executor = owner()
+                if executor is not None:
+                    executor._weight_memo.pop(key, None)
+
+            entry = self._weight_memo[key] = (weakref.ref(data, forget), grid)
+        return straight_through(operand, entry[1])
 
     def _execute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # The DPTC engine is batched end-to-end: any leading batch shape

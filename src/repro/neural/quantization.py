@@ -98,7 +98,14 @@ def quantize_array(
 
 def fake_quantize(tensor: Tensor, bits: int, per_matrix: bool = False) -> Tensor:
     """Quantize in the forward pass, straight-through in the backward."""
-    quantized = quantize_array(tensor.data, bits, per_matrix=per_matrix)
+    return straight_through(
+        tensor, quantize_array(tensor.data, bits, per_matrix=per_matrix)
+    )
+
+
+def straight_through(tensor: Tensor, quantized: np.ndarray) -> Tensor:
+    """``quantized`` (``tensor``'s grid values) in the forward pass; the
+    backward passes gradients to ``tensor`` unchanged (the STE)."""
 
     def backward(grad: np.ndarray) -> None:
         if tensor.requires_grad:

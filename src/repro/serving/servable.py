@@ -28,6 +28,12 @@ from repro.serving.request import InferenceRequest
 from repro.workloads.llm import DecoderConfig, pad_prompts
 
 
+def _require_finite(payload: np.ndarray) -> None:
+    """Reject NaN/inf at submit, before it can reach a shared batch."""
+    if not np.isfinite(payload).all():
+        raise ValueError("payload has non-finite values (NaN or inf)")
+
+
 class Servable(abc.ABC):
     """Interface the :class:`~repro.serving.engine.ServingEngine` drives."""
 
@@ -59,6 +65,7 @@ class VisionServable(Servable):
         expected = (self.model.image_size, self.model.image_size)
         if image.shape != expected:
             raise ValueError(f"expected one {expected} image, got {image.shape}")
+        _require_finite(image)
         return image
 
     def execute(self, requests: Sequence[InferenceRequest]) -> list[np.ndarray]:
@@ -126,6 +133,9 @@ class DecodeServable(Servable):
     them); a session's functional state therefore depends only on its
     own step sequence, keeping batched decode bit-identical to
     sequential decode on a deterministic executor.
+
+    The four projection weights are read-only once constructed, so the
+    executor quantizes each of them once rather than on every step.
     """
 
     name = "decode"
@@ -171,6 +181,10 @@ class DecodeServable(Servable):
         self.w_out = rng.normal(0.0, scale, (dim, dim))
         self.w_ffn1 = rng.normal(0.0, scale, (dim, ffn))
         self.w_ffn2 = rng.normal(0.0, 1.0 / np.sqrt(ffn), (ffn, dim))
+        # Frozen: the executor quantizes a read-only weight once and
+        # reuses the grid on every step.
+        for weight in (self.w_qkv, self.w_out, self.w_ffn1, self.w_ffn2):
+            weight.setflags(write=False)
 
     def prepare(self, payload: Any) -> np.ndarray:
         x = np.asarray(payload, dtype=float)
@@ -178,6 +192,7 @@ class DecodeServable(Servable):
             raise ValueError(
                 f"expected one [{self.config.dim}] token vector, got {x.shape}"
             )
+        _require_finite(x)
         return x
 
     def _project(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Tests for the photonic matmul executor (quantization + noise + STE)."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core import DPTCGeometry, NoiseModel
 from repro.neural import PhotonicExecutor, QuantConfig, Tensor
+from repro.neural import quantization
 from repro.neural.quantization import quantize_array
+from repro.neural.train import Adam
 
 
 @pytest.fixture
@@ -259,3 +263,168 @@ class TestContextManager:
         with pytest.raises(RuntimeError):
             with PhotonicExecutor.ideal(num_cores=2):
                 raise RuntimeError("boom")
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@pytest.fixture
+def quantize_calls(monkeypatch):
+    """Every array handed to ``quantize_array``, in call order."""
+    calls = []
+    original = quantization.quantize_array
+
+    def counting(values, bits, per_matrix=False):
+        calls.append(values)
+        return original(values, bits, per_matrix=per_matrix)
+
+    monkeypatch.setattr(quantization, "quantize_array", counting)
+    return calls
+
+
+def calls_on(calls, array) -> int:
+    return sum(values is array for values in calls)
+
+
+class TestWeightMemo:
+    """A read-only, owning weight array is quantized once per executor;
+    anything else is quantized afresh on every call."""
+
+    def operands(self, executor, monkeypatch):
+        """Record the (quantized) operands the executor runs on the DPTC."""
+        seen = []
+        execute = executor._execute
+
+        def recording(a, b):
+            seen.append((a, b))
+            return execute(a, b)
+
+        monkeypatch.setattr(executor, "_execute", recording)
+        return seen
+
+    def test_hit_is_bit_equal_and_read_only(self, rng, monkeypatch):
+        executor = PhotonicExecutor.digital_reference()
+        seen = self.operands(executor, monkeypatch)
+        w = frozen(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        miss = executor.matmul(x, Tensor(w), weight_operand=1)
+        hit = executor.matmul(x, Tensor(w), weight_operand=1)
+        fresh = quantize_array(w, 4, per_matrix=True)
+        for _, operand in seen:
+            np.testing.assert_array_equal(operand, fresh)
+            assert not operand.flags.writeable
+        np.testing.assert_array_equal(hit.data, miss.data)
+
+    def test_second_call_skips_quantization(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference()
+        w = frozen(rng.normal(size=(6, 4)))
+        x = rng.normal(size=(3, 6))
+        for _ in range(3):
+            executor.matmul(Tensor(x), Tensor(w), weight_operand=1)
+        assert calls_on(quantize_calls, w) == 1
+        assert calls_on(quantize_calls, x) == 3  # activations every call
+
+    def test_weight_on_the_left_is_memoized_too(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference()
+        w = frozen(rng.normal(size=(4, 6)))
+        for _ in range(2):
+            executor.matmul(Tensor(w), Tensor(rng.normal(size=(6, 3))), weight_operand=0)
+        assert calls_on(quantize_calls, w) == 1
+
+    def test_activation_side_is_never_memoized(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference()
+        x = frozen(rng.normal(size=(3, 6)))
+        for _ in range(2):
+            executor.matmul(Tensor(x), Tensor(rng.normal(size=(6, 4))), weight_operand=1)
+        assert calls_on(quantize_calls, x) == 2
+
+    def test_writeable_weights_are_never_memoized(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference()
+        w = rng.normal(size=(6, 4))
+        x = Tensor(rng.normal(size=(3, 6)))
+        before = executor.matmul(x, Tensor(w), weight_operand=1).data
+        w *= -2.0  # in place: a memo keyed on identity would go stale
+        after = executor.matmul(x, Tensor(w), weight_operand=1).data
+        expected = PhotonicExecutor.digital_reference().matmul(
+            x, Tensor(w.copy()), weight_operand=1
+        )
+        np.testing.assert_array_equal(after, expected.data)
+        assert not np.array_equal(after, before)
+        assert calls_on(quantize_calls, w) == 2
+
+    def test_views_of_a_frozen_base_are_never_memoized(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference()
+        base = frozen(rng.normal(size=(6, 8)))
+        view = base[:, :4]
+        assert not view.flags.writeable and not view.flags.owndata
+        for _ in range(2):
+            executor.matmul(Tensor(rng.normal(size=(3, 6))), Tensor(view), weight_operand=1)
+        assert calls_on(quantize_calls, view) == 2
+
+    def test_different_weight_bits_miss(self, rng, quantize_calls):
+        executor = PhotonicExecutor.digital_reference(QuantConfig(4, 4))
+        w = frozen(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        executor.matmul(x, Tensor(w), weight_operand=1)
+        executor.quant = QuantConfig(8, 4)
+        int8 = executor.matmul(x, Tensor(w), weight_operand=1)
+        assert calls_on(quantize_calls, w) == 2
+        expected = PhotonicExecutor.digital_reference(QuantConfig(8, 4)).matmul(
+            x, Tensor(w.copy()), weight_operand=1
+        )
+        np.testing.assert_array_equal(int8.data, expected.data)
+
+    def test_ste_gradients_match_unmemoized(self, rng):
+        x = rng.normal(size=(3, 6))
+        w = frozen(rng.normal(size=(6, 4)))
+
+        def grads(weight):
+            executor = PhotonicExecutor.paper_default(seed=5)
+            tensors = []
+            for _ in range(2):  # the second call is a memo hit
+                a = Tensor(x, requires_grad=True)
+                b = Tensor(weight, requires_grad=True)
+                executor.matmul(a, b, weight_operand=1).sum().backward()
+                tensors.append((a.grad, b.grad))
+            return tensors
+
+        for memoized, plain in zip(grads(w), grads(w.copy())):
+            np.testing.assert_array_equal(memoized[0], plain[0])
+            np.testing.assert_array_equal(memoized[1], plain[1])
+
+    def test_adam_updates_leave_no_dead_entries(self, rng):
+        """Adam rebinds ``param.data`` every step; frozen after each step,
+        every step's array is a fresh memo key, and each old entry dies
+        with its array.  Training stays bit-equal to the unmemoized run."""
+        x = rng.normal(size=(8, 6))
+        w0 = rng.normal(size=(6, 4))
+
+        def train(freeze):
+            executor = PhotonicExecutor.digital_reference()
+            param = Tensor(w0.copy(), requires_grad=True)
+            optimizer = Adam([param], lr=1e-2)
+            for _ in range(50):
+                if freeze:
+                    param.data.setflags(write=False)
+                optimizer.zero_grad()
+                out = executor.matmul(Tensor(x), param, weight_operand=1)
+                (out * out).sum().backward()
+                optimizer.step()
+            return executor, param.data
+
+        executor, trained = train(freeze=True)
+        gc.collect()
+        assert all(ref() is not None for ref, _ in executor._weight_memo.values())
+        assert len(executor._weight_memo) <= 1
+        np.testing.assert_array_equal(trained, train(freeze=False)[1])
+
+    def test_entry_dies_with_its_array(self, rng):
+        executor = PhotonicExecutor.digital_reference()
+        w = frozen(rng.normal(size=(6, 4)))
+        executor.matmul(Tensor(rng.normal(size=(3, 6))), Tensor(w), weight_operand=1)
+        assert len(executor._weight_memo) == 1
+        del w
+        gc.collect()
+        assert executor._weight_memo == {}

@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ServingCluster
+from repro.neural import quantization
 from repro.neural.photonic import PhotonicExecutor
 from repro.neural.text import TinyBERT
 from repro.neural.vision import TinyViT
 from repro.serving import (
     DecodeServable,
+    EngineConfig,
     InferenceRequest,
     RequestHandle,
+    ServingEngine,
     SessionCache,
+    SimulatedClock,
     TextServable,
     VisionServable,
+    decode_payload,
+    mixed_decode_trace,
+    run_decode_trace,
 )
 from repro.workloads import DecoderConfig, decode_servable, servable_model
 from repro.workloads.transformer import KIND_TEXT, TransformerConfig
@@ -235,13 +243,6 @@ class TestDecodeBatchAtomicity:
 
 class TestCacheIsolation:
     def test_cached_results_never_alias(self):
-        from repro.serving import (
-            EngineConfig,
-            ServingEngine,
-            SessionCache,
-            SimulatedClock,
-        )
-
         cache = SessionCache(capacity_bytes=1 << 16)
         engine = ServingEngine(
             VisionServable(tiny_vit(seed=0)),
@@ -286,3 +287,130 @@ class TestIntraBatchSessionChaining:
         assert np.array_equal(expected[0], got[0])
         assert np.array_equal(expected[1], got[1])
         assert batched.cache.context_len("s") == 2
+
+
+class TestNonFinitePayloads:
+    """NaN/inf payloads are refused at submit, in the caller's thread."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vision_prepare_rejects(self, bad):
+        image = np.zeros((16, 16))
+        image[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            VisionServable(tiny_vit()).prepare(image)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_decode_prepare_rejects(self, bad):
+        config = DecoderConfig("toy", depth=2, dim=16, heads=2, mlp_ratio=2.0)
+        token = np.ones(16)
+        token[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DecodeServable(config).prepare(token)
+
+    def test_nan_submit_fails_alone(self):
+        rng = np.random.default_rng(5)
+        images = [rng.normal(size=(16, 16)) for _ in range(3)]
+        poisoned = images[1].copy()
+        poisoned[0, 0] = np.nan
+        engine = ServingEngine(
+            VisionServable(tiny_vit(seed=2)),
+            config=EngineConfig(max_batch_size=4, max_wait_us=0.0),
+            clock=SimulatedClock(),
+        )
+        with engine:
+            handles = [engine.submit(images[0])]
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.submit(poisoned)
+            handles += [engine.submit(image) for image in images[1:]]
+            assert engine.pending == 3
+            engine.step()
+            outputs = [handle.result(timeout=0) for handle in handles]
+        oracle = VisionServable(tiny_vit(seed=2))
+        for image, output in zip(images, outputs):
+            expected = oracle.execute([request_of(oracle.prepare(image))])[0]
+            np.testing.assert_array_equal(output, expected)
+
+
+class TestFrozenDecodeWeights:
+    DECODER = DecoderConfig("frozen", depth=2, dim=16, heads=2, mlp_ratio=2.0)
+
+    def test_weights_are_read_only(self):
+        servable = DecodeServable(self.DECODER)
+        for weight in (
+            servable.w_qkv,
+            servable.w_out,
+            servable.w_ffn1,
+            servable.w_ffn2,
+        ):
+            with pytest.raises(ValueError):
+                weight[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            servable.w_qkv *= 2.0
+
+    def test_two_replica_cluster_matches_sequential_oracle(self, monkeypatch):
+        """Each replica's executor quantizes its own weights once, and
+        the fleet still decodes bit-equal to batch-1 sequential decode."""
+        specs = mixed_decode_trace(6, seed=4, max_steps=6, horizon_s=2e-3)
+
+        def payload_fn(i, t):
+            return decode_payload(8, i, t, self.DECODER.dim)
+
+        reference = {}
+        for i, spec in enumerate(specs):
+            with ServingEngine(
+                DecodeServable(self.DECODER, seed=0, block_size=2),
+                config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
+                clock=SimulatedClock(),
+            ) as engine:
+                outs = []
+                for t in range(spec.steps):
+                    handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
+                    engine.step()
+                    outs.append(handle.result(timeout=0))
+                reference[spec.session_id] = outs
+
+        calls = []
+        original = quantization.quantize_array
+
+        def counting(values, bits, per_matrix=False):
+            calls.append(values)
+            return original(values, bits, per_matrix=per_matrix)
+
+        monkeypatch.setattr(quantization, "quantize_array", counting)
+        servables = []
+
+        def factory(replica_id):
+            servables.append(DecodeServable(self.DECODER, seed=0, block_size=2))
+            return servables[-1]
+
+        with ServingCluster(
+            factory,
+            config=ClusterConfig(
+                replicas=2,
+                policy="round_robin",
+                engine=EngineConfig(
+                    max_batch_size=4,
+                    max_wait_us=0.0,
+                    queue_depth=64,
+                    scheduler="continuous",
+                ),
+            ),
+            clock=SimulatedClock(),
+        ) as cluster:
+            result = run_decode_trace(cluster, specs, payload_fn=payload_fn)
+
+        for spec in specs:
+            got, want = result["outputs"][spec.session_id], reference[spec.session_id]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert len(servables) == 2
+        assert servables[0].executor is not servables[1].executor
+        for servable in servables:
+            for weight in (
+                servable.w_qkv,
+                servable.w_out,
+                servable.w_ffn1,
+                servable.w_ffn2,
+            ):
+                assert sum(values is weight for values in calls) == 1
