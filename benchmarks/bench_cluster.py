@@ -10,11 +10,11 @@ runner.  Sections, each with a hard gate:
   seeds, on vision (fixed-shape images), text (**ragged** prompts), and
   multi-session decode (KV streams; sessions migrate wholesale between
   replicas, so even non-sticky policies preserve bits).
-* **Fleet scaling** — open-loop Poisson load over a
-  :class:`ServiceModel`: virtual fleet throughput must increase
-  strictly from 1 to 2 to 4 replicas (replicas overlap in virtual
-  time), with a margin floor on the 4-vs-1 gain that ``--report-only``
-  relaxes.
+* **Fleet scaling** — open-loop Poisson load over an
+  :class:`IterationCost` service model: virtual fleet throughput must
+  increase strictly from 1 to 2 to 4 replicas (replicas overlap in
+  virtual time), with a margin floor on the 4-vs-1 gain that
+  ``--report-only`` relaxes.
 * **Affinity hit rate** — on a multi-tenant decode mix,
   ``session_affinity`` must beat ``round_robin`` on the affinity hit
   rate (the owner-routed fraction of session steps) while staying
@@ -33,7 +33,6 @@ import numpy as np
 from repro.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
-    ServiceModel,
     ServingCluster,
     run_virtual_open_loop,
     run_virtual_schedule,
@@ -43,6 +42,7 @@ from repro.neural.vision import TinyViT
 from repro.serving import (
     DecodeServable,
     EngineConfig,
+    IterationCost,
     ServingEngine,
     SimulatedClock,
     TenantSpec,
@@ -66,7 +66,7 @@ LOAD_REQUESTS = 64
 LOAD_MEAN_GAP_S = 0.05e-3
 
 #: Virtual service model: batching amortizes base_s, replicas overlap.
-SERVICE_MODEL = ServiceModel(base_s=1e-3, per_request_s=0.25e-3)
+SERVICE_MODEL = IterationCost(base_s=1e-3, per_request_s=0.25e-3)
 
 #: Throughput margin of 4 replicas over 1 (relaxed by --report-only).
 MIN_FLEET_GAIN = 2.0

@@ -139,18 +139,17 @@ def serving_equality() -> dict:
 def _run_cluster(traced: bool) -> tuple[list, dict]:
     from repro.cluster import (
         ClusterConfig,
-        ServiceModel,
         ServingCluster,
         run_virtual_open_loop,
     )
     from repro.obs.demo import TracedMatmulServable
-    from repro.serving import EngineConfig, SimulatedClock
+    from repro.serving import EngineConfig, IterationCost, SimulatedClock
 
     config = ClusterConfig(
         replicas=2,
         policy="least_outstanding",
         engine=EngineConfig(max_batch_size=4, max_wait_us=500.0),
-        service_model=ServiceModel(),
+        service_model=IterationCost(),
     )
     clock = SimulatedClock()
     tracer = Tracer(clock=clock) if traced else None

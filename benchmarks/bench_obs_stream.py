@@ -143,12 +143,11 @@ def _run_slo_cluster() -> tuple[list[dict], list[dict]]:
     """One overloaded virtual fleet run; (alert ledger, status rows)."""
     from repro.cluster import (
         ClusterConfig,
-        ServiceModel,
         ServingCluster,
         run_virtual_open_loop,
     )
     from repro.obs.demo import TracedMatmulServable
-    from repro.serving import EngineConfig, SimulatedClock
+    from repro.serving import EngineConfig, IterationCost, SimulatedClock
 
     clock = SimulatedClock()
     cluster = ServingCluster(
@@ -161,7 +160,7 @@ def _run_slo_cluster() -> tuple[list[dict], list[dict]]:
             ),
             # Every batch costs >= 1 ms of virtual service time, so an
             # open-loop burst pushes latencies past the 1 ms objective.
-            service_model=ServiceModel(base_s=1e-3, per_request_s=250e-6),
+            service_model=IterationCost(base_s=1e-3, per_request_s=250e-6),
         ),
         clock=clock,
     )
@@ -203,11 +202,10 @@ def flight_recorder_postmortem(dump_dir: str = ".") -> dict:
     """fail_replica() freezes and dumps a postmortem bundle."""
     from repro.cluster import (
         ClusterConfig,
-        ServiceModel,
         ServingCluster,
     )
     from repro.obs.demo import TracedMatmulServable
-    from repro.serving import EngineConfig, SimulatedClock
+    from repro.serving import EngineConfig, IterationCost, SimulatedClock
 
     clock = SimulatedClock()
     recorder = FlightRecorder(capacity=128, clock=clock, dump_dir=dump_dir)
@@ -219,7 +217,7 @@ def flight_recorder_postmortem(dump_dir: str = ".") -> dict:
             replicas=2,
             policy="least_outstanding",
             engine=EngineConfig(max_batch_size=4, max_wait_us=500.0),
-            service_model=ServiceModel(),
+            service_model=IterationCost(),
         ),
         clock=clock,
         tracer=tracer,

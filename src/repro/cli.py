@@ -258,7 +258,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     """Fleet dashboard frames over a deterministic demo cluster run."""
     import numpy as np
 
-    from repro.cluster import ClusterConfig, ServiceModel, ServingCluster
+    from repro.cluster import ClusterConfig, ServingCluster
     from repro.obs import (
         FleetTop,
         FlightRecorder,
@@ -268,7 +268,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
     from repro.obs.demo import TracedMatmulServable
     from repro.obs.live import ANSI_HOME
-    from repro.serving import EngineConfig, SimulatedClock
+    from repro.serving import EngineConfig, IterationCost, SimulatedClock
 
     if args.replicas < 1:
         raise SystemExit("top: --replicas must be >= 1")
@@ -294,7 +294,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             max_wait_us=500.0,
             queue_depth=max(64, args.requests),
         ),
-        service_model=ServiceModel(),
+        service_model=IterationCost(),
     )
     cluster = ServingCluster(
         lambda rid: TracedMatmulServable(seed=args.seed + rid),
@@ -559,13 +559,13 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.cluster import (
         AutoscalerPolicy,
         ClusterConfig,
-        ServiceModel,
         ServingCluster,
         run_virtual_open_loop,
         run_virtual_schedule,
     )
     from repro.serving import (
         EngineConfig,
+        IterationCost,
         SimulatedClock,
         TenantSpec,
         VisionServable,
@@ -586,7 +586,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
             replicas=3,
             policy="least_outstanding",
             engine=EngineConfig(max_wait_us=500.0),
-            service_model=ServiceModel(),
+            service_model=IterationCost(),
         )
     )
     cluster_overrides = {}
@@ -597,8 +597,8 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     if args.shared_cache:
         cluster_overrides["shared_cache"] = True
     if args.service_base_us is not None or args.service_per_request_us is not None:
-        model = base.service_model if base.service_model is not None else ServiceModel()
-        cluster_overrides["service_model"] = ServiceModel(
+        model = base.service_model if base.service_model is not None else IterationCost()
+        cluster_overrides["service_model"] = IterationCost(
             base_s=(
                 args.service_base_us * 1e-6
                 if args.service_base_us is not None

@@ -11,7 +11,8 @@ fleet against backlog and latency-SLO signals, and
 throughput, percentiles, affinity hit rate, and a deterministic event
 log.  Everything runs under the shared
 :class:`~repro.serving.clock.SimulatedClock` in manual-step mode (zero
-sleeps; a :class:`ServiceModel` supplies virtual batch service times)
+sleeps; an :class:`~repro.serving.scheduler.IterationCost` service
+model supplies virtual batch service times)
 as well as wall-clock mode.
 """
 
@@ -27,7 +28,6 @@ from repro.cluster.replica import (
     HEALTHY,
     STOPPED,
     Replica,
-    ServiceModel,
 )
 from repro.cluster.router import (
     POLICIES,
@@ -72,7 +72,6 @@ __all__ = [
     "RoundRobinPolicy",
     "RoutingPolicy",
     "STOPPED",
-    "ServiceModel",
     "ServingCluster",
     "SessionAffinityPolicy",
     "ShardedKVStore",

@@ -27,8 +27,9 @@ Two execution regimes, like the engine underneath:
 
 * **Manual mode** (a :class:`~repro.serving.clock.SimulatedClock`):
   :meth:`step` drives every replica deterministically, zero sleeps.  An
-  optional :class:`~repro.cluster.replica.ServiceModel` supplies
-  virtual per-batch service times, making fleet throughput, latency
+  optional service model (an
+  :class:`~repro.serving.scheduler.IterationCost`) supplies virtual
+  per-batch service times, making fleet throughput, latency
   percentiles, and autoscaler trajectories exact functions of the seed
   — replicas overlap in *virtual* time, so the scaling curve needs no
   wall-clock parallelism.
@@ -52,7 +53,6 @@ from repro.cluster.replica import (
     HEALTHY,
     STOPPED,
     Replica,
-    ServiceModel,
 )
 from repro.cluster.router import NoHealthyReplica, Router
 from repro.cluster.store import SharedCacheTier
@@ -149,7 +149,6 @@ class ServingCluster:
         config = config if config is not None else ClusterConfig()
         self.config = config
         self.factory = factory
-        self.batching = config.engine.batching
         self.queue_depth = config.engine.queue_depth
         self.clock = clock if clock is not None else WallClock()
         self.manual = not getattr(self.clock, "real", True)
@@ -631,7 +630,7 @@ class ServingCluster:
 
         Frees the owning replica's paged KV state (its
         :class:`~repro.serving.cache.BlockPool` pages return to the
-        free list), drops any continuous-scheduler bookkeeping there,
+        free list), drops the engine scheduler's bookkeeping there,
         and forgets the directory entry.  Returns the KV bytes freed.
         Call once the session's submitted steps have resolved.
         """

@@ -2,8 +2,8 @@
 
 :class:`ClusterConfig` is the cluster-level counterpart of
 :class:`~repro.serving.config.EngineConfig`: fleet size, routing
-policy, retry/drain behaviour, the virtual-time
-:class:`~repro.cluster.replica.ServiceModel`, and the shared cache
+policy, retry/drain behaviour, the virtual-time service model (an
+:class:`~repro.serving.scheduler.IterationCost`), and the shared cache
 tier's knobs, with one ``engine`` sub-config applied to every replica.
 It is the only way to set those knobs on
 :class:`~repro.cluster.cluster.ServingCluster`, and the ``repro
@@ -15,9 +15,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cluster.replica import ServiceModel
 from repro.cluster.router import POLICIES
 from repro.serving.config import EngineConfig
+from repro.serving.scheduler import IterationCost
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class ClusterConfig:
         max_retries: re-dispatches after a non-failover error.
         close_executors: close each servable's photonic executor on
             replica shutdown.
-        service_model: virtual per-batch service times (manual mode
+        service_model: virtual per-batch service times charged
+            against each replica's ``busy_until`` horizon (manual mode
             only); mutually exclusive with ``engine.iteration_cost``.
         shared_cache: build a fleet-wide
             :class:`~repro.cluster.store.SharedCacheTier` — prompt
@@ -54,7 +55,7 @@ class ClusterConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_retries: int = 1
     close_executors: bool = True
-    service_model: ServiceModel | None = None
+    service_model: IterationCost | None = None
     shared_cache: bool = False
     share_prefixes: bool = True
     memo_bytes: int | None = None
@@ -109,5 +110,5 @@ class ClusterConfig:
             kwargs["engine"] = EngineConfig.from_dict(engine)
         model = kwargs.get("service_model")
         if isinstance(model, dict):
-            kwargs["service_model"] = ServiceModel(**model)
+            kwargs["service_model"] = IterationCost(**model)
         return cls(**kwargs)

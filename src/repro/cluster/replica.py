@@ -20,19 +20,20 @@ state machine::
 The replica also carries the bookkeeping the routing policies and the
 autoscaler read: ``outstanding`` (dispatched but not completed),
 ``dispatched`` (lifetime count), and ``busy_until`` — the virtual-time
-horizon of the :class:`ServiceModel` when the cluster runs under a
-:class:`~repro.serving.clock.SimulatedClock`.
+horizon of the cluster's service model (an
+:class:`~repro.serving.scheduler.IterationCost`) when the cluster runs
+under a :class:`~repro.serving.clock.SimulatedClock`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.serving.cache import SessionCache
 from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
 from repro.serving.request import InferenceRequest, RequestHandle
+from repro.serving.scheduler import IterationCost
 from repro.serving.servable import Servable
 
 #: Replica health states (plain strings: JSON-able, printable).
@@ -43,36 +44,6 @@ STOPPED = "stopped"
 
 #: States in which the replica's engine is still running work.
 ALIVE_STATES = (HEALTHY, DRAINING)
-
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """Deterministic virtual-time cost of one coalesced batch.
-
-    Under a simulated clock the engines execute in zero virtual time;
-    this model supplies the missing service duration so fleet throughput
-    and latency are well-defined *and* bit-deterministic:
-    ``batch_seconds(b) = base_s + per_request_s * b``.  ``base_s`` is
-    the per-dispatch overhead dynamic batching amortizes; replicas hold
-    independent ``busy_until`` horizons, so N replicas genuinely overlap
-    in virtual time — the fleet-scaling curve ``bench_cluster.py`` gates
-    needs no wall-clock parallelism and holds on a 1-CPU host.
-    """
-
-    base_s: float = 1e-3
-    per_request_s: float = 250e-6
-
-    def __post_init__(self) -> None:
-        if self.base_s < 0 or self.per_request_s < 0:
-            raise ValueError(
-                f"service times must be >= 0, got base_s={self.base_s}, "
-                f"per_request_s={self.per_request_s}"
-            )
-
-    def batch_seconds(self, batch_size: int) -> float:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        return self.base_s + self.per_request_s * batch_size
 
 
 class Replica:
@@ -123,7 +94,7 @@ class Replica:
         self.outstanding = 0
         #: Lifetime dispatch count (per-replica occupancy accounting).
         self.dispatched = 0
-        #: Virtual-time horizon this replica is busy until (ServiceModel).
+        #: Virtual-time horizon this replica is busy until (service model).
         self.busy_until = 0.0
         #: Engine handle -> cluster in-flight record, for failover.
         self.inflight: dict[RequestHandle, Any] = {}
@@ -187,7 +158,7 @@ class Replica:
         replica occupied past ``now``."""
         return self.outstanding + (1.0 if self.busy_until > now else 0.0)
 
-    def virtual_stamp(self, batch_size: int, now: float, model: ServiceModel):
+    def virtual_stamp(self, batch_size: int, now: float, model: IterationCost):
         """(started, finished) of the next resolving request under the
         service model, grouping consecutive resolutions into their batch."""
         if self._vbatch_left == 0:

@@ -1,20 +1,22 @@
 """Async dynamic-batching inference serving over the photonic engine.
 
 The request-to-batch layer of the stack: concurrent ``submit()`` calls
-enter a bounded :class:`RequestQueue`, a :class:`DynamicBatcher`
-coalesces them into ``[batch, ...]`` tensors under a
-``max_batch_size`` / ``max_wait_us`` :class:`BatchingPolicy`, and the
-:class:`ServingEngine` worker executes each batch on the sharded
-photonic engine (PR 1-3's ``num_cores`` / ``shard_axis`` / ``backend``
-knobs apply unchanged).  A :class:`SessionCache` memoizes repeated
-prompts and keeps KV-session accounting consistent with the Sec. VI-B
-decode analysis, and :class:`Metrics` records throughput, latency
+enter a bounded :class:`RequestQueue`, and the :class:`ServingEngine`
+runs one loop over an :class:`IterationScheduler` that composes each
+iteration's ``[batch, ...]`` tensor and executes it on the sharded
+photonic engine (the executor's ``num_cores`` / ``shard_axis`` /
+``backend`` knobs apply unchanged).  ``EngineConfig.scheduler`` picks
+the loop's batching window and intake: ``"request"`` holds a partial
+batch up to ``max_wait_us`` and admits one FIFO batch of at most
+``max_batch_size`` per iteration, ``"continuous"`` admits every arrival
+with no window.  A :class:`SessionCache` memoizes repeated prompts and
+keeps KV-session accounting consistent with the Sec. VI-B decode
+analysis, and :class:`Metrics` records throughput, latency
 percentiles, and batch occupancy — deterministically, under a
 :class:`SimulatedClock`, so the whole pipeline is testable without
 sleeping.
 """
 
-from repro.serving.batcher import BatchingPolicy, DynamicBatcher
 from repro.serving.cache import (
     MISS,
     BlockPool,
@@ -58,11 +60,9 @@ from repro.serving.servable import (
 
 __all__ = [
     "Arrival",
-    "BatchingPolicy",
     "BlockPool",
     "DecodeServable",
     "DecodeSessionSpec",
-    "DynamicBatcher",
     "EngineClosed",
     "EngineConfig",
     "InferenceRequest",

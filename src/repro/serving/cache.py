@@ -11,7 +11,7 @@ Two concerns the serving layer needs from one component:
   steps.  Sessions store their per-step K/V vectors in fixed-size
   **pages** (:class:`KVBlock` of ``block_size`` tokens) drawn from a
   :class:`BlockPool` with a byte budget and a free list, the layout
-  that lets the continuous (iteration-level) scheduler share photonic
+  that lets the iteration scheduler share photonic
   GEMV batches across sessions of different lengths without
   re-padding.  Byte accounting is *defined* as
   :func:`repro.workloads.llm.kv_cache_bytes` at the session's
@@ -92,10 +92,9 @@ class BlockPool:
     view is ``in_use * block_bytes`` where ``block_bytes`` is
     :func:`kv_cache_bytes` at ``block_size`` tokens — identical, per
     page, to the session ledger.  ``allocate`` itself never fails
-    (a *soft* budget): the continuous scheduler enforces the budget
-    proactively via :meth:`can_fit`, preempting sessions before a
-    batch would overrun, so request-mode engines without a scheduler
-    keep working against an unbounded-by-default pool.
+    (a *soft* budget): the engine's iteration scheduler enforces the
+    budget proactively via :meth:`can_fit`, preempting sessions before
+    a batch would overrun.
 
     Swap and migration move custody without touching the free list:
     :meth:`discharge` releases the budget of blocks that leave the
@@ -240,7 +239,7 @@ class Session:
     ``blocks_for(context_len)``; config-less caches keep the prompt
     implicit, ``prompt_slots == 0``).  ``swapped`` marks a preempted
     session whose blocks currently live outside the pool budget (the
-    host-memory swap of the continuous scheduler) — the arrays, and
+    host-memory swap of the iteration scheduler) — the arrays, and
     therefore the bits, are untouched.
 
     ``shared_blocks`` leading blocks alias a :class:`PrefixChain`
@@ -350,7 +349,8 @@ class SessionCache:
             footprint up to whole blocks.
         kv_capacity_bytes: byte budget of the :class:`BlockPool`
             (``None`` = unbounded).  The budget is enforced by the
-            continuous scheduler (preemption), not by ``append_kv``.
+            engine's iteration scheduler (preemption), not by
+            ``append_kv``.
     """
 
     def __init__(
@@ -549,7 +549,7 @@ class SessionCache:
                 if not session.swapped
             )
 
-    # -- preemption (continuous-scheduler swap) ------------------------------
+    # -- preemption (iteration-scheduler swap) -------------------------------
     def swap_out(self, session_id: str) -> int:
         """Preempt: release the session's pool budget, keep its bits.
 

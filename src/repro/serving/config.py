@@ -26,10 +26,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serving.batcher import BatchingPolicy
 from repro.serving.scheduler import IterationCost
 
-#: Engine scheduling modes (request-level dynamic batching vs
+#: Engine scheduling modes: the batching window and per-iteration
+#: intake of the one iteration loop (request-level dynamic batching vs
 #: iteration-level continuous batching).
 SCHEDULERS = ("request", "continuous")
 
@@ -43,15 +43,17 @@ class EngineConfig:
     """Everything one serving engine (or cluster replica) is built from.
 
     Attributes:
-        max_batch_size: occupancy cap of one coalesced batch (request
-            mode) or active lanes per iteration (continuous mode).
-        max_wait_us: dynamic-batching wait budget of the oldest queued
-            request, microseconds.
+        max_batch_size: active lanes per iteration: the occupancy cap
+            of one coalesced batch in both scheduler modes.
+        max_wait_us: request-mode batching window: how long the oldest
+            queued request may wait for the batch to fill, microseconds.
+            Continuous mode ignores it.
         queue_depth: admission-control bound of the request queue.
-        scheduler: ``"request"`` or ``"continuous"``.
-        iteration_cost: virtual service time per fused decode iteration
-            (continuous mode under a simulated clock); ``None`` = no
-            virtual time.
+        scheduler: ``"request"`` (one FIFO batch per iteration, held
+            for the ``max_wait_us`` window) or ``"continuous"`` (every
+            arrival each iteration, no window).
+        iteration_cost: virtual service time per executed iteration
+            (simulated clock only); ``None`` = no virtual time.
         num_cores: photonic cores the executor shards over.
         shard_axis: ``"batch"`` or ``"contraction"``.
         backend: ``"thread"`` or ``"process"`` executor pool.
@@ -122,13 +124,6 @@ class EngineConfig:
             )
         if self.kv_bits < 1:
             raise ValueError(f"kv_bits must be >= 1, got {self.kv_bits}")
-
-    @property
-    def batching(self) -> BatchingPolicy:
-        """The batching policy view of this config."""
-        return BatchingPolicy(
-            max_batch_size=self.max_batch_size, max_wait_us=self.max_wait_us
-        )
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated)."""

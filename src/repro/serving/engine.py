@@ -1,21 +1,32 @@
-"""The serving engine: request admission -> dynamic batch -> photonic run.
+"""The serving engine: request admission -> scheduled iteration -> photonic run.
 
 :class:`ServingEngine` is the worker loop that turns concurrent
-``submit()`` calls into coalesced photonic batches.  Two execution
-regimes share every code path except the loop driver:
+``submit()`` calls into coalesced photonic batches.  Every batch comes
+out of one loop: arrivals leave the bounded :class:`RequestQueue` into
+an :class:`~repro.serving.scheduler.IterationScheduler`, which composes
+each iteration (one step per session, KV residency enforced by
+preemption) for the servable to execute.  ``EngineConfig.scheduler``
+only sets two constants of that loop:
+
+* ``"request"`` — dynamic batching: the queue's head batch waits up to
+  ``max_wait_us`` for company and each iteration takes one FIFO batch
+  of at most ``max_batch_size`` arrivals.
+* ``"continuous"`` — iteration-level batching: no window, and each
+  iteration takes every arrival.
+
+Two execution regimes share every code path except what drives the loop:
 
 * **Wall-clock mode** (default): ``start()`` launches a background
-  worker thread that blocks on the :class:`DynamicBatcher` and executes
-  batches as they become due.  ``submit()`` applies backpressure
-  through the bounded queue.
+  worker thread that sleeps until an iteration is due and executes it.
+  ``submit()`` applies backpressure through the bounded queue.
 * **Manual mode** (a :class:`~repro.serving.clock.SimulatedClock`):
   no thread, no sleeps.  Tests call :meth:`step` /
-  :meth:`run_until_idle` to drive the same batching + execution logic
+  :meth:`run_until_idle` to drive the same scheduling + execution logic
   deterministically.
 
 The engine inherits the photonic execution configuration from whatever
 executor the servable's model was built with — ``num_cores``,
-``shard_axis`` and ``backend`` (PR 2-3) all apply to the coalesced
+``shard_axis`` and ``backend`` all apply to the coalesced
 ``[batch, ...]`` stacks unchanged.
 """
 
@@ -28,7 +39,6 @@ import numpy as np
 
 from repro.neural.autograd import no_grad
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.batcher import DynamicBatcher
 from repro.serving.cache import MISS, SessionCache
 from repro.serving.clock import WallClock
 from repro.serving.config import SCHEDULERS, EngineConfig
@@ -59,14 +69,15 @@ class ServingEngine:
         config: an :class:`~repro.serving.config.EngineConfig` carrying
             the batching, queueing and scheduling knobs (``max_batch_size``,
             ``max_wait_us``, ``queue_depth``, ``scheduler``,
-            ``iteration_cost``); the defaults when omitted.  With
-            ``scheduler="request"`` batch composition is frozen per batch
-            and partial batches wait out the policy window;
-            ``"continuous"`` is iteration-level scheduling via the
-            :class:`~repro.serving.scheduler.IterationScheduler`, which
-            re-admits arrivals, retires finished sessions and preempts
-            the lowest-priority sessions when the servable's KV
-            :class:`~repro.serving.cache.BlockPool` is exhausted.  An
+            ``iteration_cost``); the defaults when omitted.  Both
+            scheduler modes run the same
+            :class:`~repro.serving.scheduler.IterationScheduler` loop,
+            which retires finished sessions and preempts the
+            lowest-priority sessions when the servable's KV
+            :class:`~repro.serving.cache.BlockPool` is exhausted.  With
+            ``scheduler="request"`` each iteration admits one FIFO batch
+            and a partial batch waits out the ``max_wait_us`` window;
+            ``"continuous"`` admits every arrival with no window.  An
             ``iteration_cost`` advances the simulated clock by
             ``batch_seconds(b)`` per executed batch in both modes.
         clock: time source.  A real clock (default) enables the
@@ -106,7 +117,6 @@ class ServingEngine:
         config = config if config is not None else EngineConfig()
         self.config = config
         self.servable = servable
-        self.policy = config.batching
         self.clock = clock if clock is not None else WallClock()
         self.manual = not getattr(self.clock, "real", True)
         if config.iteration_cost is not None and not self.manual:
@@ -120,25 +130,25 @@ class ServingEngine:
         self.recorder = recorder
         self._close_executor = close_executor
         self._queue = RequestQueue(config.queue_depth)
-        self._batcher = DynamicBatcher(self._queue, self.policy, self.clock)
         self.scheduler = config.scheduler
         self.iteration_cost = config.iteration_cost
-        self._continuous = config.scheduler == "continuous"
+        # The scheduler mode is two constants of the one loop: how long
+        # the queue's head may wait for company, and how many arrivals
+        # one iteration takes (the queue never holds more than its
+        # depth, so ``queue_depth`` means every arrival).
+        continuous = config.scheduler == "continuous"
+        self._window_s = 0.0 if continuous else config.max_wait_us * 1e-6
+        self._intake = config.queue_depth if continuous else config.max_batch_size
         # KV residency is governed by the *servable's* session cache
         # (where decode state lives), not the memoization cache.
         session_cache = getattr(servable, "cache", None)
-        self._scheduler = (
-            IterationScheduler(
-                max_active=self.policy.max_batch_size,
-                cache=session_cache
-                if isinstance(session_cache, SessionCache)
-                else None,
-            )
-            if self._continuous
-            else None
+        self._scheduler = IterationScheduler(
+            max_active=config.max_batch_size,
+            cache=session_cache if isinstance(session_cache, SessionCache) else None,
         )
         # Guards scheduler state: the worker composes while clients
-        # release sessions / the cluster evicts for failover.
+        # release sessions / the cluster evicts for failover.  Taken
+        # after the queue mutex whenever both are held.
         self._sched_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._lifecycle = threading.Lock()
@@ -153,11 +163,8 @@ class ServingEngine:
             if self._closed:
                 raise EngineClosed("engine already closed")
             if not self.manual and self._thread is None:
-                target = (
-                    self._worker_continuous if self._continuous else self._worker
-                )
                 self._thread = threading.Thread(
-                    target=target, name="serving-engine", daemon=True
+                    target=self._worker, name="serving-engine", daemon=True
                 )
                 self._thread.start()
         return self
@@ -184,9 +191,8 @@ class ServingEngine:
             self._thread = None
         if not drain:
             abandoned = self._queue.drain_pending()
-            if self._scheduler is not None:
-                with self._sched_lock:
-                    abandoned += self._scheduler.drain()
+            with self._sched_lock:
+                abandoned += self._scheduler.drain()
             for request in abandoned:
                 request.handle._fail(EngineClosed("engine closed before execution"))
                 self.metrics.record_failures()
@@ -216,16 +222,15 @@ class ServingEngine:
         The failover hook: when a replica is torn down, the cluster
         evicts its undispatched requests — handles still pending — and
         re-routes them to surviving replicas.  A subsequent
-        ``close(drain=False)`` then has nothing left to fail.  Under
-        continuous scheduling the scheduler's held steps (including
-        those of preempted sessions) are evicted too, merged in global
-        submission order so per-session step order survives re-dispatch.
+        ``close(drain=False)`` then has nothing left to fail.  The
+        scheduler's held steps (including those of preempted sessions)
+        are evicted too, merged in global submission order so
+        per-session step order survives re-dispatch.
         """
         evicted = self._queue.drain_pending()
-        if self._scheduler is not None:
-            with self._sched_lock:
-                evicted += self._scheduler.drain()
-            evicted.sort(key=lambda request: request.request_id)
+        with self._sched_lock:
+            evicted += self._scheduler.drain()
+        evicted.sort(key=lambda request: request.request_id)
         for request in evicted:
             # The engine-level span ends here; a re-dispatch elsewhere
             # opens a fresh one on the adopting engine.
@@ -242,9 +247,8 @@ class ServingEngine:
         :class:`~repro.serving.cache.BlockPool` free list.  Call only
         once the session's submitted steps have resolved.
         """
-        if self._scheduler is not None:
-            with self._sched_lock:
-                self._scheduler.release(session_id)
+        with self._sched_lock:
+            self._scheduler.release(session_id)
         session_cache = getattr(self.servable, "cache", None)
         if (
             isinstance(session_cache, SessionCache)
@@ -325,40 +329,57 @@ class ServingEngine:
     def pending(self) -> int:
         """Requests admitted but not yet dispatched into a batch."""
         queued = len(self._queue)
-        if self._scheduler is not None:
-            with self._sched_lock:
-                queued += self._scheduler.held
-        return queued
+        with self._sched_lock:
+            return queued + self._scheduler.held
 
-    # -- manual stepping (simulated clock) -----------------------------------
-    def step(self, *, force: bool = True) -> int:
-        """Collect and execute one batch; returns its size (0 if none).
+    # -- the loop -------------------------------------------------------------
+    def _queue_due_locked(self, now: float) -> bool:
+        """Is the queue's head batch due?  Caller holds the queue mutex.
 
-        In request mode ``force=False`` respects the batching policy at
-        the clock's current instant — the batch is dispatched only if
-        it is full or the oldest request's wait budget has expired.
-        Continuous mode has no window: every step ingests all arrivals
-        and executes one recomposed iteration (``force`` is ignored).
+        A closing queue drains immediately: pending work still
+        completes, it just stops waiting for company.
         """
-        if self._continuous:
-            return self._step_continuous()
-        batch = self._batcher.collect(force=force)
-        if batch:
-            self._execute(batch)
-        return len(batch)
+        queue = self._queue
+        items = queue._items
+        return bool(items) and (
+            queue.closed
+            or not self._window_s
+            or len(items) >= self.config.max_batch_size
+            or now - items[0].arrival >= self._window_s
+        )
 
-    def _step_continuous(self) -> int:
-        """Ingest arrivals, compose one iteration, execute it."""
-        arrivals = self._queue.drain_pending()
-        # Doomed requests count as progress: run_until_idle must keep
-        # stepping past a doom-only iteration while work remains.
+    def _intake_locked(self, *, force: bool) -> list[InferenceRequest] | None:
+        """This iteration's arrivals, or ``None`` when no iteration is due.
+
+        Caller holds the queue mutex (the scheduler lock nests inside
+        it).  An iteration is due when the scheduler still holds steps
+        or the queue's head batch is due; ``force`` skips the check.
+        """
+        if force or self._queue_due_locked(self.clock.now()):
+            return self._queue.pop_locked(self._intake)
+        with self._sched_lock:
+            return [] if self._scheduler.has_work() else None
+
+    def step(self, *, force: bool = True) -> int:
+        """Run one iteration; returns requests progressed (0 if none).
+
+        ``force=False`` respects the batching window at the clock's
+        current instant: a partial request-mode batch stays queued until
+        it fills or its oldest request's wait budget expires.
+        """
+        with self._queue.mutex:
+            arrivals = self._intake_locked(force=force)
+        if arrivals is None:
+            return 0
         return self._run_iteration(arrivals)
 
     def _run_iteration(self, arrivals: list[InferenceRequest]) -> int:
         """Admit ``arrivals``, compose one iteration, execute it.
 
-        Shared by manual stepping and the wall-clock continuous worker.
-        Returns requests progressed (executed + doomed).
+        Shared by manual stepping and the wall-clock worker.  Returns
+        requests progressed (executed + doomed): doomed requests count,
+        so run_until_idle keeps stepping past a doom-only iteration
+        while work remains.
         """
         tracer = self.tracer
         span = tracer.start_span("engine.iteration", arrivals=len(arrivals))
@@ -390,7 +411,7 @@ class ServingEngine:
             span.set_attr("batch", len(iteration.batch))
             if iteration.batch:
                 self.metrics.record_iteration(len(iteration.batch))
-                self._execute(iteration.batch, parent=span)
+                self._execute(iteration.batch, span)
             return len(iteration.batch) + len(iteration.doomed)
         finally:
             tracer.end(span)
@@ -409,37 +430,25 @@ class ServingEngine:
         while self.step(force=True):
             pass
 
-    # -- worker --------------------------------------------------------------
     def _worker(self) -> None:
-        while True:
-            batch = self._batcher.next_batch()
-            if batch is None:
-                return
-            self._execute(batch)
+        """Wall-clock loop: sleep until an iteration is due, run it.
 
-    def _worker_continuous(self) -> None:
-        """Wall-clock continuous loop: iterate while work exists.
-
-        Unlike :meth:`_worker` there is no batching window — the loop
-        only blocks when both the queue and the scheduler are empty,
-        and every pass ingests all arrivals before recomposing.
+        Exits once the queue is closed and every request has run.
         """
         queue = self._queue
         while True:
             with queue.not_empty:
-                while (
-                    not queue._items
-                    and not queue.closed
-                    and not self._scheduler.has_work()
-                ):
-                    queue.not_empty.wait()
-                if (
-                    not queue._items
-                    and queue.closed
-                    and not self._scheduler.has_work()
-                ):
-                    return
-                arrivals = queue.pop_locked(len(queue._items))
+                while (arrivals := self._intake_locked(force=False)) is None:
+                    if queue._items:
+                        # Sleep out the rest of the head's window (a
+                        # full batch or close() notifies earlier).
+                        queue.not_empty.wait(
+                            queue._items[0].arrival + self._window_s - self.clock.now()
+                        )
+                    elif queue.closed:
+                        return
+                    else:
+                        queue.not_empty.wait()
             self._run_iteration(arrivals)
 
     # -- flight recording -----------------------------------------------------
@@ -480,14 +489,13 @@ class ServingEngine:
             self.clock.advance(self.iteration_cost.batch_seconds(batch_size))
         return self.clock.now()
 
-    def _execute(self, batch: list[InferenceRequest], parent=None) -> None:
+    def _execute(self, batch: list[InferenceRequest], parent) -> None:
         """Run one batch and settle every request's handle.
 
         An ``engine.batch`` span (activated around ``servable.execute``,
         so the sharded engine and hot path trace beneath it) carries the
         batch; dispatch/complete/failed events land on each request's
-        span.  ``parent`` is the ``engine.iteration`` span in continuous
-        mode.
+        span.  ``parent`` is the enclosing ``engine.iteration`` span.
         """
         tracer = self.tracer
         span = tracer.start_span(

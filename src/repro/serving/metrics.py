@@ -145,8 +145,8 @@ class Metrics:
             counter.inc()
 
     def record_iteration(self, active: int) -> None:
-        """Record one continuous-scheduler iteration's active-session
-        count (sessionless fill-in requests count as one lane each)."""
+        """Record one scheduler iteration's active-session count
+        (sessionless fill-in requests count as one lane each)."""
         counter = self._occupancy_counter("serving_iterations_total", active)
         with self._lock:
             counter.inc()
@@ -242,10 +242,11 @@ class Metrics:
         return total / batches if batches else 0.0
 
     def iteration_occupancy(self) -> dict[int, int]:
-        """Histogram: active sessions -> continuous iterations executed.
+        """Histogram: active lanes -> scheduler iterations executed.
 
-        Empty unless the engine ran with ``scheduler="continuous"`` —
-        the iteration-level counterpart of :meth:`batch_occupancy`.
+        The iteration-level counterpart of :meth:`batch_occupancy`.
+        Every executed batch is one iteration in both scheduler modes,
+        so the two agree unless a batch fails.
         """
         return self._occupancy_series("serving_iterations_total")
 

@@ -166,8 +166,9 @@ class RequestQueue:
     """Bounded FIFO of :class:`InferenceRequest` with two conditions.
 
     ``not_empty`` and ``not_full`` share one mutex, so the
-    :class:`~repro.serving.batcher.DynamicBatcher` can wait for work and
-    pop a coalesced batch atomically while producers wait for capacity.
+    :class:`~repro.serving.engine.ServingEngine` worker can wait for an
+    iteration to come due and pop its intake atomically while producers
+    wait for capacity.
     """
 
     def __init__(self, maxsize: int = 64) -> None:

@@ -1,17 +1,16 @@
-"""Iteration-level (continuous) decode scheduling.
+"""Iteration-level decode scheduling: the serving engine's one loop.
 
-Request-level dynamic batching freezes batch composition when a batch
-is dispatched, so a decode session arriving mid-step waits out the
-whole :class:`~repro.serving.batcher.DynamicBatcher` window and a
-session finishing early leaves its GEMV lane idle.  The
-:class:`IterationScheduler` is the vLLM-style alternative: every
-*iteration* it recomposes the batch from the active session set —
-newly-arrived sessions are admitted immediately, finished ones retire,
-and one decode step per active session rides the same batched photonic
-GEMV projection.  HAPA's hybrid split is what makes this free of
-bit-level consequences: attention is per-session digital state, and
-the photonic projections are per-sample GEMV stacks, so outputs are
-independent of batch composition.
+Every batch the :class:`~repro.serving.engine.ServingEngine` executes
+is composed here.  The :class:`IterationScheduler` is the vLLM-style
+loop: every *iteration* it recomposes the batch from the active session
+set — admitted sessions join, finished ones retire, and one decode step
+per active session rides the same batched photonic GEMV projection.
+Request-level dynamic batching is the same loop with a batching window
+and a one-batch intake per iteration (the engine's admission policy);
+continuous batching admits every arrival with no window.  HAPA's hybrid
+split is what makes this free of bit-level consequences: attention is
+per-session digital state, and the photonic projections are per-sample
+GEMV stacks, so outputs are independent of batch composition.
 
 KV residency is the scheduling constraint.  Sessions hold paged K/V
 state in a :class:`~repro.serving.cache.BlockPool`; before a session
@@ -35,14 +34,18 @@ from repro.serving.request import InferenceRequest, ServingError
 
 @dataclass(frozen=True)
 class IterationCost:
-    """Virtual service time of one fused decode iteration.
+    """Deterministic virtual service time of one coalesced batch:
+    ``batch_seconds(b) = base_s + per_request_s * b``.
 
-    Mirrors :class:`repro.cluster.replica.ServiceModel` for the engine
-    layer: under a :class:`~repro.serving.clock.SimulatedClock` the
-    engine advances virtual time by ``batch_seconds(b)`` per executed
-    iteration, so request-level and continuous scheduling are compared
-    under the *same* cost model and differ only in composition and
-    window waits.
+    Two virtual-time mechanisms charge it under a
+    :class:`~repro.serving.clock.SimulatedClock`.  As an engine's
+    ``EngineConfig.iteration_cost`` the engine advances the clock by
+    ``batch_seconds(b)`` per executed iteration, so request-level and
+    continuous scheduling are compared under the *same* cost model and
+    differ only in composition and window waits.  As a cluster's
+    ``ClusterConfig.service_model`` each replica keeps an independent
+    ``busy_until`` horizon, so N replicas overlap in virtual time and
+    the fleet-scaling curve needs no wall-clock parallelism.
     """
 
     base_s: float = 1e-3
@@ -83,7 +86,7 @@ class IterationScheduler:
 
     Holds per-session FIFO step queues (a session's steps never
     reorder) plus a FIFO of sessionless requests that fill spare lanes,
-    so ``scheduler="continuous"`` also serves stateless servables.
+    so the one loop also serves stateless servables.
     ``max_active`` caps lanes per iteration (the photonic batch axis);
     the attached cache's :class:`~repro.serving.cache.BlockPool` caps
     residency.  All mutation happens under the engine's scheduler lock.
@@ -167,31 +170,35 @@ class IterationScheduler:
         )
 
     def _ensure_resident(
-        self, sid: str, planned: list[str], iteration: Iteration
-    ) -> bool:
+        self, sid: str, planned: list[str], reserved: int, iteration: Iteration
+    ) -> int | None:
         """Make ``sid`` runnable this iteration, preempting if needed.
 
-        Returns False when the pool cannot host the session right now
-        (it stays queued and retries next iteration).  Raises
-        :class:`ServingError` via the doomed path in :meth:`compose`
-        when the session can *never* fit.  Victims and swap-ins are
-        recorded on ``iteration`` for observability.
+        ``reserved`` blocks are already promised to the sessions planned
+        before ``sid`` (the pages their steps will allocate), so they
+        count against the budget too.  Returns the blocks ``sid``'s own
+        step will allocate, or None when the pool cannot host the
+        session right now (it stays queued and retries next iteration;
+        :meth:`compose` dooms it if it can *never* fit).  Victims and
+        swap-ins are recorded on ``iteration`` for observability.
         """
         pool = self.cache.pool
         needed = self._needed_blocks(sid)
         protected = set(planned) | {sid}
-        while not pool.can_fit(needed):
+        while not pool.can_fit(reserved + needed):
             victim = self._pick_victim(protected)
             if victim is None:
-                return False
+                return None
             self.cache.swap_out(victim)
             self.preemptions += 1
             iteration.preempted.append(victim)
         if self.cache.has_session(sid) and self.cache.session(sid).swapped:
+            charged = pool.in_use
             self.cache.swap_in(sid)
+            needed -= pool.in_use - charged
             self.swap_ins += 1
             iteration.swapped_in.append(sid)
-        return True
+        return needed
 
     # -- composition ----------------------------------------------------------
     def compose(self) -> Iteration:
@@ -199,10 +206,12 @@ class IterationScheduler:
 
         Runnable sessions are planned in priority (first-admission)
         order up to ``max_active``; spare lanes fill with sessionless
-        requests FIFO.  When the highest-priority runnable session
-        cannot fit the pool even with everything else preempted, its
-        steps are returned as ``doomed`` (the engine fails them) so
-        stepping always makes progress.
+        requests FIFO.  The planned sessions' resident pages plus the
+        pages their steps will allocate never exceed the pool budget.
+        When the highest-priority runnable session cannot fit the pool
+        even with everything else preempted, its steps are returned as
+        ``doomed`` (the engine fails them) so stepping always makes
+        progress.
         """
         iteration = Iteration()
         runnable = sorted(
@@ -210,18 +219,20 @@ class IterationScheduler:
             key=lambda sid: self._priority[sid],
         )
         planned: list[str] = []
+        reserved = 0
         for sid in runnable:
             if len(planned) >= self.max_active:
                 break
-            if self.cache is not None and not self._ensure_resident(
-                sid, planned, iteration
-            ):
-                if planned:
-                    continue  # blocked behind protected higher-priority work
-                # Nothing is planned and nothing is preemptable: this
-                # session's pages can never fit the pool.
-                self._doom(sid, iteration)
-                continue
+            if self.cache is not None:
+                growth = self._ensure_resident(sid, planned, reserved, iteration)
+                if growth is None:
+                    if planned:
+                        continue  # blocked behind protected higher-priority work
+                    # Nothing is planned and nothing is preemptable: this
+                    # session's pages can never fit the pool.
+                    self._doom(sid, iteration)
+                    continue
+                reserved += growth
             planned.append(sid)
         iteration.batch.extend(self._steps[sid].popleft() for sid in planned)
         while self._sessionless and len(iteration.batch) < self.max_active:
@@ -255,11 +266,6 @@ class IterationScheduler:
                 f"session {session_id!r} still has queued steps; "
                 "cannot release"
             )
-        self._steps.pop(session_id, None)
-        self._priority.pop(session_id, None)
-
-    def forget(self, session_id: str) -> None:
-        """Drop priority state for a departed session (migration)."""
         self._steps.pop(session_id, None)
         self._priority.pop(session_id, None)
 

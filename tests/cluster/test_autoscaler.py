@@ -5,10 +5,9 @@ import pytest
 from repro.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
-    ServiceModel,
     ServingCluster,
 )
-from repro.serving import EngineConfig, SimulatedClock
+from repro.serving import EngineConfig, IterationCost, SimulatedClock
 
 
 class EchoServable:
@@ -25,7 +24,7 @@ def scaled_cluster(
     policy: AutoscalerPolicy,
     *,
     clock=None,
-    service_model=ServiceModel(base_s=1e-3, per_request_s=0.0),
+    service_model=IterationCost(base_s=1e-3, per_request_s=0.0),
 ):
     return ServingCluster(
         lambda rid: EchoServable(),
@@ -95,7 +94,7 @@ class TestScaleUp:
             latency_slo_s=5e-3,
         )
         with scaled_cluster(
-            policy, service_model=ServiceModel(base_s=10e-3, per_request_s=0.0)
+            policy, service_model=IterationCost(base_s=10e-3, per_request_s=0.0)
         ) as cluster:
             cluster.submit(1)
             cluster.step()  # completes with latency 10 ms, then evaluates

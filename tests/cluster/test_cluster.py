@@ -8,13 +8,13 @@ from repro.cluster import (
     STOPPED,
     ClusterConfig,
     NoHealthyReplica,
-    ServiceModel,
     ServingCluster,
 )
 from repro.serving import (
     DecodeServable,
     EngineClosed,
     EngineConfig,
+    IterationCost,
     QueueFull,
     ServingEngine,
     SimulatedClock,
@@ -312,12 +312,12 @@ class TestVirtualTime:
             ServingCluster(
                 lambda rid: EchoServable(),
                 config=ClusterConfig(
-                    replicas=1, service_model=ServiceModel(), close_executors=False
+                    replicas=1, service_model=IterationCost(), close_executors=False
                 ),
             )
 
     def test_virtual_stamps_follow_the_service_model(self):
-        model = ServiceModel(base_s=1e-3, per_request_s=0.5e-3)
+        model = IterationCost(base_s=1e-3, per_request_s=0.5e-3)
         with echo_cluster(replicas=1, max_batch_size=2, service_model=model) as cluster:
             handles = [cluster.submit(i) for i in range(4)]
             cluster.run_until_idle()
@@ -331,7 +331,7 @@ class TestVirtualTime:
 
     def test_replicas_overlap_in_virtual_time(self):
         """The fleet-scaling mechanism: N replicas drain N times faster."""
-        model = ServiceModel(base_s=1e-3, per_request_s=0.0)
+        model = IterationCost(base_s=1e-3, per_request_s=0.0)
 
         def makespan(replicas):
             with echo_cluster(

@@ -5,13 +5,13 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
-    ServiceModel,
     ServingCluster,
     run_virtual_open_loop,
 )
 from repro.cluster.loadgen import run_virtual_schedule
 from repro.serving import (
     EngineConfig,
+    IterationCost,
     SimulatedClock,
     TenantSpec,
     multi_tenant_arrivals,
@@ -34,7 +34,7 @@ def virtual_cluster(replicas=2):
         config=ClusterConfig(
             replicas=replicas,
             engine=EngineConfig(max_batch_size=4, max_wait_us=500.0),
-            service_model=ServiceModel(base_s=1e-3, per_request_s=0.0),
+            service_model=IterationCost(base_s=1e-3, per_request_s=0.0),
             close_executors=False,
         ),
         clock=SimulatedClock(),

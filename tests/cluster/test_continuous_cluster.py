@@ -5,7 +5,7 @@ and fails over intact, and sessions retire fleet-wide."""
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ServiceModel, ServingCluster
+from repro.cluster import ClusterConfig, ServingCluster
 from repro.serving import (
     DecodeServable,
     EngineConfig,
@@ -163,7 +163,7 @@ class TestReleaseSession:
 class TestValidation:
     def test_service_model_and_iteration_cost_conflict(self):
         with pytest.raises(ValueError):
-            ClusterConfig(service_model=ServiceModel(), engine=CONTINUOUS)
+            ClusterConfig(service_model=IterationCost(), engine=CONTINUOUS)
 
     def test_scheduler_knob_reaches_replicas(self):
         with continuous_cluster(replicas=2) as cluster:

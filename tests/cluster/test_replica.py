@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import DRAINING, FAILED, HEALTHY, STOPPED, Replica, ServiceModel
-from repro.serving import EngineClosed, EngineConfig, SimulatedClock
+from repro.cluster import DRAINING, FAILED, HEALTHY, STOPPED, Replica
+from repro.serving import EngineClosed, EngineConfig, IterationCost, SimulatedClock
 
 
 class EchoServable:
@@ -67,20 +67,9 @@ class TestLifecycle:
             r.stop()
 
 
-class TestServiceModel:
-    def test_batch_seconds_is_affine(self):
-        model = ServiceModel(base_s=1e-3, per_request_s=0.25e-3)
-        assert model.batch_seconds(1) == pytest.approx(1.25e-3)
-        assert model.batch_seconds(8) == pytest.approx(3e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            ServiceModel(base_s=-1.0)
-        with pytest.raises(ValueError, match="batch_size"):
-            ServiceModel().batch_seconds(0)
-
+class TestServiceCost:
     def test_virtual_stamp_groups_a_batch(self):
-        model = ServiceModel(base_s=1e-3, per_request_s=1e-3)
+        model = IterationCost(base_s=1e-3, per_request_s=1e-3)
         r = replica()
         # A batch of 2 resolving at t=0: both members share [0, 3ms).
         assert r.virtual_stamp(2, 0.0, model) == (0.0, 3e-3)

@@ -139,13 +139,64 @@ class TestIterationMetrics:
             str(k) for k in occupancy
         }
 
-    def test_request_mode_records_no_iterations(self):
+    def test_request_mode_iterations_match_batches(self):
+        """Request mode runs the same iteration loop: each executed
+        batch is one iteration of the same occupancy."""
         config = toy_decoder()
         specs = mixed_decode_trace(3, seed=2, max_steps=4, horizon_s=2e-3)
         _, engine = trace_outputs(
             config, specs, scheduler="request", window_us=500.0
         )
-        assert engine.metrics.iteration_occupancy() == {}
+        occupancy = engine.metrics.iteration_occupancy()
+        assert occupancy
+        assert occupancy == engine.metrics.batch_occupancy()
+
+
+class TestKVBudget:
+    @pytest.mark.parametrize(
+        "scheduler, window_us", [("request", 1_000.0), ("continuous", 0.0)]
+    )
+    def test_preempts_within_the_kv_budget(self, scheduler, window_us):
+        """Both modes keep the pool within ``kv_capacity_bytes``,
+        counting the pages each planned step allocates: they preempt
+        instead of overrunning."""
+        config = toy_decoder()
+        specs = mixed_decode_trace(8, seed=11, max_steps=8, horizon_s=2e-3)
+        reference = sequential_outputs(config, specs)
+        capacity = kv_cache_bytes(config, 2) * 4
+        servable = DecodeServable(
+            config, seed=1, block_size=2, kv_capacity_bytes=capacity
+        )
+        in_use = []
+        execute = servable.execute
+
+        def recording_execute(requests):
+            outputs = execute(requests)
+            in_use.append(servable.cache.pool.in_use_bytes)
+            return outputs
+
+        servable.execute = recording_execute
+        engine = ServingEngine(
+            servable,
+            config=EngineConfig(
+                max_batch_size=4,
+                max_wait_us=window_us,
+                queue_depth=256,
+                scheduler=scheduler,
+                iteration_cost=IterationCost(base_s=2e-4, per_request_s=5e-5),
+            ),
+            clock=SimulatedClock(),
+        )
+        with engine:
+            result = run_decode_trace(
+                engine,
+                specs,
+                payload_fn=payload_fn(config),
+                idle_tick_s=window_us * 1e-6,
+            )
+        assert in_use and max(in_use) <= capacity
+        assert engine._scheduler.preemptions > 0
+        assert_bit_equal(result["outputs"], reference, specs)
 
 
 class TestLifecycle:

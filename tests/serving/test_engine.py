@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    BatchingPolicy,
     EngineClosed,
     EngineConfig,
     QueueFull,
@@ -173,12 +172,10 @@ class TestLifecycle:
         engine.close()
 
     def test_policy_and_knobs_are_exclusive(self):
-        """The batching policy is a view of the config's knobs, never a
-        second way to set them."""
-        engine = manual_engine(max_batch_size=4)
-        assert engine.policy == BatchingPolicy(max_batch_size=4)
+        """The config's knobs are the only way to set batching; there is
+        no separate policy object."""
         with pytest.raises(TypeError):
-            EngineConfig(policy=BatchingPolicy())
+            EngineConfig(policy=object())
 
     def test_close_executor_releases_the_pool(self):
         from repro.neural.photonic import PhotonicExecutor

@@ -159,6 +159,18 @@ class TestResidency:
         assert not iteration.doomed
         assert sched.held == 1
 
+    def test_planned_page_growth_counts_against_the_budget(self):
+        # One free page, two new sessions that each allocate one page
+        # on their first step: planning both would overrun the pool.
+        config, cache = self._tight(1)
+        sched = IterationScheduler(max_active=4, cache=cache)
+        sched.enqueue(request_of(0, "a"))
+        sched.enqueue(request_of(1, "b"))
+        iteration = sched.compose()
+        assert [r.session_id for r in iteration.batch] == ["a"]
+        assert not iteration.doomed
+        assert sched.held == 1
+
 
 class TestRetirement:
     def test_release_clears_state(self):

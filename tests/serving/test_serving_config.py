@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, Replica, ServiceModel, ServingCluster
+from repro.cluster import ClusterConfig, Replica, ServingCluster
 from repro.serving import (
     EngineConfig,
     IterationCost,
@@ -57,11 +57,6 @@ class TestEngineConfigValidation:
         assert config.replace(max_batch_size=4).max_batch_size == 4
         with pytest.raises(ValueError):
             config.replace(max_batch_size=0)
-
-    def test_batching_view(self):
-        config = EngineConfig(max_batch_size=3, max_wait_us=42.0)
-        policy = config.batching
-        assert policy.max_batch_size == 3 and policy.max_wait_us == 42.0
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -118,7 +113,7 @@ class TestClusterConfigValidation:
     def test_service_model_excludes_iteration_cost(self):
         with pytest.raises(ValueError):
             ClusterConfig(
-                service_model=ServiceModel(),
+                service_model=IterationCost(),
                 engine=EngineConfig(
                     scheduler="continuous",
                     iteration_cost=IterationCost(
@@ -139,9 +134,9 @@ class TestClusterConfigValidation:
         assert ClusterConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_nested_service_model(self):
-        data = ClusterConfig(service_model=ServiceModel(base_s=5e-5)).to_dict()
+        data = ClusterConfig(service_model=IterationCost(base_s=5e-5)).to_dict()
         config = ClusterConfig.from_dict(data)
-        assert config.service_model == ServiceModel(base_s=5e-5)
+        assert config.service_model == IterationCost(base_s=5e-5)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -155,7 +150,6 @@ class TestConfigConstruction:
             EchoServable(), config=config, clock=SimulatedClock()
         )
         assert engine.config is config
-        assert engine.policy.max_batch_size == 2
         with engine:
             handle = engine.submit(np.ones(3))
             engine.step()
