@@ -370,9 +370,18 @@ class DPTC:
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        out_shape = self._broadcast_out_shape(a.shape, b.shape)
         if self.noise.is_ideal:
-            return np.matmul(a, b)
+            # The plain product validates its own batch broadcast; the
+            # rank and core checks come first so every error message is
+            # the one _broadcast_out_shape gives.
+            if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+                self._broadcast_out_shape(a.shape, b.shape)
+            try:
+                return np.matmul(a, b)
+            except ValueError:
+                self._broadcast_out_shape(a.shape, b.shape)
+                raise
+        out_shape = self._broadcast_out_shape(a.shape, b.shape)
         prepared = self.prepare_chunk(a, b, rng=rng, draw=draw)
         if prepared is None:
             return np.zeros(out_shape)

@@ -28,8 +28,8 @@ from repro.core.dptc import DPTC, DPTCGeometry
 from repro.core.noise import NoiseModel
 from repro.core.sharding import BACKENDS, SHARD_AXES, ShardedDPTC
 from repro.neural import quantization
-from repro.neural.autograd import Tensor
-from repro.neural.quantization import QuantConfig, fake_quantize, straight_through
+from repro.neural.autograd import Tensor, is_grad_enabled
+from repro.neural.quantization import QuantConfig, straight_through
 
 
 @dataclass
@@ -185,7 +185,13 @@ class PhotonicExecutor:
                 (quantized at ``quant.weight_bits``, once per frozen
                 array — see the module docstring); activations use
                 ``quant.activation_bits``.
+
+        The straight-through nodes are attached only when a gradient
+        will be recorded (grad mode on and an operand requires grad);
+        otherwise the operands are quantized as plain arrays and the
+        result is a graph-free :class:`Tensor` with the same bits.
         """
+        a_data, b_data = a.data, b.data
         if self.quant is not None:
             bits_a = (
                 self.quant.weight_bits
@@ -201,10 +207,16 @@ class PhotonicExecutor:
             # gets its own grid (like the DPTC's per-matrix beta), so
             # batched execution quantizes each sample exactly as the
             # per-sample path would — no cross-batch scale coupling.
-            a = self._fake_quantize(a, bits_a, weight=weight_operand == 0)
-            b = self._fake_quantize(b, bits_b, weight=weight_operand == 1)
+            a_data = self._quantize(a_data, bits_a, weight=weight_operand == 0)
+            b_data = self._quantize(b_data, bits_b, weight=weight_operand == 1)
 
-        out_data = self._execute(a.data, b.data)
+        out_data = self._execute(a_data, b_data)
+        if not (is_grad_enabled() and (a.requires_grad or b.requires_grad)):
+            # No gradient will be recorded: skip the autograd nodes.
+            return Tensor(out_data)
+        if self.quant is not None:
+            a = straight_through(a, a_data)
+            b = straight_through(b, b_data)
 
         def backward(grad: np.ndarray) -> None:
             # Straight-through: gradients of the ideal matrix product.
@@ -215,11 +227,10 @@ class PhotonicExecutor:
 
         return Tensor.make(out_data, (a, b), backward)
 
-    def _fake_quantize(self, operand: Tensor, bits: int, weight: bool) -> Tensor:
-        """Per-matrix fake quantization, memoized for frozen weights."""
-        data = operand.data
+    def _quantize(self, data: np.ndarray, bits: int, weight: bool) -> np.ndarray:
+        """Per-matrix quantization, memoized for frozen weights."""
         if not weight or data.flags.writeable or not data.flags.owndata:
-            return fake_quantize(operand, bits, per_matrix=True)
+            return quantization.quantize_array(data, bits, per_matrix=True)
         key = (id(data), bits)
         entry = self._weight_memo.get(key)
         if entry is None or entry[0]() is not data:
@@ -236,7 +247,7 @@ class PhotonicExecutor:
                     executor._weight_memo.pop(key, None)
 
             entry = self._weight_memo[key] = (weakref.ref(data, forget), grid)
-        return straight_through(operand, entry[1])
+        return entry[1]
 
     def _execute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # The DPTC engine is batched end-to-end: any leading batch shape

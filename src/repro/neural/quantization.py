@@ -16,6 +16,13 @@ import numpy as np
 
 from repro.neural.autograd import Tensor
 
+try:  # the clip ufunc itself: np.clip wraps it in three Python layers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class QuantConfig:
@@ -67,33 +74,31 @@ def quantize_array(
     levels = quantization_levels(bits)
     if not values.size:
         return values.copy()
+    axes = (-2, -1) if per_matrix and values.ndim > 2 else None
+    # The snap chain (max-abs, divide, rint, clip, rescale) runs through
+    # one reused buffer: each ufunc writes over the previous result,
+    # which is bit-identical to the chained temporaries and allocates
+    # once.
+    snapped = np.abs(values)
+    max_abs = np.maximum.reduce(snapped, axis=axes, keepdims=True)
     # A subnormal max-abs underflows when divided by `levels`, turning
     # the scale into 0 and the grid into inf/nan — zero and sub-tiny
-    # inputs are returned unchanged instead, identically on both paths
-    # (so per-matrix slices still quantize exactly like per-sample
-    # calls on the same slice).
-    # The snap chain (divide, round, clip, rescale) runs through one
-    # reused buffer — each ufunc writes over the previous result, which
-    # is bit-identical to the chained temporaries and allocates once.
-    tiny = np.finfo(float).tiny
-    if per_matrix and values.ndim > 2:
-        max_abs = np.max(np.abs(values), axis=(-2, -1), keepdims=True)
-        degenerate = max_abs < tiny
+    # inputs (or, per-matrix, slices) are returned unchanged instead,
+    # so per-matrix slices still quantize exactly like per-sample calls
+    # on the same slice.
+    degenerate = max_abs < _TINY
+    if degenerate.any():
         scale = np.where(degenerate, 1.0, max_abs) / levels
-        snapped = values / scale
-        np.round(snapped, out=snapped)
-        np.clip(snapped, -levels, levels, out=snapped)
-        snapped *= scale
-        return np.where(degenerate, values, snapped)
-    max_abs = np.max(np.abs(values))
-    if max_abs < tiny:
-        return values.copy()
-    scale = max_abs / levels
-    snapped = values / scale
-    np.round(snapped, out=snapped)
-    np.clip(snapped, -levels, levels, out=snapped)
+    else:
+        degenerate = None
+        scale = max_abs / levels
+    np.divide(values, scale, out=snapped)
+    np.rint(snapped, out=snapped)
+    _clip(snapped, -levels, levels, out=snapped)
     snapped *= scale
-    return snapped
+    if degenerate is None:
+        return snapped
+    return np.where(degenerate, values, snapped)
 
 
 def fake_quantize(tensor: Tensor, bits: int, per_matrix: bool = False) -> Tensor:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -298,12 +298,16 @@ class Session:
             for i in range(self.generated)
         ]
 
-    def kv_arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    def kv_arrays(
+        self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``([context, dim], [context, dim])`` K/V for attention.
 
-        Prompt tokens are zero-state whether materialized in pages or
-        implicit, so the concatenation is bit-identical to the
-        flat-list layout paging replaced.
+        ``extra`` appends uncommitted ``(k, v)`` vector pairs (a decode
+        batch's pending steps) after the committed context, in the same
+        single concatenation.  Prompt tokens are zero-state whether
+        materialized in pages or implicit, so the concatenation is
+        bit-identical to the flat-list layout paging replaced.
         """
         implicit = self.prompt_len - self.prompt_slots
         parts_k: list[np.ndarray] = []
@@ -315,6 +319,9 @@ class Session:
             if block.fill:
                 parts_k.append(block.keys[: block.fill])
                 parts_v.append(block.values[: block.fill])
+        for key, value in extra:
+            parts_k.append(key[None])
+            parts_v.append(value[None])
         if not parts_k:
             return np.zeros((0, dim)), np.zeros((0, dim))
         return np.concatenate(parts_k), np.concatenate(parts_v)
@@ -474,6 +481,11 @@ class SessionCache:
     def has_session(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._sessions
+
+    def find_session(self, session_id: str) -> Session | None:
+        """The open session ``session_id``, or ``None`` (one lookup)."""
+        with self._lock:
+            return self._sessions.get(session_id)
 
     def append_kv(self, session_id: str, k: np.ndarray, v: np.ndarray) -> int:
         """Append one decode step's K/V; returns the new context length.

@@ -10,6 +10,7 @@ either block until a slot frees (wall-clock mode) or get an immediate
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.trace import NULL_SPAN
+
+_log = logging.getLogger("repro.serving")
 
 
 class ServingError(RuntimeError):
@@ -38,6 +41,12 @@ class RequestHandle:
     the coalesced batch finishes (or fails).  Timestamps come from the
     engine's clock, so under a :class:`~repro.serving.clock.SimulatedClock`
     the latency breakdown is exactly reproducible.
+
+    Resolution is a flag set once under the handle's lock.  A
+    :class:`threading.Condition` is built only when a caller blocks in
+    :meth:`result`/:meth:`exception` before resolution; a handle nobody
+    waits on (every manual-mode and callback-observed handle) never
+    allocates one.
     """
 
     def __init__(self, request_id: int, arrival: float) -> None:
@@ -47,31 +56,40 @@ class RequestHandle:
         self.finished: float | None = None  #: result availability
         self.batch_size: int | None = None  #: coalesced batch occupancy
         self.cache_hit = False  #: served straight from the SessionCache
-        self._event = threading.Event()
         self._value: Any = None
         self._error: BaseException | None = None
-        self._callback_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._resolved = False
+        self._waiters: threading.Condition | None = None
         self._callbacks: list[Any] = []
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._resolved
+
+    def _wait(self, timeout: float | None) -> None:
+        """Block until resolved; ``TimeoutError`` once ``timeout`` passes."""
+        if self._resolved:
+            return
+        with self._lock:
+            if self._resolved:
+                return
+            if self._waiters is None:
+                self._waiters = threading.Condition(self._lock)
+            if not self._waiters.wait_for(lambda: self._resolved, timeout):
+                raise TimeoutError(
+                    f"request {self.request_id} not resolved within {timeout}s"
+                )
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until resolved; raise the execution error if it failed."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not resolved within {timeout}s"
-            )
+        self._wait(timeout)
         if self._error is not None:
             raise self._error
         return self._value
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; return the failure (None on success)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not resolved within {timeout}s"
-            )
+        self._wait(timeout)
         return self._error
 
     @property
@@ -94,20 +112,33 @@ class RequestHandle:
         Runs in the resolving thread — the engine worker in wall-clock
         mode, the stepping thread in manual mode — immediately if the
         handle is already done.  This is how the cluster layer observes
-        per-replica completions without polling; callbacks must not
-        raise.
+        per-replica completions without polling.  A callback that
+        raises is logged on the ``repro.serving`` logger and does not
+        stop the other callbacks or the resolution of other handles.
         """
-        with self._callback_lock:
-            if not self._event.is_set():
+        with self._lock:
+            if not self._resolved:
                 self._callbacks.append(fn)
                 return
-        fn(self)
+        self._run_callback(fn)
 
-    def _fire_callbacks(self) -> None:
-        with self._callback_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+    def _run_callback(self, fn) -> None:
+        try:
             fn(self)
+        except Exception:  # noqa: BLE001 - one callback must not strand others
+            _log.exception(
+                "done-callback %r of request %s raised", fn, self.request_id
+            )
+
+    def _settle(self) -> None:
+        """Flip the resolved flag once, wake waiters, run the callbacks."""
+        with self._lock:
+            self._resolved = True
+            callbacks, self._callbacks = self._callbacks, []
+            if self._waiters is not None:
+                self._waiters.notify_all()
+        for fn in callbacks:
+            self._run_callback(fn)
 
     # -- worker side ---------------------------------------------------------
     def _resolve(
@@ -124,8 +155,7 @@ class RequestHandle:
         self.finished = finished
         self.batch_size = batch_size
         self.cache_hit = cache_hit
-        self._event.set()
-        self._fire_callbacks()
+        self._settle()
 
     def _fail(
         self,
@@ -139,8 +169,7 @@ class RequestHandle:
         self.started = started
         self.finished = finished
         self.batch_size = batch_size
-        self._event.set()
-        self._fire_callbacks()
+        self._settle()
 
 
 @dataclass

@@ -209,15 +209,12 @@ class DecodeServable(Servable):
         KV state (read straight from its paged blocks) plus this batch's
         pending (uncommitted) K/V pairs."""
         dim = self.config.dim
-        keys = [key[None] for key, _ in pending]
-        values = [value[None] for _, value in pending]
-        if self.cache.has_session(session_id):
-            session = self.cache.session(session_id)
-            committed_k, committed_v = session.kv_arrays(dim)
-            keys = [committed_k] + keys
-            values = [committed_v] + values
-        keys = np.concatenate(keys)
-        values = np.concatenate(values)
+        session = self.cache.find_session(session_id)
+        if session is not None:
+            keys, values = session.kv_arrays(dim, pending)
+        else:
+            keys = np.stack([key for key, _ in pending])
+            values = np.stack([value for _, value in pending])
         scores = keys @ q / np.sqrt(dim)
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
@@ -237,7 +234,8 @@ class DecodeServable(Servable):
         pending: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         with no_grad():
             qkv = self._project(xs, self.w_qkv)  # [b, 1, 3*dim]
-            q, k, v = np.split(qkv, 3, axis=-1)
+            dim = self.config.dim
+            q, k, v = qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
             contexts = []
             for i, request in enumerate(requests):
                 staged = pending.setdefault(request.session_id, [])

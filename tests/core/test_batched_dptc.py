@@ -159,6 +159,25 @@ class TestBroadcastSemantics:
         with pytest.raises(ValueError):
             noisy.matmul(np.ones((2, 4, 6)), np.ones((2, 5, 3)))
 
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, message",
+        [
+            ((12,), (12, 4), "operands must be at least 2-D"),
+            ((4, 12), (12,), "operands must be at least 2-D"),
+            ((2, 4, 6), (2, 5, 3), "incompatible matmul shapes"),
+            ((2, 4, 6), (3, 6, 5), "batch dims not broadcastable"),
+        ],
+    )
+    def test_ideal_and_noisy_errors_agree(self, noisy, ideal, a_shape, b_shape, message):
+        """The ideal branch leaves shape checks to the plain product but
+        reports every mismatch with the same message as the noisy one."""
+        messages = []
+        for dptc in (noisy, ideal):
+            with pytest.raises(ValueError, match=message) as info:
+                dptc.matmul(np.ones(a_shape), np.ones(b_shape))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 class TestZeroSliceMasking:
     def test_zero_slices_stay_zero(self, noisy):
