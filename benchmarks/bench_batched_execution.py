@@ -25,11 +25,11 @@ pytest-benchmark like the figure benchmarks.
 """
 
 import json
-import time
 
 import numpy as np
 
 from repro.core import DPTC, NoiseModel
+from repro.core.hotpath import best_of
 from repro.neural import MultiHeadAttention, PhotonicExecutor, Tensor, no_grad
 
 #: Headline workload: 8 heads x 8 sequences (paper-scale DeiT-T width).
@@ -40,18 +40,6 @@ DIM = 192
 
 #: Acceptance floor for the headline speedup.
 MIN_SPEEDUP = 5.0
-
-
-def _best_of(fn, repeats: int = 9, inner: int = 3) -> float:
-    """Best-of-N mean wall-clock of ``fn`` in seconds."""
-    fn()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - start) / inner)
-    return min(samples)
 
 
 def _make_executor() -> PhotonicExecutor:
@@ -77,16 +65,16 @@ def attention_speedup(
     x = np.random.default_rng(0).normal(size=(sequences, tokens, dim))
     dptc = executor._dptc
     with no_grad():
-        batched_s = _best_of(lambda: mha(Tensor(x)), repeats=repeats)
+        batched_s = best_of(lambda: mha(Tensor(x)), repeats, inner=3)
         # The reference: every DPTC product runs through the preserved
         # per-matrix loop, one sequence at a time — the only execution
         # path the seed implementation supported.
         vectorised = dptc.matmul
         dptc.matmul = dptc.matmul_reference
         try:
-            loop_s = _best_of(
+            loop_s = best_of(
                 lambda: [mha(Tensor(x[i])) for i in range(sequences)],
-                repeats=max(5, repeats - 4),
+                max(5, repeats - 4),
                 inner=2,
             )
         finally:
@@ -109,11 +97,8 @@ def kernel_speedup(tokens: int, head_dim: int, repeats: int = 7) -> dict:
     def gen():
         return np.random.Generator(np.random.SFC64(1))
 
-    batched_s = _best_of(lambda: dptc.matmul(a, b, rng=gen()), repeats=repeats)
-    loop_s = _best_of(
-        lambda: dptc.matmul_reference(a, b, rng=gen()), repeats=max(4, repeats - 3),
-        inner=1,
-    )
+    batched_s = best_of(lambda: dptc.matmul(a, b, rng=gen()), repeats, inner=3)
+    loop_s = best_of(lambda: dptc.matmul_reference(a, b, rng=gen()), max(4, repeats - 3))
     return {
         "workload": f"QK^T [8x8x{tokens}x{head_dim}]",
         "batched_ms": batched_s * 1e3,
@@ -141,7 +126,7 @@ def equivalence_report() -> dict:
 
 
 def run(
-    assert_speedup: bool = True,
+    enforce_floors: bool = True,
     attempts: int = 3,
     out_path: str | None = None,
 ) -> dict:
@@ -177,7 +162,7 @@ def run(
         f"per-matrix reference loop {headline['loop_ms']:8.2f} ms | "
         f"speedup {headline['speedup']:.1f}x (floor {MIN_SPEEDUP:.0f}x)"
     )
-    if assert_speedup:
+    if enforce_floors:
         assert headline["speedup"] >= MIN_SPEEDUP, (
             f"batched engine speedup {headline['speedup']:.2f}x below the "
             f"{MIN_SPEEDUP:.0f}x floor"
@@ -198,17 +183,6 @@ def bench_batched_execution(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="skip the speedup floor for CI runners with unpredictable "
-        "scheduling (the numerical-equivalence assertions always apply)",
-    )
-    parser.add_argument(
-        "--out", default=None, help="dump the headline numbers to this JSON path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the 5x headline speedup floor")

@@ -36,13 +36,13 @@ from repro.cluster import ClusterConfig, ServingCluster
 from repro.serving import (
     EngineConfig,
     IterationCost,
-    ServingEngine,
     SimulatedClock,
     VisionServable,
     decode_payload,
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode, sequential_outputs
 from repro.workloads.llm import (
     DecoderConfig,
     decode_servable,
@@ -104,28 +104,12 @@ def _memo_cluster(policy: str, *, shared: bool) -> ServingCluster:
         memo_bytes=1 << 20,
     )
     return ServingCluster(
-        lambda replica_id: VisionServable(
-            servable_model(_vision_config(), engine=engine)
-        ),
-        config=config,
-        clock=SimulatedClock(),
+        lambda replica_id: _memo_servable(), config=config, clock=SimulatedClock()
     )
 
 
-def _memo_reference(payloads) -> list[np.ndarray]:
-    """Each prompt computed alone on a single engine — the bit oracle."""
-    engine = ServingEngine(
-        VisionServable(servable_model(_vision_config(), engine=_memo_engine_config())),
-        config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-        clock=SimulatedClock(),
-    )
-    with engine:
-        results = []
-        for payload in payloads:
-            handle = engine.submit(payload)
-            engine.step()
-            results.append(handle.result(timeout=0))
-    return results
+def _memo_servable() -> VisionServable:
+    return VisionServable(servable_model(_vision_config(), engine=_memo_engine_config()))
 
 
 def _run_memo_waves(cluster: ServingCluster, *, with_sessions: bool):
@@ -149,15 +133,7 @@ def _run_memo_waves(cluster: ServingCluster, *, with_sessions: bool):
 
 
 def memo_hit_rates() -> dict:
-    reference = _memo_reference(_memo_payloads())
-
-    def bit_equal(waves) -> bool:
-        return all(
-            np.array_equal(result, reference[j])
-            for wave in waves
-            for j, result in enumerate(wave)
-        )
-
+    reference = [sequential_outputs(_memo_servable(), _memo_payloads())] * MEMO_WAVES
     affinity_rate, affinity_waves = _run_memo_waves(
         _memo_cluster("session_affinity", shared=False), with_sessions=True
     )
@@ -177,10 +153,9 @@ def memo_hit_rates() -> dict:
         "recovery": (
             rr_shared_rate / affinity_rate if affinity_rate else float("nan")
         ),
-        "bit_identical": bool(
-            bit_equal(affinity_waves)
-            and bit_equal(rr_private_waves)
-            and bit_equal(rr_shared_waves)
+        "bit_identical": all(
+            bit_equal(waves, reference)
+            for waves in (affinity_waves, rr_private_waves, rr_shared_waves)
         ),
     }
 
@@ -214,35 +189,6 @@ def _prefix_specs():
 
 def _payload_fn(config):
     return lambda i, t: decode_payload(PAYLOAD_SEED, i, t, config.dim)
-
-
-def sequential_prefix_reference(config, specs) -> dict:
-    """Each forked session decoded alone, prompt pre-opened — the oracle.
-
-    Prompt tokens are zero-state K/V but still carry softmax mass, so
-    the oracle must open each session at the same ``PROMPT_LEN`` the
-    cluster's prefix fork gives it.
-    """
-    payload_fn = _payload_fn(config)
-    outputs = {}
-    for i, spec in enumerate(specs):
-        servable = decode_servable(config, engine=_prefix_engine_config())
-        engine = ServingEngine(
-            servable,
-            config=EngineConfig(
-                max_batch_size=1, max_wait_us=0.0, queue_depth=spec.steps
-            ),
-            clock=SimulatedClock(),
-        )
-        with engine:
-            servable.cache.open_session(spec.session_id, prompt_len=PROMPT_LEN)
-            outs = []
-            for t in range(spec.steps):
-                handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
-                engine.step()
-                outs.append(handle.result(timeout=0))
-            outputs[spec.session_id] = outs
-    return outputs
 
 
 def _prefix_cluster(policy: str, *, share: bool) -> ServingCluster:
@@ -316,17 +262,6 @@ def _run_prefix_trace(policy: str, *, share: bool) -> dict:
     }
 
 
-def _bit_equal(outputs, reference, specs) -> bool:
-    return all(
-        len(outputs[s.session_id]) == len(reference[s.session_id])
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(outputs[s.session_id], reference[s.session_id])
-        )
-        for s in specs
-    )
-
-
 def prefix_sharing(reference) -> dict:
     """Shared vs unshared fleet KV bytes, plus custody hygiene."""
     config = _decoder()
@@ -361,8 +296,8 @@ def prefix_sharing(reference) -> dict:
             and shared["pools_empty"]
             and unshared["pools_empty"]
         ),
-        "shared_bit_identical": _bit_equal(shared["outputs"], reference, specs),
-        "unshared_bit_identical": _bit_equal(unshared["outputs"], reference, specs),
+        "shared_bit_identical": bit_equal(shared["outputs"], reference),
+        "unshared_bit_identical": bit_equal(unshared["outputs"], reference),
     }
 
 
@@ -372,7 +307,7 @@ def policy_equivalence(reference) -> dict:
     for policy in POLICIES:
         run = _run_prefix_trace(policy, share=True)
         report[policy] = {
-            "bit_identical": _bit_equal(run["outputs"], reference, run["specs"]),
+            "bit_identical": bit_equal(run["outputs"], reference),
             "shared_adoptions": run["shared_adoptions"],
             "migrations": run["migrations"],
         }
@@ -380,10 +315,10 @@ def policy_equivalence(reference) -> dict:
 
 
 def run(
-    assert_recovery: bool = True, out_path: str = "BENCH_cache_tier.json"
+    enforce_floors: bool = True, out_path: str = "BENCH_cache_tier.json"
 ) -> dict:
     memo = memo_hit_rates()
-    floor = MIN_HIT_RECOVERY if assert_recovery else 0.0
+    floor = MIN_HIT_RECOVERY if enforce_floors else 0.0
     print(
         f"Fleet memo hit rate ({MEMO_PROMPTS} prompts x {MEMO_WAVES} waves, "
         f"{MEMO_REPLICAS} replicas)"
@@ -402,7 +337,13 @@ def run(
     )
 
     config = _decoder()
-    reference = sequential_prefix_reference(config, _prefix_specs())
+    # Each forked session decoded alone, opened at the fork's prompt length.
+    reference = sequential_decode(
+        lambda: decode_servable(config, engine=_prefix_engine_config()),
+        _prefix_specs(),
+        _payload_fn(config),
+        prompt_len=PROMPT_LEN,
+    )
 
     sharing = prefix_sharing(reference)
     print(
@@ -471,18 +412,6 @@ def bench_cache_tier(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="relax the 0.9x hit-rate recovery floor (bit equivalence, the "
-        "strict shared-beats-private ordering, and the byte gates always "
-        "apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_cache_tier.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_recovery=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the 0.9x hit-rate recovery floor")

@@ -43,13 +43,13 @@ from repro.serving import (
     DecodeServable,
     EngineConfig,
     IterationCost,
-    ServingEngine,
     SimulatedClock,
     TenantSpec,
     TextServable,
     VisionServable,
     multi_tenant_arrivals,
 )
+from repro.serving.loadgen import bit_equal, sequential_outputs
 from repro.workloads.llm import DecoderConfig
 from repro.workloads.transformer import KIND_TEXT, TransformerConfig, servable_model
 
@@ -103,30 +103,6 @@ def decode_factory(replica_id: int) -> DecodeServable:
     return DecodeServable(DECODER, seed=0)
 
 
-def _sequential(factory, payloads, session_ids=None) -> list:
-    """Single-engine, batch-size-1 reference run (the ground truth)."""
-    engine = ServingEngine(
-        factory(0),
-        config=EngineConfig(
-            max_batch_size=1,
-            max_wait_us=0.0,
-            queue_depth=len(payloads),
-        ),
-        clock=SimulatedClock(),
-        close_executor=True,
-    )
-    with engine:
-        handles = [
-            engine.submit(
-                payload,
-                session_id=None if session_ids is None else session_ids[i],
-            )
-            for i, payload in enumerate(payloads)
-        ]
-        engine.run_until_idle()
-        return [handle.result(timeout=0) for handle in handles]
-
-
 def _clustered(factory, payloads, policy, session_ids=None, replicas=3) -> list:
     """3-replica cluster run; decode steps execute per arrival so
     sessions quiesce and non-sticky policies genuinely move them."""
@@ -172,10 +148,10 @@ def routing_equivalence() -> dict:
         for s in range(4)
     ]
     references = {
-        "vision": _sequential(vision_factory, images),
-        "text_ragged": _sequential(text_factory, prompts),
-        "decode_sessions": _sequential(
-            decode_factory, [x for _, x in steps], [sid for sid, _ in steps]
+        "vision": sequential_outputs(vision_factory(0), images),
+        "text_ragged": sequential_outputs(text_factory(0), prompts),
+        "decode_sessions": sequential_outputs(
+            decode_factory(0), [x for _, x in steps], [sid for sid, _ in steps]
         ),
     }
     results = {}
@@ -191,12 +167,7 @@ def routing_equivalence() -> dict:
             ),
         }
         for workload, outputs in runs.items():
-            results[f"{policy}/{workload}"] = bool(
-                all(
-                    np.array_equal(a, b)
-                    for a, b in zip(references[workload], outputs)
-                )
-            )
+            results[f"{policy}/{workload}"] = bit_equal(outputs, references[workload])
     return results
 
 
@@ -278,11 +249,8 @@ def affinity_hit_rates() -> dict:
             "migrated_bytes": cluster.metrics.migrated_bytes,
             "tenants": cluster.metrics.tenant_counts(),
         }
-    results["policies_bit_identical"] = bool(
-        all(
-            np.array_equal(a, b)
-            for a, b in zip(outputs["round_robin"], outputs["session_affinity"])
-        )
+    results["policies_bit_identical"] = bit_equal(
+        outputs["session_affinity"], outputs["round_robin"]
     )
     return results
 
@@ -345,7 +313,7 @@ def autoscaler_determinism() -> dict:
     }
 
 
-def run(assert_speedup: bool = True, out_path: str = "BENCH_cluster.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_cluster.json") -> dict:
     equiv = routing_equivalence()
     print("Routing equivalence (cluster == sequential single engine, equal seeds)")
     for key, ok in sorted(equiv.items()):
@@ -371,7 +339,7 @@ def run(assert_speedup: bool = True, out_path: str = "BENCH_cluster.json") -> di
         f"got {throughputs}"
     )
     gain = throughputs[-1] / throughputs[0]
-    floor = MIN_FLEET_GAIN if assert_speedup else 1.0
+    floor = MIN_FLEET_GAIN if enforce_floors else 1.0
     print(f"  fleet gain (4 vs 1 replicas): {gain:.2f}x (floor {floor:.2f}x)")
     assert gain >= floor, f"fleet gain {gain:.2f}x below the {floor:.2f}x floor"
 
@@ -426,17 +394,6 @@ def bench_cluster(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="relax the fleet-gain margin (equivalence, strict scaling "
-        "order, affinity, and determinism gates always apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_cluster.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the fleet-gain margin")

@@ -33,8 +33,6 @@ Emits a ``BENCH_continuous.json`` artifact (``--out PATH`` to relocate).
 import json
 import os
 
-import numpy as np
-
 from repro.cluster import ClusterConfig, ServingCluster
 from repro.serving import (
     DecodeServable,
@@ -46,6 +44,7 @@ from repro.serving import (
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
 
 #: The seeded mixed-length decode trace every section replays.
@@ -86,30 +85,6 @@ def _payload_fn(config):
     return lambda i, t: decode_payload(PAYLOAD_SEED, i, t, config.dim)
 
 
-def sequential_reference(config, specs) -> dict:
-    """Each session decoded alone on its own engine — the bit oracle."""
-    payload_fn = _payload_fn(config)
-    outputs = {}
-    for i, spec in enumerate(specs):
-        engine = ServingEngine(
-            DecodeServable(config, seed=WEIGHT_SEED),
-            config=EngineConfig(
-                max_batch_size=1,
-                max_wait_us=0.0,
-                queue_depth=spec.steps,
-            ),
-            clock=SimulatedClock(),
-        )
-        with engine:
-            outs = []
-            for t in range(spec.steps):
-                handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
-                engine.step()
-                outs.append(handle.result(timeout=0))
-            outputs[spec.session_id] = outs
-    return outputs
-
-
 def _engine_trace(config, specs, *, scheduler, window_us, **servable_kwargs):
     servable = DecodeServable(config, seed=WEIGHT_SEED, **servable_kwargs)
     engine = ServingEngine(
@@ -131,17 +106,6 @@ def _engine_trace(config, specs, *, scheduler, window_us, **servable_kwargs):
             idle_tick_s=window_us * 1e-6,
         )
     return result, engine, servable
-
-
-def _bit_equal(outputs, reference, specs) -> bool:
-    return all(
-        len(outputs[s.session_id]) == len(reference[s.session_id])
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(outputs[s.session_id], reference[s.session_id])
-        )
-        for s in specs
-    )
 
 
 def bit_equivalence(reference, specs) -> dict:
@@ -166,9 +130,9 @@ def bit_equivalence(reference, specs) -> dict:
     )
     sched = tight_engine._scheduler
     return {
-        "continuous_bit_identical": _bit_equal(continuous["outputs"], reference, specs),
-        "request_bit_identical": _bit_equal(request["outputs"], reference, specs),
-        "preempted_bit_identical": _bit_equal(tight["outputs"], reference, specs),
+        "continuous_bit_identical": bit_equal(continuous["outputs"], reference),
+        "request_bit_identical": bit_equal(request["outputs"], reference),
+        "preempted_bit_identical": bit_equal(tight["outputs"], reference),
         "preemptions": sched.preemptions,
         "swap_ins": sched.swap_ins,
         "pool_reuses": tight_servable.cache.pool.reuses,
@@ -284,24 +248,26 @@ def cluster_equivalence(reference, specs) -> dict:
     for policy in ("round_robin", "least_outstanding", "session_affinity"):
         result, snapshot = _cluster_trace(config, specs, policy=policy)
         report[policy] = {
-            "bit_identical": _bit_equal(result["outputs"], reference, specs),
+            "bit_identical": bit_equal(result["outputs"], reference),
             "migrations": snapshot["migrations"]["count"],
         }
     result, snapshot = _cluster_trace(
         config, specs, policy="session_affinity", fail_after=30
     )
     report["failover"] = {
-        "bit_identical": _bit_equal(result["outputs"], reference, specs),
+        "bit_identical": bit_equal(result["outputs"], reference),
         "failovers": snapshot["failovers"],
         "rehomed_sessions": snapshot["migrations"]["sessions_rehomed"],
     }
     return report
 
 
-def run(assert_speedup: bool = True, out_path: str = "BENCH_continuous.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_continuous.json") -> dict:
     config = _decoder()
     specs = _specs()
-    reference = sequential_reference(config, specs)
+    reference = sequential_decode(
+        lambda: DecodeServable(config, seed=WEIGHT_SEED), specs, _payload_fn(config)
+    )
     lengths = ", ".join(str(s.steps) for s in specs)
     print(
         f"Mixed-length decode trace: {len(specs)} sessions, "
@@ -325,7 +291,7 @@ def run(assert_speedup: bool = True, out_path: str = "BENCH_continuous.json") ->
     assert equiv["swap_ins"] > 0, "preempted sessions must resume"
 
     win = throughput_win(specs)
-    floor = MIN_CONTINUOUS_GAIN if assert_speedup else 1.0
+    floor = MIN_CONTINUOUS_GAIN if enforce_floors else 1.0
     print(
         f"\nThroughput (shared IterationCost base={COST.base_s * 1e6:.0f} us, "
         f"per-request={COST.per_request_s * 1e6:.0f} us; "
@@ -396,17 +362,6 @@ def bench_continuous(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="relax the 1.2x continuous-gain floor (bit equivalence and "
-        "the strict continuous-beats-request ordering always apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_continuous.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the 1.2x continuous-gain floor")

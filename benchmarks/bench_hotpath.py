@@ -35,13 +35,12 @@ serial runners are explainable from the artifact alone.
 
 import json
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core import DPTC, NoiseModel, ShardedDPTC
-from repro.core.hotpath import chunk_bounds, pipelined_matmul, profile_stages
+from repro.core.hotpath import best_of, chunk_bounds, pipelined_matmul, profile_stages
 
 #: Headline batched case: an attention-shaped stack.
 HEAD_BATCH = 64
@@ -58,17 +57,6 @@ MIN_PIPELINE_SPEEDUP = 1.15
 
 #: Nightly floor on effective single-engine matmul throughput.
 MIN_THROUGHPUT_GFLOPS = 0.2
-
-
-def _best_of(fn, repeats: int = 5) -> float:
-    """Best-of-N wall-clock of ``fn`` in seconds (after one warm-up)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return min(samples)
 
 
 def _headline_operands() -> tuple[np.ndarray, np.ndarray]:
@@ -170,22 +158,22 @@ def pipeline_throughput() -> dict:
     core = DPTC(noise=NoiseModel.paper_default())
     flop = 2.0 * HEAD_BATCH * HEAD_M * HEAD_D * HEAD_N
 
-    total_s = _best_of(
-        lambda: core.matmul(a, b, rng=np.random.default_rng(1))
-    )
-    sequential_s = _best_of(
+    total_s = best_of(lambda: core.matmul(a, b, rng=np.random.default_rng(1)), 5)
+    sequential_s = best_of(
         lambda: pipelined_matmul(
             core, a, b, np.random.default_rng(1),
             chunk_size=HEAD_CHUNK, pipeline_depth=0,
-        )
+        ),
+        5,
     )
     with ThreadPoolExecutor(max_workers=1) as prefetch:
-        pipelined_s = _best_of(
+        pipelined_s = best_of(
             lambda: pipelined_matmul(
                 core, a, b, np.random.default_rng(1),
                 chunk_size=HEAD_CHUNK, pipeline_depth=HEAD_DEPTH,
                 prefetch=prefetch,
-            )
+            ),
+            5,
         )
     return {
         "shape": [HEAD_BATCH, HEAD_M, HEAD_D, HEAD_N],
@@ -199,7 +187,7 @@ def pipeline_throughput() -> dict:
     }
 
 
-def run(assert_speedup: bool = True, out_path: str = "BENCH_hotpath.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_hotpath.json") -> dict:
     equality = bit_equality()
     print("Bit-equality gates (same draws, same order, reordered in time)")
     print(f"  pipelined == sequential per-chunk oracle : {equality['oracle_exact']}")
@@ -236,7 +224,7 @@ def run(assert_speedup: bool = True, out_path: str = "BENCH_hotpath.json") -> di
         f"  engine throughput {throughput['throughput_gflops']:.3f} GFLOP/s "
         f"(floor {MIN_THROUGHPUT_GFLOPS:.2f})"
     )
-    if assert_speedup:
+    if enforce_floors:
         assert throughput["throughput_gflops"] >= MIN_THROUGHPUT_GFLOPS, (
             f"engine throughput {throughput['throughput_gflops']:.3f} GFLOP/s "
             f"below the {MIN_THROUGHPUT_GFLOPS:.2f} floor"
@@ -269,16 +257,6 @@ def bench_hotpath(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="skip the throughput/speedup floors (bit-equality gates still apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_hotpath.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the throughput and pipelined-speedup floors")

@@ -41,14 +41,14 @@ every number printed.
 
 import json
 import os
-import time
 
 import numpy as np
 
 from repro.core import DPTC, NoiseModel, ShardedDPTC
-from repro.core.hotpath import pipelined_matmul
+from repro.core.hotpath import best_of, pipelined_matmul
 from repro.obs import Tracer, to_jsonl
 from repro.obs.demo import run_trace_workload, run_workload
+from repro.serving.loadgen import bit_equal
 
 #: Headline noisy batched case for equality + overhead — the same
 #: attention-shaped stack ``bench_hotpath.py`` profiles, so the
@@ -108,10 +108,10 @@ def hotpath_equality() -> dict:
         sharded.close()
 
     return {
-        "traced_equals_untraced": bool(np.array_equal(traced, untraced)),
-        "traced_equals_oracle": bool(np.array_equal(traced_oracle, oracle)),
-        "untraced_equals_oracle": bool(np.array_equal(untraced, oracle)),
-        "sharded_traced_equal": bool(np.array_equal(shard_traced, plain)),
+        "traced_equals_untraced": bit_equal(traced, untraced),
+        "traced_equals_oracle": bit_equal(traced_oracle, oracle),
+        "untraced_equals_oracle": bit_equal(untraced, oracle),
+        "sharded_traced_equal": bit_equal(shard_traced, plain),
         "spans_emitted": len(tracer.collector),
     }
 
@@ -126,11 +126,8 @@ def serving_equality() -> dict:
         traced=True, seed=DEMO_SEED, requests=DEMO_REQUESTS,
         max_batch_size=DEMO_BATCH,
     )
-    results_equal = len(plain_results) == len(traced_results) and all(
-        np.array_equal(x, y) for x, y in zip(plain_results, traced_results)
-    )
     return {
-        "results_bit_equal": bool(results_equal),
+        "results_bit_equal": bit_equal(traced_results, plain_results),
         "snapshots_equal": plain_snap == traced_snap,
         "spans_emitted": len(collector),
     }
@@ -173,11 +170,8 @@ def cluster_equality() -> dict:
     """Virtual-time fleet run: identical results + fleet snapshot."""
     plain_results, plain_snap = _run_cluster(traced=False)
     traced_results, traced_snap = _run_cluster(traced=True)
-    results_equal = len(plain_results) == len(traced_results) and all(
-        np.array_equal(x, y) for x, y in zip(plain_results, traced_results)
-    )
     return {
-        "results_bit_equal": bool(results_equal),
+        "results_bit_equal": bit_equal(traced_results, plain_results),
         "snapshots_equal": plain_snap == traced_snap,
     }
 
@@ -274,23 +268,14 @@ def traced_overhead(repeats: int = 5) -> dict:
             chunk_size=HEAD_CHUNK, pipeline_depth=0,
         )
 
-    def best_of(fn) -> float:
-        fn()
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        return min(samples)
-
-    untraced_s = best_of(run)
+    untraced_s = best_of(run, repeats)
 
     def run_traced() -> np.ndarray:
         tracer = Tracer()
         with tracer.activate():
             return run()
 
-    traced_s = best_of(run_traced)
+    traced_s = best_of(run_traced, repeats)
     return {
         "untraced_s": untraced_s,
         "traced_s": traced_s,
@@ -299,7 +284,7 @@ def traced_overhead(repeats: int = 5) -> dict:
     }
 
 
-def run(assert_overhead: bool = True, out_path: str = "BENCH_obs.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_obs.json") -> dict:
     print("Disabled-tracer bit-equality")
     hotpath = hotpath_equality()
     for key in (
@@ -351,7 +336,7 @@ def run(assert_overhead: bool = True, out_path: str = "BENCH_obs.json") -> dict:
         f"({overhead['overhead_ratio']:.3f}x, ceiling "
         f"{MAX_TRACED_OVERHEAD:.2f}x)"
     )
-    if assert_overhead:
+    if enforce_floors:
         assert overhead["overhead_ratio"] <= MAX_TRACED_OVERHEAD, (
             f"traced hot path costs {overhead['overhead_ratio']:.3f}x the "
             f"untraced run (ceiling {MAX_TRACED_OVERHEAD:.2f}x)"
@@ -381,17 +366,6 @@ def bench_obs(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="skip the overhead ceiling (equality/shape/determinism "
-        "gates still apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_obs.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_overhead=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the 1.10x traced-overhead ceiling")

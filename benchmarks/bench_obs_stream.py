@@ -39,10 +39,10 @@ relocate).
 import io
 import json
 import os
-import time
 
 import numpy as np
 
+from repro.core.hotpath import best_of
 from repro.obs import (
     FlightRecorder,
     SLOMonitor,
@@ -300,17 +300,8 @@ def stream_overhead(repeats: int = 5) -> dict:
             _overhead_run(sink=writer)
         return sink.getvalue()
 
-    def best_of(fn) -> float:
-        fn()
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        return min(samples)
-
-    batch_s = best_of(batch_run)
-    stream_s = best_of(stream_run)
+    batch_s = best_of(batch_run, repeats)
+    stream_s = best_of(stream_run, repeats)
     return {
         "batch_s": batch_s,
         "stream_s": stream_s,
@@ -320,7 +311,7 @@ def stream_overhead(repeats: int = 5) -> dict:
 
 
 def run(
-    assert_overhead: bool = True, out_path: str = "BENCH_obs_stream.json"
+    enforce_floors: bool = True, out_path: str = "BENCH_obs_stream.json"
 ) -> dict:
     print("Bounded streaming residency")
     residency = streaming_residency()
@@ -386,7 +377,7 @@ def run(
         f"({overhead['overhead_ratio']:.3f}x, ceiling "
         f"{MAX_STREAM_OVERHEAD:.2f}x)"
     )
-    if assert_overhead:
+    if enforce_floors:
         assert overhead["overhead_ratio"] <= MAX_STREAM_OVERHEAD, (
             f"streaming costs {overhead['overhead_ratio']:.3f}x the batch "
             f"run (ceiling {MAX_STREAM_OVERHEAD:.2f}x)"
@@ -415,17 +406,6 @@ def bench_obs_stream(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="skip the overhead ceiling (residency/sampling/SLO/"
-        "postmortem gates still apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_obs_stream.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_overhead=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the 1.10x streamed-overhead ceiling")

@@ -45,6 +45,7 @@ from repro.serving import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.serving.loadgen import bit_equal, sequential_outputs
 from repro.workloads.llm import DecoderConfig
 from repro.workloads.transformer import KIND_TEXT, TransformerConfig, servable_model
 
@@ -104,9 +105,9 @@ def batching_equivalence() -> dict:
 
     # Vision: fixed-shape payloads on a 2-core sharded quantized executor.
     images = [rng.normal(size=(16, 16)) for _ in range(16)]
-    sequential = _run_all(VisionServable(_vision_model(num_cores=2)), images, 1)
+    sequential = sequential_outputs(VisionServable(_vision_model(num_cores=2)), images)
     batched = _run_all(VisionServable(_vision_model(num_cores=2)), images, 8)
-    vision_ok = all(np.array_equal(s, b) for s, b in zip(sequential, batched))
+    vision_ok = bit_equal(batched, sequential)
 
     # Text: ragged prompts coalesced under the pad-to-model-length policy.
     text_config = TransformerConfig(
@@ -123,9 +124,9 @@ def batching_equivalence() -> dict:
         )
         return TextServable(model, pad_id=0)
 
-    sequential = _run_all(text_servable(), prompts, 1)
+    sequential = sequential_outputs(text_servable(), prompts)
     batched = _run_all(text_servable(), prompts, 8)
-    text_ok = all(np.array_equal(s, b) for s, b in zip(sequential, batched))
+    text_ok = bit_equal(batched, sequential)
 
     # Decode: 4 KV sessions x 3 steps; projections batch across sessions.
     decoder = DecoderConfig("bench-decode", depth=2, dim=16, heads=2, mlp_ratio=2.0)
@@ -134,13 +135,11 @@ def batching_equivalence() -> dict:
     ]
     payloads = [x for _, x in steps]
     sessions = [sid for sid, _ in steps]
-    sequential = _run_all(
-        DecodeServable(decoder, seed=0), payloads, 1, session_ids=sessions
-    )
+    sequential = sequential_outputs(DecodeServable(decoder, seed=0), payloads, sessions)
     batched = _run_all(
         DecodeServable(decoder, seed=0), payloads, 8, session_ids=sessions
     )
-    decode_ok = all(np.array_equal(s, b) for s, b in zip(sequential, batched))
+    decode_ok = bit_equal(batched, sequential)
 
     # Prompt memoization: the repeat is a bit-identical cache hit.
     cache = SessionCache(capacity_bytes=1 << 20)
@@ -158,7 +157,7 @@ def batching_equivalence() -> dict:
         cache_ok = (
             repeat.cache_hit
             and repeat.done()
-            and np.array_equal(first.result(timeout=0), repeat.result(timeout=0))
+            and bit_equal(repeat.result(timeout=0), first.result(timeout=0))
             and engine.metrics.cache_hits == 1
         )
     return {
@@ -287,9 +286,7 @@ def multi_tenant_mix() -> dict:
         return per_tenant, outputs
 
     (counts_a, outputs_a), (counts_b, outputs_b) = replay(), replay()
-    deterministic = counts_a == counts_b and all(
-        np.array_equal(a, b) for a, b in zip(outputs_a, outputs_b)
-    )
+    deterministic = counts_a == counts_b and bit_equal(outputs_b, outputs_a)
     return {
         "tenants": counts_a,
         "requests": sum(counts_a.values()),
@@ -297,7 +294,7 @@ def multi_tenant_mix() -> dict:
     }
 
 
-def run(assert_speedup: bool = True, out_path: str = "BENCH_serving.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_serving.json") -> dict:
     equiv = batching_equivalence()
     print("Batching equivalence (dynamic batch == sequential, equal seeds)")
     for key, ok in equiv.items():
@@ -320,7 +317,7 @@ def run(assert_speedup: bool = True, out_path: str = "BENCH_serving.json") -> di
     tp_single = curve[0]["throughput_rps"]
     tp_batched = curve[-1]["throughput_rps"]
     gain = tp_batched / tp_single
-    floor = MIN_BATCHING_GAIN if assert_speedup else 1.0
+    floor = MIN_BATCHING_GAIN if enforce_floors else 1.0
     print(f"  batching gain (mbs=8 vs mbs=1): {gain:.2f}x (floor {floor:.2f}x)")
     assert tp_batched > tp_single, (
         f"throughput must increase strictly from max_batch_size=1 "
@@ -373,17 +370,6 @@ def bench_serving(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="relax the batching-gain margin (equivalence and the strict "
-        "1-vs-8 throughput ordering always apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_serving.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the batching-gain margin")

@@ -50,6 +50,7 @@ from repro.core import (
     ShardedDPTC,
     contraction_slabs,
 )
+from repro.core.hotpath import best_of
 from repro.core.noise import EncodingNoise, SystematicNoise
 from repro.neural import (
     PhotonicExecutor,
@@ -69,18 +70,6 @@ SCALING_DIM = 64
 
 #: Acceptance floor for the batched-over-per-sample training speedup.
 MIN_TRAIN_SPEEDUP = 2.0
-
-
-def _best_of(fn, repeats: int = 5, inner: int = 2) -> float:
-    """Best-of-N mean wall-clock of ``fn`` in seconds."""
-    fn()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - start) / inner)
-    return min(samples)
 
 
 def sharding_equivalence() -> dict:
@@ -238,7 +227,7 @@ def scaling_curve() -> list[dict]:
             def step():
                 engine.matmul(a, b, rng=np.random.default_rng(2))
 
-            elapsed_ms = _best_of(step) * 1e3
+            elapsed_ms = best_of(step, 5, inner=2) * 1e3
             engine.close()
             if base_ms is None:
                 base_ms = elapsed_ms
@@ -310,7 +299,7 @@ def training_speedup(num_cores: int = 2) -> dict:
     }
 
 
-def run(assert_speedup: bool = True, out_path: str = "BENCH_sharded.json") -> dict:
+def run(enforce_floors: bool = True, out_path: str = "BENCH_sharded.json") -> dict:
     equiv = sharding_equivalence()
     print("Sharding equivalence")
     for axis in ("batch", "contraction"):
@@ -367,7 +356,7 @@ def run(assert_speedup: bool = True, out_path: str = "BENCH_sharded.json") -> di
         f"{train['per_sample_s'] * 1e3:7.1f} ms | speedup {train['speedup']:.1f}x "
         f"(floor {MIN_TRAIN_SPEEDUP:.0f}x)"
     )
-    if assert_speedup:
+    if enforce_floors:
         assert train["speedup"] >= MIN_TRAIN_SPEEDUP, (
             f"batched training speedup {train['speedup']:.2f}x below the "
             f"{MIN_TRAIN_SPEEDUP:.0f}x floor"
@@ -393,16 +382,6 @@ def bench_sharded_execution(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
+    from _gate import main
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="skip the speedup floors (equivalence gates still apply)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_sharded.json", help="JSON artifact path"
-    )
-    cli = parser.parse_args()
-    run(assert_speedup=not cli.report_only, out_path=cli.out)
+    main(run, __doc__, "the speedup floors")

@@ -738,13 +738,12 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
     equal seeds (same draws, same order, reordered only in wall-clock).
     """
     import json
-    import time
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
     from repro.core.dptc import DPTC
-    from repro.core.hotpath import pipelined_matmul, profile_stages
+    from repro.core.hotpath import best_of, pipelined_matmul, profile_stages
     from repro.core.noise import NoiseModel
     from repro.obs.trace import NULL_TRACER
 
@@ -780,25 +779,19 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
                 "hotpath-bench: pipelined result differs from sequential"
             )
 
-        def best_of(fn) -> float:
-            samples = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                fn()
-                samples.append(time.perf_counter() - start)
-            return min(samples)
-
         seq_s = best_of(
             lambda: pipelined_matmul(
                 core, a, b, np.random.default_rng(args.seed),
                 chunk_size=chunk, pipeline_depth=0,
-            )
+            ),
+            args.repeats,
         )
         pipe_s = best_of(
             lambda: pipelined_matmul(
                 core, a, b, np.random.default_rng(args.seed),
                 chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-            )
+            ),
+            args.repeats,
         )
     flop = 2.0 * args.batch * args.m * args.d * args.n
     report = {

@@ -149,7 +149,6 @@ class ServingCluster:
         config = config if config is not None else ClusterConfig()
         self.config = config
         self.factory = factory
-        self.queue_depth = config.engine.queue_depth
         self.clock = clock if clock is not None else WallClock()
         self.manual = not getattr(self.clock, "real", True)
         if config.service_model is not None and not self.manual:
@@ -158,8 +157,6 @@ class ServingCluster:
                 "only defined in manual mode)"
             )
         self.service_model = config.service_model
-        self.scheduler = config.engine.scheduler
-        self.iteration_cost = config.engine.iteration_cost
         self.max_retries = config.max_retries
         self._close_executors = config.close_executors
         self.metrics = ClusterMetrics()

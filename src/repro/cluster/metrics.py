@@ -275,10 +275,8 @@ class ClusterMetrics:
         replica-private hits both count; the denominator is every
         completed request)."""
         with self._lock:
-            if not self._records:
-                return 0.0
-            hits = sum(1 for r in self._records if r.cache_hit)
-            return hits / len(self._records)
+            completed = len(self._records)
+            return self._cache_hits_c.value / completed if completed else 0.0
 
     def dispatch_counts(self) -> dict[int, int]:
         series = self.registry.counter_series(
@@ -351,7 +349,7 @@ class ClusterMetrics:
             },
             "cache": {
                 "hit_rate": self.cache_hit_rate(),
-                "hits": sum(1 for r in self.records() if r.cache_hit),
+                "hits": int(self._cache_hits_c.value),
             },
             "prefixes": {
                 "shared_adoptions": self.prefix_adoptions_shared,

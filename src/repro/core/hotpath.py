@@ -339,13 +339,17 @@ def release_segment(
 STAGES = ("sample", "encode", "compute", "detect")
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-N wall-clock seconds of ``fn()``."""
+def best_of(fn, repeats: int, *, inner: int = 1) -> float:
+    """Fastest per-call seconds of ``fn()``: one warm-up, then ``repeats`` rounds of ``inner``."""
+    if repeats < 1 or inner < 1:
+        raise ValueError(f"need repeats >= 1 and inner >= 1, got {repeats}, {inner}")
+    fn()
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
+        for _ in range(inner):
+            fn()
+        samples.append((time.perf_counter() - start) / inner)
     return min(samples)
 
 
@@ -377,27 +381,24 @@ def profile_stages(
     b = np.asarray(b, dtype=float)
     times: dict[str, float] = {}
     if core.noise.is_ideal:
-        times["compute"] = _best_of(lambda: np.matmul(a, b), repeats)
+        times["compute"] = best_of(lambda: np.matmul(a, b), repeats)
         times["detect"] = 0.0
-        times["total"] = _best_of(
-            lambda: core.matmul(a, b, rng=np.random.default_rng(seed)), repeats
+    else:
+        times["sample"] = best_of(
+            lambda: core.sample_noise(a.shape, b.shape, np.random.default_rng(seed)),
+            repeats,
         )
-        return times
-    times["sample"] = _best_of(
-        lambda: core.sample_noise(a.shape, b.shape, np.random.default_rng(seed)),
-        repeats,
-    )
-    draw = core.sample_noise(a.shape, b.shape, np.random.default_rng(seed))
-    times["encode"] = _best_of(
-        lambda: core.prepare_chunk(a, b, draw=draw), repeats
-    )
-    prepared = core.prepare_chunk(a, b, draw=draw)
-    times["compute"] = _best_of(lambda: core.compute_chunk(prepared), repeats)
-    raw = core.compute_chunk(prepared)
-    times["detect"] = _best_of(
-        lambda: core.detect_chunk(prepared, raw.copy()), repeats
-    )
-    times["total"] = _best_of(
+        draw = core.sample_noise(a.shape, b.shape, np.random.default_rng(seed))
+        times["encode"] = best_of(
+            lambda: core.prepare_chunk(a, b, draw=draw), repeats
+        )
+        prepared = core.prepare_chunk(a, b, draw=draw)
+        times["compute"] = best_of(lambda: core.compute_chunk(prepared), repeats)
+        raw = core.compute_chunk(prepared)
+        times["detect"] = best_of(
+            lambda: core.detect_chunk(prepared, raw.copy()), repeats
+        )
+    times["total"] = best_of(
         lambda: core.matmul(a, b, rng=np.random.default_rng(seed)), repeats
     )
     return times

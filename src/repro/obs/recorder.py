@@ -23,24 +23,13 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import deque
 from pathlib import Path
 from typing import Any
 
-from repro.obs.trace import Span
+from repro.obs.trace import Span, _MonotonicClock
 
 __all__ = ["FlightRecorder"]
-
-
-class _MonotonicClock:
-    """Fallback clock when none is injected (wall-clock recording)."""
-
-    real = True
-
-    @staticmethod
-    def now() -> float:
-        return time.monotonic()
 
 
 class FlightRecorder:

@@ -21,6 +21,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.serving.clock import SimulatedClock
+from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
 
 
@@ -378,6 +380,69 @@ def run_decode_trace(
         "throughput_sps": total_steps / makespan if makespan > 0 else 0.0,
         "outputs": outputs,
     }
+
+
+def _batch1_engine(servable, queue_depth: int = 1) -> ServingEngine:
+    return ServingEngine(
+        servable,
+        config=EngineConfig(max_batch_size=1, max_wait_us=0.0, queue_depth=queue_depth),
+        clock=SimulatedClock(),
+        close_executor=True,
+    )
+
+
+def sequential_decode(
+    make_servable: Callable[[], Any],
+    specs: Sequence[DecodeSessionSpec],
+    payload_fn: Callable[[int, int], Any],
+    *,
+    prompt_len: int = 0,
+) -> dict[str, list]:
+    """The bit oracle of :func:`run_decode_trace`: each session alone.
+
+    Every spec decodes one token at a time on a fresh ``make_servable()``
+    behind its own batch-1 engine.  ``prompt_len`` pre-opens each
+    session at that length, as a prefix fork does (prompt tokens carry
+    softmax mass).  Returns ``{session_id: [step outputs]}``.
+    """
+    outputs: dict[str, list] = {}
+    for i, spec in enumerate(specs):
+        servable = make_servable()
+        with _batch1_engine(servable) as engine:
+            if prompt_len:
+                servable.cache.open_session(spec.session_id, prompt_len=prompt_len)
+            outs = outputs[spec.session_id] = []
+            for t in range(spec.steps):
+                handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
+                engine.step()
+                outs.append(handle.result(timeout=0))
+    return outputs
+
+
+def sequential_outputs(servable, payloads: Sequence[Any], session_ids=None) -> list:
+    """Batch-1 drain oracle: all ``payloads`` in order on one engine,
+    payload ``i`` in session ``session_ids[i]`` when given; closes its executor."""
+    sessions = session_ids if session_ids is not None else [None] * len(payloads)
+    with _batch1_engine(servable, max(1, len(payloads))) as engine:
+        handles = [engine.submit(p, session_id=s) for p, s in zip(payloads, sessions)]
+        engine.run_until_idle()
+        return [handle.result(timeout=0) for handle in handles]
+
+
+def bit_equal(got, want) -> bool:
+    """Bit-for-bit agreement: mappings need equal keys, sequences equal
+    lengths, arrays equal shape, dtype and ``tobytes()`` (so ``-0.0``
+    differs from ``0.0``, as in perfbench's digests)."""
+    if isinstance(want, Mapping):
+        return isinstance(got, Mapping) and got.keys() == want.keys() and all(
+            bit_equal(got[key], want[key]) for key in want
+        )
+    if isinstance(want, (list, tuple)):
+        return isinstance(got, (list, tuple)) and len(got) == len(want) and all(
+            bit_equal(g, w) for g, w in zip(got, want)
+        )
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
 def run_closed_loop(

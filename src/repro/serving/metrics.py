@@ -67,9 +67,6 @@ def summarize(values: list[float]) -> dict[str, float]:
     }
 
 
-_summary = summarize
-
-
 def span_throughput(records) -> float:
     """Completed requests per second of observed span.
 
@@ -215,12 +212,12 @@ class Metrics:
     def latency_summary(self) -> dict[str, float]:
         with self._lock:
             values = [record.latency for record in self._records]
-        return _summary(values)
+        return summarize(values)
 
     def queue_wait_summary(self) -> dict[str, float]:
         with self._lock:
             values = [record.queue_wait for record in self._records]
-        return _summary(values)
+        return summarize(values)
 
     def _occupancy_series(self, name: str) -> dict[int, int]:
         series = self.registry.counter_series(name, "size")

@@ -15,13 +15,14 @@ from repro.cluster import (
 )
 from repro.serving import (
     DecodeServable,
+    DecodeSessionSpec,
     EngineConfig,
     IterationCost,
-    ServingEngine,
     SessionCache,
     SimulatedClock,
     decode_payload,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
 
 DECODER = DecoderConfig("tier-test", depth=2, dim=16, heads=2, mlp_ratio=2.0)
@@ -91,25 +92,15 @@ def payload_fn(i, t):
     return decode_payload(9, i, t, DECODER.dim)
 
 
-def solo_reference(session_steps):
+def prompt_oracle(session_steps):
     """Each session decoded alone with its prompt pre-opened."""
-    outputs = {}
-    for i, (sid, steps) in enumerate(sorted(session_steps.items())):
-        servable = DecodeServable(DECODER, seed=0, block_size=BLOCK)
-        engine = ServingEngine(
-            servable,
-            config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-            clock=SimulatedClock(),
-        )
-        with engine:
-            servable.cache.open_session(sid, prompt_len=PROMPT)
-            outs = []
-            for t in range(steps):
-                handle = engine.submit(payload_fn(i, t), session_id=sid)
-                engine.step()
-                outs.append(handle.result(timeout=0))
-            outputs[sid] = outs
-    return outputs
+    specs = [DecodeSessionSpec(sid, 0.0, n) for sid, n in sorted(session_steps.items())]
+    return sequential_decode(
+        lambda: DecodeServable(DECODER, seed=0, block_size=BLOCK),
+        specs,
+        payload_fn,
+        prompt_len=PROMPT,
+    )
 
 
 def owner_of(cluster, session_id):
@@ -135,6 +126,22 @@ class TestFleetMemo:
             assert snapshot["cache"]["hits"] == 1
             assert snapshot["cache"]["hit_rate"] == 0.5
             assert snapshot["tier"]["hits"] == 1
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["tier", "replica-memo"])
+    def test_hit_reads_agree_with_a_record_scan(self, shared):
+        # One replica keeps the private memo hit local; misses interleave.
+        with echo_tier_cluster(replicas=2 if shared else 1, shared=shared) as cluster:
+            for key in ("a", "b", "a", "c", "a", "b"):
+                cluster.submit(np.ones(4), cache_key=key)
+                cluster.run_until_idle()
+            records = cluster.metrics.records()
+            hits = sum(record.cache_hit for record in records)
+            assert hits == 3 and len(records) == 6
+            assert cluster.snapshot()["cache"]["hits"] == hits
+            assert cluster.metrics.cache_hit_rate() == hits / len(records)
+            assert (cluster.tier is not None) is shared
+            if shared:
+                assert cluster.tier.hits == hits
 
     def test_private_memos_forfeit_the_cross_replica_hit(self):
         with echo_tier_cluster(shared=False) as cluster:
@@ -222,7 +229,7 @@ class TestPrefixAdoption:
     @pytest.mark.parametrize("share", [True, False])
     def test_forked_sessions_bit_equal_solo(self, share):
         steps = {"a": 3, "b": 2, "c": 4}
-        reference = solo_reference(steps)
+        reference = prompt_oracle(steps)
         with decode_tier_cluster(share=share) as cluster:
             outputs = {sid: [] for sid in steps}
             for t in range(max(steps.values())):
@@ -236,9 +243,7 @@ class TestPrefixAdoption:
                 cluster.run_until_idle()
                 for sid, handle in handles.items():
                     outputs[sid].append(handle.result(timeout=0))
-        for sid in steps:
-            for got, want in zip(outputs[sid], reference[sid]):
-                np.testing.assert_array_equal(got, want)
+        assert bit_equal(outputs, reference)
 
     def test_release_returns_chain_refs_and_pages(self):
         with decode_tier_cluster() as cluster:
@@ -284,7 +289,7 @@ class TestCacheAwarePlacement:
 class TestFailoverCustody:
     def test_holders_move_with_rehomed_sessions(self):
         steps = {"a": 4, "b": 4}
-        reference = solo_reference(steps)
+        reference = prompt_oracle(steps)
         with decode_tier_cluster(policy="cache_aware") as cluster:
             outputs = {sid: [] for sid in steps}
             for t in range(2):
@@ -314,9 +319,7 @@ class TestFailoverCustody:
                 cluster.run_until_idle()
                 for sid, handle in handles.items():
                     outputs[sid].append(handle.result(timeout=0))
-        for sid in steps:
-            for got, want in zip(outputs[sid], reference[sid]):
-                np.testing.assert_array_equal(got, want)
+        assert bit_equal(outputs, reference)
 
     def test_rehome_to_nobody_releases_the_chain(self):
         with decode_tier_cluster(replicas=1) as cluster:
@@ -337,7 +340,7 @@ class TestSwappedSessionFailover:
     def test_no_double_charge_and_bit_equal(self):
         capacity = kv_cache_bytes(DECODER, 2 * BLOCK)  # two private pages
         steps = {"a": 4, "b": 3}
-        reference = solo_reference(steps)
+        reference = prompt_oracle(steps)
         with decode_tier_cluster(
             policy="cache_aware", kv_capacity_bytes=capacity
         ) as cluster:
@@ -367,10 +370,7 @@ class TestSwappedSessionFailover:
             run_step("b", 1, 2)  # swaps "b" back in (and "a" out)
             run_step("a", 0, 3)
             assert cache.resident_kv_bytes() == cache.pool.in_use_bytes
-        for sid in steps:
-            assert len(outputs[sid]) == steps[sid]
-            for got, want in zip(outputs[sid], reference[sid]):
-                np.testing.assert_array_equal(got, want)
+        assert bit_equal(outputs, reference)
 
 
 class TestSnapshotTier:

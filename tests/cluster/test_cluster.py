@@ -16,9 +16,9 @@ from repro.serving import (
     EngineConfig,
     IterationCost,
     QueueFull,
-    ServingEngine,
     SimulatedClock,
 )
+from repro.serving.loadgen import bit_equal, sequential_outputs
 from repro.workloads.llm import DecoderConfig
 
 
@@ -91,18 +91,6 @@ def decode_steps(sessions=4, rounds=3, seed=0):
     ]
 
 
-def sequential_decode(steps):
-    engine = ServingEngine(
-        DecodeServable(DECODER, seed=0),
-        config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-        clock=SimulatedClock(),
-    )
-    with engine:
-        handles = [engine.submit(x, session_id=sid) for sid, x in steps]
-        engine.run_until_idle()
-        return [handle.result(timeout=0) for handle in handles]
-
-
 class TestSubmitAndStep:
     def test_results_resolve_across_replicas(self):
         with echo_cluster(replicas=3, max_batch_size=4) as cluster:
@@ -166,14 +154,18 @@ class TestBitExactRouting:
     )
     def test_decode_bit_identical_to_single_engine(self, policy):
         steps = decode_steps()
-        reference = sequential_decode(steps)
+        reference = sequential_outputs(
+            DecodeServable(DECODER, seed=0),
+            [x for _, x in steps],
+            [sid for sid, _ in steps],
+        )
         with decode_cluster(replicas=3, policy=policy, max_batch_size=4) as cluster:
             outputs = []
             for sid, x in steps:
                 handle = cluster.submit(x, session_id=sid)
                 cluster.step(force=True)
                 outputs.append(handle.result(timeout=0))
-        assert all(np.array_equal(a, b) for a, b in zip(reference, outputs))
+        assert bit_equal(outputs, reference)
 
     def test_affinity_beats_round_robin_on_hit_rate(self):
         steps = decode_steps(sessions=4, rounds=4)
@@ -214,7 +206,11 @@ class TestBitExactRouting:
 class TestFailover:
     def test_failed_replica_requeues_without_losing_handles(self):
         steps = decode_steps(sessions=3, rounds=3)
-        reference = sequential_decode(steps)
+        reference = sequential_outputs(
+            DecodeServable(DECODER, seed=0),
+            [x for _, x in steps],
+            [sid for sid, _ in steps],
+        )
         with decode_cluster(replicas=3, policy="session_affinity") as cluster:
             handles = [cluster.submit(x, session_id=sid) for sid, x in steps]
             victim = cluster.router.directory["s1"]
@@ -222,7 +218,7 @@ class TestFailover:
             assert rerouted == 3  # all of s1's queued steps moved
             cluster.run_until_idle()
             outputs = [handle.result(timeout=0) for handle in handles]
-        assert all(np.array_equal(a, b) for a, b in zip(reference, outputs))
+        assert bit_equal(outputs, reference)
         assert cluster.replicas[victim].state == FAILED
         assert cluster.metrics.failovers >= 3
         assert [e.kind for e in cluster.metrics.events] == ["replica_failed"]

@@ -2,7 +2,6 @@
 bit-identical to a single sequential engine, paged KV state migrates
 and fails over intact, and sessions retire fleet-wide."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ServingCluster
@@ -10,12 +9,12 @@ from repro.serving import (
     DecodeServable,
     EngineConfig,
     IterationCost,
-    ServingEngine,
     SimulatedClock,
     decode_payload,
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads.llm import DecoderConfig
 
 DECODER = DecoderConfig("cluster-cont", depth=2, dim=16, heads=2, mlp_ratio=2.0)
@@ -32,22 +31,10 @@ def trace_specs(sessions=8, seed=17):
     )
 
 
-def sequential_reference(specs):
-    outputs = {}
-    for i, spec in enumerate(specs):
-        engine = ServingEngine(
-            DecodeServable(DECODER, seed=0, block_size=2),
-            config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-            clock=SimulatedClock(),
-        )
-        with engine:
-            outs = []
-            for t in range(spec.steps):
-                handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
-                engine.step()
-                outs.append(handle.result(timeout=0))
-            outputs[spec.session_id] = outs
-    return outputs
+def oracle(specs):
+    return sequential_decode(
+        lambda: DecodeServable(DECODER, seed=0, block_size=2), specs, payload_fn
+    )
 
 
 #: Per-replica engine of every continuous fleet below.
@@ -73,28 +60,20 @@ def continuous_cluster(replicas=3, policy="round_robin"):
     )
 
 
-def assert_bit_equal(outputs, reference, specs):
-    for spec in specs:
-        got, want = outputs[spec.session_id], reference[spec.session_id]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestPolicyEquivalence:
     @pytest.mark.parametrize(
         "policy", ["round_robin", "least_outstanding", "session_affinity"]
     )
     def test_bit_identical_to_single_engine(self, policy):
         specs = trace_specs()
-        reference = sequential_reference(specs)
+        reference = oracle(specs)
         with continuous_cluster(policy=policy) as cluster:
             result = run_decode_trace(cluster, specs, payload_fn=payload_fn)
-        assert_bit_equal(result["outputs"], reference, specs)
+        assert bit_equal(result["outputs"], reference)
 
     def test_migration_moves_paged_blocks_wholesale(self):
         specs = trace_specs()
-        reference = sequential_reference(specs)
+        reference = oracle(specs)
         with continuous_cluster(policy="round_robin") as cluster:
             result = run_decode_trace(
                 cluster, specs, payload_fn=payload_fn, release=False
@@ -109,13 +88,13 @@ class TestPolicyEquivalence:
                 if cache is None or cache.pool is None:
                     continue
                 assert cache.resident_kv_bytes() == cache.pool.in_use_bytes
-        assert_bit_equal(result["outputs"], reference, specs)
+        assert bit_equal(result["outputs"], reference)
 
 
 class TestFailover:
     def test_mid_trace_failover_stays_bit_identical(self):
         specs = trace_specs()
-        reference = sequential_reference(specs)
+        reference = oracle(specs)
         cluster = continuous_cluster(policy="session_affinity")
         state = {"executed": 0, "failed": False}
         original_step = cluster.step
@@ -134,7 +113,7 @@ class TestFailover:
             snapshot = cluster.snapshot()
         assert state["failed"]
         assert snapshot["migrations"]["sessions_rehomed"] > 0
-        assert_bit_equal(result["outputs"], reference, specs)
+        assert bit_equal(result["outputs"], reference)
 
 
 class TestReleaseSession:

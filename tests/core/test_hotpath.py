@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.hotpath import (
     attach_segment,
+    best_of,
     pack_arrays,
     release_segment,
     slice_batch_operand,
@@ -363,3 +364,15 @@ class TestProfileStages:
         assert set(times) == {"compute", "detect", "total"}
         assert times["detect"] == 0.0
         assert times["compute"] >= 0.0 and times["total"] >= 0.0
+
+
+class TestBestOf:
+    @pytest.mark.parametrize("repeats, inner", [(0, 1), (1, 0)])
+    def test_rejects_empty_rounds(self, repeats, inner):
+        with pytest.raises(ValueError, match="repeats >= 1 and inner >= 1"):
+            best_of(lambda: None, repeats, inner=inner)
+
+    def test_one_warm_up_then_repeats_times_inner_calls(self):
+        calls = []
+        assert best_of(lambda: calls.append(None), 3, inner=2) >= 0.0
+        assert len(calls) == 1 + 3 * 2

@@ -17,6 +17,7 @@ from repro.serving import (
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads import DecoderConfig, kv_cache_bytes
 
 
@@ -32,24 +33,9 @@ def payload_fn(config, seed=3):
     return lambda i, t: decode_payload(seed, i, t, config.dim)
 
 
-def sequential_outputs(config, specs, *, seed=1):
+def oracle(config, specs):
     """Each session decoded alone on a fresh engine: the bit oracle."""
-    fn = payload_fn(config)
-    outputs = {}
-    for i, spec in enumerate(specs):
-        engine = ServingEngine(
-            DecodeServable(config, seed=seed),
-            config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-            clock=SimulatedClock(),
-        )
-        with engine:
-            outs = []
-            for t in range(spec.steps):
-                handle = engine.submit(fn(i, t), session_id=spec.session_id)
-                engine.step()
-                outs.append(handle.result(timeout=0))
-            outputs[spec.session_id] = outs
-    return outputs
+    return sequential_decode(lambda: DecodeServable(config, seed=1), specs, payload_fn(config))
 
 
 def trace_outputs(
@@ -78,25 +64,17 @@ def trace_outputs(
     return result, engine
 
 
-def assert_bit_equal(outputs, reference, specs):
-    for spec in specs:
-        got, want = outputs[spec.session_id], reference[spec.session_id]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestBitEquality:
     def test_continuous_matches_sequential_and_request(self):
         config = toy_decoder()
         specs = mixed_decode_trace(6, seed=11, max_steps=7, horizon_s=5e-3)
-        reference = sequential_outputs(config, specs)
+        reference = oracle(config, specs)
         continuous, _ = trace_outputs(config, specs, scheduler="continuous")
         request, _ = trace_outputs(
             config, specs, scheduler="request", window_us=1_000.0
         )
-        assert_bit_equal(continuous["outputs"], reference, specs)
-        assert_bit_equal(request["outputs"], reference, specs)
+        assert bit_equal(continuous["outputs"], reference)
+        assert bit_equal(request["outputs"], reference)
 
     def test_continuous_is_faster_than_request(self):
         config = toy_decoder()
@@ -112,7 +90,7 @@ class TestBitEquality:
         # Dense arrivals against a pool of 4 two-token pages (the
         # largest session alone needs all 4): admission must preempt.
         specs = mixed_decode_trace(8, seed=11, max_steps=8, horizon_s=2e-3)
-        reference = sequential_outputs(config, specs)
+        reference = oracle(config, specs)
         tight, engine = trace_outputs(
             config,
             specs,
@@ -123,7 +101,7 @@ class TestBitEquality:
         sched = engine._scheduler
         assert sched.preemptions > 0, "tight pool must force preemption"
         assert sched.swap_ins > 0, "preempted sessions must resume"
-        assert_bit_equal(tight["outputs"], reference, specs)
+        assert bit_equal(tight["outputs"], reference)
 
 
 class TestIterationMetrics:
@@ -162,7 +140,7 @@ class TestKVBudget:
         instead of overrunning."""
         config = toy_decoder()
         specs = mixed_decode_trace(8, seed=11, max_steps=8, horizon_s=2e-3)
-        reference = sequential_outputs(config, specs)
+        reference = oracle(config, specs)
         capacity = kv_cache_bytes(config, 2) * 4
         servable = DecodeServable(
             config, seed=1, block_size=2, kv_capacity_bytes=capacity
@@ -196,7 +174,7 @@ class TestKVBudget:
             )
         assert in_use and max(in_use) <= capacity
         assert engine._scheduler.preemptions > 0
-        assert_bit_equal(result["outputs"], reference, specs)
+        assert bit_equal(result["outputs"], reference)
 
 
 class TestLifecycle:
@@ -303,9 +281,5 @@ class TestWallClockContinuous:
         assert all(isinstance(r, np.ndarray) for r in results)
         # Same steps through a manual sequential engine: bits must agree.
         specs = mixed_decode_trace(2, seed=0, min_steps=3, max_steps=3)
-        reference = sequential_outputs(config, specs)
-        for i in range(2):
-            for t in range(3):
-                np.testing.assert_array_equal(
-                    results[t * 2 + i], reference[f"s{i}"][t]
-                )
+        reference = oracle(config, specs)
+        assert bit_equal(results, [reference[f"s{i}"][t] for t in range(3) for i in range(2)])

@@ -5,11 +5,16 @@ import pytest
 
 from repro.serving import (
     Arrival,
+    DecodeServable,
     TenantSpec,
     arrival_gaps,
+    decode_payload,
+    mixed_decode_trace,
     multi_tenant_arrivals,
     poisson_gaps,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode, sequential_outputs
+from repro.workloads import DecoderConfig
 
 TENANTS = (
     TenantSpec("vision-app", rate_rps=2000.0, weights={"vision": 1.0}),
@@ -119,3 +124,62 @@ class TestArrivalGaps:
 
     def test_empty_schedule(self):
         assert arrival_gaps([]) == []
+
+
+DECODER = DecoderConfig("oracle", depth=2, dim=16, heads=2, mlp_ratio=2.0)
+
+
+def make_decoder():
+    return DecodeServable(DECODER, seed=0, block_size=2)
+
+
+def token(i, t):
+    return decode_payload(5, i, t, DECODER.dim)
+
+
+class TestBitOracle:
+    def test_bit_equal_accepts_identical_nested_results(self):
+        want = {"s0": [np.arange(3.0), np.ones((2, 2))], "s1": []}
+        got = {"s1": [], "s0": [np.arange(3.0), np.ones((2, 2))]}
+        assert bit_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "got, want",
+        [
+            ([np.zeros(2)], [np.zeros(2), np.zeros(2)]),
+            (np.zeros((2, 2)), np.zeros(4)),
+            (np.zeros(2, dtype=np.float32), np.zeros(2)),
+            (np.array([-0.0]), np.array([0.0])),
+            ({"a": [np.zeros(1)]}, {"b": [np.zeros(1)]}),
+        ],
+        ids=["length", "shape", "dtype", "negative-zero", "keys"],
+    )
+    def test_bit_equal_rejects(self, got, want):
+        assert not bit_equal(got, want)
+        assert not bit_equal(want, got)
+
+    def test_prompt_len_is_load_bearing(self):
+        # Pre-opened prompt tokens carry softmax mass, so an oracle that
+        # ignored prompt_len would disagree with every prefix fork.
+        specs = mixed_decode_trace(2, seed=0, min_steps=2, max_steps=3)
+        plain = sequential_decode(make_decoder, specs, token)
+        prompted = sequential_decode(make_decoder, specs, token, prompt_len=4)
+        assert bit_equal(sequential_decode(make_decoder, specs, token, prompt_len=4), prompted)
+        assert [len(prompted[s.session_id]) for s in specs] == [s.steps for s in specs]
+        assert not bit_equal(prompted, plain)
+
+    def test_drain_oracle_agrees_with_per_session_oracle(self):
+        specs = mixed_decode_trace(3, seed=1, min_steps=2, max_steps=4)
+        steps = [
+            (i, spec.session_id, t)
+            for t in range(4)
+            for i, spec in enumerate(specs)
+            if t < spec.steps
+        ]
+        drained = sequential_outputs(
+            make_decoder(), [token(i, t) for i, _, t in steps], [sid for _, sid, _ in steps]
+        )
+        per_session = {spec.session_id: [] for spec in specs}
+        for (_, sid, _), output in zip(steps, drained):
+            per_session[sid].append(output)
+        assert bit_equal(per_session, sequential_decode(make_decoder, specs, token))

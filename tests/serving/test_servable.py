@@ -22,6 +22,7 @@ from repro.serving import (
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads import DecoderConfig, decode_servable, servable_model
 from repro.workloads.transformer import KIND_TEXT, TransformerConfig
 
@@ -355,19 +356,9 @@ class TestFrozenDecodeWeights:
         def payload_fn(i, t):
             return decode_payload(8, i, t, self.DECODER.dim)
 
-        reference = {}
-        for i, spec in enumerate(specs):
-            with ServingEngine(
-                DecodeServable(self.DECODER, seed=0, block_size=2),
-                config=EngineConfig(max_batch_size=1, max_wait_us=0.0),
-                clock=SimulatedClock(),
-            ) as engine:
-                outs = []
-                for t in range(spec.steps):
-                    handle = engine.submit(payload_fn(i, t), session_id=spec.session_id)
-                    engine.step()
-                    outs.append(handle.result(timeout=0))
-                reference[spec.session_id] = outs
+        reference = sequential_decode(
+            lambda: DecodeServable(self.DECODER, seed=0, block_size=2), specs, payload_fn
+        )
 
         calls = []
         original = quantization.quantize_array
@@ -399,11 +390,7 @@ class TestFrozenDecodeWeights:
         ) as cluster:
             result = run_decode_trace(cluster, specs, payload_fn=payload_fn)
 
-        for spec in specs:
-            got, want = result["outputs"][spec.session_id], reference[spec.session_id]
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b)
+        assert bit_equal(result["outputs"], reference)
         assert len(servables) == 2
         assert servables[0].executor is not servables[1].executor
         for servable in servables:
