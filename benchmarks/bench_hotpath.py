@@ -9,8 +9,7 @@ Sections, each with a hard equivalence gate and a measurement:
   - ``pipelined_matmul`` (any depth) == the sequential per-chunk
     oracle (``concatenate(core.matmul(chunk) for chunk in bounds)``),
   - pipelined == unpipelined (depth 0) == ``parallel=False``
-    sequential on :class:`ShardedDPTC`, across the ``thread`` and
-    ``process`` backends and both shard axes,
+    sequential on :class:`ShardedDPTC`, across both shard axes,
   - a single chunk (``chunk_size >= batch``) reproduces the unchunked
     whole-batch call bit for bit.
 
@@ -21,7 +20,7 @@ Sections, each with a hard equivalence gate and a measurement:
 
 * **Throughput + speedup floors** (nightly) — effective single-engine
   matmul throughput (GFLOP/s over the end-to-end noisy call) must
-  clear :data:`MIN_THROUGHPUT_GFLOPS`, and thread-backend pipelined
+  clear :data:`MIN_THROUGHPUT_GFLOPS`, and pipelined
   execution must beat the identical sequential chunk schedule by
   :data:`MIN_PIPELINE_SPEEDUP` on the headline case.  Overlap needs
   parallel hardware, so ``--report-only`` (the fast lane; also 1-CPU
@@ -105,8 +104,8 @@ def bit_equality() -> dict:
     )
     single_chunk_exact = bool(np.array_equal(whole, single_chunk))
 
-    # ShardedDPTC: pipelined == unpipelined == sequential, thread +
-    # process backends, both shard axes, chunked and unchunked.
+    # ShardedDPTC: pipelined == unpipelined == sequential, both shard
+    # axes, chunked and unchunked.
     sharded_bit_equal = {}
     for shard_axis in ("batch", "contraction"):
         for chunk_size in (None, 2):
@@ -117,17 +116,16 @@ def bit_equality() -> dict:
             want = sequential.matmul(a, b, rng=np.random.default_rng(5))
             sequential.close()
             equal = True
-            for backend in ("thread", "process"):
-                for depth in (0, 1, 2):
-                    engine = ShardedDPTC(
-                        num_cores=3, noise=NoiseModel.paper_default(),
-                        shard_axis=shard_axis, backend=backend,
-                        chunk_size=chunk_size, pipeline_depth=depth,
-                    )
-                    got = engine.matmul(a, b, rng=np.random.default_rng(5))
-                    engine.close()
-                    if not np.array_equal(want, got):
-                        equal = False
+            for depth in (0, 1, 2):
+                engine = ShardedDPTC(
+                    num_cores=3, noise=NoiseModel.paper_default(),
+                    shard_axis=shard_axis,
+                    chunk_size=chunk_size, pipeline_depth=depth,
+                )
+                got = engine.matmul(a, b, rng=np.random.default_rng(5))
+                engine.close()
+                if not np.array_equal(want, got):
+                    equal = False
             key = f"{shard_axis}/chunk={chunk_size}"
             sharded_bit_equal[key] = equal
     return {
@@ -197,7 +195,7 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_hotpath.json") -> di
     assert equality["oracle_exact"], "pipelined result drifted from the chunk oracle"
     assert equality["single_chunk_exact"], "single-chunk result drifted from unchunked"
     assert all(equality["sharded_bit_equal"].values()), (
-        "sharded pipelined execution drifted across backends/axes"
+        "sharded pipelined execution drifted across depths/axes"
     )
 
     stages = stage_breakdown()

@@ -12,13 +12,12 @@ Sections, each with a hard equivalence gate and a measurement:
   split merged by the digital partial-sum accumulator — is gated by a
   deterministic dispersion-only calibrated run that must recover the
   exact product, plus a direct splitter/accumulator mechanics check.
-  The noisy sharded path must be reproducible under a fixed seed,
-  bit-equal between the ``thread`` and ``process`` backends, and
+  The noisy sharded path must be reproducible under a fixed seed and
   statistically consistent with single-core execution.
 * **Scaling curve** — wall-clock of a noisy batched attention-shaped
   stack for ``num_cores in {1, 2, 4, 8}``, swept over both shard axes
-  (a batch-vs-contraction comparison; thread backend, recorded per
-  row along with ``shard_axis``).  Parallel headroom follows the
+  (a batch-vs-contraction comparison, ``shard_axis`` recorded per
+  row).  Parallel headroom follows the
   host's CPU count — recorded in the artifact — so a 1-CPU runner
   legitimately reports a flat curve; the curve is a trend record, not
   a gate.
@@ -30,8 +29,8 @@ Sections, each with a hard equivalence gate and a measurement:
 
 Emits a ``BENCH_sharded.json`` artifact (``--out PATH`` to relocate)
 with every number printed, for the CI trend record.  Every scaling row
-records ``backend`` and ``shard_axis`` so nightly artifacts
-distinguish the lanes.  ``--report-only`` relaxes the *speedup* floors
+records ``shard_axis`` so nightly artifacts distinguish the lanes.
+``--report-only`` relaxes the *speedup* floors
 (CI runners schedule unpredictably); the numerical equivalence gates
 always apply.
 """
@@ -147,29 +146,6 @@ def sharding_equivalence() -> dict:
         second = noisy.matmul(a, b, rng=np.random.default_rng(7))
         seeded_reproducible[axis] = bool(np.array_equal(first, second))
 
-    # Thread- and process-backend execution must be bit-equal on equal
-    # seeds (deterministic worker reconstruction + per-core streams).
-    backend_bit_equal = {}
-    a_small, b_small = cases["cores_gt_batch"]
-    for axis in ("batch", "contraction"):
-        thread = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(), shard_axis=axis
-        )
-        process = ShardedDPTC(
-            num_cores=2,
-            noise=NoiseModel.paper_default(),
-            shard_axis=axis,
-            backend="process",
-        )
-        backend_bit_equal[axis] = bool(
-            np.array_equal(
-                thread.matmul(a_small, b_small, rng=np.random.default_rng(13)),
-                process.matmul(a_small, b_small, rng=np.random.default_rng(13)),
-            )
-        )
-        process.close()
-        thread.close()
-
     errors = {}
     consistent = {}
     for axis, (noisy, (a, b)) in noisy_engines.items():
@@ -196,7 +172,6 @@ def sharding_equivalence() -> dict:
         "slab_path_exact": slab_path_exact,
         "slab_path_rel_error": slab_rel_error,
         "seeded_reproducible": seeded_reproducible,
-        "backend_bit_equal": backend_bit_equal,
         "noise_mean_rel_error": errors,
         "noise_statistics_consistent": consistent,
     }
@@ -207,9 +182,8 @@ def scaling_curve() -> list[dict]:
 
     The batch-vs-contraction comparison: the same attention-shaped
     stack sharded along the leading batch axis and along the K axis
-    (digital partial-sum accumulation), thread backend.  Each row
-    records ``shard_axis`` and ``backend`` so artifact lanes stay
-    distinguishable.
+    (digital partial-sum accumulation).  Each row records
+    ``shard_axis`` so artifact lanes stay distinguishable.
     """
     rng = np.random.default_rng(1)
     a = rng.normal(size=(SCALING_BATCH, SCALING_TOKENS, SCALING_DIM))
@@ -234,7 +208,6 @@ def scaling_curve() -> list[dict]:
             rows.append(
                 {
                     "shard_axis": shard_axis,
-                    "backend": engine.backend,
                     "num_cores": num_cores,
                     "ms": elapsed_ms,
                     "speedup_vs_1_core": base_ms / elapsed_ms,
@@ -306,7 +279,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_sharded.json") -> di
         print(
             f"  [{axis}] ideal bit-exact {equiv['ideal_bit_exact'][axis]} | "
             f"seed-reproducible {equiv['seeded_reproducible'][axis]} | "
-            f"thread==process {equiv['backend_bit_equal'][axis]} | "
             "rel err single {single_core:.4f} vs sharded(4) {sharded_4:.4f}".format(
                 **equiv["noise_mean_rel_error"][axis]
             )
@@ -316,9 +288,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_sharded.json") -> di
         )
         assert equiv["seeded_reproducible"][axis], (
             f"{axis}-sharded noise must be seed-reproducible"
-        )
-        assert equiv["backend_bit_equal"][axis], (
-            f"{axis}-sharded thread and process backends must be bit-equal"
         )
         assert equiv["noise_statistics_consistent"][axis], (
             f"per-core noise statistics drifted ({axis})"
@@ -344,7 +313,7 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_sharded.json") -> di
     scaling = scaling_curve()
     for row in scaling:
         print(
-            f"  [{row['shard_axis']:11s}/{row['backend']}] "
+            f"  [{row['shard_axis']:11s}] "
             f"{row['num_cores']} core(s): {row['ms']:7.2f} ms "
             f"({row['speedup_vs_1_core']:.2f}x vs 1 core)"
         )

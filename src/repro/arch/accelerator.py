@@ -67,8 +67,6 @@ class LighteningTransformer:
             ``"contraction"`` (per-core K-slabs with digital
             partial-sum accumulation after photodetection, the Sec. IV
             dataflow).
-        backend: ``"thread"`` or ``"process"`` shard execution;
-            bit-equal for equal seeds.
     """
 
     def __init__(
@@ -77,18 +75,16 @@ class LighteningTransformer:
         noise: NoiseModel | None = None,
         num_cores: int | None = None,
         shard_axis: str = "batch",
-        backend: str = "thread",
     ) -> None:
         self.config = config if config is not None else lt_base()
         self.noise = noise if noise is not None else NoiseModel.ideal()
         self.energy_model = LTEnergyModel(self.config)
         self.num_cores = 1 if num_cores is None else num_cores
         self.shard_axis = shard_axis
-        self.backend = backend
-        if self.num_cores == 1 and shard_axis == "batch" and backend == "thread":
+        if self.num_cores == 1 and shard_axis == "batch":
             self._dptc = DPTC(self.config.geometry, self.noise)
         else:
-            # ShardedDPTC validates shard_axis/backend; num_cores == 1
+            # ShardedDPTC validates shard_axis; num_cores == 1
             # with non-default knobs still degenerates to the plain
             # batched engine, just through the sharded front-end.
             self._dptc = ShardedDPTC(
@@ -96,16 +92,10 @@ class LighteningTransformer:
                 geometry=self.config.geometry,
                 noise=self.noise,
                 shard_axis=shard_axis,
-                backend=backend,
             )
 
     def close(self) -> None:
-        """Release the sharded engine's worker pool (no-op single-core).
-
-        Process-backed grids hold spawned worker processes; without an
-        explicit close they are only released when the engine is
-        garbage-collected (weakref finalizer).
-        """
+        """Release the sharded engine's worker pool (no-op single-core)."""
         if isinstance(self._dptc, ShardedDPTC):
             self._dptc.close()
 

@@ -13,6 +13,7 @@ cluster-bench`` CLI reads the same form via ``--config`` JSON.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.router import POLICIES
@@ -83,8 +84,8 @@ class ClusterConfig:
             )
         for name in ("memo_ttl_s", "prefix_ttl_s"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is not None and (not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def replace(self, **changes) -> "ClusterConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -2,8 +2,8 @@
 
 A :class:`Replica` wraps one :class:`~repro.serving.engine.ServingEngine`
 (and therefore one sharded photonic accelerator — the ``num_cores`` /
-``shard_axis`` / ``backend`` knobs apply per replica through whatever
-executor its servable was built with) and carries the cluster-visible
+``shard_axis`` knobs apply per replica through whatever executor its
+servable was built with) and carries the cluster-visible
 state machine::
 
     HEALTHY ──fail()──────────────► FAILED

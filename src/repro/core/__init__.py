@@ -9,7 +9,7 @@
   matmul as leading-batch-axis shards or contraction (K-axis) slabs
   with digital partial-sum accumulation (the multi-core scaling axes
   of the accelerator), each core with its own RNG stream and
-  calibration state, on a thread- or process-pool backend.
+  calibration state, on a thread pool.
 * :mod:`repro.core.hotpath` — chunked, double-buffered pipelining of
   the engine's SAMPLE/ENCODE/COMPUTE/DETECT stages (bit-identical to
   sequential execution for equal seeds) plus the per-stage profiler.
@@ -46,7 +46,6 @@ from repro.core.noise import (
     SystematicNoise,
 )
 from repro.core.sharding import (
-    BACKENDS,
     SHARD_AXES,
     DigitalAccumulator,
     ShardedDPTC,
@@ -55,7 +54,6 @@ from repro.core.sharding import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CHANNEL_CACHE_SIZE",
     "CalibratedDPTC",
     "DDot",

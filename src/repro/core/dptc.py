@@ -397,10 +397,9 @@ class DPTC:
 
         ``None`` when the call would short-circuit without sampling: an
         ideal engine, or an all-zero operand (the caller then fills
-        zeros).  Used by the process backend to ship *pre-drawn* noise
-        with shard jobs — the parent consumes the per-core stream in
-        exactly the order the worker would have, so results stay
-        bit-identical while the hot path stops pickling generators.
+        zeros).  :func:`~repro.core.hotpath.pipelined_matmul` runs it as
+        the SAMPLE stage of each chunk, so the stream is consumed in
+        exactly the order ``matmul`` would consume it.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)

@@ -23,18 +23,11 @@ consume.  The oracle::
     np.concatenate([core.matmul(a[s:e], b[s:e], rng=rng) for s, e in bounds])
 
 is bit-identical to ``pipelined_matmul(core, a, b, rng=rng, ...)`` for
-every ``pipeline_depth`` (0 = no overlap, same schedule) and every
-backend, because pipelining only reorders the stages in *wall-clock*
-time — the draws, their order, and every floating-point operation are
-unchanged.  With a single chunk (``chunk_size >= batch``) the schedule
-degenerates to the plain whole-batch call, bit for bit.
-
-**Shared-memory transport.**  :func:`pack_arrays` / :func:`unpack_spec`
-move process-backend shard operands (and pre-drawn noise) through one
-``multiprocessing.shared_memory`` segment per call instead of pickling
-every array into the job queue — the other half of ROADMAP's hot-path
-item.  Workers attach read-only-by-convention views and never return
-memory that aliases the segment.
+every ``pipeline_depth`` (0 = no overlap, same schedule), because
+pipelining only reorders the stages in *wall-clock* time — the draws,
+their order, and every floating-point operation are unchanged.  With a
+single chunk (``chunk_size >= batch``) the schedule degenerates to the
+plain whole-batch call, bit for bit.
 
 :func:`profile_stages` times the four stages (sample / encode /
 compute / detect) separately for the ``BENCH_hotpath.json`` breakdown
@@ -52,11 +45,6 @@ import numpy as np
 
 from repro.core.dptc import DPTC
 from repro.obs.trace import current_tracer
-
-try:  # pragma: no cover - absent only on exotic builds
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
 
 
 def chunk_bounds(batch: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -249,88 +237,6 @@ def _run_chunk_schedule(
             prepared = prepare(k)
         results[k] = finish(k, prepared)
     return np.concatenate(results, axis=0)
-
-
-# -- shared-memory transport (process backend) ----------------------------
-
-#: Byte alignment of packed arrays inside a shared segment.
-_ALIGN = 64
-
-
-def _aligned(n: int) -> int:
-    return (n + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def pack_arrays(
-    arrays: list[np.ndarray],
-) -> tuple["shared_memory.SharedMemory", list[tuple[int, tuple[int, ...], str]]]:
-    """Copy ``arrays`` into one fresh shared-memory segment.
-
-    Returns the segment (caller owns it: ``close()`` + ``unlink()``
-    after every consumer finished) and one ``(offset, shape, dtype)``
-    spec per array, in order.  Copying is a straight memcpy per array —
-    no pickle framing, no per-job serialisation on the hot path.
-    """
-    if shared_memory is None:  # pragma: no cover - guarded import
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    specs: list[tuple[int, tuple[int, ...], str]] = []
-    total = 0
-    for array in arrays:
-        specs.append((total, array.shape, array.dtype.str))
-        total += _aligned(array.nbytes)
-    segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    for array, (offset, shape, dtype) in zip(arrays, specs):
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=offset)
-        view[...] = array
-    return segment, specs
-
-
-def unpack_spec(
-    segment: "shared_memory.SharedMemory",
-    spec: tuple[int, tuple[int, ...], str],
-) -> np.ndarray:
-    """A view of one packed array inside an attached segment.
-
-    The view aliases the segment — consumers must not return it (or
-    anything sharing its memory) past ``segment.close()``.
-    """
-    offset, shape, dtype = spec
-    return np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=offset)
-
-
-def attach_segment(name: str) -> "shared_memory.SharedMemory":
-    """Attach to an existing shared segment by name (worker side).
-
-    Attaching must *not* register the segment with the resource
-    tracker: the consumer does not own it, and duplicate registrations
-    from several workers sharing one tracker collapse into one entry
-    that the first close would tear down.  Python 3.13 exposes
-    ``track=False`` for exactly this; earlier versions register
-    unconditionally, so registration is suppressed for the duration of
-    the attach (workers handle one job at a time, so the swap is safe).
-    """
-    if shared_memory is None:  # pragma: no cover - guarded import
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def release_segment(
-    segment: "shared_memory.SharedMemory", unlink: bool = False
-) -> None:
-    """Close a segment; ``unlink=True`` destroys it (owner side only)."""
-    segment.close()
-    if unlink:
-        segment.unlink()
 
 
 # -- stage profiling -------------------------------------------------------

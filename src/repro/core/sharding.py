@@ -23,8 +23,8 @@ Per-core state is genuinely per-core:
 * each core draws noise from its own RNG stream, spawned from the call's
   generator by core index (``rng.spawn``), so noise statistics stay
   per-core and a fixed seed reproduces the exact same per-core draws
-  regardless of which cores end up with work, which backend runs them,
-  or how the scheduler interleaves them.
+  regardless of which cores end up with work or how the scheduler
+  interleaves them.
 
 **Exactness contract.**  On the ideal path the sharded result is
 *bit-identical* to the single-core batched call (and to ``np.matmul``)
@@ -45,76 +45,40 @@ matches the single-core engine distributionally — each core is its own
 physical device with its own stochastic encoding, exactly as in
 hardware.
 
-**Backends.**  ``backend="thread"`` runs shards on a thread pool
-(numpy releases the GIL inside the heavy kernels).  ``backend=
-"process"`` runs them on a :class:`~concurrent.futures.
-ProcessPoolExecutor` for true parallelism on multi-CPU hosts: the
-per-core constructor arguments are pickled once per worker (pool
-initializer) and workers rebuild their :class:`DPTC` replicas
-deterministically on first use.  The hot path ships **no generators
-and no pickled operands**: the parent pre-draws each job's noise from
-the per-core stream (:meth:`DPTC.predraw`, consumed in exactly the
-order the worker would have) and packs operands plus draw arrays into
-one ``multiprocessing.shared_memory`` segment per call
-(:mod:`repro.core.hotpath`), so jobs carry only names, offsets and
-shapes.  Thread, process, and sequential execution of the same seed
-are therefore bit-equal and independent of scheduling.  The pool uses
-the ``spawn`` start method, which behaves identically on every
-platform and never forks a threaded parent.  Results are reassembled
-in shard (core) order, so the output never depends on the backend or
-schedule.
+**Parallel execution.**  Shards run on a thread pool, one worker per
+core (numpy releases the GIL inside the heavy kernels).  Results are
+reassembled in shard (core) order and every core consumes only its own
+stream, so parallel and sequential (``parallel=False``) execution of the
+same seed are bit-equal and independent of scheduling.
 
 **Chunked pipelining.**  ``chunk_size=c`` splits every per-core shard
 into chunks of at most ``c`` stacks along the leading batch axis and
 executes them through :func:`repro.core.hotpath.pipelined_matmul`:
-with ``pipeline_depth >= 1`` (thread backend) each core's SAMPLE +
-ENCODE stage for chunk ``k+1`` runs on a dedicated single-worker
-prefetch thread while COMPUTE + DETECT of chunk ``k`` occupies the
-core's pool thread; on the process backend the parent plays the
-prefetch stage — it pre-draws every chunk's noise while the workers
-chew through ENCODE+COMPUTE+DETECT.  Chunked execution consumes the
-RNG in per-chunk fused draws, chunks in batch order, which is exactly
-the stream sequential per-chunk engine calls would consume — so for
-equal seeds pipelined == unpipelined == sequential, bit for bit,
-across backends and shard axes.  ``chunk_size=None`` (default) keeps
-the whole-batch draw order of the unchunked engine.
+with ``pipeline_depth >= 1`` each core's SAMPLE + ENCODE stage for
+chunk ``k+1`` runs on a dedicated single-worker prefetch thread while
+COMPUTE + DETECT of chunk ``k`` occupies the core's pool thread.
+Chunked execution consumes the RNG in per-chunk fused draws, chunks in
+batch order, which is exactly the stream sequential per-chunk engine
+calls would consume — so for equal seeds pipelined == unpipelined ==
+sequential, bit for bit, on both shard axes.  ``chunk_size=None``
+(default) keeps the whole-batch draw order of the unchunked engine.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.dptc import DPTC, DPTCGeometry, DPTCNoiseDraw
-from repro.core.hotpath import (
-    attach_segment,
-    chunk_bounds,
-    pack_arrays,
-    pipelined_matmul,
-    release_segment,
-    slice_batch_operand,
-    unpack_spec,
-)
-from repro.core.hotpath import shared_memory as _shm_module
+from repro.core.dptc import DPTC, DPTCGeometry
+from repro.core.hotpath import pipelined_matmul, slice_batch_operand
 from repro.core.noise import NoiseModel
 from repro.obs.trace import current_tracer
 from repro.optics.wdm import WDMGrid
 
 #: Supported sharding axes: leading batch axis or the contraction (K) axis.
 SHARD_AXES = ("batch", "contraction")
-
-#: Supported shard-execution backends.
-BACKENDS = ("thread", "process")
-
-#: Start method for the process backend.  ``spawn`` is deliberately
-#: chosen over the Linux default ``fork``: it behaves identically on
-#: every platform, never forks a parent that already runs pool threads,
-#: and makes worker state reconstruction explicit (the initializer),
-#: which is what keeps seeded runs scheduler-independent.
-_MP_START_METHOD = "spawn"
 
 
 def shard_bounds(batch: int, num_shards: int) -> list[tuple[int, int]]:
@@ -182,73 +146,6 @@ class DigitalAccumulator:
         return out
 
 
-# -- process-backend worker state -----------------------------------------
-#
-# Each worker process rebuilds its DPTC replicas from constructor
-# arguments shipped once via the pool initializer (pickled once per
-# worker).  Construction is deterministic, and every job carries the
-# core index plus that core's *pre-drawn* noise (or none, on the ideal
-# path), so results depend only on (seed, core index, operands) — never
-# on which worker happens to execute which core.
-
-_WORKER_FACTORY: tuple | None = None
-_WORKER_CORES: dict[int, DPTC] = {}
-
-
-def _process_worker_init(
-    core_cls: type[DPTC],
-    geometry: DPTCGeometry,
-    noise: NoiseModel,
-    grid: WDMGrid,
-) -> None:
-    global _WORKER_FACTORY
-    _WORKER_FACTORY = (core_cls, geometry, noise, grid)
-    _WORKER_CORES.clear()
-
-
-def _resolve_ref(segment, ref):
-    """An operand/draw component from its job reference.
-
-    Specs (``(offset, shape, dtype)`` tuples) resolve to views of the
-    shared segment; plain floats and ndarrays (the inline-pickle
-    fallback) pass through unchanged.
-    """
-    if isinstance(ref, tuple):
-        return unpack_spec(segment, ref)
-    return ref
-
-
-def _process_worker_run(job: tuple) -> np.ndarray:
-    """Execute one ``(shm_name, core_index, a_ref, b_ref, draw_refs)`` job.
-
-    ``draw_refs`` is ``None`` only on the ideal path (exact matmul, no
-    noise to draw); noisy jobs always carry the parent's pre-drawn
-    realisation, so workers never touch an RNG.  Shared segments are
-    attached per job and released before returning — the engine's
-    matmul never returns memory aliasing its inputs, so the result
-    survives the detach.
-    """
-    shm_name, core_index, a_ref, b_ref, draw_refs = job
-    core = _WORKER_CORES.get(core_index)
-    if core is None:
-        if _WORKER_FACTORY is None:
-            raise RuntimeError("process worker used before initialization")
-        core_cls, geometry, noise, grid = _WORKER_FACTORY
-        core = core_cls(geometry, noise, grid)
-        _WORKER_CORES[core_index] = core
-    segment = attach_segment(shm_name) if shm_name is not None else None
-    try:
-        a = _resolve_ref(segment, a_ref)
-        b = _resolve_ref(segment, b_ref)
-        if draw_refs is None:
-            return core.matmul(a, b)
-        draw = DPTCNoiseDraw(*(_resolve_ref(segment, ref) for ref in draw_refs))
-        return core.matmul(a, b, draw=draw)
-    finally:
-        if segment is not None:
-            release_segment(segment)
-
-
 class ShardedDPTC:
     """N DPTC cores executing one batched matmul as shards.
 
@@ -263,26 +160,19 @@ class ShardedDPTC:
         geometry / noise / grid: forwarded to every core.
         core_cls: core implementation, e.g. :class:`CalibratedDPTC`;
             each core gets its own instance (own calibration state).
-        parallel: run shards on the worker pool; sequential execution
+        parallel: run shards on the thread pool; sequential execution
             (``parallel=False``) gives bit-identical results.
         shard_axis: ``"batch"`` splits the leading batch axis into
             contiguous per-core shards; ``"contraction"`` splits the
             K axis into contiguous per-core slabs whose partial
             products are digitally accumulated in core order.
-        backend: ``"thread"`` (default) or ``"process"``; see the
-            module docstring.  Bit-equal for equal seeds.
         chunk_size: when set, split each core's shard into chunks of at
             most this many stacks along the leading batch axis and
             pipeline them (see the module docstring); ``None`` keeps
             the unchunked whole-shard draw order.
         pipeline_depth: chunks the prefetch stage may run ahead of
-            compute (thread backend; the process backend's parent-side
-            predraw is inherently ahead).  0 runs the chunk schedule
-            strictly sequentially — bit-identical, no overlap.
-        shared_memory: ship process-backend operands and draws through
-            ``multiprocessing.shared_memory`` (default) instead of
-            pickling them into the job queue.  Results are bit-equal
-            either way; the flag exists as an escape hatch.
+            compute.  0 runs the chunk schedule strictly sequentially —
+            bit-identical, no overlap.
     """
 
     def __init__(
@@ -294,20 +184,14 @@ class ShardedDPTC:
         core_cls: type[DPTC] = DPTC,
         parallel: bool = True,
         shard_axis: str = "batch",
-        backend: str = "thread",
         chunk_size: int | None = None,
         pipeline_depth: int = 1,
-        shared_memory: bool = True,
     ) -> None:
         if num_cores < 1:
             raise ValueError(f"num_cores must be >= 1, got {num_cores}")
         if shard_axis not in SHARD_AXES:
             raise ValueError(
                 f"shard_axis must be one of {SHARD_AXES}, got {shard_axis!r}"
-            )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
             )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
@@ -317,8 +201,6 @@ class ShardedDPTC:
             )
         self.num_cores = num_cores
         self.shard_axis = shard_axis
-        self.backend = backend
-        self.core_cls = core_cls
         self.cores = [core_cls(geometry, noise, grid) for _ in range(num_cores)]
         self.geometry = self.cores[0].geometry
         self.noise = self.cores[0].noise
@@ -326,8 +208,7 @@ class ShardedDPTC:
         self.parallel = parallel
         self.chunk_size = chunk_size
         self.pipeline_depth = pipeline_depth
-        self.shared_memory = shared_memory and _shm_module is not None
-        self._pool: Executor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
         self._prefetch_pools: list[ThreadPoolExecutor | None] = [None] * num_cores
         self._prefetch_finalizers: list[weakref.finalize] = []
@@ -340,9 +221,8 @@ class ShardedDPTC:
         gets a ``RuntimeError`` from ``submit`` and falls back to
         preparing chunks inline (same draws, same order), so a
         close-while-busy never deadlocks and never changes results.
-        Releases thread *and* process pools alike and detaches the
-        garbage-collection finalizers, so no executor outlives an
-        explicitly closed engine.
+        Detaches the garbage-collection finalizers too, so no executor
+        outlives an explicitly closed engine.
         """
         for index, pool in enumerate(self._prefetch_pools):
             if pool is not None:
@@ -358,19 +238,11 @@ class ShardedDPTC:
             self._finalizer.detach()
             self._finalizer = None
 
-    def _workers(self) -> Executor:
+    def _workers(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.num_cores,
-                    mp_context=multiprocessing.get_context(_MP_START_METHOD),
-                    initializer=_process_worker_init,
-                    initargs=(self.core_cls, self.geometry, self.noise, self.grid),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.num_cores, thread_name_prefix="dptc-core"
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.num_cores, thread_name_prefix="dptc-core"
+            )
             # Release the workers when this engine is collected; the
             # finalizer holds the pool, not self, so no cycle.
             self._finalizer = weakref.finalize(
@@ -484,169 +356,11 @@ class ShardedDPTC:
                 self._core_matmul(index, a, b, stream, trace, sequential=True)
                 for index, a, b, stream in jobs
             ]
-        if self.backend == "process":
-            # Spans cannot cross the process boundary; the parent's
-            # SAMPLE stage + dispatch is visible as one point event.
-            trace[1].add_event(
-                "process_dispatch",
-                jobs=len(jobs),
-                cores=sorted({job[0] for job in jobs}),
-            )
-            return self._run_jobs_process(jobs)
-
         def run(job: tuple) -> np.ndarray:
             index, a, b, stream = job
             return self._core_matmul(index, a, b, stream, trace)
 
         return list(self._workers().map(run, jobs))
-
-    def _run_jobs_process(self, jobs: list[tuple]) -> list[np.ndarray]:
-        """Process-backend execution with pre-drawn noise + shared memory.
-
-        The parent is the pipeline's SAMPLE stage: it consumes each
-        per-core stream chunk-by-chunk (exactly the order the chunked
-        thread/sequential paths consume it), packs operands and draw
-        arrays into one shared segment, and ships reference-only jobs.
-        All-zero chunks short-circuit parent-side — the worker never
-        sees them, matching the engine's draw-less zero fast path.
-        """
-        raw: list[tuple[int, np.ndarray, np.ndarray, DPTCNoiseDraw | None]] = []
-        plan: list[list[tuple]] = []  # ("zeros", shape) | ("job", raw_index)
-        for index, a, b, stream in jobs:
-            entries: list[tuple] = []
-            if self.noise.is_ideal:
-                # Exact matmul: no draws, no chunk gain — one whole job.
-                entries.append(("job", len(raw)))
-                raw.append((index, a, b, None))
-                plan.append(entries)
-                continue
-            out_shape = DPTC._broadcast_out_shape(a.shape, b.shape)
-            batch = out_shape[:-2]
-            chunked = (
-                self.chunk_size is not None
-                and bool(batch)
-                and batch[0] > self.chunk_size
-            )
-            if not chunked:
-                draw = self.cores[index].predraw(a, b, stream)
-                if draw is None:
-                    entries.append(("zeros", out_shape))
-                else:
-                    entries.append(("job", len(raw)))
-                    raw.append((index, a, b, draw))
-                plan.append(entries)
-                continue
-            batch_rank = len(batch)
-            for start, stop in chunk_bounds(batch[0], self.chunk_size):
-                a_chunk = slice_batch_operand(a, batch_rank, start, stop)
-                b_chunk = slice_batch_operand(b, batch_rank, start, stop)
-                draw = self.cores[index].predraw(a_chunk, b_chunk, stream)
-                if draw is None:
-                    entries.append(("zeros", (stop - start,) + out_shape[1:]))
-                else:
-                    entries.append(("job", len(raw)))
-                    raw.append((index, a_chunk, b_chunk, draw))
-            plan.append(entries)
-
-        job_results: list[np.ndarray] = []
-        if raw:
-            packed_jobs, segment = self._pack_process_jobs(raw)
-            try:
-                job_results = list(
-                    self._workers().map(_process_worker_run, packed_jobs)
-                )
-            finally:
-                if segment is not None:
-                    release_segment(segment, unlink=True)
-
-        results = []
-        for entries in plan:
-            parts = [
-                np.zeros(payload) if tag == "zeros" else job_results[payload]
-                for tag, payload in entries
-            ]
-            results.append(
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-            )
-        return results
-
-    def _pack_process_jobs(self, raw: list[tuple]) -> tuple[list[tuple], object]:
-        """Turn predrawn jobs into shipped jobs (+ the shared segment).
-
-        With shared memory enabled, every distinct operand/draw array is
-        copied into the segment exactly once (dedupe by identity — a
-        broadcast weight shared across cores packs once) and jobs carry
-        ``(offset, shape, dtype)`` specs; scalars ride along inline.
-        The fallback ships the arrays themselves (pickled), same job
-        shape, ``shm_name=None``.
-        """
-        if not self.shared_memory:
-            return [
-                (
-                    None,
-                    index,
-                    a,
-                    b,
-                    None if draw is None else (
-                        draw.magnitude_a,
-                        draw.magnitude_b,
-                        draw.phase_a,
-                        draw.phase_b,
-                        draw.systematic,
-                    ),
-                )
-                for index, a, b, draw in raw
-            ], None
-        arrays: list[np.ndarray] = []
-        slot_by_id: dict[int, int] = {}
-        staged: list[tuple] = []
-
-        def stage(x):
-            if isinstance(x, np.ndarray):
-                key = id(x)
-                if key not in slot_by_id:
-                    slot_by_id[key] = len(arrays)
-                    arrays.append(x)
-                return ("slot", slot_by_id[key])
-            return ("inline", x)
-
-        for index, a, b, draw in raw:
-            staged.append(
-                (
-                    index,
-                    stage(a),
-                    stage(b),
-                    None if draw is None else tuple(
-                        stage(component)
-                        for component in (
-                            draw.magnitude_a,
-                            draw.magnitude_b,
-                            draw.phase_a,
-                            draw.phase_b,
-                            draw.systematic,
-                        )
-                    ),
-                )
-            )
-        segment, specs = pack_arrays(arrays)
-
-        def resolve(ref):
-            tag, payload = ref
-            return specs[payload] if tag == "slot" else payload
-
-        packed = [
-            (
-                segment.name,
-                index,
-                resolve(a_ref),
-                resolve(b_ref),
-                None if draw_refs is None else tuple(
-                    resolve(ref) for ref in draw_refs
-                ),
-            )
-            for index, a_ref, b_ref, draw_refs in staged
-        ]
-        return packed, segment
 
     def matmul(
         self,
@@ -668,7 +382,6 @@ class ShardedDPTC:
             "shard.matmul",
             num_cores=self.num_cores,
             shard_axis=self.shard_axis,
-            backend=self.backend,
             batch=list(out_shape[:-2]),
         ) as span:
             trace = (tracer, span)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.dptc import DPTC, DPTCGeometry
 from repro.core.noise import NoiseModel
-from repro.core.sharding import BACKENDS, SHARD_AXES, ShardedDPTC
+from repro.core.sharding import SHARD_AXES, ShardedDPTC
 from repro.neural import quantization
 from repro.neural.autograd import Tensor, is_grad_enabled
 from repro.neural.quantization import QuantConfig, straight_through
@@ -44,16 +44,13 @@ class PhotonicExecutor:
             quantization (full-precision floats on an ideal core).
         rng: noise sampling stream (seed for reproducibility).
         num_cores: DPTC cores to shard batched matmuls over.  1 keeps
-            the single-core engine (``shard_axis``/``backend`` are then
-            inert); >1 shards across a :class:`ShardedDPTC` grid
+            the single-core engine (``shard_axis`` is then inert); >1
+            shards across a :class:`ShardedDPTC` grid
             (bit-identical on the ideal path, per-core noise streams
             otherwise).
         shard_axis: ``"batch"`` splits the leading batch axis across
             the cores; ``"contraction"`` splits the K axis, with
             digital partial-sum accumulation after photodetection.
-        backend: ``"thread"`` or ``"process"`` shard execution;
-            bit-equal for equal seeds, process gives true parallelism
-            on multi-CPU hosts.
         chunk_size: when set, chunk each core's batched matmul along
             the leading batch axis and pipeline the chunks (SAMPLE +
             ENCODE of chunk ``k+1`` overlapping COMPUTE + DETECT of
@@ -70,7 +67,6 @@ class PhotonicExecutor:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
     num_cores: int = 1
     shard_axis: str = "batch"
-    backend: str = "thread"
     chunk_size: int | None = None
     pipeline_depth: int = 1
 
@@ -80,10 +76,6 @@ class PhotonicExecutor:
         if self.shard_axis not in SHARD_AXES:
             raise ValueError(
                 f"shard_axis must be one of {SHARD_AXES}, got {self.shard_axis!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
@@ -104,7 +96,6 @@ class PhotonicExecutor:
                 geometry=self.geometry,
                 noise=self.noise,
                 shard_axis=self.shard_axis,
-                backend=self.backend,
                 chunk_size=self.chunk_size,
                 pipeline_depth=self.pipeline_depth,
             )
@@ -129,7 +120,6 @@ class PhotonicExecutor:
         cls,
         num_cores: int = 1,
         shard_axis: str = "batch",
-        backend: str = "thread",
         chunk_size: int | None = None,
         pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
@@ -139,7 +129,6 @@ class PhotonicExecutor:
             quant=None,
             num_cores=num_cores,
             shard_axis=shard_axis,
-            backend=backend,
             chunk_size=chunk_size,
             pipeline_depth=pipeline_depth,
         )
@@ -156,18 +145,19 @@ class PhotonicExecutor:
         seed: int | None = None,
         num_cores: int = 1,
         shard_axis: str = "batch",
-        backend: str = "thread",
+        backend: str = "thread",  # still passed by perfbench/workloads.py; drop with it
         chunk_size: int | None = None,
         pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
         """Quantized execution with the paper's full noise model."""
+        if backend != "thread":
+            raise ValueError(f"backend must be 'thread', got {backend!r}")
         return cls(
             noise=NoiseModel.paper_default(),
             quant=quant or QuantConfig.int4(),
             rng=np.random.default_rng(seed),
             num_cores=num_cores,
             shard_axis=shard_axis,
-            backend=backend,
             chunk_size=chunk_size,
             pipeline_depth=pipeline_depth,
         )

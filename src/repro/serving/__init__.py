@@ -4,8 +4,8 @@ The request-to-batch layer of the stack: concurrent ``submit()`` calls
 enter a bounded :class:`RequestQueue`, and the :class:`ServingEngine`
 runs one loop over an :class:`IterationScheduler` that composes each
 iteration's ``[batch, ...]`` tensor and executes it on the sharded
-photonic engine (the executor's ``num_cores`` / ``shard_axis`` /
-``backend`` knobs apply unchanged).  ``EngineConfig.scheduler`` picks
+photonic engine (the executor's ``num_cores`` / ``shard_axis`` knobs
+apply unchanged).  ``EngineConfig.scheduler`` picks
 the loop's batching window and intake: ``"request"`` holds a partial
 batch up to ``max_wait_us`` and admits one FIFO batch of at most
 ``max_batch_size`` per iteration, ``"continuous"`` admits every arrival

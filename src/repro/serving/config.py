@@ -3,7 +3,7 @@
 Six PRs of engine growth left knobs scattered across constructors:
 batching (``max_batch_size``/``max_wait_us``), scheduling
 (``scheduler``/``iteration_cost``), executor geometry
-(``num_cores``/``shard_axis``/``backend``) and KV paging
+(``num_cores``/``shard_axis``) and KV paging
 (``block_size``/``kv_capacity_bytes``/``kv_bits``) each lived on
 whichever call site grew them first.  :class:`EngineConfig` collapses
 that surface into one frozen, validated dataclass accepted by
@@ -23,6 +23,7 @@ benchmark scripts share one serialized form.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,10 +34,9 @@ from repro.serving.scheduler import IterationCost
 #: iteration-level continuous batching).
 SCHEDULERS = ("request", "continuous")
 
-#: Executor sharding axes / backends accepted by
+#: Executor sharding axes accepted by
 #: :meth:`repro.neural.photonic.PhotonicExecutor.ideal`.
 SHARD_AXES = ("batch", "contraction")
-BACKENDS = ("thread", "process")
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -56,7 +56,6 @@ class EngineConfig:
             (simulated clock only); ``None`` = no virtual time.
         num_cores: photonic cores the executor shards over.
         shard_axis: ``"batch"`` or ``"contraction"``.
-        backend: ``"thread"`` or ``"process"`` executor pool.
         chunk_size: hot-path pipelining chunk (stacks per chunk along
             the leading batch axis); ``None`` disables chunking.
         pipeline_depth: chunks the engine's prefetch stage may run
@@ -75,7 +74,6 @@ class EngineConfig:
     iteration_cost: IterationCost | None = None
     num_cores: int = 1
     shard_axis: str = "batch"
-    backend: str = "thread"
     chunk_size: int | None = None
     pipeline_depth: int = 1
     block_size: int = 1
@@ -88,8 +86,10 @@ class EngineConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {self.max_wait_us}")
+        if not math.isfinite(self.max_wait_us) or self.max_wait_us < 0:
+            raise ValueError(
+                f"max_wait_us must be finite and >= 0, got {self.max_wait_us}"
+            )
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.scheduler not in SCHEDULERS:
@@ -103,10 +103,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown shard_axis {self.shard_axis!r}; expected one of "
                 f"{SHARD_AXES}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(

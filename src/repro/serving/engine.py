@@ -25,9 +25,8 @@ Two execution regimes share every code path except what drives the loop:
   deterministically.
 
 The engine inherits the photonic execution configuration from whatever
-executor the servable's model was built with — ``num_cores``,
-``shard_axis`` and ``backend`` all apply to the coalesced
-``[batch, ...]`` stacks unchanged.
+executor the servable's model was built with — ``num_cores`` and
+``shard_axis`` apply to the coalesced ``[batch, ...]`` stacks unchanged.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ steps are failed rather than spinning forever.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -52,8 +53,9 @@ class IterationCost:
     per_request_s: float = 250e-6
 
     def __post_init__(self) -> None:
-        if self.base_s < 0 or self.per_request_s < 0:
-            raise ValueError(f"iteration costs must be >= 0: {self}")
+        for cost in (self.base_s, self.per_request_s):
+            if not math.isfinite(cost) or cost < 0:
+                raise ValueError(f"iteration costs must be finite and >= 0: {self}")
 
     def batch_seconds(self, batch_size: int) -> float:
         if batch_size < 1:

@@ -239,7 +239,6 @@ def decode_servable(
         executor = PhotonicExecutor.ideal(
             num_cores=engine.num_cores,
             shard_axis=engine.shard_axis,
-            backend=engine.backend,
             chunk_size=engine.chunk_size,
             pipeline_depth=engine.pipeline_depth,
         )

@@ -320,7 +320,7 @@ def servable_model(
         executor: shared :class:`~repro.neural.photonic.PhotonicExecutor`
             (defaults to the model's own ideal executor, or — when
             ``engine`` is given — an ideal executor with the engine's
-            ``num_cores`` / ``shard_axis`` / ``backend``).
+            ``num_cores`` / ``shard_axis``).
         vocab_size: token vocabulary for text configs.
         seed: weight-initialisation seed (equal seeds give bit-identical
             models — the serving equivalence gate relies on this).
@@ -342,7 +342,6 @@ def servable_model(
         executor = PhotonicExecutor.ideal(
             num_cores=engine.num_cores,
             shard_axis=engine.shard_axis,
-            backend=engine.backend,
             chunk_size=engine.chunk_size,
             pipeline_depth=engine.pipeline_depth,
         )

@@ -136,6 +136,10 @@ class TestContractionShardedExecution:
         a = rng.normal(size=(5, 12, 29))  # 29 not divisible by 8 cores
         b = rng.normal(size=(5, 29, 10))
         assert np.array_equal(grid.matmul(a, b), np.matmul(a, b))
+        # Performance models are unaffected by the functional knobs.
+        assert grid.run(deit_tiny()).cycles == LighteningTransformer(
+            config
+        ).run(deit_tiny()).cycles
 
     def test_noisy_contraction_grid_reproducible(self):
         acc = LighteningTransformer(
@@ -151,17 +155,6 @@ class TestContractionShardedExecution:
         second = acc.matmul(a, b, rng=np.random.default_rng(17))
         assert np.array_equal(first, second)
 
-    def test_backend_knob_threads_through(self):
-        from repro.core import ShardedDPTC
-
-        acc = LighteningTransformer(lt_base(), num_cores=2, backend="process")
-        assert isinstance(acc._dptc, ShardedDPTC)
-        assert acc._dptc.backend == "process"
-        # Performance models are unaffected by the functional knobs.
-        assert acc.run(deit_tiny()).cycles == LighteningTransformer(
-            lt_base()
-        ).run(deit_tiny()).cycles
-
     def test_single_core_with_knobs_degenerates(self):
         """num_cores=1 + non-default knobs: sharded front-end, plain
         batched engine semantics."""
@@ -174,8 +167,6 @@ class TestContractionShardedExecution:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             LighteningTransformer(lt_base(), num_cores=2, shard_axis="tile")
-        with pytest.raises(ValueError):
-            LighteningTransformer(lt_base(), num_cores=2, backend="mpi")
 
     def test_close_releases_grid_pool(self):
         acc = LighteningTransformer(

@@ -1,10 +1,10 @@
-"""Tests for the engine hot path: chunked pipelining + shm transport.
+"""Tests for the engine hot path: chunked pipelining and stage profiling.
 
 The load-bearing invariant is *bit-equality*: pipelining only reorders
 the SAMPLE/ENCODE/COMPUTE/DETECT stages in wall-clock time — the RNG
 draws, their order, and every floating-point operation are unchanged.
 So every pipelined configuration must reproduce the sequential
-per-chunk oracle exactly, across depths, backends, and shard axes,
+per-chunk oracle exactly, across depths and shard axes,
 including under close-while-busy shutdown races.
 """
 
@@ -24,14 +24,7 @@ from repro.core import (
     pipelined_matmul,
     profile_stages,
 )
-from repro.core.hotpath import (
-    attach_segment,
-    best_of,
-    pack_arrays,
-    release_segment,
-    slice_batch_operand,
-    unpack_spec,
-)
+from repro.core.hotpath import best_of, slice_batch_operand
 
 
 def operands(seed, a_shape, b_shape):
@@ -269,82 +262,6 @@ class TestShardedChunkedExecution:
             assert not closer.is_alive()
         engine.close()
         assert np.array_equal(want, got)
-
-
-class TestProcessBackendChunked:
-    """Parent-side predraw + shm transport stays bit-equal (one heavy
-    engine reused: process pools are slow to spawn)."""
-
-    def test_chunked_process_matches_sequential(self):
-        a, b = operands(10, (6, 4, 16), (6, 16, 4))
-        a[2] = 0.0  # all-zero chunk short-circuits parent-side
-        sequential = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(),
-            parallel=False, chunk_size=2,
-        )
-        want = sequential.matmul(a, b, rng=np.random.default_rng(23))
-        sequential.close()
-        engine = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(),
-            backend="process", chunk_size=2,
-        )
-        got_shm = engine.matmul(a, b, rng=np.random.default_rng(23))
-        engine.close()
-        inline = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(),
-            backend="process", chunk_size=2, shared_memory=False,
-        )
-        got_inline = inline.matmul(a, b, rng=np.random.default_rng(23))
-        inline.close()
-        assert np.array_equal(want, got_shm)
-        assert np.array_equal(want, got_inline)
-
-
-class TestSharedMemoryTransport:
-    def test_pack_unpack_roundtrip(self):
-        rng = np.random.default_rng(0)
-        arrays = [
-            rng.normal(size=(3, 5)),
-            np.arange(7, dtype=np.int64),
-            rng.normal(size=(2, 2, 2)),
-        ]
-        segment, specs = pack_arrays(arrays)
-        try:
-            for array, spec in zip(arrays, specs):
-                assert np.array_equal(unpack_spec(segment, spec), array)
-            offsets = [spec[0] for spec in specs]
-            assert all(offset % 64 == 0 for offset in offsets)
-            assert offsets == sorted(offsets)
-        finally:
-            release_segment(segment, unlink=True)
-
-    def test_attach_is_untracked_and_sees_owner_data(self):
-        payload = np.arange(12.0).reshape(3, 4)
-        segment, specs = pack_arrays([payload])
-        try:
-            attached = attach_segment(segment.name)
-            try:
-                assert np.array_equal(unpack_spec(attached, specs[0]), payload)
-            finally:
-                release_segment(attached)
-        finally:
-            release_segment(segment, unlink=True)
-
-    def test_empty_pack_allocates_minimal_segment(self):
-        segment, specs = pack_arrays([])
-        try:
-            assert specs == []
-        finally:
-            release_segment(segment, unlink=True)
-
-    def test_non_contiguous_views_pack_by_value(self):
-        base = np.arange(24.0).reshape(4, 6)
-        view = base[::2, ::3]  # non-contiguous
-        segment, specs = pack_arrays([view])
-        try:
-            assert np.array_equal(unpack_spec(segment, specs[0]), view)
-        finally:
-            release_segment(segment, unlink=True)
 
 
 class TestProfileStages:

@@ -6,6 +6,8 @@ under a fixed seed, and exact ideal-path equivalence with the
 single-core batched engine.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,32 @@ class TestPerCoreState:
             ShardedDPTC(num_cores=2).matmul(
                 np.ones((2, 4, 6)), np.ones((3, 6, 5))
             )
+
+
+class TestPoolLifecycle:
+    def test_close_releases_pool_and_finalizer(self):
+        engine = ShardedDPTC(num_cores=2, noise=NoiseModel.paper_default())
+        a, b = operands(4, (4, 3, 12), (4, 12, 3))
+        engine.matmul(a, b, rng=np.random.default_rng(0))
+        assert engine._pool is not None
+        assert engine._finalizer is not None and engine._finalizer.alive
+        finalizer = engine._finalizer
+        engine.close()
+        assert engine._pool is None
+        assert engine._finalizer is None
+        assert not finalizer.alive  # detached: nothing left to leak
+        engine.close()  # idempotent
+
+    def test_finalizer_shuts_down_dropped_engine(self):
+        """An engine dropped without close() releases its pool via the
+        weakref finalizer (no leaked executors)."""
+        engine = ShardedDPTC(num_cores=2, noise=NoiseModel.paper_default())
+        a, b = operands(5, (4, 3, 12), (4, 12, 3))
+        engine.matmul(a, b, rng=np.random.default_rng(0))
+        pool = engine._pool
+        finalizer = engine._finalizer
+        assert finalizer.alive
+        del engine
+        gc.collect()
+        assert not finalizer.alive  # finalizer ran at collection
+        assert pool._shutdown

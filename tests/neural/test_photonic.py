@@ -110,7 +110,7 @@ class TestShardedExecutor:
 
 
 class TestContractionAndBackendKnobs:
-    """shard_axis / backend thread through to the ShardedDPTC grid."""
+    """shard_axis threads through to the ShardedDPTC grid."""
 
     def test_contraction_grid_built(self):
         from repro.core import ShardedDPTC
@@ -141,13 +141,8 @@ class TestContractionAndBackendKnobs:
     def test_single_core_ignores_knobs_with_plain_dptc(self):
         from repro.core import DPTC
 
-        executor = PhotonicExecutor.ideal(shard_axis="contraction", backend="process")
+        executor = PhotonicExecutor.ideal(shard_axis="contraction")
         assert isinstance(executor._dptc, DPTC)
-
-    def test_backend_knob_recorded(self):
-        executor = PhotonicExecutor.ideal(num_cores=2, backend="process")
-        assert executor._dptc.backend == "process"
-        executor.close()
 
     def test_close_is_safe_on_single_core(self):
         PhotonicExecutor.ideal().close()
@@ -163,8 +158,10 @@ class TestContractionAndBackendKnobs:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             PhotonicExecutor(shard_axis="tile")
-        with pytest.raises(ValueError):
-            PhotonicExecutor(backend="mpi")
+
+    def test_paper_default_accepts_only_the_thread_backend(self):
+        with pytest.raises(ValueError, match="backend"):
+            PhotonicExecutor.paper_default(num_cores=2, backend="process")
 
 
 class TestDigitalReference:

@@ -64,14 +64,13 @@ def pipelined(depth, core_cls=DPTC):
     return run
 
 
-def sharded(shard_axis, backend):
+def sharded(shard_axis):
     def run(traced):
         tracer = make_tracer(traced)
         engine = ShardedDPTC(
             num_cores=2,
             noise=NoiseModel.paper_default(),
             shard_axis=shard_axis,
-            backend=backend,
         )
         try:
             with tracer.activate():
@@ -118,10 +117,8 @@ CASES = {
     "pipelined-depth0": pipelined(0),
     "pipelined-depth1-prefetch": pipelined(1),
     "pipelined-calibrated": pipelined(1, CalibratedDPTC),
-    "sharded-batch-thread": sharded("batch", "thread"),
-    "sharded-contraction-thread": sharded("contraction", "thread"),
-    "sharded-batch-process": sharded("batch", "process"),
-    "sharded-contraction-process": sharded("contraction", "process"),
+    "sharded-batch-thread": sharded("batch"),
+    "sharded-contraction-thread": sharded("contraction"),
     "engine-continuous-preempting": continuous_preempting,
     "cluster-fail-replica": cluster_failover,
 }

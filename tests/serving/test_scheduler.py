@@ -36,8 +36,11 @@ class TestIterationCost:
         assert cost.batch_seconds(4) == pytest.approx(1.4e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IterationCost(base_s=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                IterationCost(base_s=bad)
+            with pytest.raises(ValueError):
+                IterationCost(per_request_s=bad)
         with pytest.raises(ValueError):
             IterationCost().batch_seconds(0)
 

@@ -36,11 +36,12 @@ class TestEngineConfigValidation:
         [
             {"max_batch_size": 0},
             {"max_wait_us": -1.0},
+            {"max_wait_us": float("nan")},
+            {"max_wait_us": float("inf")},
             {"queue_depth": 0},
             {"scheduler": "psychic"},
             {"num_cores": 0},
             {"shard_axis": "diagonal"},
-            {"backend": "quantum"},
             {"chunk_size": 0},
             {"pipeline_depth": -1},
             {"block_size": 0},
@@ -105,7 +106,11 @@ class TestClusterConfigValidation:
             {"max_retries": -1},
             {"memo_bytes": -1},
             {"memo_ttl_s": -1.0},
+            {"memo_ttl_s": float("nan")},
+            {"memo_ttl_s": float("inf")},
             {"prefix_ttl_s": -1.0},
+            {"prefix_ttl_s": float("nan")},
+            {"prefix_ttl_s": float("inf")},
         ):
             with pytest.raises(ValueError):
                 ClusterConfig(**changes)

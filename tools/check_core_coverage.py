@@ -8,10 +8,7 @@ coverage of the files under a gated prefix drops below its floor.
 The core engines are the trust anchors of the repo — every benchmark
 gate and every model result flows through them — and the serving and
 cluster subsystems are the request-facing layers on top, so all three
-are gated in CI while the rest of the tree is only reported.  Lines that execute
-inside process-pool *workers* (the ``backend="process"`` shard path)
-are invisible to the parent-process collector; the floors account for
-that.
+are gated in CI while the rest of the tree is only reported.
 
 Usage:
     python tools/check_core_coverage.py coverage.xml            # registered gates
@@ -36,9 +33,9 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     # holder counts, TTL); a miscount silently corrupts every replica,
     # so its file is gated tighter than its package.
     ("repro/cluster/store", 90.0),
-    # The hot path reorders RNG-consuming stages across threads and
-    # processes; an untested branch there is a silent bit-equality
-    # break, so its file is gated tighter than its package.
+    # The hot path reorders RNG-consuming stages across threads; an
+    # untested branch there is a silent bit-equality break, so its
+    # file is gated tighter than its package.
     ("repro/core/hotpath", 90.0),
     # The tracing/telemetry substrate promises byte-determinism and a
     # zero-cost disabled path; an untested branch is a silent
