@@ -532,54 +532,48 @@ class ServingCluster:
             self.router.finish(record.session_id)
             error = engine_handle._error
             if error is None:
+                cache_hit = engine_handle.cache_hit
+                value = engine_handle._value
                 if (
                     record.cache_key is not None
                     and self.tier is not None
-                    and not engine_handle.cache_hit
+                    and not cache_hit
                 ):
                     # Publish the freshly computed result fleet-wide so
                     # any replica's next request for this key hits.
-                    self.tier.put_memo(record.cache_key, engine_handle._value)
+                    self.tier.put_memo(record.cache_key, value)
                 batch_size = engine_handle.batch_size or 0
-                if self.service_model is not None and not engine_handle.cache_hit:
+                handle = record.handle
+                arrival = handle.arrival
+                if self.service_model is not None and not cache_hit:
                     started, finished = replica.virtual_stamp(
                         max(batch_size, 1), self.clock.now(), self.service_model
                     )
                 else:
-                    arrival = record.handle.arrival
-                    started = (
-                        engine_handle.started
-                        if engine_handle.started is not None
-                        else arrival
-                    )
-                    finished = (
-                        engine_handle.finished
-                        if engine_handle.finished is not None
-                        else arrival
-                    )
-                record.handle.replica_id = replica.replica_id
-                record.handle._resolve(
-                    engine_handle._value,
+                    started = engine_handle.started
+                    finished = engine_handle.finished
+                    if started is None:
+                        started = arrival
+                    if finished is None:
+                        finished = arrival
+                handle.replica_id = replica.replica_id
+                handle._resolve(
+                    value,
                     started=started,
                     finished=finished,
                     batch_size=batch_size,
-                    cache_hit=engine_handle.cache_hit,
+                    cache_hit=cache_hit,
                 )
                 self.metrics.record_request(
                     ClusterRecord(
-                        arrival=record.handle.arrival,
-                        started=started,
-                        finished=finished,
-                        replica_id=replica.replica_id,
-                        batch_size=batch_size,
-                        cache_hit=engine_handle.cache_hit,
-                        tenant=record.tenant,
+                        arrival, started, finished, replica.replica_id,
+                        batch_size, cache_hit, record.tenant,
                     )
                 )
                 record.span.add_event(
                     "complete",
                     replica_id=replica.replica_id,
-                    cache_hit=engine_handle.cache_hit,
+                    cache_hit=cache_hit,
                 )
                 self.tracer.end(record.span)
                 return
@@ -765,15 +759,16 @@ class ServingCluster:
                 self.slo_monitor.tick(self.clock.now())
             if self.autoscaler is not None:
                 self.autoscaler.evaluate(self.clock.now())
-            ready = [
-                r
-                for r in sorted(
-                    self._replicas.values(), key=lambda r: r.replica_id
-                )
-                if r.state == DRAINING
-                and r.outstanding == 0
-                and r.engine.pending == 0
-            ]
+            ready = sorted(
+                (
+                    r
+                    for r in self._replicas.values()
+                    if r.state == DRAINING
+                    and r.outstanding == 0
+                    and r.engine.pending == 0
+                ),
+                key=lambda r: r.replica_id,
+            )
             for replica in ready:
                 self._rehome_sessions_locked(replica)
                 replica.state = STOPPED

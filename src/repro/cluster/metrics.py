@@ -28,14 +28,16 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
+from repro.obs.registry import Counter as RegistryCounter
 from repro.obs.registry import MetricsRegistry
 from repro.serving.metrics import Metrics, span_throughput, summarize
 
 
-@dataclass(frozen=True)
-class ClusterRecord:
-    """Timing and placement of one completed cluster request."""
+class ClusterRecord(NamedTuple):
+    """Timing and placement of one completed cluster request (a tuple:
+    built once per token)."""
 
     arrival: float
     started: float
@@ -122,6 +124,10 @@ class ClusterMetrics:
             "cluster_queue_wait_seconds", "Admission-to-execution wait"
         )
         self.events: list[ClusterEvent] = []
+        # Labelled dispatch counters bound once per replica and tenant
+        # (the registry returns the same instrument for the same labels).
+        self._dispatch_c: dict[int, RegistryCounter] = {}
+        self._tenant_c: dict[str, RegistryCounter] = {}
 
     # -- write side ----------------------------------------------------------
     def record_dispatch(
@@ -132,18 +138,20 @@ class ClusterMetrics:
         affinity_hit: bool | None = None,
         new_session: bool = False,
     ) -> None:
-        dispatch = self.registry.counter(
-            "cluster_dispatches_total", "Dispatches per replica",
-            replica=replica_id,
-        )
-        tenant_c = (
-            self.registry.counter(
-                "cluster_tenant_dispatches_total", "Dispatches per tenant",
-                tenant=tenant,
+        dispatch = self._dispatch_c.get(replica_id)
+        if dispatch is None:
+            dispatch = self._dispatch_c[replica_id] = self.registry.counter(
+                "cluster_dispatches_total", "Dispatches per replica",
+                replica=replica_id,
             )
-            if tenant is not None
-            else None
-        )
+        tenant_c = None
+        if tenant is not None:
+            tenant_c = self._tenant_c.get(tenant)
+            if tenant_c is None:
+                tenant_c = self._tenant_c[tenant] = self.registry.counter(
+                    "cluster_tenant_dispatches_total", "Dispatches per tenant",
+                    tenant=tenant,
+                )
         with self._lock:
             dispatch.inc()
             if tenant_c is not None:

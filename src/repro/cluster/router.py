@@ -24,8 +24,7 @@ falls back to least-outstanding for new sessions.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.cluster.replica import Replica
 from repro.serving.request import ServingError
@@ -134,8 +133,7 @@ def make_policy(policy: "str | RoutingPolicy") -> RoutingPolicy:
         ) from None
 
 
-@dataclass(frozen=True)
-class RouteDecision:
+class RouteDecision(NamedTuple):
     """Where one request goes, and what the routing implied."""
 
     replica: Replica
@@ -198,14 +196,8 @@ class Router:
         prefix-aware policy narrows first-time placements to them.
         Raises :class:`NoHealthyReplica` when no placement is possible.
         """
-        candidates = sorted(
-            (r for r in replicas.values() if r.accepts_new),
-            key=lambda r: r.replica_id,
-        )
         if session_id is None:
-            if not candidates:
-                raise NoHealthyReplica("no healthy replica accepts new work")
-            return RouteDecision(self.policy.choose(candidates))
+            return RouteDecision(self.policy.choose(_candidates(replicas)))
 
         owner_id = self.directory.get(session_id)
         owner = replicas.get(owner_id) if owner_id is not None else None
@@ -215,15 +207,14 @@ class Router:
         if owner is not None:
             # Ordering constraint: in-flight steps pin to the owner even
             # when it is draining (it still completes what it holds).
-            if self.inflight(session_id) > 0:
+            # Both early returns skip building the candidate list.
+            if session_id in self._inflight:
                 return RouteDecision(owner, affinity_hit=True)
             if self.policy.sticky_sessions and owner.accepts_new:
                 return RouteDecision(owner, affinity_hit=True)
-            if not candidates:
-                # An accepting owner would be among the candidates, so
-                # the quiescent session has nowhere at all to go.
-                raise NoHealthyReplica("no healthy replica accepts new work")
-            chosen = self.policy.choose(candidates)
+            # An accepting owner would be among the candidates, so an
+            # empty list means the quiescent session has nowhere to go.
+            chosen = self.policy.choose(_candidates(replicas))
             if chosen is owner:
                 return RouteDecision(owner, affinity_hit=True)
             self.directory[session_id] = chosen.replica_id
@@ -231,11 +222,10 @@ class Router:
                 chosen, affinity_hit=False, migrate_from=owner
             )
 
-        if not candidates:
-            raise NoHealthyReplica("no healthy replica accepts new work")
-        pool = candidates
+        pool = _candidates(replicas)
         if self.policy.prefix_aware and prefix_holders:
-            holding = [r for r in candidates if r.replica_id in set(prefix_holders)]
+            holders = set(prefix_holders)
+            holding = [r for r in pool if r.replica_id in holders]
             if holding:
                 pool = holding
         chosen = self.policy.choose(pool)
@@ -251,14 +241,24 @@ class Router:
         directory.  Raises :class:`NoHealthyReplica` when nobody can
         take it.
         """
-        candidates = sorted(
-            (r for r in replicas.values() if r.accepts_new),
-            key=lambda r: r.replica_id,
+        candidates = _candidates(
+            replicas, f"no healthy replica to re-home session {session_id!r}"
         )
-        if not candidates:
-            raise NoHealthyReplica(
-                f"no healthy replica to re-home session {session_id!r}"
-            )
         chosen = self.policy.choose(candidates)
         self.directory[session_id] = chosen.replica_id
         return chosen
+
+
+def _candidates(
+    replicas: dict[int, Replica],
+    error: str = "no healthy replica accepts new work",
+) -> list[Replica]:
+    """The replicas accepting new work, by id; :class:`NoHealthyReplica`
+    with ``error`` when there are none."""
+    candidates = sorted(
+        (r for r in replicas.values() if r.accepts_new),
+        key=lambda r: r.replica_id,
+    )
+    if not candidates:
+        raise NoHealthyReplica(error)
+    return candidates

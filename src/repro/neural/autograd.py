@@ -18,29 +18,37 @@ Design notes:
 
 from __future__ import annotations
 
-import contextlib
+from contextvars import ContextVar
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf as _scipy_erf
 
-_grad_enabled = True
+
+#: Grad mode, per thread (and per asyncio task): serving workers run
+#: batches under :class:`no_grad` concurrently, and one thread's context
+#: must neither leak into another thread nor be undone by its exit.
+_grad_enabled: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the context (inference mode)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
+class no_grad:
+    """Disable graph recording in this thread inside the context.
+
+    A plain context manager: serving enters one per batch, and a
+    generator-based one costs several times more to enter and leave.
+    """
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> None:
+        self._token = _grad_enabled.set(False)
+
+    def __exit__(self, *exc_info) -> None:
+        _grad_enabled.reset(self._token)
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,7 +79,7 @@ class Tensor:
     ) -> None:
         self.data = np.asarray(data, dtype=float)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and _grad_enabled
+        self.requires_grad = requires_grad and _grad_enabled.get()
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -85,7 +93,7 @@ class Tensor:
     ) -> "Tensor":
         """Build an op result node; records the graph only when needed."""
         parents = tuple(parents)
-        needs = _grad_enabled and any(p.requires_grad for p in parents)
+        needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=needs)
         if needs:
             out._parents = parents

@@ -87,7 +87,7 @@ def quantize_array(
     # so per-matrix slices still quantize exactly like per-sample calls
     # on the same slice.
     degenerate = max_abs < _TINY
-    if degenerate.any():
+    if np.logical_or.reduce(degenerate, axis=None):  # .any() minus its Python layer
         scale = np.where(degenerate, 1.0, max_abs) / levels
     else:
         degenerate = None

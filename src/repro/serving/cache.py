@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class KVBlock:
     never leaks a previous session's state.
     """
 
-    __slots__ = ("keys", "values", "fill")
+    __slots__ = ("keys", "values", "fill", "block_size")
 
     def __init__(self, block_size: int, dim: int) -> None:
         if block_size < 1 or dim < 1:
@@ -55,10 +55,7 @@ class KVBlock:
         self.keys = np.zeros((block_size, dim))
         self.values = np.zeros((block_size, dim))
         self.fill = 0
-
-    @property
-    def block_size(self) -> int:
-        return self.keys.shape[0]
+        self.block_size = block_size
 
     @property
     def full(self) -> bool:
@@ -255,6 +252,10 @@ class Session:
     swapped: bool = False
     shared_blocks: int = 0
     prefix_id: str | None = None
+    #: ``(pages covered, keys, values)`` of :meth:`_frozen_kv`.
+    _kv_memo: tuple[int, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def private_blocks(self) -> int:
@@ -271,32 +272,52 @@ class Session:
         """Tokens of attendable context (prompt + generated)."""
         return self.prompt_len + self.generated
 
-    def _slot(self, index: int) -> tuple[KVBlock, int]:
+    def _generated(self, attr: str) -> list[np.ndarray]:
+        """Per-slot views of one of ``keys``/``values`` past the prompt,
+        in step order: one walk over the pages."""
+        rows: list[np.ndarray] = []
+        skip = self.prompt_slots
         for block in self.blocks:
-            if index < block.fill:
-                return block, index
-            index -= block.fill
-        raise IndexError("token slot out of range")
+            if skip >= block.fill:
+                skip -= block.fill
+                continue
+            page = getattr(block, attr)
+            rows.extend(page[slot] for slot in range(skip, block.fill))
+            skip = 0
+        return rows
 
     @property
     def keys(self) -> list[np.ndarray]:
         """Generated-token K vectors, in step order (views into pages)."""
-        return [
-            self._slot(self.prompt_slots + i)[0].keys[
-                self._slot(self.prompt_slots + i)[1]
-            ]
-            for i in range(self.generated)
-        ]
+        return self._generated("keys")
 
     @property
     def values(self) -> list[np.ndarray]:
         """Generated-token V vectors, in step order (views into pages)."""
-        return [
-            self._slot(self.prompt_slots + i)[0].values[
-                self._slot(self.prompt_slots + i)[1]
-            ]
-            for i in range(self.generated)
-        ]
+        return self._generated("values")
+
+    def _frozen_kv(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The implicit prompt plus every page but the last, concatenated.
+
+        Only the last page is ever appended to: earlier pages are full
+        or shared read-only prefix pages, and swap and migration move
+        this object with its pages.  So the concatenation is memoized
+        here and extended once per page that stops being the last.  A
+        shorter block list (a closed session) rebuilds it.
+        """
+        frozen = max(len(self.blocks) - 1, 0)
+        memo = self._kv_memo
+        if memo is None or memo[0] > frozen:
+            implicit = self.prompt_len - self.prompt_slots
+            memo = (0, np.zeros((implicit, dim)), np.zeros((implicit, dim)))
+        covered, keys, values = memo
+        if covered < frozen:
+            pages = self.blocks[covered:frozen]
+            keys = np.concatenate([keys] + [b.keys[: b.fill] for b in pages])
+            values = np.concatenate([values] + [b.values[: b.fill] for b in pages])
+            memo = (frozen, keys, values)
+        self._kv_memo = memo
+        return keys, values
 
     def kv_arrays(
         self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
@@ -305,25 +326,21 @@ class Session:
 
         ``extra`` appends uncommitted ``(k, v)`` vector pairs (a decode
         batch's pending steps) after the committed context, in the same
-        single concatenation.  Prompt tokens are zero-state whether
-        materialized in pages or implicit, so the concatenation is
-        bit-identical to the flat-list layout paging replaced.
+        single concatenation of at most the frozen-page memo, the last
+        page and the pending pairs.  Prompt tokens are zero-state
+        whether materialized in pages or implicit, so the result is
+        bit-identical to the flat-list layout paging replaced, and it
+        is always a fresh array.
         """
-        implicit = self.prompt_len - self.prompt_slots
-        parts_k: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        if implicit:
-            parts_k.append(np.zeros((implicit, dim)))
-            parts_v.append(np.zeros((implicit, dim)))
-        for block in self.blocks:
-            if block.fill:
-                parts_k.append(block.keys[: block.fill])
-                parts_v.append(block.values[: block.fill])
+        keys, values = self._frozen_kv(dim)
+        parts_k, parts_v = [keys], [values]
+        if self.blocks:
+            last = self.blocks[-1]
+            parts_k.append(last.keys[: last.fill])
+            parts_v.append(last.values[: last.fill])
         for key, value in extra:
             parts_k.append(key[None])
             parts_v.append(value[None])
-        if not parts_k:
-            return np.zeros((0, dim)), np.zeros((0, dim))
         return np.concatenate(parts_k), np.concatenate(parts_v)
 
     @property
@@ -335,7 +352,8 @@ class Session:
         next ``append_kv`` allocates a fresh private page (the
         copy-on-write fork point).
         """
-        return self.private_blocks > 0 and not self.blocks[-1].full
+        blocks = self.blocks
+        return len(blocks) > self.shared_blocks and not blocks[-1].full
 
 
 class SessionCache:
@@ -495,17 +513,34 @@ class SessionCache:
         directly otherwise (config-less caches keep working without a
         ledger).
         """
-        k = np.asarray(k, dtype=float)
-        v = np.asarray(v, dtype=float)
         with self._lock:
             session = self.session(session_id)
-            if not session.has_room:
-                if self.pool is not None:
-                    session.blocks.append(self.pool.allocate())
-                else:
-                    session.blocks.append(KVBlock(self.block_size, k.shape[0]))
-            session.blocks[-1].append(k, v)
+            self._append(session, k, v)
             return session.context_len
+
+    def commit_kv(
+        self, staged: Mapping[str, Sequence[tuple[np.ndarray, np.ndarray]]]
+    ) -> None:
+        """Append a decode batch's ``(k, v)`` pairs per session, in order,
+        under one lock; absent sessions are opened (empty prompt)."""
+        with self._lock:
+            for session_id, pairs in staged.items():
+                session = self._sessions.get(session_id)
+                if session is None:
+                    session = self.open_session(session_id)
+                for k, v in pairs:
+                    self._append(session, k, v)
+
+    def _append(self, session: Session, k: np.ndarray, v: np.ndarray) -> None:
+        """The one append body (caller holds the lock)."""
+        k = np.asarray(k, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if not session.has_room:
+            if self.pool is not None:
+                session.blocks.append(self.pool.allocate())
+            else:
+                session.blocks.append(KVBlock(self.block_size, k.shape[0]))
+        session.blocks[-1].append(k, v)
 
     def context_len(self, session_id: str) -> int:
         return self.session(session_id).context_len
@@ -717,10 +752,10 @@ class SessionCache:
             self._sessions[session_id] = session
             return session
 
-    def session_ids(self) -> list[str]:
-        """Open session ids, sorted (deterministic re-homing order)."""
+    def resident_ids(self) -> list[str]:
+        """Ids of the open sessions not swapped out (preemption candidates)."""
         with self._lock:
-            return sorted(self._sessions)
+            return [sid for sid, s in self._sessions.items() if not s.swapped]
 
     def close_session(self, session_id: str) -> int:
         """Drop a session; returns the bytes it was holding.

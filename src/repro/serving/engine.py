@@ -31,6 +31,7 @@ executor the servable's model was built with — ``num_cores`` and
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any
 
@@ -152,8 +153,8 @@ class ServingEngine:
         self._thread: threading.Thread | None = None
         self._lifecycle = threading.Lock()
         self._closed = False
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        # Request ids: ``next`` on a C iterator is atomic under the GIL.
+        self._ids = itertools.count()
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ServingEngine":
@@ -277,9 +278,7 @@ class ServingEngine:
         """
         if self._closed:
             raise EngineClosed("engine is closed")
-        with self._id_lock:
-            request_id = self._next_id
-            self._next_id += 1
+        request_id = next(self._ids)
         arrival = self.clock.now()
         handle = RequestHandle(request_id, arrival)
         tracer = self.tracer
@@ -314,14 +313,14 @@ class ServingEngine:
                 request_id=request_id,
                 span=span,
             )
-            self._queue.put(
+            depth = self._queue.put(
                 request, block=block and not self.manual, timeout=timeout
             )
         except Exception as error:  # invalid payload / backpressure / closed
             span.add_event("rejected", error=type(error).__name__)
             tracer.end(span)
             raise
-        span.add_event("queue", depth=len(self._queue))
+        span.add_event("queue", depth=depth)
         return handle
 
     @property
@@ -526,18 +525,21 @@ class ServingEngine:
             self.metrics.record_failures(len(batch))
             self._record_batch_failure(error, len(batch))
         else:
-            finished = self._finished_time(len(batch))
-            self.metrics.record_batch(len(batch))
+            size = len(batch)
+            finished = self._finished_time(size)
+            metrics, cache = self.metrics, self.cache
+            metrics.record_batch(size)
             for request, output in zip(batch, outputs):
-                if request.cache_key is not None and self.cache is not None:
+                if request.cache_key is not None and cache is not None:
                     # Store an isolated copy: the requester's result array
                     # must never alias the cache entry (or later hits).
-                    self.cache.put(request.cache_key, _isolated(output))
-                request.handle._resolve(
-                    output, started=started, finished=finished, batch_size=len(batch)
+                    cache.put(request.cache_key, _isolated(output))
+                handle = request.handle
+                handle._resolve(
+                    output, started=started, finished=finished, batch_size=size
                 )
-                request.span.add_event("complete", batch_size=len(batch))
+                request.span.add_event("complete", batch_size=size)
                 tracer.end(request.span)
-                self.metrics.record_request(request.handle)
+                metrics.record_request(handle)
         finally:
             tracer.end(span)

@@ -17,20 +17,19 @@ registry histograms bucket, records don't.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.serving.request import RequestHandle
 
 #: Percentiles of the latency summaries.
 PERCENTILES = (50.0, 95.0, 99.0)
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Timing of one completed request."""
+class RequestRecord(NamedTuple):
+    """Timing of one completed request (a tuple: built once per token)."""
 
     arrival: float
     started: float
@@ -116,35 +115,50 @@ class Metrics:
             "serving_queue_wait_seconds", "Admission-to-execution wait"
         )
 
-    def _occupancy_counter(self, name: str, size: int):
-        return self.registry.counter(
-            name, "Exact occupancy histogram (labelled counter)", size=size
-        )
+        # Occupancy counters bound once per size: the registry hands
+        # out the same instrument for the same labels, so a hit here
+        # skips only the labelled lookup.
+        self._batch_counters: dict[int, Counter] = {}
+        self._iteration_counters: dict[int, Counter] = {}
+
+    def _occupancy_counter(
+        self, bound: dict[int, Counter], name: str, size: int
+    ) -> Counter:
+        counter = bound.get(size)
+        if counter is None:
+            counter = bound[size] = self.registry.counter(
+                name, "Exact occupancy histogram (labelled counter)", size=size
+            )
+        return counter
 
     # -- engine side ---------------------------------------------------------
     def record_request(self, handle: RequestHandle) -> None:
         """Record a resolved (successful) request from its handle."""
-        record = RequestRecord(
-            arrival=handle.arrival,
-            started=handle.started if handle.started is not None else handle.arrival,
-            finished=handle.finished
-            if handle.finished is not None
-            else handle.arrival,
-            batch_size=handle.batch_size or 0,
-            cache_hit=handle.cache_hit,
+        arrival, started, finished = handle.arrival, handle.started, handle.finished
+        self.record(
+            RequestRecord(
+                arrival,
+                arrival if started is None else started,
+                arrival if finished is None else finished,
+                handle.batch_size or 0,
+                handle.cache_hit,
+            )
         )
-        self.record(record)
 
     def record_batch(self, size: int) -> None:
         """Record one executed batch's occupancy."""
-        counter = self._occupancy_counter("serving_batches_total", size)
+        counter = self._occupancy_counter(
+            self._batch_counters, "serving_batches_total", size
+        )
         with self._lock:
             counter.inc()
 
     def record_iteration(self, active: int) -> None:
         """Record one scheduler iteration's active-session count
         (sessionless fill-in requests count as one lane each)."""
-        counter = self._occupancy_counter("serving_iterations_total", active)
+        counter = self._occupancy_counter(
+            self._iteration_counters, "serving_iterations_total", active
+        )
         with self._lock:
             counter.inc()
 

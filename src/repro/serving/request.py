@@ -120,15 +120,16 @@ class RequestHandle:
             if not self._resolved:
                 self._callbacks.append(fn)
                 return
-        self._run_callback(fn)
+        self._run_callbacks((fn,))
 
-    def _run_callback(self, fn) -> None:
-        try:
-            fn(self)
-        except Exception:  # noqa: BLE001 - one callback must not strand others
-            _log.exception(
-                "done-callback %r of request %s raised", fn, self.request_id
-            )
+    def _run_callbacks(self, callbacks) -> None:
+        for fn in callbacks:
+            try:
+                fn(self)
+            except Exception:  # noqa: BLE001 - one callback must not strand others
+                _log.exception(
+                    "done-callback %r of request %s raised", fn, self.request_id
+                )
 
     def _settle(self) -> None:
         """Flip the resolved flag once, wake waiters, run the callbacks."""
@@ -137,8 +138,8 @@ class RequestHandle:
             callbacks, self._callbacks = self._callbacks, []
             if self._waiters is not None:
                 self._waiters.notify_all()
-        for fn in callbacks:
-            self._run_callback(fn)
+        if callbacks:
+            self._run_callbacks(callbacks)
 
     # -- worker side ---------------------------------------------------------
     def _resolve(
@@ -224,8 +225,9 @@ class RequestQueue:
         *,
         block: bool = True,
         timeout: float | None = None,
-    ) -> None:
-        """Enqueue; apply backpressure when full.
+    ) -> int:
+        """Enqueue; apply backpressure when full.  Returns the queue
+        depth just after the put.
 
         ``block=False`` (or an expired ``timeout``) raises
         :class:`QueueFull` instead of waiting for a free slot.
@@ -253,6 +255,7 @@ class RequestQueue:
                     raise EngineClosed("queue closed while waiting for capacity")
             self._items.append(request)
             self.not_empty.notify()
+            return len(self._items)
 
     def pop_locked(self, n: int) -> list[InferenceRequest]:
         """Pop up to ``n`` requests FIFO.  Caller must hold ``mutex``."""

@@ -133,19 +133,6 @@ class IterationScheduler:
         return bool(self._sessionless) or any(self._steps.values())
 
     # -- residency ------------------------------------------------------------
-    def _needed_blocks(self, sid: str) -> int:
-        """Additional pool blocks running ``sid`` one step may charge."""
-        pool = self.cache.pool
-        if not self.cache.has_session(sid):
-            return pool.blocks_for(1)
-        session = self.cache.session(sid)
-        headroom = 0 if session.has_room else 1
-        if session.swapped:
-            # Only private pages re-enter the pool budget on swap-in;
-            # shared prefix pages stay in tier custody throughout.
-            return session.private_blocks + headroom
-        return headroom
-
     def _pick_victim(self, protected: set[str]) -> str | None:
         """Lowest-priority preemptable resident session, quiescent first.
 
@@ -156,9 +143,7 @@ class IterationScheduler:
         into the current iteration.
         """
         candidates = [
-            sid
-            for sid in self.cache.session_ids()
-            if sid not in protected and not self.cache.session(sid).swapped
+            sid for sid in self.cache.resident_ids() if sid not in protected
         ]
         if not candidates:
             return None
@@ -185,16 +170,26 @@ class IterationScheduler:
         swap-ins are recorded on ``iteration`` for observability.
         """
         pool = self.cache.pool
-        needed = self._needed_blocks(sid)
-        protected = set(planned) | {sid}
-        while not pool.can_fit(reserved + needed):
-            victim = self._pick_victim(protected)
-            if victim is None:
-                return None
-            self.cache.swap_out(victim)
-            self.preemptions += 1
-            iteration.preempted.append(victim)
-        if self.cache.has_session(sid) and self.cache.session(sid).swapped:
+        session = self.cache.find_session(sid)  # the one lookup
+        # Additional pool blocks running ``sid`` one step may charge.
+        if session is None:
+            needed = pool.blocks_for(1)
+        else:
+            needed = 0 if session.has_room else 1
+            if session.swapped:
+                # Only private pages re-enter the pool budget on swap-in;
+                # shared prefix pages stay in tier custody throughout.
+                needed += session.private_blocks
+        if not pool.can_fit(reserved + needed):
+            protected = {sid, *planned}
+            while not pool.can_fit(reserved + needed):
+                victim = self._pick_victim(protected)
+                if victim is None:
+                    return None
+                self.cache.swap_out(victim)
+                self.preemptions += 1
+                iteration.preempted.append(victim)
+        if session is not None and session.swapped:
             charged = pool.in_use
             self.cache.swap_in(sid)
             needed -= pool.in_use - charged
@@ -216,10 +211,10 @@ class IterationScheduler:
         progress.
         """
         iteration = Iteration()
-        runnable = sorted(
-            (sid for sid, steps in self._steps.items() if steps),
-            key=lambda sid: self._priority[sid],
-        )
+        # ``_steps`` gains a key exactly when ``_priority`` stamps it
+        # and loses it exactly when the stamp goes, so its insertion
+        # order already is priority order: no per-iteration sort.
+        runnable = [sid for sid, steps in self._steps.items() if steps]
         planned: list[str] = []
         reserved = 0
         for sid in runnable:

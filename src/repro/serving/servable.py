@@ -30,7 +30,7 @@ from repro.workloads.llm import DecoderConfig, pad_prompts
 
 def _require_finite(payload: np.ndarray) -> None:
     """Reject NaN/inf at submit, before it can reach a shared batch."""
-    if not np.isfinite(payload).all():
+    if not np.logical_and.reduce(np.isfinite(payload), axis=None):
         raise ValueError("payload has non-finite values (NaN or inf)")
 
 
@@ -185,6 +185,7 @@ class DecodeServable(Servable):
         # reuses the grid on every step.
         for weight in (self.w_qkv, self.w_out, self.w_ffn1, self.w_ffn2):
             weight.setflags(write=False)
+        self._sqrt_dim = np.sqrt(dim)
 
     def prepare(self, payload: Any) -> np.ndarray:
         x = np.asarray(payload, dtype=float)
@@ -215,9 +216,11 @@ class DecodeServable(Servable):
         else:
             keys = np.stack([key for key, _ in pending])
             values = np.stack([value for _, value in pending])
-        scores = keys @ q / np.sqrt(dim)
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
+        # The reductions are the ufuncs ``.max()``/``.sum()`` call, minus
+        # the Python layer in between.
+        scores = keys @ q / self._sqrt_dim
+        weights = np.exp(scores - np.maximum.reduce(scores))
+        weights /= np.add.reduce(weights)
         return weights @ values
 
     def execute(self, requests: Sequence[InferenceRequest]) -> list[np.ndarray]:
@@ -226,7 +229,9 @@ class DecodeServable(Servable):
         for request in requests:
             if request.session_id is None:
                 raise ValueError("decode requests need a session_id")
-        xs = np.stack([request.payload for request in requests])[:, None, :]
+        # ``np.array`` of equal-shape vectors is ``np.stack`` without
+        # its Python layer.
+        xs = np.array([request.payload for request in requests])[:, None, :]
         # K/V pairs this batch produces, staged per session so a later
         # step of the same session attends over an earlier batch-mate's
         # state (exactly like sequential execution) while nothing is
@@ -241,15 +246,11 @@ class DecodeServable(Servable):
                 staged = pending.setdefault(request.session_id, [])
                 staged.append((k[i, 0], v[i, 0]))
                 contexts.append(self._attend(request.session_id, q[i, 0], staged))
-            ctx = np.stack(contexts)[:, None, :]
+            ctx = np.array(contexts)[:, None, :]
             h = xs + self._project(ctx, self.w_out)
             f1 = np.maximum(self._project(h, self.w_ffn1), 0.0)
             y = h + self._project(f1, self.w_ffn2)
         # The whole batch succeeded: commit every staged K/V (lazily
         # opening sessions), so a failed batch leaves no state behind.
-        for session_id, staged in pending.items():
-            if not self.cache.has_session(session_id):
-                self.cache.open_session(session_id)
-            for key, value in staged:
-                self.cache.append_kv(session_id, key, value)
+        self.cache.commit_kv(pending)
         return [y[i, 0].copy() for i in range(len(requests))]

@@ -1,5 +1,7 @@
 """Tests for the autograd engine: every op against numerical gradients."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,27 @@ class TestBasics:
             assert not is_grad_enabled()
             out = t * 2
         assert not out.requires_grad
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Overlapping contexts in two threads (as two serving workers
+        run them) neither leak across threads nor undo each other."""
+        entered, leave = threading.Event(), threading.Event()
+
+        def worker():
+            with no_grad():
+                entered.set()
+                leave.wait(5.0)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert entered.wait(5.0)
+        assert is_grad_enabled()
+        with no_grad():
+            leave.set()
+            thread.join(5.0)
+            assert not thread.is_alive()
+            assert not is_grad_enabled()
         assert is_grad_enabled()
 
 

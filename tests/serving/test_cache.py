@@ -68,6 +68,37 @@ class TestSessions:
         session = cache.session("s")
         assert len(session.keys) == 2 and session.prompt_len == 3
 
+    @pytest.mark.parametrize("config", [toy_decoder(), None], ids=["paged", "implicit"])
+    def test_keys_and_values_span_pages_like_a_per_slot_walk(self, config):
+        """``keys``/``values`` over a 3+ page session are the per-slot views
+        a slot-by-slot page walk finds, in step order."""
+
+        def slot(session, index):  # one linear walk per slot
+            for block in session.blocks:
+                if index < block.fill:
+                    return block, index
+                index -= block.fill
+            raise IndexError(index)
+
+        cache = SessionCache(config, block_size=2)
+        cache.open_session("s", prompt_len=3)
+        rng = np.random.default_rng(0)
+        steps = [(rng.normal(size=16), rng.normal(size=16)) for _ in range(6)]
+        for k, v in steps:
+            cache.append_kv("s", k, v)
+        session = cache.session("s")
+        assert len(session.blocks) >= 3
+        first = session.prompt_slots
+        for name, column in (("keys", 0), ("values", 1)):
+            rows = getattr(session, name)
+            assert len(rows) == len(steps)
+            for i, row in enumerate(rows):
+                block, index = slot(session, first + i)
+                page = getattr(block, name)
+                assert np.shares_memory(row, page)
+                np.testing.assert_array_equal(row, page[index])
+                np.testing.assert_array_equal(row, steps[i][column])
+
     def test_duplicate_open_rejected(self):
         cache = SessionCache(toy_decoder())
         cache.open_session("s")
