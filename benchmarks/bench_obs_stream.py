@@ -24,7 +24,7 @@ Sections, each with a hard gate and a measurement:
 * **Flight-recorder postmortem** (always enforced) — injecting
   :meth:`ServingCluster.fail_replica` mid-run freezes a bundle with
   the recent span ring, the registry snapshot, and the fleet snapshot,
-  and dumps it to ``postmortem-001.json`` (the CI artifact).
+  and dumps it to ``postmortem-000.json`` (the CI artifact).
 
 * **Streaming overhead ceiling** (nightly) — the traced demo workload
   with a streaming writer may cost at most

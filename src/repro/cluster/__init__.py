@@ -20,7 +20,7 @@ from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.cluster.cluster import ClusterHandle, ServingCluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.loadgen import run_virtual_open_loop, run_virtual_schedule
-from repro.cluster.metrics import ClusterEvent, ClusterMetrics, ClusterRecord
+from repro.cluster.metrics import ClusterEvent, ClusterMetrics
 from repro.cluster.replica import (
     ALIVE_STATES,
     DRAINING,
@@ -57,7 +57,6 @@ __all__ = [
     "ClusterEvent",
     "ClusterHandle",
     "ClusterMetrics",
-    "ClusterRecord",
     "DRAINING",
     "FAILED",
     "HEALTHY",

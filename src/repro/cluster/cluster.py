@@ -41,12 +41,12 @@ Two execution regimes, like the engine underneath:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import ClusterEvent, ClusterMetrics, ClusterRecord
+from repro.cluster.metrics import ClusterEvent, ClusterMetrics
 from repro.cluster.replica import (
     DRAINING,
     FAILED,
@@ -69,7 +69,7 @@ class ClusterHandle(RequestHandle):
     def __init__(self, request_id: int, arrival: float) -> None:
         super().__init__(request_id, arrival)
         self.replica_id: int | None = None  #: replica that served it
-        self.retries = 0  #: re-dispatch count (failover/retry)
+        self.retries = 0  #: re-dispatches after execution errors
 
 
 @dataclass
@@ -82,7 +82,6 @@ class _InFlight:
     session_id: str | None = None
     tenant: str | None = None
     prefix_id: str | None = None
-    retries: int = field(default=0)
     #: Open cluster.request trace span (inert with tracing disabled).
     span: Any = NULL_SPAN
 
@@ -431,13 +430,7 @@ class ServingCluster:
                         hit, started=now, finished=now,
                         batch_size=0, cache_hit=True,
                     )
-                    self.metrics.record_request(
-                        ClusterRecord(
-                            arrival=now, started=now, finished=now,
-                            replica_id=-1, batch_size=0,
-                            cache_hit=True, tenant=tenant,
-                        )
-                    )
+                    self.metrics.record_request(handle)
                     span.set_attr("cache_hit", True)
                     span.add_event("complete", tier_hit=True)
                     self.tracer.end(span)
@@ -479,7 +472,6 @@ class ServingCluster:
             )
             self.router.begin(record.session_id)
             replica.outstanding += 1
-            replica.dispatched += 1
             record.handle.replica_id = replica.replica_id
             replica.inflight[engine_handle] = record
             self.metrics.record_dispatch(
@@ -498,20 +490,12 @@ class ServingCluster:
             lambda eh, rec=record, rep=replica: self._on_done(rep, rec, eh)
         )
 
-    def _migrate_locked(
+    def _move_session_locked(
         self, session_id: str, source: Replica, target: Replica
     ) -> None:
-        """Move one quiescent session's KV state between replicas."""
-        source_cache = source.session_cache
+        """Move one session held in ``source``'s cache to ``target``."""
+        session = source.session_cache.pop_session(session_id)
         target_cache = target.session_cache
-        if source_cache is None or not source_cache.has_session(session_id):
-            # Directory entry without materialized KV (first step never
-            # executed, or a cacheless servable): only the placement
-            # moved — no KV traffic, so the migration ledger stays
-            # untouched.
-            return
-        nbytes = source_cache.session_bytes(session_id)
-        session = source_cache.pop_session(session_id)
         if target_cache is not None:
             target_cache.adopt_session(session)
         if session.prefix_id is not None and self.tier is not None:
@@ -521,6 +505,20 @@ class ServingCluster:
             self.tier.move_holder(
                 session.prefix_id, source.replica_id, target.replica_id
             )
+
+    def _migrate_locked(
+        self, session_id: str, source: Replica, target: Replica
+    ) -> None:
+        """Move one quiescent session's KV state between replicas."""
+        source_cache = source.session_cache
+        if source_cache is None or not source_cache.has_session(session_id):
+            # Directory entry without materialized KV (first step never
+            # executed, or a cacheless servable): only the placement
+            # moved — no KV traffic, so the migration ledger stays
+            # untouched.
+            return
+        nbytes = source_cache.session_bytes(session_id)
+        self._move_session_locked(session_id, source, target)
         self.metrics.record_migration(nbytes)
 
     # -- completion propagation ----------------------------------------------
@@ -564,12 +562,7 @@ class ServingCluster:
                     batch_size=batch_size,
                     cache_hit=cache_hit,
                 )
-                self.metrics.record_request(
-                    ClusterRecord(
-                        arrival, started, finished, replica.replica_id,
-                        batch_size, cache_hit, record.tenant,
-                    )
-                )
+                self.metrics.record_request(handle)
                 record.span.add_event(
                     "complete",
                     replica_id=replica.replica_id,
@@ -588,7 +581,7 @@ class ServingCluster:
             retryable = (
                 not failover
                 and not self._closed
-                and record.retries < self.max_retries
+                and record.handle.retries < self.max_retries
             )
         if failover or retryable:
             if failover:
@@ -597,10 +590,9 @@ class ServingCluster:
                     "failover", from_replica=replica.replica_id
                 )
             else:
-                record.retries += 1
-                record.handle.retries = record.retries
+                record.handle.retries += 1
                 self.metrics.record_retry()
-                record.span.add_event("retry", attempt=record.retries)
+                record.span.add_event("retry", attempt=record.handle.retries)
             try:
                 self._dispatch(record)
                 return
@@ -612,7 +604,7 @@ class ServingCluster:
             finished=engine_handle.finished,
             batch_size=engine_handle.batch_size,
         )
-        self.metrics.record_failure()
+        self.metrics.record_failures()
         record.span.add_event("failed", error=type(error).__name__)
         self.tracer.end(record.span)
 
@@ -680,7 +672,7 @@ class ServingCluster:
                 rerouted += 1
             except ServingError as error:
                 record.handle._fail(error)
-                self.metrics.record_failure()
+                self.metrics.record_failures()
                 record.span.add_event("failed", error=type(error).__name__)
                 self.tracer.end(record.span)
         self.metrics.record_failover(rerouted)
@@ -715,15 +707,7 @@ class ServingCluster:
                     cache.close_session(session_id)
                 continue
             if cache is not None and cache.has_session(session_id):
-                session = cache.pop_session(session_id)
-                target_cache = target.session_cache
-                if target_cache is not None:
-                    target_cache.adopt_session(session)
-                if session.prefix_id is not None and self.tier is not None:
-                    self.tier.move_holder(
-                        session.prefix_id, replica.replica_id,
-                        target.replica_id,
-                    )
+                self._move_session_locked(session_id, replica, target)
             self.metrics.record_rehome()
 
     # -- manual stepping & maintenance ---------------------------------------
@@ -799,10 +783,11 @@ class ServingCluster:
         snapshot = self.metrics.snapshot(
             {rid: r.engine.metrics for rid, r in replicas.items()}
         )
+        dispatched = snapshot["dispatches"]
         snapshot["replicas"] = {
             str(rid): {
                 "state": r.state,
-                "dispatched": r.dispatched,
+                "dispatched": dispatched.get(str(rid), 0),
                 "outstanding": r.outstanding,
                 "busy_until": r.busy_until,
             }

@@ -4,9 +4,12 @@
 
 * **Per-request records** stamped by the cluster (virtual service-model
   times under a simulated clock, engine times otherwise) — the source
-  of fleet throughput and p50/p95/p99 latency/queue-wait percentiles,
-  computed from raw records with the same
-  :func:`repro.serving.metrics.summarize` the per-engine recorders use.
+  of fleet throughput and p50/p95/p99 latency/queue-wait percentiles.
+  They live in the :class:`~repro.serving.metrics.RequestLedger` the
+  per-engine :class:`~repro.serving.metrics.Metrics` recorders are
+  built on, under the ``cluster_*`` families: the same
+  :class:`~repro.serving.metrics.RequestRecord` rows, counters,
+  histograms and summaries, from the same code.
 * **Routing counters** — per-replica/per-tenant dispatches, affinity
   hits and misses, KV migrations (count + bytes), failovers, retries,
   re-homed sessions.
@@ -15,45 +18,20 @@
   :class:`~repro.serving.clock.SimulatedClock` the log is
   bit-deterministic, which is exactly what ``bench_cluster.py`` gates.
 
-Like the per-engine :class:`~repro.serving.metrics.Metrics`, the
-counters sit on a :class:`~repro.obs.registry.MetricsRegistry`
-(``cluster_*`` families, Prometheus exposition via
-:meth:`ClusterMetrics.to_prometheus`) while raw records and the event
-log stay exact.  The legacy attribute reads (``metrics.failovers`` and
-friends) are properties over the registry instruments.
+The routing counters sit on the ledger's
+:class:`~repro.obs.registry.MetricsRegistry` (Prometheus exposition via
+:meth:`ClusterMetrics.to_prometheus`); the ledger's raw records and the
+event log stay exact.  The legacy attribute reads
+(``metrics.failovers`` and friends) are properties over the registry
+instruments.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
-from repro.obs.registry import Counter as RegistryCounter
-from repro.obs.registry import MetricsRegistry
-from repro.serving.metrics import Metrics, span_throughput, summarize
-
-
-class ClusterRecord(NamedTuple):
-    """Timing and placement of one completed cluster request (a tuple:
-    built once per token)."""
-
-    arrival: float
-    started: float
-    finished: float
-    replica_id: int
-    batch_size: int
-    cache_hit: bool
-    tenant: str | None = None
-
-    @property
-    def latency(self) -> float:
-        return self.finished - self.arrival
-
-    @property
-    def queue_wait(self) -> float:
-        return self.started - self.arrival
+from repro.obs.registry import Counter, MetricsRegistry
+from repro.serving.metrics import Metrics, RequestLedger
 
 
 @dataclass(frozen=True)
@@ -70,23 +48,15 @@ class ClusterEvent:
         return asdict(self)
 
 
-class ClusterMetrics:
-    """Thread-safe recorder the :class:`ServingCluster` reports into."""
+class ClusterMetrics(RequestLedger):
+    """Thread-safe recorder the :class:`ServingCluster` reports into:
+    the request ledger plus routing counters and the event log."""
+
+    FAMILY = "cluster"
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
-        self._records: list[ClusterRecord] = []
-        self.registry = registry if registry is not None else MetricsRegistry()
+        super().__init__(registry)
         counter = self.registry.counter
-        self._completed_c = counter(
-            "cluster_requests_completed_total", "Resolved cluster requests"
-        )
-        self._failed_c = counter(
-            "cluster_requests_failed_total", "Failed cluster requests"
-        )
-        self._cache_hits_c = counter(
-            "cluster_cache_hits_total", "Requests served from cache"
-        )
         self._affinity_hits_c = counter(
             "cluster_affinity_total", "Session-affinity routing", outcome="hit"
         )
@@ -117,17 +87,11 @@ class ClusterMetrics:
         self._prefix_private_c = counter(
             "cluster_prefix_adoptions_total", "Prefix forks", shared="false"
         )
-        self._latency_h = self.registry.histogram(
-            "cluster_request_latency_seconds", "End-to-end cluster latency"
-        )
-        self._queue_wait_h = self.registry.histogram(
-            "cluster_queue_wait_seconds", "Admission-to-execution wait"
-        )
         self.events: list[ClusterEvent] = []
         # Labelled dispatch counters bound once per replica and tenant
         # (the registry returns the same instrument for the same labels).
-        self._dispatch_c: dict[int, RegistryCounter] = {}
-        self._tenant_c: dict[str, RegistryCounter] = {}
+        self._dispatch_c: dict[int, Counter] = {}
+        self._tenant_c: dict[str, Counter] = {}
 
     # -- write side ----------------------------------------------------------
     def record_dispatch(
@@ -189,34 +153,11 @@ class ClusterMetrics:
             else:
                 self._prefix_private_c.inc()
 
-    def record_request(self, record: ClusterRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-            self._completed_c.inc()
-            if record.cache_hit:
-                self._cache_hits_c.inc()
-            self._latency_h.observe(record.latency)
-            self._queue_wait_h.observe(record.queue_wait)
-
-    def record_failure(self, count: int = 1) -> None:
-        with self._lock:
-            self._failed_c.inc(count)
-
     def record_event(self, event: ClusterEvent) -> None:
         with self._lock:
             self.events.append(event)
 
     # -- read side -----------------------------------------------------------
-    @property
-    def completed(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    @property
-    def failed(self) -> int:
-        with self._lock:
-            return int(self._failed_c.value)
-
     @property
     def affinity_hits(self) -> int:
         return int(self._affinity_hits_c.value)
@@ -256,10 +197,6 @@ class ClusterMetrics:
     @property
     def prefix_adoptions_private(self) -> int:
         return int(self._prefix_private_c.value)
-
-    def records(self) -> list[ClusterRecord]:
-        with self._lock:
-            return list(self._records)
 
     def latencies_since(self, index: int) -> tuple[list[float], int]:
         """Latencies of records from ``index`` on, plus the new index.
@@ -303,27 +240,6 @@ class ClusterMetrics:
         )
         return {tenant: int(count) for tenant, count in sorted(series.items())}
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the registry instruments."""
-        return self.registry.to_prometheus()
-
-    def throughput(self) -> float:
-        """Fleet requests per second (same definition as per-engine
-        :meth:`~repro.serving.metrics.Metrics.throughput`)."""
-        with self._lock:
-            records = list(self._records)
-        return span_throughput(records)
-
-    def latency_summary(self) -> dict[str, float]:
-        with self._lock:
-            values = [r.latency for r in self._records]
-        return summarize(values)
-
-    def queue_wait_summary(self) -> dict[str, float]:
-        with self._lock:
-            values = [r.queue_wait for r in self._records]
-        return summarize(values)
-
     def snapshot(self, replica_metrics: "dict[int, Metrics] | None" = None) -> dict:
         """JSON-able fleet summary.
 
@@ -357,7 +273,7 @@ class ClusterMetrics:
             },
             "cache": {
                 "hit_rate": self.cache_hit_rate(),
-                "hits": int(self._cache_hits_c.value),
+                "hits": self.cache_hits,
             },
             "prefixes": {
                 "shared_adoptions": self.prefix_adoptions_shared,
@@ -369,9 +285,6 @@ class ClusterMetrics:
         }
         if replica_metrics is not None:
             merged = Metrics.merged(list(replica_metrics.values()))
-            occupancy: Counter[int] = Counter()
-            for metrics in replica_metrics.values():
-                occupancy.update(metrics.batch_occupancy())
             snapshot["engines"] = {
                 "per_replica": {
                     str(rid): metrics.snapshot()
@@ -379,7 +292,7 @@ class ClusterMetrics:
                 },
                 "batch_occupancy": {
                     str(size): count
-                    for size, count in sorted(occupancy.items())
+                    for size, count in merged.batch_occupancy().items()
                 },
                 "queue_wait_s": merged.queue_wait_summary(),
             }

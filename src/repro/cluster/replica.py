@@ -18,11 +18,13 @@ state machine::
 * **STOPPED** is a completed drain; the engine is closed.
 
 The replica also carries the bookkeeping the routing policies and the
-autoscaler read: ``outstanding`` (dispatched but not completed),
-``dispatched`` (lifetime count), and ``busy_until`` — the virtual-time
-horizon of the cluster's service model (an
-:class:`~repro.serving.scheduler.IterationCost`) when the cluster runs
-under a :class:`~repro.serving.clock.SimulatedClock`.
+autoscaler read: ``outstanding`` (dispatched but not completed) and
+``busy_until`` — the virtual-time horizon of the cluster's service
+model (an :class:`~repro.serving.scheduler.IterationCost`) when the
+cluster runs under a :class:`~repro.serving.clock.SimulatedClock`.
+Lifetime dispatch counts live in the fleet's
+``cluster_dispatches_total{replica}`` counter
+(:meth:`~repro.cluster.metrics.ClusterMetrics.dispatch_counts`).
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ class Replica:
         self.state = HEALTHY
         #: Dispatched-but-not-completed requests (queued + executing).
         self.outstanding = 0
-        #: Lifetime dispatch count (per-replica occupancy accounting).
-        self.dispatched = 0
         #: Virtual-time horizon this replica is busy until (service model).
         self.busy_until = 0.0
         #: Engine handle -> cluster in-flight record, for failover.

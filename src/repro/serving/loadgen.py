@@ -24,6 +24,7 @@ import numpy as np
 from repro.serving.clock import SimulatedClock
 from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
+from repro.serving.metrics import summarize
 
 
 def poisson_gaps(
@@ -149,22 +150,14 @@ def arrival_gaps(arrivals: Sequence[Arrival]) -> list[float]:
 
 
 def _handle_stats(handles: Sequence) -> dict:
-    if not handles:
-        return {
-            "latency_p50_ms": 0.0,
-            "latency_p95_ms": 0.0,
-            "latency_p99_ms": 0.0,
-            "queue_wait_p50_ms": 0.0,
-            "mean_batch_size": 0.0,
-        }
-    latencies = [h.latency for h in handles]
-    waits = [h.queue_wait for h in handles]
+    latency = summarize([h.latency for h in handles])
+    wait = summarize([h.queue_wait for h in handles])
     occupancy = [h.batch_size for h in handles if h.batch_size]
     return {
-        "latency_p50_ms": float(np.percentile(latencies, 50) * 1e3),
-        "latency_p95_ms": float(np.percentile(latencies, 95) * 1e3),
-        "latency_p99_ms": float(np.percentile(latencies, 99) * 1e3),
-        "queue_wait_p50_ms": float(np.percentile(waits, 50) * 1e3),
+        "latency_p50_ms": latency["p50"] * 1e3,
+        "latency_p95_ms": latency["p95"] * 1e3,
+        "latency_p99_ms": latency["p99"] * 1e3,
+        "queue_wait_p50_ms": wait["p50"] * 1e3,
         "mean_batch_size": float(np.mean(occupancy)) if occupancy else 0.0,
     }
 

@@ -11,7 +11,9 @@ occupancy series, and latency distributions are registry instruments
 (shared naming, JSON snapshot, Prometheus exposition via
 :meth:`Metrics.to_prometheus`), while raw :class:`RequestRecord` rows
 are kept alongside so percentiles and span throughput stay *exact* —
-registry histograms bucket, records don't.
+registry histograms bucket, records don't.  The request half of that
+bookkeeping is :class:`RequestLedger`, which the fleet-level
+:class:`repro.cluster.metrics.ClusterMetrics` is built on too.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ class RequestRecord(NamedTuple):
 def summarize(values: list[float]) -> dict[str, float]:
     """mean/p50/p95/p99 of a latency series (zeros when empty).
 
-    The one summary shape every layer shares: per-engine latency and
-    queue-wait summaries here, and the fleet-level aggregates in
-    :mod:`repro.cluster.metrics`, so percentiles are always computed the
-    same way from raw per-request records.
+    The one summary shape every layer shares: the engine and fleet
+    :class:`RequestLedger` summaries and the load generators' handle
+    statistics, so percentiles are always computed the same way.
     """
     if not values:
         return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
@@ -66,55 +67,131 @@ def summarize(values: list[float]) -> dict[str, float]:
     }
 
 
-def span_throughput(records) -> float:
-    """Completed requests per second of observed span.
+class RequestLedger:
+    """Thread-safe ledger of resolved requests, shared by the
+    per-engine :class:`Metrics` and the fleet-level
+    :class:`repro.cluster.metrics.ClusterMetrics`.
 
-    ``records`` need ``arrival`` and ``finished`` attributes; the span
-    runs from the earliest arrival to the latest completion, and a
-    degenerate span (single instant) reports 0.  Shared by the
-    per-engine recorder and the fleet-level
-    :class:`repro.cluster.metrics.ClusterMetrics`, so "throughput"
-    means the same thing at every layer.
-    """
-    if not records:
-        return 0.0
-    span = max(r.finished for r in records) - min(r.arrival for r in records)
-    if span <= 0:
-        return 0.0
-    return len(records) / span
-
-
-class Metrics:
-    """Thread-safe recorder the :class:`ServingEngine` reports into.
-
-    Counts and distributions live in a
+    Counts and latency distributions are instruments of a
     :class:`~repro.obs.registry.MetricsRegistry` (pass one in to share
-    it across recorders; a private one is built by default); exact
-    per-request rows live in ``_records``.  Exact occupancy histograms
-    are labelled counter series (``size="4"``), which keeps them
-    lossless across merges.
+    it across recorders; a private one is built by default) named
+    ``{FAMILY}_*``; exact per-request rows live in ``_records``, the
+    source of the percentile and throughput reads.  A subclass sets the
+    family prefix as the class attribute ``FAMILY``.
     """
+
+    FAMILY: str
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
         self._records: list[RequestRecord] = []
         self.registry = registry if registry is not None else MetricsRegistry()
+        family = self.FAMILY
         self._completed_c = self.registry.counter(
-            "serving_requests_completed_total", "Resolved requests"
+            f"{family}_requests_completed_total", "Resolved requests"
         )
         self._failed_c = self.registry.counter(
-            "serving_requests_failed_total", "Failed requests"
+            f"{family}_requests_failed_total", "Failed requests"
         )
         self._cache_hits_c = self.registry.counter(
-            "serving_cache_hits_total", "Requests served from cache"
+            f"{family}_cache_hits_total", "Requests served from cache"
         )
         self._latency_h = self.registry.histogram(
-            "serving_request_latency_seconds", "End-to-end request latency"
+            f"{family}_request_latency_seconds", "End-to-end request latency"
         )
         self._queue_wait_h = self.registry.histogram(
-            "serving_queue_wait_seconds", "Admission-to-execution wait"
+            f"{family}_queue_wait_seconds", "Admission-to-execution wait"
         )
 
+    # -- write side ----------------------------------------------------------
+    def record_request(self, handle: RequestHandle) -> None:
+        """Record a resolved (successful) request from its handle."""
+        arrival, started, finished = handle.arrival, handle.started, handle.finished
+        self.record(
+            RequestRecord(
+                arrival,
+                arrival if started is None else started,
+                arrival if finished is None else finished,
+                handle.batch_size or 0,
+                handle.cache_hit,
+            )
+        )
+
+    def record(self, record: RequestRecord) -> None:
+        """Record one already-built :class:`RequestRecord` (merging path)."""
+        with self._lock:
+            self._records.append(record)
+            self._completed_c.inc()
+            if record.cache_hit:
+                self._cache_hits_c.inc()
+            self._latency_h.observe(record.latency)
+            self._queue_wait_h.observe(record.queue_wait)
+
+    def record_failures(self, count: int = 1) -> None:
+        with self._lock:
+            self._failed_c.inc(count)
+
+    # -- read side -----------------------------------------------------------
+    def records(self) -> list[RequestRecord]:
+        """Copy of every completed-request record (aggregation hook)."""
+        with self._lock:
+            return list(self._records)
+
+    @property
+    def completed(self) -> int:
+        with self._lock:
+            return len(self._records)
+
+    @property
+    def failed(self) -> int:
+        with self._lock:
+            return int(self._failed_c.value)
+
+    @property
+    def cache_hits(self) -> int:
+        with self._lock:
+            return int(self._cache_hits_c.value)
+
+    def throughput(self) -> float:
+        """Completed requests per second of observed span: earliest
+        arrival to latest completion (0 for a degenerate span)."""
+        with self._lock:
+            records = list(self._records)
+        if not records:
+            return 0.0
+        span = max(r.finished for r in records) - min(r.arrival for r in records)
+        if span <= 0:
+            return 0.0
+        return len(records) / span
+
+    def latency_summary(self) -> dict[str, float]:
+        with self._lock:
+            values = [record.latency for record in self._records]
+        return summarize(values)
+
+    def queue_wait_summary(self) -> dict[str, float]:
+        with self._lock:
+            values = [record.queue_wait for record in self._records]
+        return summarize(values)
+
+    def to_prometheus(self) -> str:
+        """Prometheus text exposition of the registry instruments."""
+        return self.registry.to_prometheus()
+
+
+class Metrics(RequestLedger):
+    """Thread-safe recorder the :class:`ServingEngine` reports into.
+
+    The :class:`RequestLedger` under the ``serving_*`` families, plus
+    batch and iteration occupancy.  Exact occupancy histograms are
+    labelled counter series (``size="4"``), which keeps them lossless
+    across merges.
+    """
+
+    FAMILY = "serving"
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        super().__init__(registry)
         # Occupancy counters bound once per size: the registry hands
         # out the same instrument for the same labels, so a hit here
         # skips only the labelled lookup.
@@ -132,19 +209,6 @@ class Metrics:
         return counter
 
     # -- engine side ---------------------------------------------------------
-    def record_request(self, handle: RequestHandle) -> None:
-        """Record a resolved (successful) request from its handle."""
-        arrival, started, finished = handle.arrival, handle.started, handle.finished
-        self.record(
-            RequestRecord(
-                arrival,
-                arrival if started is None else started,
-                arrival if finished is None else finished,
-                handle.batch_size or 0,
-                handle.cache_hit,
-            )
-        )
-
     def record_batch(self, size: int) -> None:
         """Record one executed batch's occupancy."""
         counter = self._occupancy_counter(
@@ -162,26 +226,7 @@ class Metrics:
         with self._lock:
             counter.inc()
 
-    def record_failures(self, count: int = 1) -> None:
-        with self._lock:
-            self._failed_c.inc(count)
-
-    def record(self, record: RequestRecord) -> None:
-        """Record one already-built :class:`RequestRecord` (merging path)."""
-        with self._lock:
-            self._records.append(record)
-            self._completed_c.inc()
-            if record.cache_hit:
-                self._cache_hits_c.inc()
-            self._latency_h.observe(record.latency)
-            self._queue_wait_h.observe(record.queue_wait)
-
     # -- read side -----------------------------------------------------------
-    def records(self) -> list[RequestRecord]:
-        """Copy of every completed-request record (aggregation hook)."""
-        with self._lock:
-            return list(self._records)
-
     @classmethod
     def merged(cls, parts: "list[Metrics] | tuple[Metrics, ...]") -> "Metrics":
         """One recorder holding every part's records, batches, failures.
@@ -201,37 +246,6 @@ class Metrics:
                 out._records.extend(part._records)
                 out.registry.merge_from(part.registry)
         return out
-
-    @property
-    def completed(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    @property
-    def failed(self) -> int:
-        with self._lock:
-            return int(self._failed_c.value)
-
-    @property
-    def cache_hits(self) -> int:
-        with self._lock:
-            return int(self._cache_hits_c.value)
-
-    def throughput(self) -> float:
-        """Completed requests per second (see :func:`span_throughput`)."""
-        with self._lock:
-            records = list(self._records)
-        return span_throughput(records)
-
-    def latency_summary(self) -> dict[str, float]:
-        with self._lock:
-            values = [record.latency for record in self._records]
-        return summarize(values)
-
-    def queue_wait_summary(self) -> dict[str, float]:
-        with self._lock:
-            values = [record.queue_wait for record in self._records]
-        return summarize(values)
 
     def _occupancy_series(self, name: str) -> dict[int, int]:
         series = self.registry.counter_series(name, "size")
@@ -266,10 +280,6 @@ class Metrics:
         total = sum(size * n for size, n in occupancy.items())
         iterations = sum(occupancy.values())
         return total / iterations if iterations else 0.0
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the registry instruments."""
-        return self.registry.to_prometheus()
 
     def snapshot(self) -> dict:
         """JSON-able summary of everything recorded so far."""

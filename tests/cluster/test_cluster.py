@@ -236,6 +236,20 @@ class TestFailover:
             assert cluster.replicas[new_owner].session_cache.has_session("s0")
             assert cluster.metrics.sessions_rehomed >= 1
 
+    def test_cacheless_sessions_move_without_kv_traffic(self):
+        # Echo replicas hold no KV: a moved session changes placement
+        # only.  Re-homing is always counted; migration only with KV.
+        with echo_cluster(replicas=2, policy="round_robin") as cluster:
+            for value in range(3):
+                cluster.submit(value, session_id="a")
+                cluster.run_until_idle()
+            victim = cluster.router.directory["a"]
+            cluster.fail_replica(victim)
+            assert cluster.router.directory["a"] != victim
+        assert cluster.metrics.sessions_rehomed == 1
+        assert cluster.metrics.migrations == 0
+        assert cluster.metrics.migrated_bytes == 0
+
     def test_execution_error_retries_on_another_replica(self):
         servables = {}
 

@@ -13,7 +13,12 @@ from repro.serving import (
     multi_tenant_arrivals,
     poisson_gaps,
 )
-from repro.serving.loadgen import bit_equal, sequential_decode, sequential_outputs
+from repro.serving.loadgen import (
+    _handle_stats,
+    bit_equal,
+    sequential_decode,
+    sequential_outputs,
+)
 from repro.workloads import DecoderConfig
 
 TENANTS = (
@@ -135,6 +140,40 @@ def make_decoder():
 
 def token(i, t):
     return decode_payload(5, i, t, DECODER.dim)
+
+
+class TestHandleStats:
+    def test_empty_run_reports_a_zero_row(self):
+        assert _handle_stats([]) == {
+            "latency_p50_ms": 0.0,
+            "latency_p95_ms": 0.0,
+            "latency_p99_ms": 0.0,
+            "queue_wait_p50_ms": 0.0,
+            "mean_batch_size": 0.0,
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+    def test_percentiles_equal_numpy_bit_for_bit(self, n):
+        class Handle:
+            def __init__(self, latency, queue_wait, batch_size):
+                self.latency = latency
+                self.queue_wait = queue_wait
+                self.batch_size = batch_size
+
+        rng = np.random.default_rng(n)
+        handles = [
+            Handle(*rng.exponential(1e-3, 2), int(rng.integers(0, 4)))
+            for _ in range(n)
+        ]
+        latencies = [h.latency for h in handles]
+        stats = _handle_stats(handles)
+        for q in (50, 95, 99):
+            assert stats[f"latency_p{q}_ms"] == float(
+                np.percentile(latencies, q) * 1e3
+            )
+        assert stats["queue_wait_p50_ms"] == float(
+            np.percentile([h.queue_wait for h in handles], 50) * 1e3
+        )
 
 
 class TestBitOracle:
