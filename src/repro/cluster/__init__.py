@@ -9,7 +9,9 @@ and wholesale KV migration, an :class:`Autoscaler` grows and drains the
 fleet against backlog and latency-SLO signals, and
 :class:`ClusterMetrics` aggregates per-replica metrics into fleet
 throughput, percentiles, affinity hit rate, and a deterministic event
-log.  Everything runs under the shared
+log.  An optional :class:`SharedCacheTier` (``ClusterConfig.shared_cache``)
+holds the fleet-wide prompt memo and the refcounted shared-prefix KV
+chains that decode sessions fork from.  Everything runs under the shared
 :class:`~repro.serving.clock.SimulatedClock` in manual-step mode (zero
 sleeps; an :class:`~repro.serving.scheduler.IterationCost` service
 model supplies virtual batch service times)
@@ -41,12 +43,7 @@ from repro.cluster.router import (
     SessionAffinityPolicy,
     make_policy,
 )
-from repro.cluster.store import (
-    KVStore,
-    LocalKVStore,
-    ShardedKVStore,
-    SharedCacheTier,
-)
+from repro.cluster.store import SharedCacheTier
 
 __all__ = [
     "ALIVE_STATES",
@@ -60,9 +57,7 @@ __all__ = [
     "DRAINING",
     "FAILED",
     "HEALTHY",
-    "KVStore",
     "LeastOutstandingPolicy",
-    "LocalKVStore",
     "NoHealthyReplica",
     "POLICIES",
     "Replica",
@@ -73,7 +68,6 @@ __all__ = [
     "STOPPED",
     "ServingCluster",
     "SessionAffinityPolicy",
-    "ShardedKVStore",
     "SharedCacheTier",
     "make_policy",
     "run_virtual_open_loop",

@@ -57,7 +57,7 @@ from repro.cluster.replica import (
 from repro.cluster.router import NoHealthyReplica, Router
 from repro.cluster.store import SharedCacheTier
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.cache import MISS, SessionCache
+from repro.serving.cache import MISS, SessionCache, isolated
 from repro.serving.clock import WallClock
 from repro.serving.request import EngineClosed, RequestHandle, ServingError
 from repro.serving.servable import Servable
@@ -106,11 +106,6 @@ class ServingCluster:
         clock: shared time source; a :class:`SimulatedClock` selects
             manual stepping.
         autoscaler: an :class:`AutoscalerPolicy` to enable scaling.
-        tier: an externally-built
-            :class:`~repro.cluster.store.SharedCacheTier` (e.g. backed
-            by a custom :class:`~repro.cluster.store.KVStore`); by
-            default ``config.shared_cache`` builds a local one on the
-            cluster clock.
         tracer: an :class:`~repro.obs.trace.Tracer` for cluster.request
             spans (route / failover / retry / complete events), a root
             ``cluster`` span carrying fleet lifecycle events, and —
@@ -140,7 +135,6 @@ class ServingCluster:
         config: ClusterConfig | None = None,
         clock=None,
         autoscaler: AutoscalerPolicy | None = None,
-        tier: SharedCacheTier | None = None,
         tracer=None,
         recorder=None,
         slo_monitor=None,
@@ -166,14 +160,11 @@ class ServingCluster:
         #: retire / replica_failed).
         self._span = self.tracer.start_span("cluster")
         self.router = Router(config.policy)
-        self.tier: SharedCacheTier | None = tier
-        if self.tier is None and config.shared_cache:
-            self.tier = SharedCacheTier(
-                clock=self.clock,
-                memo_capacity_bytes=config.memo_bytes,
-                memo_ttl_s=config.memo_ttl_s,
-                prefix_ttl_s=config.prefix_ttl_s,
-            )
+        self.tier: SharedCacheTier | None = (
+            SharedCacheTier(memo_capacity_bytes=config.memo_bytes)
+            if config.shared_cache
+            else None
+        )
         #: Registered shared prefixes: prefix id -> prompt tokens.
         self._prefixes: dict[str, int] = {}
         #: Sessions forked from a tier chain (holder-refcount custody).
@@ -423,11 +414,11 @@ class ServingCluster:
             )
             span.add_event("submit")
             if cache_key is not None and self.tier is not None:
-                hit = self.tier.get_memo(cache_key)
+                hit = self.tier.memo.get(cache_key)
                 if hit is not MISS:
                     now = handle.arrival
                     handle._resolve(
-                        hit, started=now, finished=now,
+                        isolated(hit), started=now, finished=now,
                         batch_size=0, cache_hit=True,
                     )
                     self.metrics.record_request(handle)
@@ -539,7 +530,7 @@ class ServingCluster:
                 ):
                     # Publish the freshly computed result fleet-wide so
                     # any replica's next request for this key hits.
-                    self.tier.put_memo(record.cache_key, value)
+                    self.tier.memo.put(record.cache_key, isolated(value))
                 batch_size = engine_handle.batch_size or 0
                 handle = record.handle
                 arrival = handle.arrival

@@ -13,7 +13,6 @@ cluster-bench`` CLI reads the same form via ``--config`` JSON.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 from repro.cluster.router import POLICIES
@@ -44,11 +43,10 @@ class ClusterConfig:
             chains (pages charged once fleet-wide).  ``False``
             materializes each session's prompt privately in its
             replica's pool — the unshared baseline.
-        memo_bytes: per-replica *private* memo cache budget (``None``
-            disables replica-level memoization — the pre-tier
-            behaviour).
-        memo_ttl_s / prefix_ttl_s: tier entry lifetimes against the
-            cluster clock (``None`` = no expiry).
+        memo_bytes: memo byte budget.  With ``shared_cache`` it
+            bounds the fleet memo (``None`` = unbounded); otherwise it
+            buys each replica a *private* memo (``None`` disables
+            replica-level memoization — the pre-tier behaviour).
     """
 
     replicas: int = 2
@@ -60,8 +58,6 @@ class ClusterConfig:
     shared_cache: bool = False
     share_prefixes: bool = True
     memo_bytes: int | None = None
-    memo_ttl_s: float | None = None
-    prefix_ttl_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -82,10 +78,6 @@ class ClusterConfig:
                 "pass service_model or engine.iteration_cost, not both "
                 "(they are competing virtual-time models)"
             )
-        for name in ("memo_ttl_s", "prefix_ttl_s"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def replace(self, **changes) -> "ClusterConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -79,9 +79,6 @@ class Replica:
         self.name = f"replica-{replica_id}"
         self.servable = servable
         self.config = config
-        #: Replica-private memo cache handed to the engine (``None``
-        #: unless the cluster configures per-replica memoization).
-        self.memo_cache = memo_cache
         self.engine = ServingEngine(
             servable,
             config=config,

@@ -1,20 +1,16 @@
-"""Cluster-wide shared cache tier: a pluggable KV store + prefix chains.
+"""Cluster-wide shared cache tier: a fleet memo + refcounted prefix chains.
 
 Per-replica :class:`~repro.serving.cache.SessionCache` memos forfeit
 fleet hit rate under any non-sticky routing policy — a prompt computed
 on replica 0 is recomputed when the router sends its repeat to replica
-1.  This module hoists both cache concerns above the replica set:
+1.  :class:`SharedCacheTier` hoists both cache concerns above the
+replica set:
 
-* :class:`KVStore` — a minimal Redis-shaped storage interface
-  (``get``/``put``/``delete``/``scan`` over namespaced string keys,
-  per-entry TTL evaluated against an injectable clock).  The
-  :class:`LocalKVStore` backend is deterministic and in-process (tests
-  and simulation); :class:`ShardedKVStore` stable-hashes keys across
-  several of them (the shape a real Redis-cluster client would slot
-  into behind the same interface).
-* :class:`SharedCacheTier` — the serving semantics on top of a store:
-  fleet-wide **prompt memoization** (LRU byte budget + TTL) and
-  reference-counted **common-prefix KV chains**
+* fleet-wide **prompt memoization** — ``tier.memo`` is a plain
+  :class:`~repro.serving.cache.SessionCache` (the same LRU byte budget
+  and key semantics as the per-replica memo), so hits survive any
+  routing policy;
+* reference-counted **common-prefix KV chains**
   (:class:`~repro.serving.cache.PrefixChain`) that decode sessions
   fork from instead of re-materializing the same system prompt per
   replica.  Chain pages are owned by the tier (never any replica's
@@ -25,253 +21,38 @@ on replica 0 is recomputed when the router sends its repeat to replica
 
 from __future__ import annotations
 
-import abc
 import threading
-import zlib
-from collections import OrderedDict
-from typing import Any
 
-import numpy as np
-
-from repro.serving.cache import MISS, KVBlock, PrefixChain
-from repro.serving.clock import WallClock
+from repro.serving.cache import KVBlock, PrefixChain, SessionCache
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
-
-#: Tier namespaces within one :class:`KVStore`.
-NS_MEMO = "memo"
-NS_PREFIX = "prefix"
-NS_REFS = "prefix-refs"
-NS_HOLDERS = "prefix-holders"
-
-
-class KVStore(abc.ABC):
-    """Namespaced key/value storage with TTL — the pluggable backend.
-
-    Deliberately Redis-shaped (string keys inside namespaces, per-entry
-    TTL, prefix ``scan``) so a networked backend can replace
-    :class:`LocalKVStore` without touching the tier logic.  Expiry is
-    evaluated lazily against the store's clock on every read, which
-    keeps behaviour deterministic under a
-    :class:`~repro.serving.clock.SimulatedClock`.
-    """
-
-    @abc.abstractmethod
-    def put(
-        self, namespace: str, key: str, value: Any, *, ttl_s: float | None = None
-    ) -> None:
-        """Store ``value``; ``ttl_s`` seconds to live (``None`` = forever)."""
-
-    @abc.abstractmethod
-    def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """The stored value, or ``default`` when absent/expired."""
-
-    @abc.abstractmethod
-    def delete(self, namespace: str, key: str) -> bool:
-        """Remove an entry; True when a live entry existed."""
-
-    @abc.abstractmethod
-    def scan(self, namespace: str, prefix: str = "") -> list[str]:
-        """Sorted live keys of ``namespace`` starting with ``prefix``."""
-
-    def size(self, namespace: str) -> int:
-        """Live entries in ``namespace``."""
-        return len(self.scan(namespace))
-
-
-class LocalKVStore(KVStore):
-    """Deterministic in-process :class:`KVStore` backend."""
-
-    def __init__(self, *, clock=None) -> None:
-        self.clock = clock if clock is not None else WallClock()
-        self._data: dict[str, dict[str, tuple[Any, float | None]]] = {}
-        self._lock = threading.RLock()
-
-    def _live(self, namespace: str, key: str) -> bool:
-        """Caller holds the lock; drops the entry when expired."""
-        entry = self._data.get(namespace, {}).get(key)
-        if entry is None:
-            return False
-        _, expires_at = entry
-        if expires_at is not None and self.clock.now() >= expires_at:
-            del self._data[namespace][key]
-            return False
-        return True
-
-    def put(
-        self, namespace: str, key: str, value: Any, *, ttl_s: float | None = None
-    ) -> None:
-        if ttl_s is not None and ttl_s < 0:
-            raise ValueError(f"ttl_s must be >= 0, got {ttl_s}")
-        expires_at = None if ttl_s is None else self.clock.now() + ttl_s
-        with self._lock:
-            self._data.setdefault(namespace, {})[key] = (value, expires_at)
-
-    def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        with self._lock:
-            if not self._live(namespace, key):
-                return default
-            return self._data[namespace][key][0]
-
-    def delete(self, namespace: str, key: str) -> bool:
-        with self._lock:
-            live = self._live(namespace, key)
-            if live:
-                del self._data[namespace][key]
-            return live
-
-    def scan(self, namespace: str, prefix: str = "") -> list[str]:
-        with self._lock:
-            keys = list(self._data.get(namespace, {}))
-            return sorted(
-                key
-                for key in keys
-                if key.startswith(prefix) and self._live(namespace, key)
-            )
-
-
-class ShardedKVStore(KVStore):
-    """Stable-hash sharding over :class:`LocalKVStore` partitions.
-
-    The smallest faithful model of a sharded (Redis-cluster-style)
-    deployment: each ``(namespace, key)`` pair maps to one shard by
-    CRC32, scans merge shard results.  Shard choice is content-stable,
-    so behaviour is deterministic run to run.
-    """
-
-    def __init__(self, *, shards: int = 4, clock=None) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.clock = clock if clock is not None else WallClock()
-        self._shards = [LocalKVStore(clock=self.clock) for _ in range(shards)]
-
-    def _shard(self, namespace: str, key: str) -> LocalKVStore:
-        digest = zlib.crc32(f"{namespace}:{key}".encode())
-        return self._shards[digest % len(self._shards)]
-
-    def put(
-        self, namespace: str, key: str, value: Any, *, ttl_s: float | None = None
-    ) -> None:
-        self._shard(namespace, key).put(namespace, key, value, ttl_s=ttl_s)
-
-    def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        return self._shard(namespace, key).get(namespace, key, default)
-
-    def delete(self, namespace: str, key: str) -> bool:
-        return self._shard(namespace, key).delete(namespace, key)
-
-    def scan(self, namespace: str, prefix: str = "") -> list[str]:
-        merged: list[str] = []
-        for shard in self._shards:
-            merged.extend(shard.scan(namespace, prefix))
-        return sorted(merged)
-
-
-def _string_key(key: Any) -> str:
-    """Deterministic store key for an arbitrary hashable cache key."""
-    return key if isinstance(key, str) else repr(key)
-
-
-def _isolated(value: Any) -> Any:
-    """Array values are copied so tier entries never alias results."""
-    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 class SharedCacheTier:
-    """Fleet-wide prompt memo + refcounted prefix chains over a store.
+    """Fleet-wide prompt memo + refcounted prefix chains.
 
-    Memoization: :meth:`get_memo` / :meth:`put_memo` mirror
-    :class:`~repro.serving.cache.SessionCache`'s memo API (MISS
-    sentinel, LRU byte budget, isolated array copies) but live above
-    the replica set, so hits survive any routing policy.  ``memo_ttl_s``
-    bounds entry lifetime against the store's clock.
+    Memoization: ``memo`` is a :class:`~repro.serving.cache.SessionCache`
+    bounded by ``memo_capacity_bytes``; like the engine with its own
+    memo, callers store and hand out isolated array copies.
 
-    Prefix chains: :meth:`ensure_prefix` registers the zero-state KV
-    pages of a shared system prompt once; sessions adopt them via
+    Prefix chains: :meth:`ensure_prefix` builds the zero-state KV pages
+    of a shared system prompt once; sessions adopt them via
     :meth:`~repro.serving.cache.SessionCache.adopt_prefix`.  The tier
-    tracks one refcount per chain plus per-replica holder counts
-    (keys ``{prefix_id}/{replica_id}`` in the store — the longest-prefix
-    placement signal of the router's ``cache_aware`` policy).  A chain's
-    pages stay alive while referenced; at refcount zero the chain
-    remains cached but becomes evictable (``prefix_ttl_s``).
+    tracks one refcount per chain plus per-replica holder counts (the
+    longest-prefix placement signal of the router's ``cache_aware``
+    policy).  A chain stays cached at refcount zero until
+    :meth:`drop_prefix` evicts it.
     """
 
-    def __init__(
-        self,
-        store: KVStore | None = None,
-        *,
-        clock=None,
-        memo_capacity_bytes: int | None = None,
-        memo_ttl_s: float | None = None,
-        prefix_ttl_s: float | None = None,
-    ) -> None:
-        if memo_capacity_bytes is not None and memo_capacity_bytes < 0:
-            raise ValueError(
-                f"memo_capacity_bytes must be >= 0, got {memo_capacity_bytes}"
-            )
-        self.store = store if store is not None else LocalKVStore(clock=clock)
-        self.memo_capacity_bytes = memo_capacity_bytes
-        self.memo_ttl_s = memo_ttl_s
-        self.prefix_ttl_s = prefix_ttl_s
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._memo_lru: OrderedDict[str, int] = OrderedDict()
-        self._memo_bytes = 0
-        self._lock = threading.RLock()
+    def __init__(self, *, memo_capacity_bytes: int | None = None) -> None:
+        self.memo = SessionCache(capacity_bytes=memo_capacity_bytes)
+        # One lock guards the three custody maps: prefix id -> chain,
+        # -> refcount (absent at zero), -> {replica id: holder count}
+        # (replicas holding none are absent).
+        self._lock = threading.Lock()
+        self._chains: dict[str, PrefixChain] = {}
+        self._refs: dict[str, int] = {}
+        self._holders: dict[str, dict[int, int]] = {}
 
-    # -- prompt memoization ---------------------------------------------------
-    def get_memo(self, key: Any) -> Any:
-        """Cached value for ``key`` or the cache :data:`MISS` sentinel."""
-        skey = _string_key(key)
-        with self._lock:
-            value = self.store.get(NS_MEMO, skey, MISS)
-            if value is MISS:
-                self.misses += 1
-                # The entry may have expired out from under the LRU
-                # ledger; reconcile so byte accounting stays truthful.
-                if skey in self._memo_lru:
-                    self._memo_bytes -= self._memo_lru.pop(skey)
-                return MISS
-            self._memo_lru.move_to_end(skey)
-            self.hits += 1
-            return _isolated(value)
-
-    def put_memo(self, key: Any, value: Any, nbytes: int | None = None) -> None:
-        """Store ``value`` fleet-wide; evicts LRU past the byte budget."""
-        if nbytes is None:
-            nbytes = int(value.nbytes) if isinstance(value, np.ndarray) else 0
-        if (
-            self.memo_capacity_bytes is not None
-            and nbytes > self.memo_capacity_bytes
-        ):
-            return
-        skey = _string_key(key)
-        with self._lock:
-            if skey in self._memo_lru:
-                self._memo_bytes -= self._memo_lru.pop(skey)
-            self.store.put(NS_MEMO, skey, _isolated(value), ttl_s=self.memo_ttl_s)
-            self._memo_lru[skey] = nbytes
-            self._memo_bytes += nbytes
-            if self.memo_capacity_bytes is not None:
-                while (
-                    self._memo_bytes > self.memo_capacity_bytes
-                    and len(self._memo_lru) > 1
-                ):
-                    evicted, evicted_bytes = self._memo_lru.popitem(last=False)
-                    self._memo_bytes -= evicted_bytes
-                    self.store.delete(NS_MEMO, evicted)
-                    self.evictions += 1
-
-    @property
-    def memo_entries(self) -> int:
-        return self.store.size(NS_MEMO)
-
-    @property
-    def memo_bytes(self) -> int:
-        with self._lock:
-            return self._memo_bytes
-
-    # -- prefix chains --------------------------------------------------------
     def ensure_prefix(
         self,
         prefix_id: str,
@@ -290,7 +71,7 @@ class SharedCacheTier:
         if tokens < 1:
             raise ValueError(f"tokens must be >= 1, got {tokens}")
         with self._lock:
-            existing = self.prefix(prefix_id)
+            existing = self._chains.get(prefix_id)
             if existing is not None:
                 if existing.tokens != tokens:
                     raise ValueError(
@@ -305,7 +86,7 @@ class SharedCacheTier:
                 block.fill_zeros(min(remaining, block_size))
                 remaining -= block.fill
                 blocks.append(block)
-            chain = PrefixChain(
+            chain = self._chains[prefix_id] = PrefixChain(
                 prefix_id=prefix_id,
                 tokens=tokens,
                 blocks=tuple(blocks),
@@ -314,82 +95,58 @@ class SharedCacheTier:
                     config, len(blocks) * block_size, bits=kv_bits
                 ),
             )
-            self.register_prefix(chain)
             return chain
 
-    def register_prefix(self, chain: PrefixChain) -> None:
-        """Admit an existing chain (e.g. a live session's
-        :meth:`~repro.serving.cache.SessionCache.export_prefix`)."""
-        if "/" in chain.prefix_id:
-            raise ValueError(
-                f"prefix_id {chain.prefix_id!r} must not contain '/'"
-            )
-        with self._lock:
-            if self.prefix(chain.prefix_id) is not None:
-                raise ValueError(
-                    f"prefix {chain.prefix_id!r} already registered"
-                )
-            # Unreferenced chains are evictable from the start.
-            self.store.put(
-                NS_PREFIX, chain.prefix_id, chain, ttl_s=self.prefix_ttl_s
-            )
-
     def prefix(self, prefix_id: str) -> PrefixChain | None:
-        return self.store.get(NS_PREFIX, prefix_id)
+        with self._lock:
+            return self._chains.get(prefix_id)
 
     def refcount(self, prefix_id: str) -> int:
-        return self.store.get(NS_REFS, prefix_id, 0)
+        with self._lock:
+            return self._refs.get(prefix_id, 0)
+
+    def _add_holder(self, prefix_id: str, replica_id: int) -> None:
+        held = self._holders.setdefault(prefix_id, {})
+        held[replica_id] = held.get(replica_id, 0) + 1
+
+    def _take_holder(self, prefix_id: str, replica_id: int) -> None:
+        held = self._holders.get(prefix_id, {})
+        count = held.get(replica_id, 0)
+        if count < 1:
+            raise ValueError(
+                f"replica {replica_id} holds no sessions on prefix "
+                f"{prefix_id!r}"
+            )
+        if count > 1:
+            held[replica_id] = count - 1
+        elif len(held) > 1:
+            del held[replica_id]
+        else:
+            del self._holders[prefix_id]
 
     def acquire_prefix(self, prefix_id: str, replica_id: int) -> PrefixChain:
-        """One more session on ``replica_id`` forks from the chain.
-
-        While referenced, the chain is pinned (stored without TTL): the
-        tier must never expire pages a live session still reads.
-        """
+        """One more session on ``replica_id`` forks from the chain; a
+        referenced chain cannot be dropped."""
         with self._lock:
-            chain = self.prefix(prefix_id)
+            chain = self._chains.get(prefix_id)
             if chain is None:
                 raise KeyError(f"no registered prefix {prefix_id!r}")
-            refs = self.refcount(prefix_id) + 1
-            self.store.put(NS_REFS, prefix_id, refs)
-            if refs == 1:
-                self.store.put(NS_PREFIX, prefix_id, chain)  # pin: no TTL
-            holder_key = f"{prefix_id}/{replica_id}"
-            held = self.store.get(NS_HOLDERS, holder_key, 0)
-            self.store.put(NS_HOLDERS, holder_key, held + 1)
+            self._refs[prefix_id] = self._refs.get(prefix_id, 0) + 1
+            self._add_holder(prefix_id, replica_id)
             return chain
 
     def release_prefix(self, prefix_id: str, replica_id: int) -> int:
-        """A forked session closed; returns the remaining refcount.
-
-        At refcount zero the chain stays cached for future forks but
-        becomes evictable again (re-stored with ``prefix_ttl_s``).
-        """
+        """A forked session closed; returns the remaining refcount."""
         with self._lock:
-            refs = self.refcount(prefix_id)
+            refs = self._refs.get(prefix_id, 0)
             if refs < 1:
                 raise ValueError(f"prefix {prefix_id!r} is not referenced")
-            holder_key = f"{prefix_id}/{replica_id}"
-            held = self.store.get(NS_HOLDERS, holder_key, 0)
-            if held < 1:
-                raise ValueError(
-                    f"replica {replica_id} holds no sessions on prefix "
-                    f"{prefix_id!r}"
-                )
-            if held == 1:
-                self.store.delete(NS_HOLDERS, holder_key)
-            else:
-                self.store.put(NS_HOLDERS, holder_key, held - 1)
+            self._take_holder(prefix_id, replica_id)
             refs -= 1
-            if refs == 0:
-                self.store.delete(NS_REFS, prefix_id)
-                chain = self.prefix(prefix_id)
-                if chain is not None:
-                    self.store.put(
-                        NS_PREFIX, prefix_id, chain, ttl_s=self.prefix_ttl_s
-                    )
+            if refs:
+                self._refs[prefix_id] = refs
             else:
-                self.store.put(NS_REFS, prefix_id, refs)
+                del self._refs[prefix_id]
             return refs
 
     def move_holder(
@@ -399,61 +156,49 @@ class SharedCacheTier:
         if from_replica == to_replica:
             return
         with self._lock:
-            src_key = f"{prefix_id}/{from_replica}"
-            held = self.store.get(NS_HOLDERS, src_key, 0)
-            if held < 1:
-                raise ValueError(
-                    f"replica {from_replica} holds no sessions on prefix "
-                    f"{prefix_id!r}"
-                )
-            if held == 1:
-                self.store.delete(NS_HOLDERS, src_key)
-            else:
-                self.store.put(NS_HOLDERS, src_key, held - 1)
-            dst_key = f"{prefix_id}/{to_replica}"
-            self.store.put(
-                NS_HOLDERS, dst_key, self.store.get(NS_HOLDERS, dst_key, 0) + 1
-            )
+            self._take_holder(prefix_id, from_replica)
+            self._add_holder(prefix_id, to_replica)
 
     def replicas_holding(self, prefix_id: str) -> list[int]:
         """Replica ids with live sessions forked from the chain, sorted."""
-        prefix = f"{prefix_id}/"
-        return sorted(
-            int(key[len(prefix) :])
-            for key in self.store.scan(NS_HOLDERS, prefix)
-        )
+        with self._lock:
+            return sorted(self._holders.get(prefix_id, ()))
 
     def drop_prefix(self, prefix_id: str) -> bool:
         """Explicitly evict an *unreferenced* chain."""
         with self._lock:
-            if self.refcount(prefix_id) > 0:
+            if prefix_id in self._refs:
                 raise ValueError(
                     f"prefix {prefix_id!r} still referenced; cannot drop"
                 )
-            return self.store.delete(NS_PREFIX, prefix_id)
+            return self._chains.pop(prefix_id, None) is not None
 
     @property
     def prefix_ids(self) -> list[str]:
-        return self.store.scan(NS_PREFIX)
+        with self._lock:
+            return sorted(self._chains)
 
     @property
     def shared_bytes(self) -> int:
         """Fleet bytes of live prefix chains — each charged **once**,
         however many sessions alias its pages."""
-        return sum(
-            self.prefix(prefix_id).nbytes for prefix_id in self.prefix_ids
-        )
+        with self._lock:
+            return sum(chain.nbytes for chain in self._chains.values())
 
     # -- observability --------------------------------------------------------
     def stats(self) -> dict:
+        memo = self.memo
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "memo_entries": self.memo_entries,
-                "memo_bytes": self.memo_bytes,
-                "prefixes": len(self.prefix_ids),
-                "shared_bytes": self.shared_bytes,
-                "referenced_prefixes": self.store.size(NS_REFS),
-            }
+            prefixes = len(self._chains)
+            shared_bytes = sum(chain.nbytes for chain in self._chains.values())
+            referenced = len(self._refs)
+        return {
+            "hits": memo.hits,
+            "misses": memo.misses,
+            "evictions": memo.evictions,
+            "memo_entries": memo.memo_entries,
+            "memo_bytes": memo.memo_bytes,
+            "prefixes": prefixes,
+            "shared_bytes": shared_bytes,
+            "referenced_prefixes": referenced,
+        }

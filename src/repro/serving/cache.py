@@ -36,6 +36,11 @@ from repro.workloads.llm import DecoderConfig, kv_cache_bytes
 MISS = object()
 
 
+def isolated(value: Any) -> Any:
+    """A copy of array values, so memo entries never alias results."""
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
 class KVBlock:
     """One fixed-capacity page of per-token K/V vectors.
 

@@ -35,11 +35,9 @@ import itertools
 import threading
 from typing import Any
 
-import numpy as np
-
 from repro.neural.autograd import no_grad
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.cache import MISS, SessionCache
+from repro.serving.cache import MISS, SessionCache, isolated
 from repro.serving.clock import WallClock
 from repro.serving.config import SCHEDULERS, EngineConfig
 from repro.serving.metrics import Metrics
@@ -54,11 +52,6 @@ from repro.serving.scheduler import IterationScheduler
 from repro.serving.servable import Servable
 
 __all__ = ["SCHEDULERS", "ServingEngine"]
-
-
-def _isolated(value: Any) -> Any:
-    """A copy of array values, so cache entries never alias results."""
-    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 class ServingEngine:
@@ -292,7 +285,7 @@ class ServingEngine:
             hit = self.cache.get(cache_key)
             if hit is not MISS:
                 handle._resolve(
-                    _isolated(hit),
+                    isolated(hit),
                     started=arrival,
                     finished=arrival,
                     batch_size=0,
@@ -533,7 +526,7 @@ class ServingEngine:
                 if request.cache_key is not None and cache is not None:
                     # Store an isolated copy: the requester's result array
                     # must never alias the cache entry (or later hits).
-                    cache.put(request.cache_key, _isolated(output))
+                    cache.put(request.cache_key, isolated(output))
                 handle = request.handle
                 handle._resolve(
                     output, started=started, finished=finished, batch_size=size

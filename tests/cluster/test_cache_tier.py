@@ -121,7 +121,7 @@ class TestFleetMemo:
             # tier hit resolves it at submit, before any dispatch.
             second = cluster.submit(np.ones(4), cache_key="k")
             np.testing.assert_array_equal(second.result(timeout=0), 2 * np.ones(4))
-            assert cluster.tier.hits == 1
+            assert cluster.tier.memo.hits == 1
             snapshot = cluster.snapshot()
             assert snapshot["cache"]["hits"] == 1
             assert snapshot["cache"]["hit_rate"] == 0.5
@@ -141,7 +141,7 @@ class TestFleetMemo:
             assert cluster.metrics.cache_hit_rate() == hits / len(records)
             assert (cluster.tier is not None) is shared
             if shared:
-                assert cluster.tier.hits == hits
+                assert cluster.tier.memo.hits == hits
 
     def test_private_memos_forfeit_the_cross_replica_hit(self):
         with echo_tier_cluster(shared=False) as cluster:
@@ -159,6 +159,29 @@ class TestFleetMemo:
             first.result(timeout=0)[:] = 99  # caller scribbles on it
             second = cluster.submit(np.ones(4), cache_key="k")
             np.testing.assert_array_equal(second.result(timeout=0), 2 * np.ones(4))
+
+    def test_tier_hits_are_isolated_copies(self):
+        with echo_tier_cluster(shared=True) as cluster:
+            cluster.submit(np.ones(4), cache_key="k")
+            cluster.run_until_idle()
+            hit = cluster.submit(np.ones(4), cache_key="k")
+            assert hit.cache_hit
+            hit.result(timeout=0)[:] = 99  # caller scribbles on a hit
+            again = cluster.submit(np.ones(4), cache_key="k")
+            assert again.cache_hit
+            np.testing.assert_array_equal(again.result(timeout=0), 2 * np.ones(4))
+
+    def test_equal_repr_keys_do_not_collide(self):
+        # 1 and "1" are different keys to the replica memo; the tier
+        # must not serve one's result for the other.
+        with echo_tier_cluster(shared=True) as cluster:
+            first = cluster.submit(np.ones(2), cache_key=1)
+            cluster.run_until_idle()
+            second = cluster.submit(5 * np.ones(2), cache_key="1")
+            cluster.run_until_idle()
+            np.testing.assert_array_equal(first.result(timeout=0), [2, 2])
+            np.testing.assert_array_equal(second.result(timeout=0), [10, 10])
+            assert not second.cache_hit
 
 
 class TestPrefixRegistration:

@@ -1,170 +1,60 @@
-"""KVStore conformance suite (all backends) and SharedCacheTier units:
-namespacing, TTL under a simulated clock, scan ordering, memo LRU, and
-prefix-chain refcount/holder custody."""
+"""SharedCacheTier units: the fleet memo's LRU byte budget, and
+prefix-chain refcount/holder custody, alone and under threads."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.cluster import LocalKVStore, ShardedKVStore, SharedCacheTier
-from repro.cluster.store import NS_MEMO, NS_PREFIX
-from repro.serving import SimulatedClock
-from repro.serving.cache import MISS, PrefixChain
+from repro.cluster import SharedCacheTier
+from repro.serving.cache import MISS
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
-
-BACKENDS = {
-    "local": lambda clock: LocalKVStore(clock=clock),
-    "sharded": lambda clock: ShardedKVStore(shards=3, clock=clock),
-}
-
-
-@pytest.fixture(params=sorted(BACKENDS))
-def backend(request):
-    clock = SimulatedClock()
-    return BACKENDS[request.param](clock), clock
 
 
 def toy_decoder() -> DecoderConfig:
     return DecoderConfig("store-test", depth=2, dim=16, heads=2, mlp_ratio=2.0)
 
 
-class TestKVStoreConformance:
-    def test_put_get_roundtrip(self, backend):
-        store, _ = backend
-        store.put("ns", "k", {"a": 1})
-        assert store.get("ns", "k") == {"a": 1}
-
-    def test_miss_returns_default(self, backend):
-        store, _ = backend
-        assert store.get("ns", "absent") is None
-        assert store.get("ns", "absent", default=7) == 7
-
-    def test_namespaces_isolate_keys(self, backend):
-        store, _ = backend
-        store.put("alpha", "k", 1)
-        store.put("beta", "k", 2)
-        assert store.get("alpha", "k") == 1
-        assert store.get("beta", "k") == 2
-        assert store.delete("alpha", "k")
-        assert store.get("alpha", "k") is None
-        assert store.get("beta", "k") == 2
-
-    def test_delete_reports_presence(self, backend):
-        store, _ = backend
-        store.put("ns", "k", 1)
-        assert store.delete("ns", "k") is True
-        assert store.delete("ns", "k") is False
-
-    def test_scan_is_sorted_and_prefix_filtered(self, backend):
-        store, _ = backend
-        for key in ("b/2", "a", "b/1", "c"):
-            store.put("ns", key, key)
-        assert store.scan("ns") == ["a", "b/1", "b/2", "c"]
-        assert store.scan("ns", prefix="b/") == ["b/1", "b/2"]
-        assert store.scan("other") == []
-
-    def test_size_counts_live_entries(self, backend):
-        store, _ = backend
-        for i in range(5):
-            store.put("ns", f"k{i}", i)
-        assert store.size("ns") == 5
-        store.delete("ns", "k0")
-        assert store.size("ns") == 4
-
-    def test_ttl_expires_at_exact_boundary(self, backend):
-        store, clock = backend
-        store.put("ns", "k", 1, ttl_s=2.0)
-        clock.advance(1.999)
-        assert store.get("ns", "k") == 1
-        clock.advance(0.001)  # now == expires_at: expired
-        assert store.get("ns", "k") is None
-        assert store.scan("ns") == []
-        assert store.size("ns") == 0
-
-    def test_rewrite_without_ttl_unpins_expiry(self, backend):
-        store, clock = backend
-        store.put("ns", "k", 1, ttl_s=1.0)
-        store.put("ns", "k", 2)  # no TTL: pinned
-        clock.advance(10.0)
-        assert store.get("ns", "k") == 2
-
-    def test_negative_ttl_rejected(self, backend):
-        store, _ = backend
-        with pytest.raises(ValueError):
-            store.put("ns", "k", 1, ttl_s=-0.5)
-
-
-class TestShardedStore:
-    def test_shard_count_validation(self):
-        with pytest.raises(ValueError):
-            ShardedKVStore(shards=0)
-
-    def test_scan_merges_across_shards_sorted(self):
-        store = ShardedKVStore(shards=4)
-        keys = [f"key-{i:03d}" for i in range(20)]
-        for key in reversed(keys):
-            store.put("ns", key, key)
-        assert store.scan("ns") == keys
-        assert store.size("ns") == 20
-
-
 class TestTierMemo:
     def test_miss_then_hit_with_counters(self):
-        tier = SharedCacheTier()
-        assert tier.get_memo("k") is MISS
-        tier.put_memo("k", np.arange(4.0))
-        np.testing.assert_array_equal(tier.get_memo("k"), np.arange(4.0))
-        assert tier.hits == 1 and tier.misses == 1
-
-    def test_values_are_isolated_copies(self):
-        tier = SharedCacheTier()
-        value = np.ones(3)
-        tier.put_memo("k", value)
-        value[:] = 0  # caller mutation must not corrupt the store
-        out = tier.get_memo("k")
-        np.testing.assert_array_equal(out, np.ones(3))
-        out[:] = 5
-        np.testing.assert_array_equal(tier.get_memo("k"), np.ones(3))
+        memo = SharedCacheTier().memo
+        assert memo.get("k") is MISS
+        memo.put("k", np.arange(4.0))
+        np.testing.assert_array_equal(memo.get("k"), np.arange(4.0))
+        assert memo.hits == 1 and memo.misses == 1
 
     def test_lru_eviction_under_byte_budget(self):
         entry = np.zeros(16)  # 128 bytes
-        tier = SharedCacheTier(memo_capacity_bytes=3 * entry.nbytes)
+        memo = SharedCacheTier(memo_capacity_bytes=3 * entry.nbytes).memo
         for i in range(3):
-            tier.put_memo(f"k{i}", entry)
-        assert tier.get_memo("k0") is not MISS  # refresh k0
-        tier.put_memo("k3", entry)  # evicts k1, the LRU
-        assert tier.get_memo("k1") is MISS
-        assert tier.get_memo("k0") is not MISS
-        assert tier.evictions == 1
-        assert tier.memo_entries == 3
-        assert tier.memo_bytes == 3 * entry.nbytes
+            memo.put(f"k{i}", entry)
+        assert memo.get("k0") is not MISS  # refresh k0
+        memo.put("k3", entry)  # evicts k1, the LRU
+        assert memo.get("k1") is MISS
+        assert memo.get("k0") is not MISS
+        assert memo.evictions == 1
+        assert memo.memo_entries == 3
+        assert memo.memo_bytes == 3 * entry.nbytes
 
     def test_overwrite_replaces_bytes_not_duplicates(self):
-        tier = SharedCacheTier(memo_capacity_bytes=1 << 10)
-        tier.put_memo("k", np.zeros(8))
-        tier.put_memo("k", np.zeros(16))  # same key, larger value
-        assert tier.memo_entries == 1
-        assert tier.memo_bytes == 128
-        np.testing.assert_array_equal(tier.get_memo("k"), np.zeros(16))
+        memo = SharedCacheTier(memo_capacity_bytes=1 << 10).memo
+        memo.put("k", np.zeros(8))
+        memo.put("k", np.zeros(16))  # same key, larger value
+        assert memo.memo_entries == 1
+        assert memo.memo_bytes == 128
+        np.testing.assert_array_equal(memo.get("k"), np.zeros(16))
 
     def test_oversized_entry_never_admitted(self):
-        tier = SharedCacheTier(memo_capacity_bytes=8)
-        tier.put_memo("big", np.zeros(100))
-        assert tier.memo_entries == 0 and tier.get_memo("big") is MISS
-
-    def test_ttl_expiry_reconciles_byte_ledger(self):
-        clock = SimulatedClock()
-        tier = SharedCacheTier(clock=clock, memo_ttl_s=1.0)
-        tier.put_memo("k", np.zeros(8))
-        assert tier.memo_bytes == 64
-        clock.advance(2.0)
-        assert tier.get_memo("k") is MISS
-        assert tier.memo_bytes == 0 and tier.memo_entries == 0
+        memo = SharedCacheTier(memo_capacity_bytes=8).memo
+        memo.put("big", np.zeros(100))
+        assert memo.memo_entries == 0 and memo.get("big") is MISS
 
     def test_non_string_keys(self):
-        tier = SharedCacheTier()
-        tier.put_memo((1, "a"), np.ones(2))
-        assert tier.get_memo((1, "a")) is not MISS
-        assert tier.get_memo((1, "b")) is MISS
+        memo = SharedCacheTier().memo
+        memo.put((1, "a"), np.ones(2))
+        assert memo.get((1, "a")) is not MISS
+        assert memo.get((1, "b")) is MISS
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -192,21 +82,6 @@ class TestTierPrefixChains:
         with pytest.raises(ValueError):
             tier.ensure_prefix("other", 0, config=config)
 
-    def test_register_rejects_slash_and_duplicates(self):
-        config = toy_decoder()
-        tier = SharedCacheTier()
-        tier.ensure_prefix("sys", 2, config=config)
-        bad = PrefixChain(
-            prefix_id="a/b", tokens=1, blocks=(), block_size=1, nbytes=0
-        )
-        with pytest.raises(ValueError, match="must not contain"):
-            tier.register_prefix(bad)
-        dup = PrefixChain(
-            prefix_id="sys", tokens=1, blocks=(), block_size=1, nbytes=0
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            tier.register_prefix(dup)
-
     def test_refcount_and_holder_custody(self):
         tier = SharedCacheTier()
         tier.ensure_prefix("sys", 2, config=toy_decoder())
@@ -223,6 +98,17 @@ class TestTierPrefixChains:
         assert tier.release_prefix("sys", replica_id=0) == 0
         assert tier.replicas_holding("sys") == []
 
+    def test_prefix_ids_are_opaque_keys(self):
+        # Holder custody is keyed by value: "a" and "a/1" never mix.
+        tier = SharedCacheTier()
+        for prefix_id in ("a", "a/1"):
+            tier.ensure_prefix(prefix_id, 2, config=toy_decoder())
+        tier.acquire_prefix("a/1", replica_id=0)
+        tier.acquire_prefix("a", replica_id=1)
+        assert tier.replicas_holding("a") == [1]
+        assert tier.replicas_holding("a/1") == [0]
+        assert tier.prefix_ids == ["a", "a/1"]
+
     def test_acquire_unregistered_raises(self):
         tier = SharedCacheTier()
         with pytest.raises(KeyError):
@@ -236,18 +122,6 @@ class TestTierPrefixChains:
         tier.acquire_prefix("sys", replica_id=0)
         with pytest.raises(ValueError):
             tier.release_prefix("sys", replica_id=3)  # holds none
-
-    def test_referenced_chain_is_pinned_against_ttl(self):
-        clock = SimulatedClock()
-        tier = SharedCacheTier(clock=clock, prefix_ttl_s=1.0)
-        tier.ensure_prefix("sys", 2, config=toy_decoder())
-        tier.acquire_prefix("sys", replica_id=0)
-        clock.advance(100.0)
-        assert tier.prefix("sys") is not None  # pinned while referenced
-        tier.release_prefix("sys", replica_id=0)
-        assert tier.prefix("sys") is not None  # cached, now evictable
-        clock.advance(100.0)
-        assert tier.prefix("sys") is None  # TTL finally applies
 
     def test_move_holder_follows_migration(self):
         tier = SharedCacheTier()
@@ -273,9 +147,9 @@ class TestTierPrefixChains:
 
     def test_stats_sections(self):
         tier = SharedCacheTier()
-        tier.put_memo("k", np.zeros(4))
-        tier.get_memo("k")
-        tier.get_memo("absent")
+        tier.memo.put("k", np.zeros(4))
+        tier.memo.get("k")
+        tier.memo.get("absent")
         tier.ensure_prefix("sys", 3, config=toy_decoder(), block_size=2)
         tier.acquire_prefix("sys", replica_id=0)
         stats = tier.stats()
@@ -285,20 +159,43 @@ class TestTierPrefixChains:
         assert stats["shared_bytes"] == tier.shared_bytes
         assert stats["referenced_prefixes"] == 1
 
-    def test_sharded_backend_supports_prefix_custody(self):
-        tier = SharedCacheTier(ShardedKVStore(shards=3))
-        tier.ensure_prefix("sys", 2, config=toy_decoder())
-        tier.acquire_prefix("sys", replica_id=4)
-        tier.acquire_prefix("sys", replica_id=2)
-        assert tier.replicas_holding("sys") == [2, 4]
-        assert tier.refcount("sys") == 2
 
-
-class TestStoreNamespaceLayout:
-    def test_tier_uses_documented_namespaces(self):
-        store = LocalKVStore()
-        tier = SharedCacheTier(store)
-        tier.put_memo("k", np.zeros(2))
+class TestTierThreads:
+    def test_concurrent_custody_balances(self):
+        # Forks, moves and releases from many threads: a lost update in
+        # any of the three maps leaves a refcount or holder behind.
+        tier = SharedCacheTier()
         tier.ensure_prefix("sys", 2, config=toy_decoder())
-        assert store.scan(NS_MEMO) == ["k"]
-        assert store.scan(NS_PREFIX) == ["sys"]
+        errors = []
+        start = threading.Barrier(8)
+
+        def client(index: int) -> None:
+            try:
+                start.wait(timeout=10.0)
+                for step in range(2000):
+                    home, away = step % 2, 1 - step % 2  # contended pair
+                    tier.acquire_prefix("sys", home)
+                    tier.move_holder("sys", home, away)
+                    tier.replicas_holding("sys")
+                    tier.release_prefix("sys", away)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,), daemon=True)
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert tier.refcount("sys") == 0
+        assert tier.replicas_holding("sys") == []
+        assert tier.stats()["referenced_prefixes"] == 0

@@ -105,12 +105,6 @@ class TestClusterConfigValidation:
             {"policy": "psychic"},
             {"max_retries": -1},
             {"memo_bytes": -1},
-            {"memo_ttl_s": -1.0},
-            {"memo_ttl_s": float("nan")},
-            {"memo_ttl_s": float("inf")},
-            {"prefix_ttl_s": -1.0},
-            {"prefix_ttl_s": float("nan")},
-            {"prefix_ttl_s": float("inf")},
         ):
             with pytest.raises(ValueError):
                 ClusterConfig(**changes)
@@ -134,7 +128,6 @@ class TestClusterConfigValidation:
             engine=EngineConfig(max_batch_size=4, scheduler="continuous"),
             shared_cache=True,
             memo_bytes=1 << 16,
-            memo_ttl_s=5.0,
         )
         assert ClusterConfig.from_dict(config.to_dict()) == config
 
@@ -207,8 +200,7 @@ class TestConfigConstruction:
             ),
             (
                 ServingCluster,
-                {"clock", "autoscaler", "tier", "tracer", "recorder",
-                 "slo_monitor"},
+                {"clock", "autoscaler", "tracer", "recorder", "slo_monitor"},
             ),
             (
                 Replica,

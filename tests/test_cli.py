@@ -124,6 +124,19 @@ class TestClusterBenchCommand:
         assert "affinity: hit rate" in out
         assert "KV migrations" in out
 
+    def test_decode_shared_cache_reports_the_tier(self, capsys):
+        assert main([
+            "cluster-bench", "--model", "decode", "--replicas", "2",
+            "--requests", "12", "--shared-cache",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "shared cache" in out
+        # Decode steps carry no cache keys and no prefixes: an idle tier.
+        assert (
+            "tier: 0 memo hits / 0 misses, 0 prefix chains (0 shared bytes)"
+            in out.splitlines()
+        )
+
     def test_autoscale_emits_events(self, capsys):
         assert main([
             "cluster-bench", "--autoscale", "--replicas", "3",

@@ -29,9 +29,9 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     ("repro/core/", 85.0),
     ("repro/serving/", 85.0),
     ("repro/cluster/", 85.0),
-    # The shared cache tier holds fleet-wide KV custody (refcounts,
-    # holder counts, TTL); a miscount silently corrupts every replica,
-    # so its file is gated tighter than its package.
+    # The shared cache tier holds fleet-wide KV custody (refcounts and
+    # per-replica holder counts); a miscount silently corrupts every
+    # replica, so its file is gated tighter than its package.
     ("repro/cluster/store", 90.0),
     # The hot path reorders RNG-consuming stages across threads; an
     # untested branch there is a silent bit-equality break, so its
