@@ -32,25 +32,24 @@ class SharedCacheTier:
 
     Memoization: ``memo`` is a :class:`~repro.serving.cache.SessionCache`
     bounded by ``memo_capacity_bytes``; like the engine with its own
-    memo, callers store and hand out isolated array copies.
+    memo, callers store and hand out isolated copies.
 
     Prefix chains: :meth:`ensure_prefix` builds the zero-state KV pages
     of a shared system prompt once; sessions adopt them via
     :meth:`~repro.serving.cache.SessionCache.adopt_prefix`.  The tier
-    tracks one refcount per chain plus per-replica holder counts (the
-    longest-prefix placement signal of the router's ``cache_aware``
-    policy).  A chain stays cached at refcount zero until
+    tracks per-replica holder counts (the longest-prefix placement
+    signal of the router's ``cache_aware`` policy); a chain's refcount
+    is their sum.  A chain stays cached at refcount zero until
     :meth:`drop_prefix` evicts it.
     """
 
     def __init__(self, *, memo_capacity_bytes: int | None = None) -> None:
         self.memo = SessionCache(capacity_bytes=memo_capacity_bytes)
-        # One lock guards the three custody maps: prefix id -> chain,
-        # -> refcount (absent at zero), -> {replica id: holder count}
-        # (replicas holding none are absent).
+        # One lock guards the two custody maps: prefix id -> chain, and
+        # -> {replica id: holder count} (replicas holding none are
+        # absent; so is an unreferenced prefix).
         self._lock = threading.Lock()
         self._chains: dict[str, PrefixChain] = {}
-        self._refs: dict[str, int] = {}
         self._holders: dict[str, dict[int, int]] = {}
 
     def ensure_prefix(
@@ -103,7 +102,10 @@ class SharedCacheTier:
 
     def refcount(self, prefix_id: str) -> int:
         with self._lock:
-            return self._refs.get(prefix_id, 0)
+            return self._refcount(prefix_id)
+
+    def _refcount(self, prefix_id: str) -> int:
+        return sum(self._holders.get(prefix_id, {}).values())
 
     def _add_holder(self, prefix_id: str, replica_id: int) -> None:
         held = self._holders.setdefault(prefix_id, {})
@@ -131,23 +133,16 @@ class SharedCacheTier:
             chain = self._chains.get(prefix_id)
             if chain is None:
                 raise KeyError(f"no registered prefix {prefix_id!r}")
-            self._refs[prefix_id] = self._refs.get(prefix_id, 0) + 1
             self._add_holder(prefix_id, replica_id)
             return chain
 
     def release_prefix(self, prefix_id: str, replica_id: int) -> int:
         """A forked session closed; returns the remaining refcount."""
         with self._lock:
-            refs = self._refs.get(prefix_id, 0)
-            if refs < 1:
+            if prefix_id not in self._holders:
                 raise ValueError(f"prefix {prefix_id!r} is not referenced")
             self._take_holder(prefix_id, replica_id)
-            refs -= 1
-            if refs:
-                self._refs[prefix_id] = refs
-            else:
-                del self._refs[prefix_id]
-            return refs
+            return self._refcount(prefix_id)
 
     def move_holder(
         self, prefix_id: str, from_replica: int, to_replica: int
@@ -167,7 +162,7 @@ class SharedCacheTier:
     def drop_prefix(self, prefix_id: str) -> bool:
         """Explicitly evict an *unreferenced* chain."""
         with self._lock:
-            if prefix_id in self._refs:
+            if prefix_id in self._holders:
                 raise ValueError(
                     f"prefix {prefix_id!r} still referenced; cannot drop"
                 )
@@ -191,7 +186,7 @@ class SharedCacheTier:
         with self._lock:
             prefixes = len(self._chains)
             shared_bytes = sum(chain.nbytes for chain in self._chains.values())
-            referenced = len(self._refs)
+            referenced = len(self._holders)
         return {
             "hits": memo.hits,
             "misses": memo.misses,

@@ -22,7 +22,6 @@ from contextvars import ContextVar
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf as _scipy_erf
 
 
 #: Grad mode, per thread (and per asyncio task): serving workers run
@@ -103,17 +102,6 @@ class Tensor:
     @classmethod
     def zeros(cls, *shape: int, requires_grad: bool = False) -> "Tensor":
         return cls(np.zeros(shape), requires_grad=requires_grad)
-
-    @classmethod
-    def randn(
-        cls,
-        *shape: int,
-        scale: float = 1.0,
-        rng: np.random.Generator | None = None,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng()
-        return cls(rng.normal(0.0, scale, shape), requires_grad=requires_grad)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -373,7 +361,9 @@ class Tensor:
         return Tensor.make(out_data, (self,), backward)
 
     def erf(self) -> "Tensor":
-        out_data = _scipy_erf(self.data)
+        from scipy.special import erf  # on first use: GELU is SciPy's only user
+
+        out_data = erf(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

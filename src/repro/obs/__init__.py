@@ -25,7 +25,8 @@ The observability subsystem of the serving stack:
   :class:`SLOMonitor` evaluating multi-window burn rates into a
   deterministic alert ledger.
 * :mod:`repro.obs.live` — the ``repro top`` fleet table renderer and
-  one-shot Prometheus HTTP exposition behind ``repro metrics``.
+  one-shot Prometheus HTTP exposition behind ``repro metrics``
+  (``http.server`` loads when the first exposition is built).
 * :mod:`repro.obs.demo` — the small noisy traced workload behind
   ``repro trace`` and ``benchmarks/bench_obs.py`` (imported lazily to
   keep this package import-light).

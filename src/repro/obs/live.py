@@ -12,14 +12,14 @@ Two ways to watch a running fleet:
 * :class:`MetricsExposition` — one-shot Prometheus text exposition over
   HTTP (stdlib ``http.server``, ephemeral port, exactly one request),
   behind ``repro metrics --port``.  No server dependency enters the
-  repo; scrape-shaped output comes straight from
+  repo, and ``http.server`` itself loads only when the first exposition
+  is built; scrape-shaped output comes straight from
   :meth:`MetricsRegistry.to_prometheus`.
 """
 
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable
 
 __all__ = ["FleetTop", "MetricsExposition", "render_fleet_table"]
@@ -128,19 +128,6 @@ class FleetTop:
         )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        body = self.server.produce_text().encode()  # type: ignore[attr-defined]
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep scrapes off stderr
-
-
 class MetricsExposition:
     """One-shot Prometheus HTTP exposition of a text producer.
 
@@ -157,17 +144,26 @@ class MetricsExposition:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._server = HTTPServer((host, port), _Handler)
-        self._server.produce_text = produce_text  # type: ignore[attr-defined]
+        # Imported here, not at module import: only an exposition needs it.
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+
+        exposition = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self) -> None:  # noqa: N802 - http.server API
+                exposition._served_text = produce_text()
+                body = exposition._served_text.encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; version=0.0.4")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format: str, *args) -> None:  # noqa: A002
+                pass  # keep scrapes off stderr
+
         self._served_text: str | None = None
-
-        original = produce_text
-
-        def capture() -> str:
-            self._served_text = original()
-            return self._served_text
-
-        self._server.produce_text = capture  # type: ignore[attr-defined]
+        self._server = HTTPServer((host, port), Handler)
 
     @property
     def host(self) -> str:

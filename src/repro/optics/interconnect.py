@@ -3,7 +3,7 @@
 The architecture-level inter-core operand broadcast rides an optical
 distribution network: Y-branch splitter trees fan the modulated WDM
 signals out to the DPTC tiles.  This module builds that network as an
-explicit graph (via :mod:`networkx`), so per-destination path loss,
+explicit tree (a child -> parent hop map), so per-destination path loss,
 splitter counts, and the laser power budget follow from the topology
 rather than from a closed-form approximation — and the closed form used
 by :func:`repro.devices.laser.splitter_tree_loss_db` can be validated
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.devices.library import DeviceLibrary, default_library
 from repro.units import db_to_linear
@@ -45,8 +43,9 @@ class BroadcastTree:
     """A balanced Y-branch tree delivering one signal to ``n_leaves``.
 
     Nodes are ``root``, internal ``split/<level>/<index>`` junctions and
-    ``leaf/<index>`` destinations; edges carry the waveguide length and
-    the per-hop loss contributions.
+    ``leaf/<index>`` destinations; each non-root node records its parent
+    hop: the parent's name, whether the hop leaves a splitter, and the
+    waveguide length.
     """
 
     def __init__(
@@ -60,7 +59,8 @@ class BroadcastTree:
         self.n_leaves = n_leaves
         self.library = library if library is not None else default_library()
         self.tile_pitch = tile_pitch
-        self.graph = nx.DiGraph()
+        #: child -> (parent, splitter hop, hop length in m).
+        self._parent: dict[str, tuple[str, bool, float]] = {}
         self._build()
 
     @property
@@ -69,8 +69,7 @@ class BroadcastTree:
         return math.ceil(math.log2(self.n_leaves)) if self.n_leaves > 1 else 0
 
     def _build(self) -> None:
-        graph = self.graph
-        graph.add_node("root")
+        parent = self._parent
         frontier = ["root"]
         level = 0
         # Grow a balanced binary tree until there are enough leaves.
@@ -80,21 +79,14 @@ class BroadcastTree:
             for index, node in enumerate(frontier):
                 for side in (0, 1):
                     child = f"split/{level}/{2 * index + side}"
-                    graph.add_edge(
-                        node,
-                        child,
-                        splitter=True,
-                        length=self.tile_pitch / 2,
-                    )
+                    parent[child] = (node, True, self.tile_pitch / 2)
                     next_frontier.append(child)
             frontier = next_frontier
         for index in range(self.n_leaves):
-            leaf = f"leaf/{index}"
-            graph.add_edge(
+            parent[f"leaf/{index}"] = (
                 frontier[index % len(frontier)],
-                leaf,
-                splitter=False,
-                length=self.tile_pitch * (1 + index % 2),
+                False,
+                self.tile_pitch * (1 + index % 2),
             )
 
     def leaves(self) -> list[str]:
@@ -102,15 +94,18 @@ class BroadcastTree:
 
     def path_report(self, leaf: str) -> PathReport:
         """Loss accounting from the root to one destination."""
-        if leaf not in self.graph:
+        if leaf != "root" and leaf not in self._parent:
             raise KeyError(f"unknown destination {leaf!r}")
-        path = nx.shortest_path(self.graph, "root", leaf)
+        hops = []
+        node = leaf
+        while node != "root":
+            node, splitter, hop_length = self._parent[node]
+            hops.append((splitter, hop_length))
         splitters = 0
         length = 0.0
-        for src, dst in zip(path, path[1:]):
-            edge = self.graph.edges[src, dst]
-            splitters += int(edge["splitter"])
-            length += edge["length"]
+        for splitter, hop_length in reversed(hops):  # sum from the root
+            splitters += int(splitter)
+            length += hop_length
         # Each split halves the power (3.01 dB) and adds the Y-branch
         # excess loss; the waveguide adds propagation loss.
         split_loss = splitters * (
@@ -132,12 +127,9 @@ class BroadcastTree:
         """Y-branches in the tree (area accounting).
 
         Each splitting junction fans one input into two outputs, so the
-        count is half the number of splitter-tagged edges.
+        count is half the number of splitter hops.
         """
-        splitter_edges = sum(
-            1 for _, _, edge in self.graph.edges(data=True) if edge["splitter"]
-        )
-        return splitter_edges // 2
+        return sum(splitter for _, splitter, _ in self._parent.values()) // 2
 
     def power_conservation_check(self) -> float:
         """Sum of ideal leaf transmissions (1.0 for a lossless tree).

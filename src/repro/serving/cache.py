@@ -5,7 +5,8 @@ Two concerns the serving layer needs from one component:
 * **Prompt memoization** — repeated prompts (identical ``cache_key``)
   are served straight from an LRU store of previously computed
   activations, skipping the photonic core entirely.  A byte budget
-  bounds the store; least-recently-used entries are evicted.
+  bounds the store (every value is charged, see :func:`memo_nbytes`);
+  least-recently-used entries are evicted.
 * **KV-session accounting** — decode-shaped workloads
   (:mod:`repro.workloads.llm`) keep per-request K/V state between
   steps.  Sessions store their per-step K/V vectors in fixed-size
@@ -23,6 +24,8 @@ Two concerns the serving layer needs from one component:
 
 from __future__ import annotations
 
+import copy
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -37,8 +40,23 @@ MISS = object()
 
 
 def isolated(value: Any) -> Any:
-    """A copy of array values, so memo entries never alias results."""
-    return value.copy() if isinstance(value, np.ndarray) else value
+    """A copy that shares no mutable state with ``value``, so memo
+    entries never alias results (immutable values come back as is)."""
+    return value.copy() if isinstance(value, np.ndarray) else copy.deepcopy(value)
+
+
+def memo_nbytes(value: Any) -> int:
+    """Bytes a memo entry is charged: an array's buffer; for anything
+    else its ``sys.getsizeof``, plus, for lists, tuples, sets and dicts,
+    the charge of every item (other objects are charged shallowly)."""
+    if isinstance(value, np.ndarray):
+        return int(value.nbytes)
+    size = sys.getsizeof(value)
+    if isinstance(value, dict):
+        return size + sum(memo_nbytes(k) + memo_nbytes(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return size + sum(map(memo_nbytes, value))
+    return size
 
 
 class KVBlock:
@@ -437,10 +455,10 @@ class SessionCache:
             self.hits += 1
             return entry[0]
 
-    def put(self, key: Any, value: Any, nbytes: int | None = None) -> None:
-        """Store ``value``; evict LRU entries past the byte budget."""
-        if nbytes is None:
-            nbytes = int(value.nbytes) if isinstance(value, np.ndarray) else 0
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value``, charged :func:`memo_nbytes`; evict LRU
+        entries past the byte budget."""
+        nbytes = memo_nbytes(value)
         if self.capacity_bytes is not None and nbytes > self.capacity_bytes:
             return  # would evict the whole store and still not fit
         with self._lock:

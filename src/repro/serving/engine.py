@@ -524,8 +524,8 @@ class ServingEngine:
             metrics.record_batch(size)
             for request, output in zip(batch, outputs):
                 if request.cache_key is not None and cache is not None:
-                    # Store an isolated copy: the requester's result array
-                    # must never alias the cache entry (or later hits).
+                    # Store an isolated copy: the requester's result must
+                    # never alias the cache entry (or later hits).
                     cache.put(request.cache_key, isolated(output))
                 handle = request.handle
                 handle._resolve(

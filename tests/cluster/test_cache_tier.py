@@ -171,6 +171,23 @@ class TestFleetMemo:
             assert again.cache_hit
             np.testing.assert_array_equal(again.result(timeout=0), 2 * np.ones(4))
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_mutable_hits_are_never_shared(self, shared):
+        # A list result: the requester and every later hit each get
+        # their own copy, from the tier and from a replica's memo.
+        with echo_tier_cluster(replicas=1, shared=shared) as cluster:
+            first = cluster.submit([1.0, 2.0], cache_key="k")
+            cluster.run_until_idle()
+            first.result(timeout=0).append(99.0)
+            results = []
+            for _ in range(2):
+                hit = cluster.submit([1.0, 2.0], cache_key="k")
+                cluster.run_until_idle()
+                assert hit.cache_hit
+                results.append(hit.result(timeout=0))
+                results[-1].append(99.0)  # a receiver mutates its hit
+            assert results == [[1.0, 2.0, 1.0, 2.0, 99.0]] * 2
+
     def test_equal_repr_keys_do_not_collide(self):
         # 1 and "1" are different keys to the replica memo; the tier
         # must not serve one's result for the other.

@@ -50,6 +50,13 @@ class TestTierMemo:
         memo.put("big", np.zeros(100))
         assert memo.memo_entries == 0 and memo.get("big") is MISS
 
+    def test_budget_bounds_non_array_values(self):
+        memo = SharedCacheTier(memo_capacity_bytes=8).memo
+        for i in range(1000):
+            memo.put(i, [float(i)] * 1000)
+        assert memo.memo_bytes <= 8
+        assert memo.memo_entries == 0  # each list alone exceeds the budget
+
     def test_non_string_keys(self):
         memo = SharedCacheTier().memo
         memo.put((1, "a"), np.ones(2))

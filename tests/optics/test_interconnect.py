@@ -1,6 +1,9 @@
-"""Tests for the optical broadcast interconnect graph."""
+"""Tests for the optical broadcast interconnect tree."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -98,3 +101,64 @@ class TestBudgetHelper:
 
     def test_budget_monotone(self):
         assert broadcast_loss_budget(8) > broadcast_loss_budget(4)
+
+
+GOLDEN_TREES = Path(__file__).with_name("golden_broadcast_tree.json")
+
+
+def node_names(n_leaves, depth):
+    """Every node of the balanced tree: root, split junctions, leaves."""
+    names = {"root"} | {f"leaf/{index}" for index in range(n_leaves)}
+    names |= {
+        f"split/{level}/{index}"
+        for level in range(1, depth + 1)
+        for index in range(2**level)
+    }
+    return names
+
+
+class TestGoldenTrees:
+    """Every report of n = 1..32 trees, pinned bit for bit (``float.hex``)
+    to the values of the original graph-library implementation."""
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_reports_match_golden(self, n):
+        golden = json.loads(GOLDEN_TREES.read_text())[str(n)]
+        tree = BroadcastTree(n)
+        names = sorted(node_names(n, tree.depth))
+        lines = []
+        for name in names:
+            report = tree.path_report(name)
+            lines.append(
+                f"{report.destination} {report.splitters} "
+                f"{report.waveguide_length.hex()} {report.loss_db.hex()} "
+                f"{report.transmission.hex()}"
+            )
+        assert {
+            "depth": tree.depth,
+            "total_splitters": tree.total_splitters(),
+            "worst_case_loss_db": tree.worst_case_loss_db().hex(),
+            "power_conservation_check": tree.power_conservation_check().hex(),
+            "nodes": len(names),
+            "reports_sha256": hashlib.sha256(
+                "\n".join(lines).encode()
+            ).hexdigest(),
+        } == golden
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_only_tree_nodes_are_destinations(self, n):
+        tree = BroadcastTree(n)
+        known = node_names(n, tree.depth)
+        candidates = {"", "Root", "root/0", "leaf/-1", "leaf/00", "split/0/0"}
+        candidates |= {f"leaf/{index}" for index in range(n + 2)}
+        candidates |= {
+            f"split/{level}/{index}"
+            for level in range(tree.depth + 2)
+            for index in range(2**level + 1)
+        }
+        for name in sorted(candidates | known):
+            if name in known:
+                assert tree.path_report(name).destination == name
+            else:
+                with pytest.raises(KeyError):
+                    tree.path_report(name)

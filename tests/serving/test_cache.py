@@ -52,6 +52,14 @@ class TestMemoization:
         assert cache.memo_entries == 1
         assert cache.memo_bytes == 16
 
+    def test_non_array_values_are_charged(self):
+        cache = SessionCache()
+        cache.put("list", [0.0] * 1000)
+        assert cache.memo_bytes >= 8 * 1000
+        cache.put("int", 10)
+        cache.put("nested", {"logits": (np.zeros(64), np.zeros(32))})
+        assert cache.memo_bytes >= 8 * 1000 + 1 + 8 * 96
+
     def test_validates_capacity(self):
         with pytest.raises(ValueError):
             SessionCache(capacity_bytes=-1)
