@@ -20,8 +20,8 @@ numpy bit generator; noise sampling is a large shared cost) and the
 paper's full noise model.  Timings are best-of-N to suppress scheduler
 jitter.
 
-Run directly (``python benchmarks/bench_batched_execution.py``) or via
-pytest-benchmark like the figure benchmarks.
+Run with ``python benchmarks/bench_batched_execution.py [--report-only]
+[--out FILE]``.
 """
 
 import json
@@ -173,13 +173,6 @@ def run(
             json.dump(headline, handle, indent=2)
         print(f"\nwrote {out_path}")
     return headline
-
-
-def bench_batched_execution(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["speedup"] = result["speedup"]
-    benchmark.extra_info["batched_ms"] = result["batched_ms"]
-    benchmark.extra_info["loop_ms"] = result["loop_ms"]
 
 
 if __name__ == "__main__":

@@ -406,11 +406,6 @@ def run(
     return report
 
 
-def bench_cache_tier(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["recovery"] = result["memo"]["recovery"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

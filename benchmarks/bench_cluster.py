@@ -387,12 +387,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_cluster.json") -> di
     return report
 
 
-def bench_cluster(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["fleet_gain"] = result["fleet_gain"]
-    benchmark.extra_info["fleet_scaling"] = result["fleet_scaling"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

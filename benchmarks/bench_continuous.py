@@ -356,11 +356,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_continuous.json") ->
     return report
 
 
-def bench_continuous(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["gain"] = result["throughput"]["gain"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

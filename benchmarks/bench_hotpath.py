@@ -244,16 +244,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_hotpath.json") -> di
     return report
 
 
-def bench_hotpath(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["pipelined_speedup"] = (
-        result["throughput"]["pipelined_speedup"]
-    )
-    benchmark.extra_info["throughput_gflops"] = (
-        result["throughput"]["throughput_gflops"]
-    )
-
-
 if __name__ == "__main__":
     from _gate import main
 

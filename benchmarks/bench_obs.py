@@ -357,14 +357,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_obs.json") -> dict:
     return report
 
 
-def bench_obs(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["overhead_ratio"] = (
-        result["overhead"]["overhead_ratio"]
-    )
-    benchmark.extra_info["trace_bytes"] = result["determinism"]["bytes"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

@@ -397,14 +397,6 @@ def run(
     return report
 
 
-def bench_obs_stream(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["overhead_ratio"] = (
-        result["overhead"]["overhead_ratio"]
-    )
-    benchmark.extra_info["peak_open"] = result["residency"]["peak_open"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

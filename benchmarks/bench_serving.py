@@ -363,12 +363,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_serving.json") -> di
     return report
 
 
-def bench_serving(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["batching_gain"] = result["batching_gain"]
-    benchmark.extra_info["throughput"] = result["throughput"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

@@ -344,12 +344,6 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_sharded.json") -> di
     return report
 
 
-def bench_sharded_execution(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["training_speedup"] = result["training_speedup"]["speedup"]
-    benchmark.extra_info["scaling"] = result["scaling"]
-
-
 if __name__ == "__main__":
     from _gate import main
 

@@ -5,7 +5,9 @@ Run with::
     python examples/noise_aware_transformer.py
 
 Reproduces the paper's software-model workflow end to end on the
-substituted synthetic vision task (see DESIGN.md):
+synthetic ``striped_image_dataset`` vision task that stands in for
+ImageNet (the substitution is described in the ``repro.analysis.accuracy``
+docstring):
 
 1. train a DeiT-style model with the photonic forward pass (quantized
    to 4 bits, encoding noise + dispersion + systematic noise injected);

@@ -15,6 +15,7 @@ from repro.analysis.llm import (
 from repro.analysis.scorecard import (
     Claim,
     ClaimResult,
+    accuracy_claims,
     all_pass,
     default_claims,
     run_scorecard,
@@ -49,6 +50,7 @@ __all__ = [
     "ClaimResult",
     "LINEAR_EXAMPLE",
     "RooflineAnalysis",
+    "accuracy_claims",
     "all_pass",
     "default_claims",
     "run_scorecard",

@@ -8,6 +8,18 @@ mirroring the paper's methodology:
   checkpoint evaluated without analog noise;
 * each sweep point re-evaluates the checkpoint with the corresponding
   noise/dispersion setting injected into every matrix product.
+
+Substitutions.  The paper evaluates DeiT-T on ImageNet and BERT-base on
+SST-2; this repository has neither the datasets nor the compute, so the
+reference models are a small TinyViT trained on the synthetic
+``striped_image_dataset`` (grating-orientation classification under
+pixel noise) and a small TinyBERT trained on the synthetic
+``token_order_dataset`` (which of two marker tokens comes first), both
+from :mod:`repro.neural`.  Fig. 6's Lumerical INTERCONNECT circuit
+simulation is replaced by the transfer-matrix model
+:class:`repro.optics.DDotCircuit`.  Each test set holds 80 samples, so
+the bounds in :func:`repro.analysis.scorecard.accuracy_claims` allow for
+that granularity.
 """
 
 from __future__ import annotations

@@ -204,9 +204,7 @@ def _normalized_breakdowns(
     rows = []
     for name, report in reports:
         row = {"design": name, "normalized_total": report.total / reference}
-        row.update(
-            {cat: val / reference for cat, val in report.normalized_to(reference).items()}
-        )
+        row.update(report.normalized_to(reference))
         rows.append(row)
     return rows
 

@@ -1,21 +1,18 @@
 """Regenerate EXPERIMENTS.md: paper-reported vs measured for every result.
 
-Run with::
-
-    python -m repro.analysis.report [--skip-accuracy] [--output PATH]
-
-The accuracy section trains two small reference models (~1 minute on a
+Run it as ``repro report [--skip-accuracy] [--output PATH]``.  The
+accuracy section trains two small reference models (about a minute on a
 laptop CPU); ``--skip-accuracy`` regenerates only the architecture
 results (a few seconds).
 """
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 from repro.analysis import accuracy as acc
 from repro.analysis import experiments as exp
+from repro.analysis.scorecard import Claim, accuracy_claims, default_claims, run_scorecard
 from repro.analysis.tables import render_markdown_table
 
 
@@ -23,18 +20,18 @@ def _section(title: str, body: str) -> str:
     return f"\n## {title}\n\n{body}\n"
 
 
+def _scorecard_table(claims: list[Claim]) -> str:
+    return render_markdown_table([result.as_row() for result in run_scorecard(claims)])
+
+
 def architecture_sections() -> list[str]:
     sections = []
 
-    from repro.analysis.scorecard import run_scorecard
-
-    scorecard_rows = [result.as_row() for result in run_scorecard()]
     sections.append(
         _section(
             "Reproduction scorecard",
-            "Every headline claim, checked programmatically "
-            "(`repro-lt verify`).\n\n"
-            + render_markdown_table(scorecard_rows),
+            "Every model-based claim, checked programmatically "
+            "(`repro verify`).\n\n" + _scorecard_table(default_claims()),
         )
     )
 
@@ -249,7 +246,13 @@ def extension_sections() -> list[str]:
 
 
 def accuracy_sections() -> list[str]:
-    sections = []
+    sections = [
+        _section(
+            "Accuracy scorecard (Figs. 14/15)",
+            "The claims that need the trained reference models.\n\n"
+            + _scorecard_table(accuracy_claims()),
+        )
+    ]
 
     fig6 = acc.fig6_ddot_error()
     sections.append(
@@ -267,7 +270,8 @@ def accuracy_sections() -> list[str]:
             "Fig. 14 — dispersion robustness (accuracy vs wavelengths)",
             "Paper: <0.5 % accuracy drop up to 26 wavelengths, <1 % vs GPU "
             "reference. Substituted workloads: synthetic vision/token tasks "
-            "(see DESIGN.md).\n\n" + render_markdown_table(fig14),
+            "(see the `repro.analysis.accuracy` docstring).\n\n"
+            + render_markdown_table(fig14),
         )
     )
 
@@ -285,11 +289,12 @@ def accuracy_sections() -> list[str]:
 
 HEADER = """# EXPERIMENTS — paper-reported vs measured
 
-Generated by `python -m repro.analysis.report`.  Absolute numbers come
-from this repository's behavioural models (device parameters from the
-paper's Table III); the reproduction targets the paper's *shape* — who
-wins, by what factor, where crossovers fall.  Substitutions (datasets,
-simulators, hardware) are documented in DESIGN.md.
+Generated by `repro report`.  Absolute numbers come from this
+repository's behavioural models (device parameters from the paper's
+Table III); the reproduction targets the paper's *shape* — who wins, by
+what factor, where crossovers fall.  The substituted datasets and
+circuit simulator are described in the `repro.analysis.accuracy`
+docstring.
 """
 
 
@@ -300,16 +305,3 @@ def generate(output: Path, skip_accuracy: bool = False) -> None:
     output.write_text(HEADER + "".join(sections))
     print(f"wrote {output} ({output.stat().st_size} bytes)")
 
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output", type=Path, default=Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
-    )
-    parser.add_argument("--skip-accuracy", action="store_true")
-    args = parser.parse_args()
-    generate(args.output, skip_accuracy=args.skip_accuracy)
-
-
-if __name__ == "__main__":
-    main()

@@ -1,18 +1,14 @@
-"""Tests for the accuracy experiment runners (Fig. 6, 14, 15).
+"""Tests for the accuracy experiment runners (Fig. 6) and reference models.
 
-The reference-model trainings are cached per process, so the first test
-to touch them pays the (~30 s) training cost once.
+The Figs. 14/15 bounds are ledger claims
+(:func:`repro.analysis.scorecard.accuracy_claims`), run by the slow test
+in ``test_scorecard.py``.  The reference-model trainings are cached per
+process, so the first test to touch them pays the training cost once.
 """
 
 import pytest
 
-from repro.analysis import (
-    fig6_ddot_error,
-    fig14_wavelength_robustness,
-    fig15_noise_robustness,
-    reference_bert,
-    reference_vit,
-)
+from repro.analysis import fig6_ddot_error, reference_bert, reference_vit
 
 
 class TestFig6:
@@ -49,57 +45,3 @@ class TestReferenceModels:
 
     def test_cache_returns_same_object(self):
         assert reference_vit() is reference_vit()
-
-
-@pytest.mark.slow
-class TestFig14:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig14_wavelength_robustness(wavelengths=(6, 14, 26))
-
-    def test_covers_both_models(self, rows):
-        assert {r["model"] for r in rows} == {"vit", "bert"}
-
-    def test_accuracy_flat_across_wavelengths(self, rows):
-        """Paper: <0.5 % drop; small test sets give ~2 % granularity, so
-        the bound here is a few samples' worth."""
-        for row in rows:
-            assert abs(row["accuracy_drop"]) <= 0.08
-
-    def test_photonic_accuracy_stays_high(self, rows):
-        for row in rows:
-            assert row["photonic_accuracy"] > 0.75
-
-
-@pytest.mark.slow
-class TestFig15:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig15_noise_robustness(
-            magnitude_stds=(0.02, 0.08, 0.30), phase_stds_deg=(1.0, 7.0, 20.0)
-        )
-
-    def test_paper_range_robust(self, rows):
-        """Within the paper's sweep range the drop stays small."""
-        in_range = [
-            r
-            for r in rows
-            if (r["sweep"] == "magnitude" and r["value"] <= 0.08)
-            or (r["sweep"] == "phase" and r["value"] <= 7.0)
-        ]
-        assert in_range
-        for row in in_range:
-            assert abs(row["accuracy_drop"]) <= 0.08
-
-    def test_extreme_noise_finally_degrades(self, rows):
-        """Extension: far beyond the paper's range accuracy collapses,
-        demonstrating the sweep actually exercises the noise path."""
-        extreme = [
-            r
-            for r in rows
-            if (r["sweep"] == "magnitude" and r["value"] >= 0.30)
-        ]
-        assert extreme
-        assert min(r["photonic_accuracy"] for r in extreme) < min(
-            r["digital_accuracy"] for r in extreme
-        )

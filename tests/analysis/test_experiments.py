@@ -103,6 +103,14 @@ class TestFig11and12:
             assert by_design["LT-broadcast-B"] > by_design["LT-crossbar-B"]
             assert by_design["MRR"] > by_design["LT-crossbar-B"]
 
+    def test_breakdown_columns_sum_to_total(self):
+        """Each stacked bar's categories add up to its normalized total."""
+        workloads = [*fig11_energy_comparison().values(), *fig12_variant_ablation().values()]
+        for rows in workloads:
+            for row in rows:
+                parts = [v for k, v in row.items() if k not in ("design", "normalized_total")]
+                assert sum(parts) == pytest.approx(row["normalized_total"])
+
     def test_fig12_attention_mrr_ratio(self):
         rows = fig12_variant_ablation()["attention"]
         by_design = {r["design"]: r["normalized_total"] for r in rows}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.report import architecture_sections, generate
+from repro.analysis.report import accuracy_sections, architecture_sections, generate
+from repro.analysis.scorecard import accuracy_claims
 
 
 class TestArchitectureSections:
@@ -49,6 +50,9 @@ class TestGenerate:
         assert text.startswith("# EXPERIMENTS")
         assert "| " in text  # markdown tables present
         assert "Table V" in text
+        assert "Generated by `repro report`" in text
+        assert "(`repro verify`)" in text
+        assert "DESIGN.md" not in text
 
     def test_output_is_fresh_each_time(self, tmp_path):
         output = tmp_path / "EXPERIMENTS.md"
@@ -56,3 +60,11 @@ class TestGenerate:
         first = output.read_text()
         generate(output, skip_accuracy=True)
         assert output.read_text() == first  # deterministic
+
+
+@pytest.mark.slow
+def test_accuracy_section_renders_the_accuracy_claims():
+    text = "".join(accuracy_sections())
+    assert "Accuracy scorecard" in text
+    for claim in accuracy_claims():
+        assert claim.name in text
