@@ -243,8 +243,8 @@ def simulated_metrics() -> dict:
     return snapshot
 
 
-#: Multi-tenant decode mix (shared with bench_cluster.py's affinity
-#: section via repro.serving.multi_tenant_arrivals).
+#: Multi-tenant decode mix (the generator, repro.serving.
+#: multi_tenant_arrivals, also drives the fleet affinity gate test).
 MIX_TENANTS = (
     TenantSpec("chat-a", rate_rps=2000.0, weights={"decode": 1.0}, sessions=3),
     TenantSpec("chat-b", rate_rps=1000.0, weights={"decode": 1.0}, sessions=2),
@@ -254,7 +254,7 @@ MIX_TENANTS = (
 def multi_tenant_mix() -> dict:
     """Seeded multi-tenant decode arrivals through one manual engine.
 
-    The same generator drives ``bench_cluster.py``'s affinity section;
+    The same generator drives the fleet affinity gate test;
     here the gate is determinism on a single engine: two replays of an
     equal-seed mix must produce identical per-tenant counts and
     bit-identical outputs.

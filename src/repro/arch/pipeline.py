@@ -42,8 +42,11 @@ class PipelineReport:
 
     @property
     def digital_hidden(self) -> bool:
-        """True when pipelining fully hides the digital work."""
-        return self.pipelined_latency <= self.gemm_time * 1.001
+        """True when the digital stage is not the bottleneck: digital
+        time per layer <= GEMM time per layer, so the steady state runs
+        at the photonic rate and only the last layer's digital work
+        (the drain) is exposed."""
+        return self.digital_time <= self.gemm_time
 
 
 def _layer_gemm_ops(model: TransformerConfig) -> list[GEMMOp]:

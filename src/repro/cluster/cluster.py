@@ -17,7 +17,8 @@ Correctness invariants the routing layer maintains:
   additionally require their steps to execute in order against their
   own KV state — the router pins in-flight sessions and migrates
   quiescent ones wholesale, so any policy is bit-identical to a single
-  sequential engine (``benchmarks/bench_cluster.py`` gates this).
+  sequential engine (``tests/cluster/test_cluster.py::TestBitExactRouting``
+  gates this on vision, ragged-text and decode workloads).
 * **No lost handles.**  Failing a replica evicts its queued requests
   and re-dispatches them to survivors; its sessions are re-homed with
   their KV state.  Every submitted :class:`ClusterHandle` eventually

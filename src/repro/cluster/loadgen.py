@@ -5,7 +5,8 @@ arrivals; these drivers instead *advance the simulated clock* by the
 same gaps and step the cluster, so an open-loop Poisson run — fleet
 throughput, latency percentiles, autoscaler trajectory and all — is a
 bit-deterministic function of the seed and finishes in milliseconds of
-real time.  This is the regime ``bench_cluster.py`` gates and the
+real time.  This is the regime the fleet-scaling gate
+(``tests/cluster/test_cluster_loadgen.py``) pins and the
 ``repro cluster-bench`` CLI verb reports.
 """
 

@@ -16,7 +16,8 @@
 * **The event log** — every lifecycle transition (scale-up, drain,
   retire, failure) as a timestamped :class:`ClusterEvent`.  Under a
   :class:`~repro.serving.clock.SimulatedClock` the log is
-  bit-deterministic, which is exactly what ``bench_cluster.py`` gates.
+  bit-deterministic, which is exactly what
+  ``tests/cluster/test_autoscaler.py::TestDeterminism`` gates.
 
 The routing counters sit on the ledger's
 :class:`~repro.obs.registry.MetricsRegistry` (Prometheus exposition via
@@ -216,7 +217,8 @@ class ClusterMetrics(RequestLedger):
 
     def cache_hit_rate(self) -> float:
         """Fleet-wide memo hit fraction of completed requests — the
-        hit-rate ledger ``bench_cache_tier.py`` gates (tier hits and
+        hit-rate ledger ``tests/cluster/test_cache_tier.py::TestFleetMemo::
+        test_shared_tier_recovers_the_affinity_hit_rate`` gates (tier hits and
         replica-private hits both count; the denominator is every
         completed request)."""
         with self._lock:

@@ -13,8 +13,10 @@ single engine:
   cluster moves the session wholesale (bits travel with it) and charges
   the traffic.  ``session_affinity`` is the policy that never volunteers
   a migration — the *affinity hit rate* (owner-routed fraction of
-  steps with an existing owner) is the metric ``bench_cluster.py``
-  compares against ``round_robin``.
+  steps with an existing owner) is the metric
+  ``tests/cluster/test_cluster.py::TestBitExactRouting::
+  test_affinity_beats_round_robin_on_hit_rate`` compares against
+  ``round_robin``.
 
 Policies are deterministic: ``round_robin`` cycles a counter,
 ``least_outstanding`` breaks ties by replica id, ``session_affinity``

@@ -99,8 +99,10 @@ def multi_tenant_arrivals(
     (weighted draw) and, for session-shaped tenants, a session id.  The
     merged schedule is sorted by time (ties broken by tenant order) and
     is a pure function of the specs and the generator state — both
-    ``bench_serving`` and ``bench_cluster`` replay identical mixes from
-    equal seeds.
+    ``benchmarks/bench_serving.py`` and the fleet affinity gate
+    (``tests/cluster/test_cluster.py::TestBitExactRouting::
+    test_affinity_beats_round_robin_on_hit_rate``) replay identical
+    mixes from equal seeds.
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")

@@ -1,4 +1,6 @@
-"""Tests for the per-figure experiment runners (shape + headline values)."""
+"""Tests for the per-figure experiment runners: shapes, orderings and
+trends, plus the headline values the scorecard ledger
+(:func:`repro.analysis.scorecard.default_claims`) does not check."""
 
 import pytest
 
@@ -22,8 +24,6 @@ from repro.analysis import (
 class TestFig3:
     def test_headline_numbers(self):
         result = fig3_dispersion()
-        assert result["max_kappa_deviation_pct"] == pytest.approx(1.8, rel=0.1)
-        assert result["max_phase_deviation_deg"] == pytest.approx(0.28, abs=0.02)
         assert len(result["rows"]) == 25
 
     def test_rows_cover_grid(self):
@@ -39,8 +39,6 @@ class TestTable4:
         by_name = {row["name"]: row for row in rows}
         assert by_name["LT-B"]["Nt"] == 4
         assert by_name["LT-L"]["Nt"] == 8
-        assert by_name["LT-B"]["area_mm2"] == pytest.approx(60.3, rel=0.05)
-        assert by_name["LT-L"]["area_mm2"] == pytest.approx(112.82, rel=0.05)
 
 
 class TestFig7and8:
@@ -52,14 +50,6 @@ class TestFig7and8:
         rows = fig8_power_breakdown()
         combos = {(r["config"].split("@")[0], r["bits"]) for r in rows}
         assert ("LT-B", 4) in combos and ("LT-L", 8) in combos
-
-    def test_lt_base_4bit_total(self):
-        rows = [
-            r
-            for r in fig8_power_breakdown()
-            if r["bits"] == 4 and r["config"].startswith("LT-B")
-        ]
-        assert sum(r["power_w"] for r in rows) == pytest.approx(14.75, rel=0.05)
 
 
 class TestFig9and10:
@@ -87,7 +77,6 @@ class TestFig11and12:
         rows = fig11_energy_comparison()["attention"]
         by_design = {r["design"]: r["normalized_total"] for r in rows}
         assert by_design["LT-crossbar-B"] == pytest.approx(1.0)
-        assert by_design["MRR"] == pytest.approx(2.62, rel=0.5)  # paper 2.62x
 
     def test_fig11_linear_ordering(self):
         rows = fig11_energy_comparison()["linear"]
@@ -111,11 +100,6 @@ class TestFig11and12:
                 parts = [v for k, v in row.items() if k not in ("design", "normalized_total")]
                 assert sum(parts) == pytest.approx(row["normalized_total"])
 
-    def test_fig12_attention_mrr_ratio(self):
-        rows = fig12_variant_ablation()["attention"]
-        by_design = {r["design"]: r["normalized_total"] for r in rows}
-        assert by_design["MRR"] == pytest.approx(5.05, rel=0.35)  # paper 5.05x
-
 
 class TestTable5:
     def test_all_modules_present(self):
@@ -134,10 +118,7 @@ class TestTable5:
 
     def test_average_ratios_in_band(self):
         ratios = table5_average_ratios(4)
-        assert ratios["mrr_energy"] == pytest.approx(4.0, rel=0.4)
-        assert ratios["mrr_latency"] == pytest.approx(12.8, rel=0.35)
         assert 200 < ratios["mzi_latency"] < 1500
-        assert ratios["mzi_edp"] > 1e3
         assert ratios["lt_no_opt_energy"] == pytest.approx(1.8, rel=0.35)
 
     def test_8bit_mzi_energy_worse_than_4bit(self):

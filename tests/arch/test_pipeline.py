@@ -77,6 +77,11 @@ class TestPipelineReport:
         for model in (deit_tiny(), deit_base(), bert_base()):
             report = pipeline_report(model, lt_base(4))
             assert report.digital_time < report.gemm_time
+            assert report.digital_hidden
+            # Steady state at the GEMM rate plus exactly one digital drain.
+            assert report.pipelined_latency == pytest.approx(
+                report.gemm_time + report.digital_time / model.depth
+            )
 
     def test_gemm_time_matches_latency_model(self):
         """The per-layer decomposition must reproduce the latency of the

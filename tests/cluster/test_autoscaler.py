@@ -8,6 +8,7 @@ from repro.cluster import (
     ServingCluster,
 )
 from repro.serving import EngineConfig, IterationCost, SimulatedClock
+from tests.cluster.sim_gates import golden
 
 
 class EchoServable:
@@ -151,29 +152,37 @@ class TestDeterminism:
             latency_slo_s=2e-3,
             cooldown_s=0.5e-3,
         )
-        with scaled_cluster(policy, clock=clock) as cluster:
+        with scaled_cluster(
+            policy,
+            clock=clock,
+            service_model=IterationCost(base_s=1e-3, per_request_s=0.25e-3),
+        ) as cluster:
             # Burst: arrivals far faster than one replica serves.
-            for i in range(24):
+            for i in range(32):
                 clock.advance(0.1e-3)
                 cluster.submit(i)
                 cluster.step(force=False)
             cluster.run_until_idle()
-            # Quiet tail: the fleet drains back down.
-            for _ in range(6):
+            # Quiet tail: idle ticks drain the fleet back to min.
+            for _ in range(8):
                 clock.advance(5e-3)
                 cluster.step()
-            return (
-                [(e.time, e.kind, e.replica_id, e.fleet_size) for e in cluster.metrics.events],
-                cluster.fleet_size,
-            )
+            return {
+                "events": [event.as_dict() for event in cluster.metrics.events],
+                "final_fleet_size": cluster.fleet_size,
+                "completed": cluster.metrics.completed,
+                "failed": cluster.metrics.failed,
+            }
 
     def test_scaling_trajectory_is_reproducible_and_complete(self):
-        events_a, fleet_a = self.trajectory()
-        events_b, fleet_b = self.trajectory()
-        assert events_a == events_b
-        assert fleet_a == fleet_b == 1
-        kinds = [kind for _, kind, _, _ in events_a]
+        first, second = self.trajectory(), self.trajectory()
+        assert first == second
+        kinds = [event["kind"] for event in first["events"]]
         assert "scale_up" in kinds and "drain" in kinds and "retire" in kinds
+        assert first["final_fleet_size"] == 1
+        assert first["failed"] == 0
+        pinned = golden("cluster", "autoscaler")
+        assert first == {key: pinned[key] for key in first}
 
 
 class FakeMonitor:

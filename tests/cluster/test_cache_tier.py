@@ -20,10 +20,15 @@ from repro.serving import (
     IterationCost,
     SessionCache,
     SimulatedClock,
+    VisionServable,
     decode_payload,
+    mixed_decode_trace,
+    run_decode_trace,
 )
-from repro.serving.loadgen import bit_equal, sequential_decode
-from repro.workloads.llm import DecoderConfig, kv_cache_bytes
+from repro.serving.loadgen import bit_equal, sequential_decode, sequential_outputs
+from repro.workloads.llm import DecoderConfig, kv_cache_bytes, shared_kv_cache_bytes
+from repro.workloads.transformer import servable_model
+from tests.cluster.sim_gates import TINY_VIT, golden
 
 DECODER = DecoderConfig("tier-test", depth=2, dim=16, heads=2, mlp_ratio=2.0)
 COST = IterationCost(base_s=2e-4, per_request_s=5e-5)
@@ -57,7 +62,12 @@ def echo_tier_cluster(replicas=2, policy="round_robin", *, shared=True):
 
 
 def decode_tier_cluster(
-    replicas=3, policy="cache_aware", *, share=True, kv_capacity_bytes=None
+    replicas=3,
+    policy="cache_aware",
+    *,
+    share=True,
+    kv_capacity_bytes=None,
+    prompt=PROMPT,
 ):
     engine = EngineConfig(
         max_batch_size=4,
@@ -84,7 +94,7 @@ def decode_tier_cluster(
         config=config,
         clock=SimulatedClock(),
     )
-    cluster.register_prefix(PREFIX, PROMPT)
+    cluster.register_prefix(PREFIX, prompt)
     return cluster
 
 
@@ -92,15 +102,56 @@ def payload_fn(i, t):
     return decode_payload(9, i, t, DECODER.dim)
 
 
-def prompt_oracle(session_steps):
+def prompt_oracle(session_steps, prompt=PROMPT):
     """Each session decoded alone with its prompt pre-opened."""
     specs = [DecodeSessionSpec(sid, 0.0, n) for sid, n in sorted(session_steps.items())]
     return sequential_decode(
         lambda: DecodeServable(DECODER, seed=0, block_size=BLOCK),
         specs,
         payload_fn,
-        prompt_len=PROMPT,
+        prompt_len=prompt,
     )
+
+
+#: The fleet prefix-sharing gate: 8 sessions forked from one 6-token
+#: (three-page) prompt, decoding 2-6 steps each.
+FORK_PROMPT = 6
+
+
+def fork_trace():
+    return mixed_decode_trace(8, seed=42, min_steps=2, max_steps=6, horizon_s=5e-3)
+
+
+def run_forks(policy, *, share):
+    """Decode the fork trace with every session kept resident, audit the
+    fleet's KV custody, then release every session.  Returns the
+    outputs and the audit."""
+    specs = fork_trace()
+    with decode_tier_cluster(policy=policy, share=share, prompt=FORK_PROMPT) as cluster:
+        result = run_decode_trace(
+            cluster,
+            specs,
+            payload_fn=payload_fn,
+            release=False,
+            submit_kwargs=lambda i: {"prefix_id": PREFIX},
+        )
+        tier = cluster.tier
+        caches = [r.session_cache for r in cluster.replicas.values() if r.alive]
+        audit = {
+            # Replica-private pages plus the tier's chains, counted once.
+            "fleet_bytes": sum(c.pool.in_use_bytes for c in caches) + tier.shared_bytes,
+            "refcount": tier.refcount(PREFIX),
+            "holders": tier.replicas_holding(PREFIX),
+            "snapshot": cluster.snapshot(),
+        }
+        for spec in specs:
+            cluster.release_session(spec.session_id)
+        audit["release_clean"] = (
+            tier.refcount(PREFIX) == 0
+            and not tier.replicas_holding(PREFIX)
+            and all(c.pool.in_use == 0 for c in caches)
+        )
+    return result["outputs"], audit
 
 
 def owner_of(cluster, session_id):
@@ -142,6 +193,55 @@ class TestFleetMemo:
             assert (cluster.tier is not None) is shared
             if shared:
                 assert cluster.tier.memo.hits == hits
+
+    def test_shared_tier_recovers_the_affinity_hit_rate(self):
+        """5 prompts replayed in 6 waves on 4 replicas.  Private memos
+        keep repeats only under session_affinity; round_robin walks each
+        prompt across every replica, and the shared tier must win back
+        >= 0.9x the affinity hit rate, every wave bit-identical."""
+        engine = EngineConfig(max_wait_us=0.0, queue_depth=64, seed=1)
+
+        def servable(replica_id=None):
+            return VisionServable(servable_model(TINY_VIT, engine=engine))
+
+        rng = np.random.default_rng(7)
+        prompts = [rng.normal(size=(16, 16)) for _ in range(5)]
+        reference = [sequential_outputs(servable(), prompts)] * 6
+        rates = {}
+        for policy, shared in (
+            ("session_affinity", False), ("round_robin", False), ("round_robin", True)
+        ):
+            config = ClusterConfig(
+                replicas=4, policy=policy, engine=engine,
+                shared_cache=shared, memo_bytes=1 << 20,
+            )
+            sticky = policy == "session_affinity"
+            with ServingCluster(servable, config=config, clock=SimulatedClock()) as cluster:
+                waves = []
+                for _ in range(6):
+                    handles = [
+                        cluster.submit(
+                            prompt,
+                            cache_key=f"prompt-{j}",
+                            session_id=f"user-{j}" if sticky else None,
+                        )
+                        for j, prompt in enumerate(prompts)
+                    ]
+                    cluster.run_until_idle()
+                    waves.append([handle.result(timeout=0) for handle in handles])
+            assert bit_equal(waves, reference), (policy, shared)
+            rates[policy, shared] = cluster.metrics.cache_hit_rate()
+        affinity = rates["session_affinity", False]
+        private, tier = rates["round_robin", False], rates["round_robin", True]
+        assert tier > private
+        assert tier / affinity >= 0.9
+        memo = golden("cache_tier", "memo")
+        assert (affinity, private, tier, tier / affinity) == (
+            memo["affinity_private_hit_rate"],
+            memo["round_robin_private_hit_rate"],
+            memo["round_robin_shared_hit_rate"],
+            memo["recovery"],
+        )
 
     def test_private_memos_forfeit_the_cross_replica_hit(self):
         with echo_tier_cluster(shared=False) as cluster:
@@ -304,6 +404,42 @@ class TestPrefixAdoption:
             cluster.run_until_idle()
             assert cluster.tier.refcount(PREFIX) == 1
 
+    def test_fleet_forks_charge_the_prompt_once(self):
+        """Shared chain pages are charged once fleet-wide: total fleet KV
+        bytes fall strictly below the unshared fleet's and equal
+        ``shared_kv_cache_bytes`` exactly; releasing every fork leaves
+        no chain reference, holder or pool page behind."""
+        specs = fork_trace()
+        reference = prompt_oracle({s.session_id: s.steps for s in specs}, FORK_PROMPT)
+        shared_outputs, shared = run_forks("round_robin", share=True)
+        unshared_outputs, unshared = run_forks("round_robin", share=False)
+        contexts = [FORK_PROMPT + spec.steps for spec in specs]
+        assert shared["fleet_bytes"] < unshared["fleet_bytes"]
+        assert shared["fleet_bytes"] == shared_kv_cache_bytes(
+            DECODER, FORK_PROMPT, contexts, block_size=BLOCK
+        )
+        assert unshared["fleet_bytes"] == shared_kv_cache_bytes(
+            DECODER, 0, contexts, block_size=BLOCK
+        )
+        assert shared["refcount"] == len(specs)
+        assert shared["release_clean"] and unshared["release_clean"]
+        assert bit_equal(shared_outputs, reference)
+        assert bit_equal(unshared_outputs, reference)
+        pinned = golden("cache_tier", "prefix_sharing")
+        assert (
+            shared["fleet_bytes"],
+            unshared["fleet_bytes"],
+            shared["holders"],
+            shared["snapshot"]["prefixes"]["shared_adoptions"],
+            unshared["snapshot"]["prefixes"]["private_adoptions"],
+        ) == (
+            pinned["shared_fleet_bytes"],
+            pinned["unshared_fleet_bytes"],
+            pinned["chain_holders_at_peak"],
+            pinned["shared_adoptions"],
+            pinned["private_adoptions"],
+        )
+
 
 class TestCacheAwarePlacement:
     def test_forks_colocate_with_the_chain_holder(self):
@@ -317,6 +453,21 @@ class TestCacheAwarePlacement:
             assert owner_of(cluster, "b") is anchor
             assert owner_of(cluster, "c") is anchor
             assert cluster.tier.replicas_holding(PREFIX) == [anchor.replica_id]
+
+    @pytest.mark.parametrize(
+        "policy", ["round_robin", "least_outstanding", "session_affinity", "cache_aware"]
+    )
+    def test_every_policy_bit_identical_with_shared_forks(self, policy):
+        specs = fork_trace()
+        outputs, audit = run_forks(policy, share=True)
+        snapshot = audit["snapshot"]
+        assert bit_equal(
+            outputs, prompt_oracle({s.session_id: s.steps for s in specs}, FORK_PROMPT)
+        )
+        assert snapshot["prefixes"]["shared_adoptions"] == len(specs)
+        assert snapshot["migrations"]["count"] == golden(
+            "cache_tier", "policies", policy, "migrations"
+        )
 
     def test_round_robin_spreads_the_same_forks(self):
         with decode_tier_cluster(policy="round_robin") as cluster:

@@ -9,7 +9,9 @@ from repro.cluster import (
     ClusterConfig,
     NoHealthyReplica,
     ServingCluster,
+    run_virtual_schedule,
 )
+from repro.neural.photonic import PhotonicExecutor
 from repro.serving import (
     DecodeServable,
     EngineClosed,
@@ -17,9 +19,15 @@ from repro.serving import (
     IterationCost,
     QueueFull,
     SimulatedClock,
+    TenantSpec,
+    TextServable,
+    VisionServable,
+    multi_tenant_arrivals,
 )
 from repro.serving.loadgen import bit_equal, sequential_outputs
 from repro.workloads.llm import DecoderConfig
+from repro.workloads.transformer import KIND_TEXT, TransformerConfig, servable_model
+from tests.cluster.sim_gates import TINY_VIT, golden
 
 
 class EchoServable:
@@ -50,6 +58,7 @@ def manual_cluster(
     *,
     clock=None,
     tracer=None,
+    close_executors=False,
     **engine,
 ):
     """A simulated-clock fleet; ``engine`` holds :class:`EngineConfig`
@@ -59,7 +68,7 @@ def manual_cluster(
         policy=policy,
         engine=EngineConfig(**{"max_wait_us": 0.0, **engine}),
         service_model=service_model,
-        close_executors=False,
+        close_executors=close_executors,
     )
     return ServingCluster(
         factory,
@@ -89,6 +98,39 @@ def decode_steps(sessions=4, rounds=3, seed=0):
         for _ in range(rounds)
         for s in range(sessions)
     ]
+
+
+TINY_BERT = TransformerConfig(
+    "cluster-bert", depth=1, dim=32, heads=2, seq_len=17,
+    mlp_ratio=2.0, kind=KIND_TEXT, n_classes=2,
+)
+
+
+def routed_workload(name):
+    """``(replica factory, payloads, session ids)`` of a routing gate
+    input.  Equal-seed replicas on a two-core photonic executor compute
+    bit-identical outputs; prompts are ragged; 4 decode sessions on 3
+    replicas are coprime, so non-sticky policies must migrate KV."""
+    if name == "decode_sessions":
+        steps = decode_steps()
+        return (
+            lambda rid: DecodeServable(DECODER, seed=0),
+            [x for _, x in steps],
+            [sid for sid, _ in steps],
+        )
+    rng = np.random.default_rng(0)
+    if name == "vision":
+        config, servable = TINY_VIT, VisionServable
+        payloads = [rng.normal(size=(16, 16)) for _ in range(12)]
+    else:
+        config, servable = TINY_BERT, TextServable
+        payloads = [rng.integers(1, 32, size=int(rng.integers(1, 17))) for _ in range(12)]
+
+    def factory(replica_id):
+        executor = PhotonicExecutor(num_cores=2)
+        return servable(servable_model(config, executor=executor, seed=0))
+
+    return factory, payloads, None
 
 
 class TestSubmitAndStep:
@@ -149,35 +191,67 @@ class TestSubmitAndStep:
 
 
 class TestBitExactRouting:
+    @pytest.mark.parametrize("workload", ["vision", "text_ragged", "decode_sessions"])
     @pytest.mark.parametrize(
         "policy", ["round_robin", "least_outstanding", "session_affinity"]
     )
-    def test_decode_bit_identical_to_single_engine(self, policy):
-        steps = decode_steps()
-        reference = sequential_outputs(
-            DecodeServable(DECODER, seed=0),
-            [x for _, x in steps],
-            [sid for sid, _ in steps],
-        )
-        with decode_cluster(replicas=3, policy=policy, max_batch_size=4) as cluster:
-            outputs = []
-            for sid, x in steps:
-                handle = cluster.submit(x, session_id=sid)
-                cluster.step(force=True)
-                outputs.append(handle.result(timeout=0))
+    def test_decode_bit_identical_to_single_engine(self, policy, workload):
+        """Every policy on every workload matches sequential single-engine
+        execution bit for bit; decode steps execute per arrival so
+        sessions quiesce and non-sticky policies really move them."""
+        factory, payloads, sessions = routed_workload(workload)
+        reference = sequential_outputs(factory(0), payloads, sessions)
+        with manual_cluster(
+            factory, 3, policy=policy, close_executors=True,
+            max_batch_size=4, queue_depth=len(payloads),
+        ) as cluster:
+            handles = []
+            for i, payload in enumerate(payloads):
+                sid = None if sessions is None else sessions[i]
+                handles.append(cluster.submit(payload, session_id=sid))
+                if sid is not None:
+                    cluster.step(force=True)
+            cluster.run_until_idle()
+            outputs = [handle.result(timeout=0) for handle in handles]
         assert bit_equal(outputs, reference)
 
     def test_affinity_beats_round_robin_on_hit_rate(self):
-        steps = decode_steps(sessions=4, rounds=4)
-        rates = {}
+        """A two-tenant decode mix (7 sessions over 15 ms) on 3 replicas:
+        session_affinity keeps every step on its session's owner while
+        round_robin migrates, and both decode the same bits."""
+        tenants = (
+            TenantSpec("chat-a", rate_rps=2000.0, weights={"decode": 1.0}, sessions=4),
+            TenantSpec("chat-b", rate_rps=1000.0, weights={"decode": 1.0}, sessions=3),
+        )
+        report, outputs = {}, {}
         for policy in ("round_robin", "session_affinity"):
-            with decode_cluster(replicas=3, policy=policy, max_batch_size=4) as cluster:
-                for sid, x in steps:
-                    cluster.submit(x, session_id=sid)
-                    cluster.step(force=True)
-                rates[policy] = cluster.metrics.affinity_hit_rate()
+            arrivals = multi_tenant_arrivals(
+                tenants, horizon_s=15e-3, rng=np.random.default_rng(4)
+            )
+            with decode_cluster(
+                replicas=3, policy=policy, max_batch_size=4, queue_depth=len(arrivals)
+            ) as cluster:
+                handles = run_virtual_schedule(
+                    cluster,
+                    arrivals,
+                    lambda a: np.random.default_rng(a.index).normal(size=DECODER.dim),
+                    force_each=True,  # quiesce sessions between steps
+                )["handles"]
+                outputs[policy] = [handle.result(timeout=0) for handle in handles]
+            metrics = cluster.metrics
+            report[policy] = {
+                "requests": len(arrivals),
+                "affinity_hit_rate": metrics.affinity_hit_rate(),
+                "migrations": metrics.migrations,
+                "migrated_bytes": metrics.migrated_bytes,
+                "tenants": metrics.tenant_counts(),
+            }
+        assert bit_equal(outputs["session_affinity"], outputs["round_robin"])
+        rates = {policy: row["affinity_hit_rate"] for policy, row in report.items()}
         assert rates["session_affinity"] == 1.0
         assert rates["session_affinity"] > rates["round_robin"]
+        pinned = golden("cluster", "affinity")
+        assert report == {policy: pinned[policy] for policy in report}
 
     def test_migration_moves_kv_state_and_counts_bytes(self):
         # 4 sessions on 3 replicas: round robin must move sessions.

@@ -16,6 +16,7 @@ from repro.serving import (
     TenantSpec,
     multi_tenant_arrivals,
 )
+from tests.cluster.sim_gates import golden
 
 
 class EchoServable:
@@ -28,13 +29,21 @@ class EchoServable:
         return [2 * request.payload for request in requests]
 
 
-def virtual_cluster(replicas=2):
+def virtual_cluster(
+    replicas=2,
+    policy="round_robin",
+    service_model=IterationCost(base_s=1e-3, per_request_s=0.0),
+    **engine,
+):
+    """An echo fleet in virtual time; ``engine`` overrides
+    :class:`EngineConfig` fields (batches of 4, a 500 us window)."""
     return ServingCluster(
         lambda rid: EchoServable(),
         config=ClusterConfig(
             replicas=replicas,
-            engine=EngineConfig(max_batch_size=4, max_wait_us=500.0),
-            service_model=IterationCost(base_s=1e-3, per_request_s=0.0),
+            policy=policy,
+            engine=EngineConfig(**{"max_batch_size": 4, "max_wait_us": 500.0, **engine}),
+            service_model=service_model,
             close_executors=False,
         ),
         clock=SimulatedClock(),
@@ -76,15 +85,29 @@ class TestRunVirtualOpenLoop:
         assert first["latency_p99_ms"] >= first["latency_p50_ms"]
 
     def test_more_replicas_raise_virtual_throughput(self):
-        def throughput(replicas):
-            rng = np.random.default_rng(1)
-            gaps = rng.exponential(0.1e-3, size=32)
-            with virtual_cluster(replicas=replicas) as cluster:
-                return run_virtual_open_loop(
-                    cluster, list(range(32)), gaps
-                )["throughput_rps"]
-
-        assert throughput(1) < throughput(2) < throughput(4)
+        """Fleet scaling: 64 open-loop Poisson arrivals (mean gap 0.05 ms,
+        service-dominated) on 1, 2 and 4 replicas.  Replicas overlap in
+        virtual time, so throughput rises strictly and 4 replicas serve
+        at least 2x one."""
+        rows = []
+        for replicas in (1, 2, 4):
+            gaps = np.random.default_rng(2).exponential(0.05e-3, size=64)
+            with virtual_cluster(
+                replicas,
+                policy="least_outstanding",
+                service_model=IterationCost(base_s=1e-3, per_request_s=0.25e-3),
+                max_batch_size=8,
+                queue_depth=128,
+            ) as cluster:
+                report = run_virtual_open_loop(cluster, list(range(64)), gaps)
+            report.pop("handles")
+            rows.append({**report, "replicas": replicas})
+        throughputs = [row["throughput_rps"] for row in rows]
+        assert throughputs[0] < throughputs[1] < throughputs[2]
+        gain = throughputs[2] / throughputs[0]
+        assert gain >= 2.0, f"fleet gain {gain:.2f}x below the 2.0x floor"
+        assert rows == golden("cluster", "fleet_scaling")
+        assert gain == golden("cluster", "fleet_gain")
 
 
 class TestRunVirtualSchedule:

@@ -11,11 +11,11 @@ from repro.serving import (
     IterationCost,
     SimulatedClock,
     decode_payload,
-    mixed_decode_trace,
     run_decode_trace,
 )
 from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads.llm import DecoderConfig
+from tests.cluster.sim_gates import continuous_trace, golden
 
 DECODER = DecoderConfig("cluster-cont", depth=2, dim=16, heads=2, mlp_ratio=2.0)
 COST = IterationCost(base_s=2e-4, per_request_s=5e-5)
@@ -23,12 +23,6 @@ COST = IterationCost(base_s=2e-4, per_request_s=5e-5)
 
 def payload_fn(i, t):
     return decode_payload(9, i, t, DECODER.dim)
-
-
-def trace_specs(sessions=8, seed=17):
-    return mixed_decode_trace(
-        sessions, seed=seed, max_steps=8, horizon_s=4e-3
-    )
 
 
 def oracle(specs):
@@ -65,14 +59,16 @@ class TestPolicyEquivalence:
         "policy", ["round_robin", "least_outstanding", "session_affinity"]
     )
     def test_bit_identical_to_single_engine(self, policy):
-        specs = trace_specs()
+        specs = continuous_trace()
         reference = oracle(specs)
         with continuous_cluster(policy=policy) as cluster:
             result = run_decode_trace(cluster, specs, payload_fn=payload_fn)
+            migrations = cluster.snapshot()["migrations"]["count"]
         assert bit_equal(result["outputs"], reference)
+        assert migrations == golden("continuous", "cluster", policy, "migrations")
 
     def test_migration_moves_paged_blocks_wholesale(self):
-        specs = trace_specs()
+        specs = continuous_trace()
         reference = oracle(specs)
         with continuous_cluster(policy="round_robin") as cluster:
             result = run_decode_trace(
@@ -93,7 +89,7 @@ class TestPolicyEquivalence:
 
 class TestFailover:
     def test_mid_trace_failover_stays_bit_identical(self):
-        specs = trace_specs()
+        specs = continuous_trace()
         reference = oracle(specs)
         cluster = continuous_cluster(policy="session_affinity")
         state = {"executed": 0, "failed": False}
@@ -102,7 +98,7 @@ class TestFailover:
         def failing_step(*, force=True):
             executed = original_step(force=force)
             state["executed"] += executed
-            if not state["failed"] and state["executed"] >= 20:
+            if not state["failed"] and state["executed"] >= 30:
                 state["failed"] = True
                 cluster.fail_replica(0)
             return executed
@@ -114,12 +110,16 @@ class TestFailover:
         assert state["failed"]
         assert snapshot["migrations"]["sessions_rehomed"] > 0
         assert bit_equal(result["outputs"], reference)
+        pinned = golden("continuous", "cluster", "failover")
+        assert (snapshot["failovers"], snapshot["migrations"]["sessions_rehomed"]) == (
+            pinned["failovers"], pinned["rehomed_sessions"]
+        )
 
 
 class TestReleaseSession:
     def test_release_frees_owner_pages_and_directory(self):
         with continuous_cluster(policy="session_affinity") as cluster:
-            specs = trace_specs(sessions=3)
+            specs = continuous_trace()[:3]
             run_decode_trace(
                 cluster, specs, payload_fn=payload_fn, release=False
             )

@@ -19,6 +19,7 @@ from repro.serving import (
 )
 from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads import DecoderConfig, kv_cache_bytes
+from tests.cluster.sim_gates import continuous_trace, golden
 
 
 def toy_decoder(name="toy") -> DecoderConfig:
@@ -39,13 +40,20 @@ def oracle(config, specs):
 
 
 def trace_outputs(
-    config, specs, *, scheduler, window_us=0.0, traced=False, **servable_kwargs
+    config,
+    specs,
+    *,
+    scheduler,
+    window_us=0.0,
+    traced=False,
+    max_batch_size=4,
+    **servable_kwargs,
 ):
     clock = SimulatedClock()
     engine = ServingEngine(
         DecodeServable(config, seed=1, **servable_kwargs),
         config=EngineConfig(
-            max_batch_size=4,
+            max_batch_size=max_batch_size,
             max_wait_us=window_us,
             queue_depth=256,
             scheduler=scheduler,
@@ -65,43 +73,96 @@ def trace_outputs(
 
 
 class TestBitEquality:
+    """The continuous-batching gates on the seeded 12-session trace:
+    eight lanes under one shared iteration cost, request mode paying a
+    2 ms batching window on every partial batch."""
+
     def test_continuous_matches_sequential_and_request(self):
         config = toy_decoder()
-        specs = mixed_decode_trace(6, seed=11, max_steps=7, horizon_s=5e-3)
+        specs = continuous_trace()
         reference = oracle(config, specs)
-        continuous, _ = trace_outputs(config, specs, scheduler="continuous")
+        continuous, engine = trace_outputs(
+            config, specs, scheduler="continuous", max_batch_size=8
+        )
         request, _ = trace_outputs(
-            config, specs, scheduler="request", window_us=1_000.0
+            config, specs, scheduler="request", window_us=2_000.0, max_batch_size=8
         )
         assert bit_equal(continuous["outputs"], reference)
         assert bit_equal(request["outputs"], reference)
+        assert {
+            str(k): v for k, v in engine.metrics.iteration_occupancy().items()
+        } == golden("continuous", "equivalence", "iteration_occupancy")
 
     def test_continuous_is_faster_than_request(self):
         config = toy_decoder()
-        specs = mixed_decode_trace(8, seed=5, max_steps=8, horizon_s=8e-3)
-        continuous, _ = trace_outputs(config, specs, scheduler="continuous")
-        request, _ = trace_outputs(
-            config, specs, scheduler="request", window_us=2_000.0
+        specs = continuous_trace()
+        continuous, engine = trace_outputs(
+            config, specs, scheduler="continuous", max_batch_size=8
         )
+        request, _ = trace_outputs(
+            config, specs, scheduler="request", window_us=2_000.0, max_batch_size=8
+        )
+        gain = continuous["throughput_sps"] / request["throughput_sps"]
         assert continuous["throughput_sps"] > request["throughput_sps"]
+        assert gain >= 1.2, f"continuous gain {gain:.2f}x below the 1.2x floor"
+        assert {
+            "steps": continuous["steps"],
+            "continuous_makespan_s": continuous["makespan_s"],
+            "request_makespan_s": request["makespan_s"],
+            "continuous_sps": continuous["throughput_sps"],
+            "request_sps": request["throughput_sps"],
+            "gain": gain,
+            "mean_iteration_occupancy": engine.metrics.mean_iteration_occupancy(),
+        } == golden("continuous", "throughput")
 
     def test_preemption_round_trip_is_bit_exact(self):
         config = toy_decoder()
-        # Dense arrivals against a pool of 4 two-token pages (the
-        # largest session alone needs all 4): admission must preempt.
-        specs = mixed_decode_trace(8, seed=11, max_steps=8, horizon_s=2e-3)
+        specs = continuous_trace()
         reference = oracle(config, specs)
+        # A pool of 5 two-token pages cannot hold the whole active set
+        # (the longest session alone needs 5): admission must preempt.
         tight, engine = trace_outputs(
             config,
             specs,
             scheduler="continuous",
+            max_batch_size=8,
             block_size=2,
-            kv_capacity_bytes=kv_cache_bytes(config, 2) * 4,
+            kv_capacity_bytes=kv_cache_bytes(config, 2) * 5,
         )
         sched = engine._scheduler
         assert sched.preemptions > 0, "tight pool must force preemption"
         assert sched.swap_ins > 0, "preempted sessions must resume"
         assert bit_equal(tight["outputs"], reference)
+        pinned = golden("continuous", "equivalence")
+        assert (sched.preemptions, sched.swap_ins, engine.servable.cache.pool.reuses) == (
+            pinned["preemptions"], pinned["swap_ins"], pinned["pool_reuses"]
+        )
+
+
+class TestPagedAccounting:
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_ledger_pool_and_formula_agree_after_a_trace(self, block_size):
+        """With every session of the trace still resident, each
+        session's ledger equals its page-rounded ``kv_cache_bytes`` and
+        the pool's budget equals the ledger's resident total."""
+        config = toy_decoder()
+        specs = continuous_trace()
+        servable = DecodeServable(config, seed=1, block_size=block_size)
+        engine = ServingEngine(servable, config=CONTINUOUS, clock=SimulatedClock())
+        cache = servable.cache
+        with engine:
+            run_decode_trace(
+                engine, specs, payload_fn=payload_fn(config), release=False
+            )
+            for spec in specs:
+                pages = -(-spec.steps // block_size)
+                assert cache.session_bytes(spec.session_id) == kv_cache_bytes(
+                    config, pages * block_size
+                )
+            assert cache.resident_kv_bytes() == cache.pool.in_use_bytes
+        assert cache.resident_kv_bytes() == golden(
+            "continuous", "accounting", f"block_size_{block_size}", "resident_bytes"
+        )
 
 
 class TestIterationMetrics:

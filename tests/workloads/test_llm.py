@@ -16,6 +16,7 @@ from repro.workloads import (
     prefill_trace,
     total_flops,
 )
+from repro.workloads.llm import shared_kv_cache_bytes
 
 
 class TestDecoderConfigs:
@@ -97,6 +98,52 @@ class TestKVCache:
         assert all(not op.dynamic for op in ops)
         double = kv_recompute_trace(gpt2_small(), context_len=1024)
         assert total_flops(double) == pytest.approx(2 * total_flops(ops))
+
+
+class TestSharedKVCache:
+    #: 2 layers x dim 16 x (K + V) at 8 bits: 64 bytes per cached token.
+    TOY = DecoderConfig("toy", depth=2, dim=16, heads=2)
+
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_no_prefix_is_the_unshared_sum(self, block_size):
+        contexts = [1, 3, 6, 9]
+        unshared = sum(
+            kv_cache_bytes(self.TOY, -(-c // block_size) * block_size)
+            for c in contexts
+        )
+        assert (
+            shared_kv_cache_bytes(self.TOY, 0, contexts, block_size=block_size)
+            == unshared
+        )
+
+    @pytest.mark.parametrize(
+        "block_size, tokens",
+        [
+            # prefix 3 -> 4 tokens once; suffixes 1 -> 2 and 5 -> 6.
+            (2, 4 + 2 + 6),
+            # prefix 3 -> 4 tokens once; suffixes 1 -> 4 and 5 -> 8.
+            (4, 4 + 4 + 8),
+        ],
+    )
+    def test_prefix_and_suffixes_round_to_pages(self, block_size, tokens):
+        assert kv_cache_bytes(self.TOY, 1) == 64
+        assert (
+            shared_kv_cache_bytes(self.TOY, 3, [4, 8], block_size=block_size)
+            == 64 * tokens
+        )
+
+    def test_prefix_charged_once(self):
+        one = shared_kv_cache_bytes(self.TOY, 4, [6], block_size=2)
+        three = shared_kv_cache_bytes(self.TOY, 4, [6, 6, 6], block_size=2)
+        assert three - one == 2 * kv_cache_bytes(self.TOY, 2)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="prefix_len"):
+            shared_kv_cache_bytes(self.TOY, -1, [4])
+        with pytest.raises(ValueError, match="block_size"):
+            shared_kv_cache_bytes(self.TOY, 2, [4], block_size=0)
+        with pytest.raises(ValueError, match="shorter than the shared prefix"):
+            shared_kv_cache_bytes(self.TOY, 5, [6, 4])
 
 
 class TestRooflineAnalysis:
