@@ -6,12 +6,11 @@ Sections, each with a hard gate and a measurement:
   default no-op tracer, every pre-existing equality suite still holds,
   and turning tracing ON changes *observability only*, never math:
 
-  - hot path: ``pipelined_matmul`` under an active
+  - hot path: a noisy two-core
+    :class:`~repro.core.sharding.ShardedDPTC` matmul under an active
     :class:`~repro.obs.trace.Tracer` is bit-identical to the untraced
-    run and to the sequential (depth-0) chunk oracle — one body serves
-    both, consuming the RNG through the same fused per-chunk draws;
-  - sharded: a multi-core :class:`~repro.core.sharding.ShardedDPTC`
-    matmul is bit-identical traced vs untraced;
+    run and to the sequential (``parallel=False``) oracle on both shard
+    axes — one stage body serves both;
   - serving: the canonical demo workload
     (:func:`repro.obs.demo.run_workload`) returns bit-identical
     request results and an identical metrics snapshot traced vs
@@ -24,14 +23,14 @@ Sections, each with a hard gate and a measurement:
 
       request (submit / dispatch / complete events)
       engine.iteration -> engine.batch -> shard.matmul -> shard.core
-          -> hotpath.matmul -> stage.{sample,encode,compute,detect}
+          -> stage.{sample,encode,compute,detect}
 
 * **Byte determinism** (always enforced) — the JSONL dump of the demo
   workload is byte-for-byte identical across reruns for equal seeds
   (the ``repro trace --seed S`` contract).
 
 * **Enabled-tracer overhead ceiling** (nightly) — an actively traced
-  hot-path run may cost at most :data:`MAX_TRACED_OVERHEAD` times the
+  sharded matmul may cost at most :data:`MAX_TRACED_OVERHEAD` times the
   untraced run on the headline noisy matmul.  ``--report-only`` (fast
   lane, 1-CPU runners) records the ratio without asserting.
 
@@ -44,21 +43,20 @@ import os
 
 import numpy as np
 
-from repro.core import DPTC, NoiseModel, ShardedDPTC
-from repro.core.hotpath import best_of, pipelined_matmul
+from repro.core import NoiseModel, ShardedDPTC
+from repro.core.hotpath import best_of
 from repro.obs import Tracer, to_jsonl
 from repro.obs.demo import run_trace_workload, run_workload
 from repro.serving.loadgen import bit_equal
 
 #: Headline noisy batched case for equality + overhead — the same
 #: attention-shaped stack ``bench_hotpath.py`` profiles, so the
-#: overhead ratio is measured on the shape the hot path is tuned for
-#: (per-chunk span cost amortizes over real per-chunk math).
+#: overhead ratio is measured on the shape the hot path is tuned for.
 HEAD_BATCH = 64
 HEAD_M = 32
 HEAD_D = 64
 HEAD_N = 32
-HEAD_CHUNK = 8
+HEAD_CORES = 2
 
 #: Nightly ceiling on traced-over-untraced hot-path wall-clock.
 MAX_TRACED_OVERHEAD = 1.10
@@ -68,7 +66,7 @@ DEMO_SEED = 0
 DEMO_REQUESTS = 12
 DEMO_BATCH = 4
 
-#: The stage spans every traced chunk must emit.
+#: The stage spans every traced noisy core matmul must emit.
 STAGES = ("stage.sample", "stage.encode", "stage.compute", "stage.detect")
 
 
@@ -79,41 +77,34 @@ def _operands() -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def hotpath_equality() -> dict:
-    """Traced == untraced == sequential oracle on the noisy hot path."""
-    core = DPTC(noise=NoiseModel.paper_default())
-    a, b = _operands()
-
-    def run(depth: int) -> np.ndarray:
-        return pipelined_matmul(
-            core, a, b, np.random.default_rng(3),
-            chunk_size=HEAD_CHUNK, pipeline_depth=depth,
-        )
-
-    untraced = run(1)
-    oracle = run(0)
-    tracer = Tracer()
-    with tracer.activate():
-        traced = run(1)
-        traced_oracle = run(0)
-
-    sharded = ShardedDPTC(
-        num_cores=2, noise=NoiseModel.paper_default(), chunk_size=HEAD_CHUNK
+def _sharded(shard_axis: str = "batch", parallel: bool = True) -> ShardedDPTC:
+    return ShardedDPTC(
+        num_cores=HEAD_CORES,
+        noise=NoiseModel.paper_default(),
+        shard_axis=shard_axis,
+        parallel=parallel,
     )
-    try:
-        plain = sharded.matmul(a, b, rng=np.random.default_rng(5))
-        with tracer.activate():
-            shard_traced = sharded.matmul(a, b, rng=np.random.default_rng(5))
-    finally:
-        sharded.close()
 
-    return {
-        "traced_equals_untraced": bit_equal(traced, untraced),
-        "traced_equals_oracle": bit_equal(traced_oracle, oracle),
-        "untraced_equals_oracle": bit_equal(untraced, oracle),
-        "sharded_traced_equal": bit_equal(shard_traced, plain),
-        "spans_emitted": len(tracer.collector),
-    }
+
+def hotpath_equality() -> dict:
+    """Traced == untraced == sequential oracle on the sharded noisy matmul."""
+    a, b = _operands()
+    tracer = Tracer()
+    equal = {}
+    for shard_axis in ("batch", "contraction"):
+        engine = _sharded(shard_axis)
+        oracle_engine = _sharded(shard_axis, parallel=False)
+        try:
+            untraced = engine.matmul(a, b, rng=np.random.default_rng(3))
+            oracle = oracle_engine.matmul(a, b, rng=np.random.default_rng(3))
+            with tracer.activate():
+                traced = engine.matmul(a, b, rng=np.random.default_rng(3))
+        finally:
+            engine.close()
+            oracle_engine.close()
+        equal[f"{shard_axis}_traced_equals_untraced"] = bit_equal(traced, untraced)
+        equal[f"{shard_axis}_traced_equals_oracle"] = bit_equal(traced, oracle)
+    return {"bit_equal": equal, "spans_emitted": len(tracer.collector)}
 
 
 def serving_equality() -> dict:
@@ -219,13 +210,8 @@ def span_tree_shape() -> dict:
             "shard.core<-shard.matmul": parents_are(
                 "shard.core", "shard.matmul"
             ),
-            "hotpath.matmul<-shard.core": parents_are(
-                "hotpath.matmul", "shard.core"
-            ),
             **{
-                f"{stage}<-hotpath.matmul": parents_are(
-                    stage, "hotpath.matmul"
-                )
+                f"{stage}<-shard.core": parents_are(stage, "shard.core")
                 for stage in STAGES
             },
         },
@@ -258,24 +244,23 @@ def byte_determinism() -> dict:
 
 
 def traced_overhead(repeats: int = 5) -> dict:
-    """Best-of wall-clock of the traced vs untraced noisy hot path."""
-    core = DPTC(noise=NoiseModel.paper_default())
+    """Best-of wall-clock of the traced vs untraced sharded noisy matmul."""
+    engine = _sharded()
     a, b = _operands()
 
     def run() -> np.ndarray:
-        return pipelined_matmul(
-            core, a, b, np.random.default_rng(3),
-            chunk_size=HEAD_CHUNK, pipeline_depth=0,
-        )
-
-    untraced_s = best_of(run, repeats)
+        return engine.matmul(a, b, rng=np.random.default_rng(3))
 
     def run_traced() -> np.ndarray:
         tracer = Tracer()
         with tracer.activate():
             return run()
 
-    traced_s = best_of(run_traced, repeats)
+    try:
+        untraced_s = best_of(run, repeats)
+        traced_s = best_of(run_traced, repeats)
+    finally:
+        engine.close()
     return {
         "untraced_s": untraced_s,
         "traced_s": traced_s,
@@ -287,12 +272,9 @@ def traced_overhead(repeats: int = 5) -> dict:
 def run(enforce_floors: bool = True, out_path: str = "BENCH_obs.json") -> dict:
     print("Disabled-tracer bit-equality")
     hotpath = hotpath_equality()
-    for key in (
-        "traced_equals_untraced", "traced_equals_oracle",
-        "untraced_equals_oracle", "sharded_traced_equal",
-    ):
-        print(f"  hotpath {key:24s}: {hotpath[key]}")
-        assert hotpath[key], f"hot-path equality broke: {key}"
+    for key, equal in hotpath["bit_equal"].items():
+        print(f"  hotpath {key:36s}: {equal}")
+        assert equal, f"hot-path equality broke: {key}"
 
     serving = serving_equality()
     print(f"  serving results bit-equal     : {serving['results_bit_equal']}")
@@ -338,7 +320,7 @@ def run(enforce_floors: bool = True, out_path: str = "BENCH_obs.json") -> dict:
     )
     if enforce_floors:
         assert overhead["overhead_ratio"] <= MAX_TRACED_OVERHEAD, (
-            f"traced hot path costs {overhead['overhead_ratio']:.3f}x the "
+            f"traced sharded matmul costs {overhead['overhead_ratio']:.3f}x the "
             f"untraced run (ceiling {MAX_TRACED_OVERHEAD:.2f}x)"
         )
 

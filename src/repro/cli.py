@@ -9,7 +9,7 @@ Usage::
     python -m repro.cli report [--skip-accuracy]
     python -m repro.cli serve-bench [--model tiny-vit|tiny-bert] [--requests N]
     python -m repro.cli cluster-bench [--replicas N] [--policy NAME] [--autoscale]
-    python -m repro.cli hotpath-bench [--batch N] [--chunk-size C] [--out FILE]
+    python -m repro.cli hotpath-bench [--batch N] [--noise paper|off] [--out FILE]
     python -m repro.cli trace  [--seed N] [--requests N] [--out FILE]
                                [--sample RATE] [--stream]
     python -m repro.cli top    [--replicas N] [--frames N] [--fail-replica ID]
@@ -415,15 +415,18 @@ def _dump_tracer(tracer, path: str) -> None:
 SERVE_MODELS = ("tiny-vit", "tiny-bert")
 
 
-def _load_config_data(text: str) -> dict:
-    """``--config`` value: inline JSON (starts with ``{``) or a path."""
+def _load_config(verb: str, cls, text: str):
+    """``cls`` from a ``--config`` value: inline JSON (starts with ``{``)
+    or a path to a JSON file.  Any bad value is a one-line exit."""
     import json
     from pathlib import Path
 
     text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
+    try:
+        data = json.loads(text if text.startswith("{") else Path(text).read_text())
+        return cls.from_dict(data)
+    except (OSError, TypeError, ValueError) as error:
+        raise SystemExit(f"{verb}: bad --config: {error}")
 
 
 def _engine_overrides(args: argparse.Namespace) -> dict:
@@ -434,8 +437,6 @@ def _engine_overrides(args: argparse.Namespace) -> dict:
         "max_wait_us",
         "scheduler",
         "num_cores",
-        "chunk_size",
-        "pipeline_depth",
         "seed",
     ):
         value = getattr(args, flag, None)
@@ -494,7 +495,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.users < 1 or args.rounds < 1:
         raise SystemExit("serve-bench: --users and --rounds must be >= 1")
     base = (
-        EngineConfig.from_dict(_load_config_data(args.config))
+        _load_config("serve-bench", EngineConfig, args.config)
         if args.config
         else EngineConfig(max_wait_us=2_000.0)
     )
@@ -580,7 +581,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
         raise SystemExit("cluster-bench: --rate must be > 0")
 
     base = (
-        ClusterConfig.from_dict(_load_config_data(args.config))
+        _load_config("cluster-bench", ClusterConfig, args.config)
         if args.config
         else ClusterConfig(
             replicas=3,
@@ -731,85 +732,44 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_hotpath_bench(args: argparse.Namespace) -> int:
-    """Engine hot-path profile: per-stage timings + pipelined throughput.
-
-    Also asserts the invariant that makes pipelining safe: pipelined
-    execution is bit-identical to the sequential chunk schedule for
-    equal seeds (same draws, same order, reordered only in wall-clock).
-    """
+    """Engine hot-path profile: per-stage timings and matmul throughput."""
     import json
-    from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
     from repro.core.dptc import DPTC
-    from repro.core.hotpath import best_of, pipelined_matmul, profile_stages
+    from repro.core.hotpath import STAGES, profile_stages
     from repro.core.noise import NoiseModel
-    from repro.obs.trace import NULL_TRACER
 
     if min(args.batch, args.m, args.d, args.n) < 1:
         raise SystemExit("hotpath-bench: --batch/--m/--d/--n must be >= 1")
     if args.repeats < 1:
         raise SystemExit("hotpath-bench: --repeats must be >= 1")
-    chunk = args.chunk_size if args.chunk_size is not None else max(1, args.batch // 4)
-    depth = args.pipeline_depth if args.pipeline_depth is not None else 1
     core = (
         DPTC() if args.noise == "off" else DPTC(noise=NoiseModel.paper_default())
     )
-    tracer = _build_tracer(args)
     rng = np.random.default_rng(args.seed)
     a = rng.uniform(-1.0, 1.0, (args.batch, args.m, args.d))
     b = rng.uniform(-1.0, 1.0, (args.batch, args.d, args.n))
 
     stages = profile_stages(core, a, b, seed=args.seed, repeats=args.repeats)
-    sequential = pipelined_matmul(
-        core, a, b, np.random.default_rng(args.seed),
-        chunk_size=chunk, pipeline_depth=0,
-    )
-    with ThreadPoolExecutor(max_workers=1) as prefetch:
-        # Trace only the correctness-check run: the timing loops below
-        # stay untraced so the reported numbers are clean.
-        with (tracer if tracer is not None else NULL_TRACER).activate():
-            pipelined = pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-            )
-        if not np.array_equal(sequential, pipelined):
-            raise SystemExit(
-                "hotpath-bench: pipelined result differs from sequential"
-            )
-
-        seq_s = best_of(
-            lambda: pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=0,
-            ),
-            args.repeats,
-        )
-        pipe_s = best_of(
-            lambda: pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-            ),
-            args.repeats,
-        )
+    tracer = _build_tracer(args)
+    if tracer is not None:
+        # One extra call outside the timing loops, so the profile stays
+        # untraced.
+        with tracer.activate():
+            core.matmul(a, b, rng=np.random.default_rng(args.seed))
     flop = 2.0 * args.batch * args.m * args.d * args.n
     report = {
         "shape": {"batch": args.batch, "m": args.m, "d": args.d, "n": args.n},
-        "chunk_size": chunk,
-        "pipeline_depth": depth,
         "noise": args.noise,
         "stage_seconds": stages,
-        "sequential_seconds": seq_s,
-        "pipelined_seconds": pipe_s,
-        "pipelined_speedup": seq_s / pipe_s,
         "throughput_gflops": flop / stages["total"] / 1e9,
-        "bit_identical": True,
     }
     rows = [
         {"stage": name, "best_us": stages[name] * 1e6,
          "share_pct": 100.0 * stages[name] / stages["total"]}
-        for name in ("sample", "encode", "compute", "detect")
+        for name in STAGES
         if name in stages
     ]
     rows.append({"stage": "total", "best_us": stages["total"] * 1e6, "share_pct": 100.0})
@@ -818,16 +778,11 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"hotpath-bench [{args.batch}x{args.m}x{args.d}]x"
-                f"[{args.batch}x{args.d}x{args.n}], chunk={chunk}, "
-                f"depth={depth}, noise={args.noise}"
+                f"[{args.batch}x{args.d}x{args.n}], noise={args.noise}"
             ),
         )
     )
-    print(
-        f"matmul throughput: {report['throughput_gflops']:.3f} GFLOP/s; "
-        f"pipelined {pipe_s * 1e6:.1f} us vs sequential {seq_s * 1e6:.1f} us "
-        f"({report['pipelined_speedup']:.2f}x); bit-identical: yes"
-    )
+    print(f"matmul throughput: {report['throughput_gflops']:.3f} GFLOP/s")
     if args.out:
         from pathlib import Path
 
@@ -909,15 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="batch composition: request-level or iteration-level "
             "(default request)",
         )
-        p.add_argument(
-            "--chunk-size", type=int, default=None,
-            help="hot-path pipelining chunk along the batch axis "
-            "(default: no chunking)",
-        )
-        p.add_argument(
-            "--pipeline-depth", type=int, default=None,
-            help="chunks the prefetch stage may run ahead (default 1)",
-        )
         p.add_argument("--seed", type=int, default=None, help="(default 0)")
         p.add_argument(
             "--trace", metavar="PATH", default=None,
@@ -987,20 +933,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hotpath = sub.add_parser(
         "hotpath-bench",
-        help="engine hot-path profile (per-stage timings, pipelined speedup)",
+        help="engine hot-path profile (per-stage timings, throughput)",
     )
     p_hotpath.add_argument("--batch", type=int, default=64)
     p_hotpath.add_argument("--m", type=int, default=24)
     p_hotpath.add_argument("--d", type=int, default=32)
     p_hotpath.add_argument("--n", type=int, default=24)
-    p_hotpath.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="stacks per pipeline chunk (default batch/4)",
-    )
-    p_hotpath.add_argument(
-        "--pipeline-depth", type=int, default=None,
-        help="chunks the prefetch stage may run ahead (default 1)",
-    )
     p_hotpath.add_argument("--repeats", type=int, default=3)
     p_hotpath.add_argument("--seed", type=int, default=0)
     p_hotpath.add_argument(
@@ -1011,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hotpath.add_argument("--out", metavar="FILE", help="write the JSON report")
     p_hotpath.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="capture a span trace of the correctness-check run",
+        help="capture the stage spans of one untimed matmul",
     )
     p_hotpath.set_defaults(func=cmd_hotpath_bench)
 

@@ -16,7 +16,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.cluster.router import POLICIES
-from repro.serving.config import EngineConfig
+from repro.serving.config import EngineConfig, fields_from_dict
 from repro.serving.scheduler import IterationCost
 
 
@@ -60,6 +60,15 @@ class ClusterConfig:
     memo_bytes: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.engine, EngineConfig):
+            raise ValueError(f"engine must be an EngineConfig, got {self.engine!r}")
+        if self.service_model is not None and not isinstance(
+            self.service_model, IterationCost
+        ):
+            raise ValueError(
+                "service_model must be an IterationCost or None, got "
+                f"{self.service_model!r}"
+            )
         if self.replicas < 1:
             raise ValueError(f"need at least 1 replica, got {self.replicas}")
         if self.policy not in POLICIES:
@@ -90,18 +99,13 @@ class ClusterConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterConfig":
         """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ClusterConfig fields {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        kwargs = dict(data)
+        kwargs = fields_from_dict(cls, data)
         engine = kwargs.get("engine")
         if isinstance(engine, dict):
             kwargs["engine"] = EngineConfig.from_dict(engine)
         model = kwargs.get("service_model")
         if isinstance(model, dict):
-            kwargs["service_model"] = IterationCost(**model)
+            kwargs["service_model"] = IterationCost(
+                **fields_from_dict(IterationCost, model)
+            )
         return cls(**kwargs)

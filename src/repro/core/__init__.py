@@ -10,9 +10,10 @@
   with digital partial-sum accumulation (the multi-core scaling axes
   of the accelerator), each core with its own RNG stream and
   calibration state, on a thread pool.
-* :mod:`repro.core.hotpath` — chunked, double-buffered pipelining of
-  the engine's SAMPLE/ENCODE/COMPUTE/DETECT stages (bit-identical to
-  sequential execution for equal seeds) plus the per-stage profiler.
+* :meth:`DPTC.matmul` runs a noisy product as the paper's four stages
+  (SAMPLE/ENCODE/COMPUTE/DETECT), each in a ``stage.*`` span of the
+  ambient tracer; :mod:`repro.core.hotpath` profiles those stages and
+  holds the shared ``best_of`` timer.
 * Noise and dispersion models of Sec. III-C, shared by the accuracy
   studies and the circuit-level validation.
 """
@@ -32,11 +33,7 @@ from repro.core.dptc import (
     DPTCNoiseDraw,
     PreparedMatmul,
 )
-from repro.core.hotpath import (
-    chunk_bounds,
-    pipelined_matmul,
-    profile_stages,
-)
+from repro.core.hotpath import profile_stages
 from repro.core.noise import (
     DEFAULT_MAGNITUDE_STD,
     DEFAULT_PHASE_STD_DEG,
@@ -61,12 +58,10 @@ __all__ = [
     "DigitalAccumulator",
     "PreparedMatmul",
     "SHARD_AXES",
-    "chunk_bounds",
     "contraction_slabs",
     "additive_correction",
     "channel_gains",
     "dispersion_error_reduction",
-    "pipelined_matmul",
     "profile_stages",
     "DPTCGeometry",
     "DPTCNoiseDraw",

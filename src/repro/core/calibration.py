@@ -67,7 +67,7 @@ def additive_correction(
 
 @dataclass
 class CalibratedPrepared:
-    """A prepared chunk plus the digital correction its DETECT subtracts."""
+    """An ENCODE result plus the digital correction its DETECT subtracts."""
 
     inner: PreparedMatmul
     correction: np.ndarray
@@ -81,13 +81,13 @@ class CalibratedDPTC(DPTC):
     term).  Both use only the *known* dispersion profile — stochastic
     encoding noise remains, as in hardware.
 
-    The calibration is woven into the hot-path stages
+    The calibration is woven into the ENCODE, COMPUTE and DETECT stages
     (:meth:`prepare_chunk`, :meth:`compute_chunk`, :meth:`detect_chunk`)
-    rather than wrapped around :meth:`matmul`, so chunked/pipelined
-    execution calibrates each chunk exactly like the whole-batch call
-    would.  The compensated operand has the same shape and the same
-    zero set as the raw one (channel gains are finite and nonzero), so
-    the sampling order and the all-zero short-circuit are untouched.
+    that :meth:`DPTC.matmul` runs, so a calibrated core keeps the one
+    traced stage body.  The compensated operand has the same shape and
+    the same zero set as the raw one (channel gains are finite and
+    nonzero), so the sampling order and the all-zero short-circuit are
+    untouched.
     """
 
     def __init__(
@@ -99,14 +99,10 @@ class CalibratedDPTC(DPTC):
         super().__init__(geometry, noise, grid)
 
     def prepare_chunk(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        rng: np.random.Generator | None = None,
-        draw: DPTCNoiseDraw | None = None,
-    ) -> CalibratedPrepared | PreparedMatmul | None:
+        self, a: np.ndarray, b: np.ndarray, draw: DPTCNoiseDraw
+    ) -> CalibratedPrepared | PreparedMatmul:
         if not self.noise.include_dispersion:
-            return super().prepare_chunk(a, b, rng=rng, draw=draw)
+            return super().prepare_chunk(a, b, draw)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         d = a.shape[-1]
@@ -114,11 +110,7 @@ class CalibratedDPTC(DPTC):
         # Pre-compensate operand B so the analog multiplicative factor
         # cancels; the uncalibrated engine then runs as-is.
         b_comp = b * gains[:, None]
-        inner = super().prepare_chunk(a, b_comp, rng=rng, draw=draw)
-        if inner is None:
-            # All-zero short-circuit: the correction below would be
-            # fully masked to zero anyway, so zeros are the answer.
-            return None
+        inner = super().prepare_chunk(a, b_comp, draw)
 
         # Digitally remove the additive dispersion term.  It arises from
         # the *encoded* values: reproduce the engine's per-matrix

@@ -25,19 +25,18 @@ per-matrix Python loop of the original engine is preserved verbatim as
 :meth:`DPTC.matmul_reference` so the equivalence and speedup of the
 vectorised path stay measurable.
 
-**Hot-path staging.**  A noisy matmul is four stages — SAMPLE (the
-fused RNG draw of :meth:`DPTC.sample_noise`), ENCODE (per-matrix
-normalisation, magnitude factors, and the trig operand products),
-COMPUTE (the two exact matmuls plus the additive dispersion terms) and
-DETECT (systematic factors, ``beta`` rescaling, zero masking).  The
-pair :meth:`DPTC.prepare_chunk` / :meth:`DPTC.finish_chunk` exposes
-that split — ``finish_chunk(prepare_chunk(a, b, rng))`` *is*
-``matmul(a, b, rng=rng)``, bit for bit, because :meth:`DPTC.matmul`
-itself is implemented on top of the pair.  The split is what
-:mod:`repro.core.hotpath` pipelines: SAMPLE+ENCODE of batch chunk
-``k+1`` runs on a prefetch thread while COMPUTE+DETECT of chunk ``k``
-occupies the caller, reordering the stages in wall-clock time without
-touching the documented RNG sampling order.
+**Hot-path staging.**  A noisy matmul is four stages, the paper's
+SAMPLE -> ENCODE -> COMPUTE -> DETECT: the fused RNG draw of
+:meth:`DPTC.sample_noise`, :meth:`DPTC.prepare_chunk` (per-matrix
+normalisation, magnitude factors and the trig operand products),
+:meth:`DPTC.compute_chunk` (the two exact matmuls plus the additive
+dispersion terms) and :meth:`DPTC.detect_chunk` (systematic factors,
+``beta`` rescaling, zero masking).  :meth:`DPTC.matmul` is that one
+stage body: it runs each stage inside a ``stage.<name>`` span of the
+ambient tracer (:func:`~repro.obs.trace.current_tracer`), so a traced
+and an untraced call execute the same arithmetic and a tracer activated
+anywhere above (``engine.batch``, ``shard.core``) sees the stages
+beneath it.  The ideal path is a bare ``np.matmul`` with no spans.
 
 The per-contraction-length dispersion factor cache is a small LRU
 (:data:`CHANNEL_CACHE_SIZE` entries): long-lived serving engines see
@@ -55,6 +54,7 @@ import numpy as np
 
 from repro.core.dispersion import DispersionProfile, dispersion_profile
 from repro.core.noise import NoiseModel
+from repro.obs.trace import current_tracer
 from repro.optics.wdm import WDMGrid
 
 
@@ -160,13 +160,11 @@ class DPTCNoiseDraw:
 
 @dataclass
 class PreparedMatmul:
-    """SAMPLE+ENCODE output of one (chunk of a) noisy matmul.
+    """ENCODE output of one noisy matmul.
 
-    Everything COMPUTE+DETECT needs, produced by
-    :meth:`DPTC.prepare_chunk` and consumed exactly once by
-    :meth:`DPTC.finish_chunk`.  Holding one of these per in-flight
-    pipeline chunk is what lets the hot path overlap stages in
-    wall-clock time without reordering any floating-point operation.
+    Everything COMPUTE and DETECT need, produced by
+    :meth:`DPTC.prepare_chunk`, read by :meth:`DPTC.compute_chunk` and
+    consumed by :meth:`DPTC.detect_chunk`.
     """
 
     out_shape: tuple[int, ...]
@@ -382,53 +380,32 @@ class DPTC:
                 self._broadcast_out_shape(a.shape, b.shape)
                 raise
         out_shape = self._broadcast_out_shape(a.shape, b.shape)
-        prepared = self.prepare_chunk(a, b, rng=rng, draw=draw)
-        if prepared is None:
+        if not a.any() or not b.any():
+            # An all-zero operand short-circuits before any noise is
+            # sampled, like the reference loop's per-matrix early
+            # return — the shared RNG stream stays aligned.
             return np.zeros(out_shape)
-        return self.finish_chunk(prepared)
-
-    def predraw(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        rng: np.random.Generator | None,
-    ) -> DPTCNoiseDraw | None:
-        """The draw ``matmul(a, b, rng=rng)`` would consume, pre-sampled.
-
-        ``None`` when the call would short-circuit without sampling: an
-        ideal engine, or an all-zero operand (the caller then fills
-        zeros).  :func:`~repro.core.hotpath.pipelined_matmul` runs it as
-        the SAMPLE stage of each chunk, so the stream is consumed in
-        exactly the order ``matmul`` would consume it.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if self.noise.is_ideal:
-            return None
-        if not np.abs(a).any() or not np.abs(b).any():
-            return None
-        if rng is None:
-            rng = np.random.default_rng()
-        return self.sample_noise(a.shape, b.shape, rng)
+        tracer = current_tracer()
+        if draw is None:
+            if rng is None:
+                rng = np.random.default_rng()
+            with tracer.span("stage.sample"):
+                draw = self.sample_noise(a.shape, b.shape, rng)
+        with tracer.span("stage.encode"):
+            prepared = self.prepare_chunk(a, b, draw)
+        with tracer.span("stage.compute"):
+            out = self.compute_chunk(prepared)
+        with tracer.span("stage.detect"):
+            return self.detect_chunk(prepared, out)
 
     def prepare_chunk(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        rng: np.random.Generator | None = None,
-        draw: DPTCNoiseDraw | None = None,
-    ) -> PreparedMatmul | None:
-        """SAMPLE+ENCODE stages of one noisy matmul (or chunk thereof).
+        self, a: np.ndarray, b: np.ndarray, draw: DPTCNoiseDraw
+    ) -> PreparedMatmul:
+        """ENCODE stage: normalise, perturb and trig-encode both operands.
 
-        Returns the :class:`PreparedMatmul` that :meth:`finish_chunk`
-        turns into the result, or ``None`` when the draw-less all-zero
-        short-circuit fires (the caller returns zeros; the RNG stream
-        is untouched, exactly like :meth:`matmul`).  Requires a
-        non-ideal noise model — the ideal path has no stages to split.
-
-        ``finish_chunk(prepare_chunk(a, b, rng=rng))`` is bit-identical
-        to ``matmul(a, b, rng=rng)`` by construction: ``matmul`` is
-        implemented on this very pair.
+        ``draw`` is the :meth:`sample_noise` realisation for these
+        operand shapes.  All-zero matrices of a stack are masked to zero
+        by :meth:`detect_chunk`.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -438,15 +415,6 @@ class DPTC:
         # stack gets its own beta (all-zero slices are masked at the end).
         beta_a = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
         beta_b = np.max(np.abs(b), axis=(-2, -1), keepdims=True)
-        if draw is None:
-            if not beta_a.any() or not beta_b.any():
-                # An all-zero operand short-circuits before any noise is
-                # sampled, like the reference loop's per-matrix early
-                # return — the shared RNG stream stays aligned.
-                return None
-            if rng is None:
-                rng = np.random.default_rng()
-            draw = self.sample_noise(a.shape, b.shape, rng)
         has_zero = bool((beta_a == 0.0).any() or (beta_b == 0.0).any())
         a_hat = a / (np.where(beta_a == 0.0, 1.0, beta_a) if has_zero else beta_a)
         b_hat = b / (np.where(beta_b == 0.0, 1.0, beta_b) if has_zero else beta_b)
@@ -527,10 +495,6 @@ class DPTC:
                 (prepared.beta_a == 0.0) | (prepared.beta_b == 0.0), 0.0, out
             )
         return out
-
-    def finish_chunk(self, prepared: PreparedMatmul) -> np.ndarray:
-        """COMPUTE+DETECT stages: turn a prepared chunk into its result."""
-        return self.detect_chunk(prepared, self.compute_chunk(prepared))
 
     def matmul_reference(
         self,

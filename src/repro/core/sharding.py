@@ -51,17 +51,10 @@ reassembled in shard (core) order and every core consumes only its own
 stream, so parallel and sequential (``parallel=False``) execution of the
 same seed are bit-equal and independent of scheduling.
 
-**Chunked pipelining.**  ``chunk_size=c`` splits every per-core shard
-into chunks of at most ``c`` stacks along the leading batch axis and
-executes them through :func:`repro.core.hotpath.pipelined_matmul`:
-with ``pipeline_depth >= 1`` each core's SAMPLE + ENCODE stage for
-chunk ``k+1`` runs on a dedicated single-worker prefetch thread while
-COMPUTE + DETECT of chunk ``k`` occupies the core's pool thread.
-Chunked execution consumes the RNG in per-chunk fused draws, chunks in
-batch order, which is exactly the stream sequential per-chunk engine
-calls would consume — so for equal seeds pipelined == unpipelined ==
-sequential, bit for bit, on both shard axes.  ``chunk_size=None``
-(default) keeps the whole-batch draw order of the unchunked engine.
+**Tracing.**  :meth:`ShardedDPTC.matmul` opens a ``shard.matmul`` span
+on the caller thread and each core a ``shard.core`` span under it,
+re-activated on the pool thread; the core's :meth:`DPTC.matmul` then
+records its four ``stage.*`` spans under ``shard.core``.
 """
 
 from __future__ import annotations
@@ -72,7 +65,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.dptc import DPTC, DPTCGeometry
-from repro.core.hotpath import pipelined_matmul, slice_batch_operand
 from repro.core.noise import NoiseModel
 from repro.obs.trace import current_tracer
 from repro.optics.wdm import WDMGrid
@@ -100,6 +92,21 @@ def shard_bounds(batch: int, num_shards: int) -> list[tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
+
+
+def slice_batch_operand(
+    x: np.ndarray, batch_rank: int, start: int, stop: int
+) -> np.ndarray:
+    """The ``[start, stop)`` batch rows of one operand, or the whole.
+
+    An operand participates in the batch split only when it actually
+    carries the leading batch axis (full batch rank, size > 1);
+    broadcast operands — a shared 2-D weight, a size-1 leading axis —
+    pass whole, so each core encodes them once for its shard.
+    """
+    if x.ndim - 2 == batch_rank and x.shape[0] > 1:
+        return x[start:stop]
+    return x
 
 
 def contraction_slabs(
@@ -166,13 +173,6 @@ class ShardedDPTC:
             contiguous per-core shards; ``"contraction"`` splits the
             K axis into contiguous per-core slabs whose partial
             products are digitally accumulated in core order.
-        chunk_size: when set, split each core's shard into chunks of at
-            most this many stacks along the leading batch axis and
-            pipeline them (see the module docstring); ``None`` keeps
-            the unchunked whole-shard draw order.
-        pipeline_depth: chunks the prefetch stage may run ahead of
-            compute.  0 runs the chunk schedule strictly sequentially —
-            bit-identical, no overlap.
     """
 
     def __init__(
@@ -184,20 +184,12 @@ class ShardedDPTC:
         core_cls: type[DPTC] = DPTC,
         parallel: bool = True,
         shard_axis: str = "batch",
-        chunk_size: int | None = None,
-        pipeline_depth: int = 1,
     ) -> None:
         if num_cores < 1:
             raise ValueError(f"num_cores must be >= 1, got {num_cores}")
         if shard_axis not in SHARD_AXES:
             raise ValueError(
                 f"shard_axis must be one of {SHARD_AXES}, got {shard_axis!r}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {pipeline_depth}"
             )
         self.num_cores = num_cores
         self.shard_axis = shard_axis
@@ -206,31 +198,16 @@ class ShardedDPTC:
         self.noise = self.cores[0].noise
         self.grid = self.cores[0].grid
         self.parallel = parallel
-        self.chunk_size = chunk_size
-        self.pipeline_depth = pipeline_depth
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
-        self._prefetch_pools: list[ThreadPoolExecutor | None] = [None] * num_cores
-        self._prefetch_finalizers: list[weakref.finalize] = []
 
     def close(self) -> None:
-        """Shut down every worker pool (idempotent; pools recreate lazily).
+        """Shut down the worker pool (idempotent; it recreates lazily).
 
-        Prefetch pools are drained *first*, then the main pool: an
-        in-flight core job that tries to prefetch after its pool closed
-        gets a ``RuntimeError`` from ``submit`` and falls back to
-        preparing chunks inline (same draws, same order), so a
-        close-while-busy never deadlocks and never changes results.
-        Detaches the garbage-collection finalizers too, so no executor
-        outlives an explicitly closed engine.
+        Waits for in-flight core jobs, and detaches the
+        garbage-collection finalizer, so no executor outlives an
+        explicitly closed engine.
         """
-        for index, pool in enumerate(self._prefetch_pools):
-            if pool is not None:
-                pool.shutdown(wait=True)
-                self._prefetch_pools[index] = None
-        for finalizer in self._prefetch_finalizers:
-            finalizer.detach()
-        self._prefetch_finalizers.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -249,25 +226,6 @@ class ShardedDPTC:
                 self, self._pool.shutdown, wait=False
             )
         return self._pool
-
-    def _prefetch(self, index: int) -> ThreadPoolExecutor:
-        """Core ``index``'s lazy single-worker SAMPLE+ENCODE stage.
-
-        Single-worker is load-bearing: the prefetch executor serialises
-        chunk preparations in submission (FIFO) order, which is what
-        keeps the stateful RNG stream consumed in batch order at any
-        ``pipeline_depth``.
-        """
-        pool = self._prefetch_pools[index]
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"dptc-prefetch-{index}"
-            )
-            self._prefetch_pools[index] = pool
-            self._prefetch_finalizers.append(
-                weakref.finalize(self, pool.shutdown, wait=False)
-            )
-        return pool
 
     def tile_matmul(
         self,
@@ -292,20 +250,6 @@ class ShardedDPTC:
             rng = np.random.default_rng()
         return rng.spawn(self.num_cores)
 
-    @staticmethod
-    def _shard_operand(
-        x: np.ndarray, batch_rank: int, start: int, stop: int
-    ) -> np.ndarray:
-        """Slice the shard's rows out of one operand (batch axis).
-
-        An operand only participates in the split when it actually
-        carries the leading batch axis (full batch rank and size > 1);
-        broadcast operands — a shared 2-D weight, or a size-1 leading
-        axis — are passed whole, so each core encodes them once for its
-        shard, mirroring the crossbar's operand sharing.
-        """
-        return slice_batch_operand(x, batch_rank, start, stop)
-
     def _core_matmul(
         self,
         index: int,
@@ -313,49 +257,29 @@ class ShardedDPTC:
         b: np.ndarray,
         stream: np.random.Generator | None,
         trace: tuple,
-        sequential: bool = False,
     ) -> np.ndarray:
-        """One core's shard, chunk-pipelined when ``chunk_size`` is set.
-
-        ``sequential=True`` (the ``parallel=False`` engine) runs the
-        identical chunk schedule with no prefetch overlap — the
-        bit-equality oracle for the pipelined paths.
+        """One core's shard under its ``shard.core`` span.
 
         ``trace`` is ``(tracer, parent_span)`` captured on the *caller*
         thread: this method may run on a pool thread where the ambient
         contextvars are empty, so the shard span crosses explicitly and
-        is re-activated here for the hot path beneath.
+        is re-activated here for the core's stage spans beneath.
         """
         tracer, parent = trace
         with (
             tracer.span("shard.core", parent=parent, core=index) as core_span,
             tracer.activate(core_span),
         ):
-            core = self.cores[index]
-            if self.chunk_size is None:
-                return core.matmul(a, b, rng=stream)
-            prefetch = None
-            depth = 0
-            if not sequential and self.parallel and self.pipeline_depth >= 1:
-                depth = self.pipeline_depth
-                prefetch = self._prefetch(index)
-            return pipelined_matmul(
-                core,
-                a,
-                b,
-                stream,
-                chunk_size=self.chunk_size,
-                pipeline_depth=depth,
-                prefetch=prefetch,
-            )
+            return self.cores[index].matmul(a, b, rng=stream)
 
     def _run_jobs(self, jobs: list[tuple], trace: tuple) -> list[np.ndarray]:
         """Execute ``(core_index, a, b, stream)`` jobs, results in job order."""
         if not self.parallel:
             return [
-                self._core_matmul(index, a, b, stream, trace, sequential=True)
+                self._core_matmul(index, a, b, stream, trace)
                 for index, a, b, stream in jobs
             ]
+
         def run(job: tuple) -> np.ndarray:
             index, a, b, stream = job
             return self._core_matmul(index, a, b, stream, trace)
@@ -389,18 +313,6 @@ class ShardedDPTC:
                 return self._matmul_contraction(a, b, out_shape, rng, trace)
             return self._matmul_batch(a, b, out_shape, rng, trace)
 
-    def _single(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        stream: np.random.Generator | None,
-        trace: tuple,
-    ) -> np.ndarray:
-        """Whole problem on core 0 (chunk-pipelined in the parent)."""
-        return self._core_matmul(
-            0, a, b, stream, trace, sequential=not self.parallel
-        )
-
     def _matmul_batch(
         self,
         a: np.ndarray,
@@ -415,7 +327,7 @@ class ShardedDPTC:
         # <= 1 covers the zero-size batch axis too: core 0 returns the
         # empty stack exactly like the single-core engine.
         if not batch or batch[0] <= 1 or self.num_cores == 1:
-            return self._single(a, b, streams[0], trace)
+            return self._core_matmul(0, a, b, streams[0], trace)
 
         batch_rank = len(batch)
         jobs = []  # (core_index, a_shard, b_shard, stream)
@@ -427,8 +339,8 @@ class ShardedDPTC:
             jobs.append(
                 (
                     index,
-                    self._shard_operand(a, batch_rank, start, stop),
-                    self._shard_operand(b, batch_rank, start, stop),
+                    slice_batch_operand(a, batch_rank, start, stop),
+                    slice_batch_operand(b, batch_rank, start, stop),
                     streams[index],
                 )
             )
@@ -465,7 +377,7 @@ class ShardedDPTC:
             # Ideal: exact digital accumulation == the exact product.
             # num_cores == 1 (or a single-element contraction): the
             # plain batched engine, one slab on core 0 / stream 0.
-            return self._single(a, b, streams[0], trace)
+            return self._core_matmul(0, a, b, streams[0], trace)
 
         a_slabs = contraction_slabs(a, self.num_cores, axis=-1)
         b_slabs = contraction_slabs(b, self.num_cores, axis=-2)

@@ -51,14 +51,6 @@ class PhotonicExecutor:
         shard_axis: ``"batch"`` splits the leading batch axis across
             the cores; ``"contraction"`` splits the K axis, with
             digital partial-sum accumulation after photodetection.
-        chunk_size: when set, chunk each core's batched matmul along
-            the leading batch axis and pipeline the chunks (SAMPLE +
-            ENCODE of chunk ``k+1`` overlapping COMPUTE + DETECT of
-            chunk ``k``).  Bit-identical to sequential per-chunk
-            execution for equal seeds; ``None`` keeps the whole-batch
-            draw order.
-        pipeline_depth: chunks the prefetch stage may run ahead; 0
-            disables the overlap (same schedule, strictly sequential).
     """
 
     geometry: DPTCGeometry = field(default_factory=DPTCGeometry)
@@ -67,8 +59,6 @@ class PhotonicExecutor:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
     num_cores: int = 1
     shard_axis: str = "batch"
-    chunk_size: int | None = None
-    pipeline_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -77,15 +67,7 @@ class PhotonicExecutor:
             raise ValueError(
                 f"shard_axis must be one of {SHARD_AXES}, got {self.shard_axis!r}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
-        if self.pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
-            )
-        if self.num_cores == 1 and self.chunk_size is None:
+        if self.num_cores == 1:
             # Degenerate grid: the plain batched engine (a ShardedDPTC
             # with one core computes the same thing through the same
             # code path; skip the pool machinery entirely).
@@ -96,8 +78,6 @@ class PhotonicExecutor:
                 geometry=self.geometry,
                 noise=self.noise,
                 shard_axis=self.shard_axis,
-                chunk_size=self.chunk_size,
-                pipeline_depth=self.pipeline_depth,
             )
         # (id(weight array), bits) -> (weakref to the array, its grid).
         self._weight_memo: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
@@ -120,8 +100,6 @@ class PhotonicExecutor:
         cls,
         num_cores: int = 1,
         shard_axis: str = "batch",
-        chunk_size: int | None = None,
-        pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
         """Exact digital arithmetic (no quantization, no noise)."""
         return cls(
@@ -129,8 +107,6 @@ class PhotonicExecutor:
             quant=None,
             num_cores=num_cores,
             shard_axis=shard_axis,
-            chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
         )
 
     @classmethod
@@ -146,8 +122,6 @@ class PhotonicExecutor:
         num_cores: int = 1,
         shard_axis: str = "batch",
         backend: str = "thread",  # still passed by perfbench/workloads.py; drop with it
-        chunk_size: int | None = None,
-        pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
         """Quantized execution with the paper's full noise model."""
         if backend != "thread":
@@ -158,8 +132,6 @@ class PhotonicExecutor:
             rng=np.random.default_rng(seed),
             num_cores=num_cores,
             shard_axis=shard_axis,
-            chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
         )
 
     def matmul(self, a: Tensor, b: Tensor, weight_operand: int | None = None) -> Tensor:

@@ -1,7 +1,7 @@
 """The canonical traced workload behind ``repro trace`` and bench_obs.
 
-A deliberately small — but *fully layered* — serving run: a noisy,
-chunk-pipelined :class:`~repro.core.sharding.ShardedDPTC` under a
+A deliberately small — but *fully layered* — serving run: a noisy
+:class:`~repro.core.sharding.ShardedDPTC` under a
 continuous-batching :class:`~repro.serving.engine.ServingEngine` on a
 :class:`~repro.serving.clock.SimulatedClock`.  Tracing it produces the
 complete span chain the subsystem promises:
@@ -10,8 +10,8 @@ complete span chain the subsystem promises:
     engine.iteration -> engine.batch -> shard.matmul -> shard.core
         -> stage.sample / stage.encode / stage.compute / stage.detect
 
-Everything is seeded and single-threaded (manual stepping,
-``pipeline_depth=0``), so the resulting span tree — ids, parents,
+Everything is seeded and single-threaded (manual stepping, one core
+running on the caller thread), so the resulting span tree — ids, parents,
 virtual timestamps, event order — is a pure function of
 ``(seed, requests)`` and the JSONL dump is byte-identical across
 reruns: the determinism gate of ``benchmarks/bench_obs.py`` and the
@@ -33,12 +33,12 @@ from repro.serving.servable import Servable
 
 
 class TracedMatmulServable(Servable):
-    """Serves noisy chunked matmuls against a fixed weight matrix.
+    """Serves noisy matmuls against a fixed weight matrix.
 
     Payloads are ``[m, d]`` activations; a batch stacks them and runs
-    one ``[batch, m, d] @ [d, n]`` noisy product through a chunked
-    sharded engine — the smallest servable that exercises the full
-    4-stage hot path under the serving layers.
+    one ``[batch, m, d] @ [d, n]`` noisy product through a sharded
+    engine — the smallest servable that exercises the full 4-stage hot
+    path under the serving layers.
     """
 
     name = "traced-matmul"
@@ -50,18 +50,14 @@ class TracedMatmulServable(Servable):
         m: int = 4,
         d: int = 16,
         n: int = 8,
-        chunk_size: int = 1,
         num_cores: int = 1,
     ) -> None:
         self.m = m
         self.d = d
         #: Exposed as ``executor`` so ``close_executor=True`` engines
-        #: release the sharded worker pools on close.
+        #: release the sharded worker pool on close.
         self.executor = ShardedDPTC(
-            num_cores=num_cores,
-            noise=NoiseModel.paper_default(),
-            chunk_size=chunk_size,
-            pipeline_depth=0,
+            num_cores=num_cores, noise=NoiseModel.paper_default()
         )
         rng = np.random.default_rng(seed)
         self.weight = rng.uniform(-1.0, 1.0, (d, n))

@@ -1,7 +1,8 @@
 """Deterministic structured tracing: spans, events, and the collector.
 
 The serving stack spans request -> router -> iteration scheduler ->
-sharded engine -> 4-stage hot path, and "where did the p99 go" needs
+sharded engine -> the four ``stage.*`` spans of one noisy
+:meth:`~repro.core.dptc.DPTC.matmul`, and "where did the p99 go" needs
 one request followed across all of them.  :class:`Tracer` emits nested
 :class:`Span` trees with attributes and timestamped events; every
 timestamp comes from an injected clock, so under a
@@ -22,18 +23,17 @@ Design rules that keep the layer big-but-safe:
 * **The null tracer never shadows a real one.**
   ``NULL_TRACER.activate()`` leaves the ambient tracer and span in
   place, so a :class:`Tracer` activated around an untraced engine still
-  records the sharded-core and hot-path spans beneath it.
+  records the sharded-core and stage spans beneath it.
 * **Caller-thread id assignment.**  Span ids are allocated sequentially
-  under the tracer lock.  Single-threaded regimes (manual-mode engines,
-  ``pipeline_depth=0`` hot paths) therefore produce identical id
-  sequences on every run; the export layer additionally sorts by id, so
-  dumps are stable wherever creation order is.
+  under the tracer lock.  Single-threaded regimes (manual-mode engines
+  over one core) therefore produce identical id sequences on every
+  run; the export layer additionally sorts by id, so dumps are stable
+  wherever creation order is.
 * **Explicit parents cross threads.**  The ambient current span is a
   ``contextvars`` binding, which does not follow work onto pool
-  threads; instrumentation that fans out (sharded cores, prefetch
-  stages) captures the parent span on the caller thread and passes it
-  explicitly (``tracer.span(..., parent=span)`` or
-  :meth:`Tracer.activate`).
+  threads; instrumentation that fans out (sharded cores) captures the
+  parent span on the caller thread and passes it explicitly
+  (``tracer.span(..., parent=span)`` or :meth:`Tracer.activate`).
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ class Tracer:
         """Make this tracer (and optionally ``parent``) ambient.
 
         Instrumented layers that are not constructor-wired (the sharded
-        engine, the hot path) discover the tracer through
+        engine, the DPTC stages) discover the tracer through
         :func:`current_tracer`; this is how an engine or a CLI verb
         turns tracing on for everything beneath it — including pool
         threads, where the caller re-activates with the captured parent.

@@ -38,6 +38,27 @@ SCHEDULERS = ("request", "continuous")
 #: :meth:`repro.neural.photonic.PhotonicExecutor.ideal`.
 SHARD_AXES = ("batch", "contraction")
 
+
+def fields_from_dict(cls: type, data: Any) -> dict:
+    """``data`` as keyword arguments of dataclass ``cls``.
+
+    The one parser of the JSON config form: a non-mapping or an unknown
+    key is a ``ValueError`` naming ``cls`` and its fields.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{cls.__name__} must be a JSON object, got {type(data).__name__}"
+        )
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} fields {sorted(unknown)}; "
+            f"expected a subset of {sorted(known)}"
+        )
+    return dict(data)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Everything one serving engine (or cluster replica) is built from.
@@ -56,10 +77,6 @@ class EngineConfig:
             (simulated clock only); ``None`` = no virtual time.
         num_cores: photonic cores the executor shards over.
         shard_axis: ``"batch"`` or ``"contraction"``.
-        chunk_size: hot-path pipelining chunk (stacks per chunk along
-            the leading batch axis); ``None`` disables chunking.
-        pipeline_depth: chunks the engine's prefetch stage may run
-            ahead of compute (0 = chunked but strictly sequential).
         block_size: tokens per KV page.
         kv_capacity_bytes: KV :class:`~repro.serving.cache.BlockPool`
             byte budget (``None`` = unbounded).
@@ -74,8 +91,6 @@ class EngineConfig:
     iteration_cost: IterationCost | None = None
     num_cores: int = 1
     shard_axis: str = "batch"
-    chunk_size: int | None = None
-    pipeline_depth: int = 1
     block_size: int = 1
     kv_capacity_bytes: int | None = None
     kv_bits: int = 8
@@ -97,20 +112,19 @@ class EngineConfig:
                 f"unknown scheduler {self.scheduler!r}; expected one of "
                 f"{SCHEDULERS}"
             )
+        if self.iteration_cost is not None and not isinstance(
+            self.iteration_cost, IterationCost
+        ):
+            raise ValueError(
+                "iteration_cost must be an IterationCost or None, got "
+                f"{self.iteration_cost!r}"
+            )
         if self.num_cores < 1:
             raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
         if self.shard_axis not in SHARD_AXES:
             raise ValueError(
                 f"unknown shard_axis {self.shard_axis!r}; expected one of "
                 f"{SHARD_AXES}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
-        if self.pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
             )
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
@@ -135,15 +149,10 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown EngineConfig fields {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        kwargs = dict(data)
+        kwargs = fields_from_dict(cls, data)
         cost = kwargs.get("iteration_cost")
         if isinstance(cost, dict):
-            kwargs["iteration_cost"] = IterationCost(**cost)
+            kwargs["iteration_cost"] = IterationCost(
+                **fields_from_dict(IterationCost, cost)
+            )
         return cls(**kwargs)

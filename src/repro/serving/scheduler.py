@@ -26,6 +26,7 @@ steps are failed rather than spinning forever.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -54,8 +55,15 @@ class IterationCost:
 
     def __post_init__(self) -> None:
         for cost in (self.base_s, self.per_request_s):
-            if not math.isfinite(cost) or cost < 0:
-                raise ValueError(f"iteration costs must be finite and >= 0: {self}")
+            if (
+                isinstance(cost, bool)
+                or not isinstance(cost, numbers.Real)
+                or not math.isfinite(cost)
+                or cost < 0
+            ):
+                raise ValueError(
+                    f"iteration costs must be finite numbers >= 0: {self}"
+                )
 
     def batch_seconds(self, batch_size: int) -> float:
         if batch_size < 1:

@@ -239,8 +239,6 @@ def decode_servable(
         executor = PhotonicExecutor.ideal(
             num_cores=engine.num_cores,
             shard_axis=engine.shard_axis,
-            chunk_size=engine.chunk_size,
-            pipeline_depth=engine.pipeline_depth,
         )
     if seed is None:
         seed = engine.seed if engine is not None else 0

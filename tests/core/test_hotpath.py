@@ -1,16 +1,12 @@
-"""Tests for the engine hot path: chunked pipelining and stage profiling.
+"""Tests for the engine hot path: the one noisy stage body and its profile.
 
-The load-bearing invariant is *bit-equality*: pipelining only reorders
-the SAMPLE/ENCODE/COMPUTE/DETECT stages in wall-clock time — the RNG
-draws, their order, and every floating-point operation are unchanged.
-So every pipelined configuration must reproduce the sequential
-per-chunk oracle exactly, across depths and shard axes,
-including under close-while-busy shutdown races.
+:meth:`DPTC.matmul` runs a noisy product as SAMPLE -> ENCODE -> COMPUTE
+-> DETECT, each stage inside a ``stage.*`` span of the ambient tracer.
+The load-bearing invariants: the body is bit-identical to composing the
+public stage methods by hand, its spans land under whatever span is
+ambient (``shard.core`` on a sharded engine), and a sharded engine's
+parallel and sequential schedules agree bit for bit on both axes.
 """
-
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,11 +16,13 @@ from repro.core import (
     DPTC,
     NoiseModel,
     ShardedDPTC,
-    chunk_bounds,
-    pipelined_matmul,
     profile_stages,
 )
-from repro.core.hotpath import best_of, slice_batch_operand
+from repro.core.hotpath import STAGES, best_of
+from repro.core.sharding import slice_batch_operand
+from repro.obs import Tracer
+
+STAGE_SPANS = [f"stage.{name}" for name in STAGES]
 
 
 def operands(seed, a_shape, b_shape):
@@ -32,37 +30,12 @@ def operands(seed, a_shape, b_shape):
     return rng.normal(size=a_shape), rng.normal(size=b_shape)
 
 
-def chunk_oracle(core, a, b, seed, chunk_size):
-    """Sequential per-chunk engine calls: the bit-equality ground truth."""
-    stream = np.random.default_rng(seed)
-    return np.concatenate(
-        [
-            core.matmul(a[start:stop], b[start:stop], rng=stream)
-            for start, stop in chunk_bounds(a.shape[0], chunk_size)
-        ],
-        axis=0,
-    )
-
-
-class TestChunkBounds:
-    def test_covers_batch_contiguously(self):
-        bounds = chunk_bounds(10, 3)
-        assert bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_exact_division_has_no_remainder_chunk(self):
-        assert chunk_bounds(8, 4) == [(0, 4), (4, 8)]
-
-    def test_chunk_larger_than_batch(self):
-        assert chunk_bounds(3, 100) == [(0, 3)]
-
-    def test_zero_batch_yields_no_chunks(self):
-        assert chunk_bounds(0, 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chunk_bounds(-1, 4)
-        with pytest.raises(ValueError):
-            chunk_bounds(4, 0)
+def traced(fn):
+    """``fn()`` under an active tracer inside an ``outer`` span."""
+    tracer = Tracer()
+    with tracer.activate(), tracer.span("outer") as outer:
+        result = fn()
+    return result, tracer, outer
 
 
 class TestSliceBatchOperand:
@@ -80,188 +53,105 @@ class TestSliceBatchOperand:
         assert slice_batch_operand(x, batch_rank=1, start=2, stop=4) is x
 
 
-class TestPipelinedBitEquality:
-    """pipelined_matmul == the sequential per-chunk oracle, always."""
+@pytest.fixture(params=[DPTC, CalibratedDPTC], ids=["dptc", "calibrated"])
+def core(request):
+    return request.param(noise=NoiseModel.paper_default())
 
-    @pytest.fixture(scope="class")
-    def core(self):
-        return DPTC(noise=NoiseModel.paper_default())
 
+class TestStageBody:
     @pytest.fixture(scope="class")
     def stacked(self):
-        a, b = operands(3, (13, 5, 24), (13, 24, 5))
-        a[4] = 0.0  # all-zero stack: the draw-less short-circuit
+        a, b = operands(3, (5, 4, 24), (24, 6))
+        a[2] = 0.0  # one all-zero matrix: masked by DETECT, not skipped
         return a, b
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, 5, 13, 50])
-    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
-    def test_matches_chunk_oracle(self, core, stacked, chunk_size, depth):
+    def test_equals_the_stage_methods_composed(self, core, stacked):
         a, b = stacked
-        want = chunk_oracle(core, a, b, seed=42, chunk_size=chunk_size)
-        with ThreadPoolExecutor(max_workers=1) as prefetch:
-            got = pipelined_matmul(
-                core, a, b, np.random.default_rng(42),
-                chunk_size=chunk_size, pipeline_depth=depth,
-                prefetch=prefetch if depth else None,
-            )
+        draw = core.sample_noise(a.shape, b.shape, np.random.default_rng(4))
+        prepared = core.prepare_chunk(a, b, draw)
+        want = core.detect_chunk(prepared, core.compute_chunk(prepared))
+        got = core.matmul(a, b, rng=np.random.default_rng(4))
         assert np.array_equal(want, got)
+        assert np.array_equal(got[2], np.zeros((4, 6)))
 
-    def test_single_chunk_equals_unchunked(self, core, stacked):
+    def test_stage_spans_parent_under_the_ambient_span(self, core, stacked):
         a, b = stacked
-        want = core.matmul(a, b, rng=np.random.default_rng(11))
-        got = pipelined_matmul(
-            core, a, b, np.random.default_rng(11), chunk_size=a.shape[0]
+        out, tracer, outer = traced(
+            lambda: core.matmul(a, b, rng=np.random.default_rng(4))
         )
-        assert np.array_equal(want, got)
+        stages = tracer.collector.children_of(outer.span_id)
+        assert [span.name for span in stages] == STAGE_SPANS
+        assert all(span.end is not None for span in stages)
+        assert len(tracer.collector) == 1 + len(STAGE_SPANS)
+        assert np.array_equal(out, core.matmul(a, b, rng=np.random.default_rng(4)))
 
-    def test_ideal_core_bypasses_chunking_exactly(self, stacked):
+    def test_a_given_draw_skips_the_sample_stage(self, core, stacked):
         a, b = stacked
-        got = pipelined_matmul(
-            DPTC(), a, b, np.random.default_rng(0), chunk_size=2
-        )
-        assert np.array_equal(got, np.matmul(a, b))
+        draw = core.sample_noise(a.shape, b.shape, np.random.default_rng(8))
+        out, tracer, _ = traced(lambda: core.matmul(a, b, draw=draw))
+        names = [span.name for span in tracer.collector.spans()]
+        assert names == ["outer"] + STAGE_SPANS[1:]
+        assert np.array_equal(out, core.matmul(a, b, rng=np.random.default_rng(8)))
 
-    def test_matrix_operands_have_no_batch_to_chunk(self, core):
-        a, b = operands(5, (4, 12), (12, 4))
-        want = core.matmul(a, b, rng=np.random.default_rng(1))
-        got = pipelined_matmul(
-            core, a, b, np.random.default_rng(1), chunk_size=2
+    def test_all_zero_operand_records_no_stage(self, core):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        out, tracer, _ = traced(
+            lambda: core.matmul(np.zeros((3, 4, 12)), np.ones((12, 2)), rng=rng)
         )
-        assert np.array_equal(want, got)
+        assert np.array_equal(out, np.zeros((3, 4, 2)))
+        assert rng.bit_generator.state == before
+        assert [span.name for span in tracer.collector.spans()] == ["outer"]
 
-    def test_broadcast_weight_encoded_per_chunk(self, core):
-        """A shared 2-D weight rides whole into every chunk — exactly
-        like the per-chunk oracle encodes it once per call."""
-        a, w = operands(6, (9, 4, 16), (16, 4))
-        stream = np.random.default_rng(13)
-        want = np.concatenate(
-            [
-                core.matmul(a[start:stop], w, rng=stream)
-                for start, stop in chunk_bounds(a.shape[0], 4)
-            ],
-            axis=0,
-        )
-        got = pipelined_matmul(
-            core, a, w, np.random.default_rng(13), chunk_size=4
-        )
-        assert np.array_equal(want, got)
-
-    def test_calibrated_core_pipeline(self, stacked):
+    def test_ideal_path_is_a_bare_matmul(self, stacked):
         a, b = stacked
-        core = CalibratedDPTC(noise=NoiseModel.paper_default())
-        want = chunk_oracle(core, a, b, seed=21, chunk_size=4)
-        with ThreadPoolExecutor(max_workers=1) as prefetch:
-            got = pipelined_matmul(
-                core, a, b, np.random.default_rng(21),
-                chunk_size=4, pipeline_depth=2, prefetch=prefetch,
-            )
-        assert np.array_equal(want, got)
-
-    def test_shutdown_prefetch_falls_back_inline(self, core, stacked):
-        """A prefetch executor that is already closed (close-while-busy)
-        must not change results — and must not deadlock."""
-        a, b = stacked
-        want = chunk_oracle(core, a, b, seed=9, chunk_size=3)
-        prefetch = ThreadPoolExecutor(max_workers=1)
-        prefetch.shutdown(wait=True)
-        got = pipelined_matmul(
-            core, a, b, np.random.default_rng(9),
-            chunk_size=3, pipeline_depth=2, prefetch=prefetch,
-        )
-        assert np.array_equal(want, got)
+        out, tracer, _ = traced(lambda: DPTC().matmul(a, b))
+        assert np.array_equal(out, np.matmul(a, b))
+        assert [span.name for span in tracer.collector.spans()] == ["outer"]
 
 
-class TestShardedChunkedExecution:
-    """ShardedDPTC with chunk_size: pipelined == unpipelined == sequential."""
-
+@pytest.mark.parametrize("shard_axis", ["batch", "contraction"])
+class TestShardedStageBody:
     @pytest.fixture(scope="class")
     def stacked(self):
-        return operands(8, (9, 5, 24), (9, 24, 5))
+        a, b = operands(8, (9, 5, 24), (9, 24, 5))
+        a[4] = 0.0
+        return a, b
 
-    @pytest.mark.parametrize("shard_axis", ["batch", "contraction"])
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_thread_backend_matches_sequential(self, stacked, shard_axis, depth):
-        a, b = stacked
-        sequential = ShardedDPTC(
-            num_cores=3, noise=NoiseModel.paper_default(),
-            shard_axis=shard_axis, parallel=False, chunk_size=2,
-        )
-        want = sequential.matmul(a, b, rng=np.random.default_rng(5))
-        sequential.close()
+    def run(self, stacked, shard_axis, parallel, core_cls=DPTC):
         engine = ShardedDPTC(
-            num_cores=3, noise=NoiseModel.paper_default(),
-            shard_axis=shard_axis, chunk_size=2, pipeline_depth=depth,
+            num_cores=3,
+            noise=NoiseModel.paper_default(),
+            core_cls=core_cls,
+            shard_axis=shard_axis,
+            parallel=parallel,
         )
-        got = engine.matmul(a, b, rng=np.random.default_rng(5))
-        engine.close()
+        try:
+            return engine.matmul(*stacked, rng=np.random.default_rng(5))
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("core_cls", [DPTC, CalibratedDPTC])
+    def test_parallel_matches_sequential(self, stacked, shard_axis, core_cls):
+        want = self.run(stacked, shard_axis, parallel=False, core_cls=core_cls)
+        got = self.run(stacked, shard_axis, parallel=True, core_cls=core_cls)
         assert np.array_equal(want, got)
 
-    def test_unchunked_engine_unchanged_by_knobs(self, stacked):
-        """chunk_size=None keeps the exact pre-pipelining draw order."""
-        a, b = stacked
-        plain = ShardedDPTC(num_cores=2, noise=NoiseModel.paper_default())
-        knobbed = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(), pipeline_depth=3
+    def test_stage_spans_parent_under_shard_core(self, stacked, shard_axis):
+        out, tracer, _ = traced(
+            lambda: self.run(stacked, shard_axis, parallel=True)
         )
-        want = plain.matmul(a, b, rng=np.random.default_rng(2))
-        got = knobbed.matmul(a, b, rng=np.random.default_rng(2))
-        plain.close()
-        knobbed.close()
-        assert np.array_equal(want, got)
-
-    def test_single_core_chunked_matches_plain_chunk_oracle(self, stacked):
-        a, b = stacked
-        engine = ShardedDPTC(
-            num_cores=1, noise=NoiseModel.paper_default(),
-            chunk_size=4, pipeline_depth=1,
-        )
-        # num_cores=1 spawns one child stream off the call's generator.
-        stream = np.random.default_rng(3).spawn(1)[0]
-        want = np.concatenate(
-            [
-                DPTC(noise=NoiseModel.paper_default()).matmul(
-                    a[s:e], b[s:e], rng=stream
-                )
-                for s, e in chunk_bounds(a.shape[0], 4)
-            ],
-            axis=0,
-        )
-        got = engine.matmul(a, b, rng=np.random.default_rng(3))
-        engine.close()
-        assert np.array_equal(want, got)
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            ShardedDPTC(num_cores=2, chunk_size=0)
-        with pytest.raises(ValueError):
-            ShardedDPTC(num_cores=2, pipeline_depth=-1)
-
-    def test_close_while_busy_no_deadlock_same_result(self, stacked):
-        """close() racing an in-flight chunked matmul must neither
-        deadlock nor change the result (inline prepare fallback)."""
-        a, b = stacked
-        oracle = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(),
-            parallel=False, chunk_size=1,
-        )
-        want = oracle.matmul(a, b, rng=np.random.default_rng(17))
-        oracle.close()
-        engine = ShardedDPTC(
-            num_cores=2, noise=NoiseModel.paper_default(),
-            chunk_size=1, pipeline_depth=3,
-        )
-        with ThreadPoolExecutor(max_workers=1) as runner:
-            future = runner.submit(
-                engine.matmul, a, b, np.random.default_rng(17)
-            )
-            time.sleep(0.005)  # let some chunks enter the pipeline
-            closer = threading.Thread(target=engine.close)
-            closer.start()
-            got = future.result(timeout=60)
-            closer.join(timeout=60)
-            assert not closer.is_alive()
-        engine.close()
-        assert np.array_equal(want, got)
+        spans = tracer.collector.spans()
+        by_id = {span.span_id: span for span in spans}
+        cores = [span for span in spans if span.name == "shard.core"]
+        assert len(cores) == 3
+        for core_span in cores:
+            children = tracer.collector.children_of(core_span.span_id)
+            assert [span.name for span in children] == STAGE_SPANS
+        stages = [span for span in spans if span.name.startswith("stage.")]
+        assert len(stages) == 3 * len(STAGE_SPANS)
+        assert all(by_id[span.parent_id].name == "shard.core" for span in stages)
+        assert np.array_equal(out, self.run(stacked, shard_axis, parallel=False))
 
 
 class TestProfileStages:

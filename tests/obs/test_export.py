@@ -145,7 +145,7 @@ class TestDemoWorkload:
         names = {span.name for span in collector.spans()}
         assert {
             "request", "engine.iteration", "engine.batch", "shard.matmul",
-            "shard.core", "hotpath.matmul", "stage.sample", "stage.encode",
+            "shard.core", "stage.sample", "stage.encode",
             "stage.compute", "stage.detect",
         } <= names
         compute = collector.find("stage.compute")[0]
@@ -155,8 +155,7 @@ class TestDemoWorkload:
             span = by_id[span.parent_id]
             chain.append(span.name)
         assert chain == [
-            "hotpath.matmul", "shard.core", "shard.matmul", "engine.batch",
-            "engine.iteration",
+            "shard.core", "shard.matmul", "engine.batch", "engine.iteration",
         ]
 
     def test_request_spans_carry_lifecycle_events(self):

@@ -1,22 +1,22 @@
 """One execution body per layer: tracing changes observability, never math.
 
-Every instrumented layer (hot path, sharded cores, engine, cluster) runs
-a single body that always calls its tracer.  With the default
+Every instrumented layer (DPTC stages, sharded cores, engine, cluster)
+runs a single body that always calls its tracer.  With the default
 :data:`~repro.obs.trace.NULL_TRACER` that body must return exactly what
 an actively traced run returns.  Also pinned here: the null tracer's
 shared context objects, an ambient tracer showing through an untraced
-engine, and span closure for requests rejected at submit.
+engine, the default sharded executor's stage spans, and span closure
+for requests rejected at submit.
 """
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ServingCluster
 from repro.core import DPTC, CalibratedDPTC, NoiseModel, ShardedDPTC
-from repro.core.hotpath import pipelined_matmul
+from repro.neural.autograd import Tensor
 from repro.neural.photonic import PhotonicExecutor
 from repro.obs import (
     NULL_SPAN,
@@ -49,16 +49,12 @@ def make_tracer(traced, clock=None):
     return Tracer(clock=clock) if traced else NULL_TRACER
 
 
-def pipelined(depth, core_cls=DPTC):
+def single_core(core_cls):
     def run(traced):
         tracer = make_tracer(traced)
         core = core_cls(noise=NoiseModel.paper_default())
-        a, b = operands()
-        with ThreadPoolExecutor(max_workers=1) as prefetch, tracer.activate():
-            out = pipelined_matmul(
-                core, a, b, np.random.default_rng(1),
-                chunk_size=2, pipeline_depth=depth, prefetch=prefetch,
-            )
+        with tracer.activate():
+            out = core.matmul(*operands(), rng=np.random.default_rng(1))
         return [out], None, tracer
 
     return run
@@ -114,9 +110,8 @@ def cluster_failover(traced):
 
 
 CASES = {
-    "pipelined-depth0": pipelined(0),
-    "pipelined-depth1-prefetch": pipelined(1),
-    "pipelined-calibrated": pipelined(1, CalibratedDPTC),
+    "dptc-noisy": single_core(DPTC),
+    "dptc-calibrated": single_core(CalibratedDPTC),
     "sharded-batch-thread": sharded("batch"),
     "sharded-contraction-thread": sharded("contraction"),
     "engine-continuous-preempting": continuous_preempting,
@@ -153,7 +148,7 @@ class TestNullTracer:
     def test_ambient_tracer_sees_beneath_an_untraced_engine(self):
         """An engine built without ``tracer=`` still lets a tracer
         activated around it record the shard and stage spans."""
-        executor = PhotonicExecutor.paper_default(seed=0, chunk_size=2)
+        executor = PhotonicExecutor.paper_default(seed=0, num_cores=2)
         engine = ServingEngine(
             VisionServable(tiny_vit(seed=0, executor=executor)),
             config=EngineConfig(max_batch_size=4),
@@ -168,10 +163,36 @@ class TestNullTracer:
         engine.close()
         spans = tracer.collector.spans()
         names = {span.name for span in spans}
-        assert {"shard.matmul", "hotpath.matmul", "stage.sample"} <= names
+        assert {"shard.matmul", "shard.core", "stage.sample"} <= names
         assert not names & {"request", "engine.batch", "engine.iteration"}
         shards = [span for span in spans if span.name == "shard.matmul"]
         assert all(span.parent_id == driver.span_id for span in shards)
+
+
+def test_default_sharded_executor_records_every_stage_under_shard_core():
+    """No knob is needed to see the stages: the default sharded
+    executor's noisy matmul records all four under each ``shard.core``."""
+    executor = PhotonicExecutor.paper_default(seed=0, num_cores=2)
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(4, 5, 12)))
+    w = Tensor(rng.normal(size=(12, 6)))
+    tracer = Tracer()
+    try:
+        with tracer.activate():
+            executor.matmul(a, w, weight_operand=1)
+    finally:
+        executor.close()
+    spans = tracer.collector.spans()
+    by_id = {span.span_id: span for span in spans}
+    cores = tracer.collector.find("shard.core")
+    assert len(cores) == 2
+    for core in cores:
+        assert [span.name for span in tracer.collector.children_of(core.span_id)] == [
+            "stage.sample", "stage.encode", "stage.compute", "stage.detect",
+        ]
+    stages = [span for span in spans if span.name.startswith("stage.")]
+    assert len(stages) == 8
+    assert all(by_id[span.parent_id].name == "shard.core" for span in stages)
 
 
 class TestRejectedAtSubmit:

@@ -42,8 +42,8 @@ class TestEngineConfigValidation:
             {"scheduler": "psychic"},
             {"num_cores": 0},
             {"shard_axis": "diagonal"},
-            {"chunk_size": 0},
-            {"pipeline_depth": -1},
+            {"iteration_cost": "fast"},
+            {"iteration_cost": {"base_s": 1e-3}},
             {"block_size": 0},
             {"kv_capacity_bytes": -1},
             {"kv_bits": 0},
@@ -86,16 +86,14 @@ class TestEngineConfigRoundTrip:
         assert config.max_batch_size == 2
         assert config.queue_depth == EngineConfig().queue_depth
 
-    def test_hotpath_knobs_round_trip(self):
-        config = EngineConfig(chunk_size=8, pipeline_depth=2)
-        data = config.to_dict()
-        assert data["chunk_size"] == 8 and data["pipeline_depth"] == 2
-        assert EngineConfig.from_dict(data) == config
-
-    def test_hotpath_knobs_default_off(self):
-        config = EngineConfig()
-        assert config.chunk_size is None
-        assert config.pipeline_depth == 1
+    @pytest.mark.parametrize(
+        "cost",
+        [{"base_s": 1e-3, "bogus": 1}, {"base_s": "x"}, {"per_request_s": True}, 5],
+        ids=["unknown-key", "string", "bool", "not-a-map"],
+    )
+    def test_from_dict_rejects_bad_iteration_cost(self, cost):
+        with pytest.raises(ValueError):
+            EngineConfig.from_dict({"iteration_cost": cost})
 
 
 class TestClusterConfigValidation:
@@ -139,6 +137,27 @@ class TestClusterConfigValidation:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             ClusterConfig.from_dict({"replica_count": 3})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"service_model": {"bogus": 1}},
+            {"service_model": {"base_s": "x"}},
+            {"service_model": "fast"},
+            {"engine": {"iteration_cost": {"base_s": "x"}}},
+            {"engine": {"bogus": 2}},
+            {"engine": 5},
+            [1, 2],
+        ],
+        ids=[
+            "unknown-cost-key", "string-cost", "string-model",
+            "nested-string-cost", "unknown-engine-key", "engine-not-a-map",
+            "not-a-map",
+        ],
+    )
+    def test_from_dict_rejects_bad_nested_maps(self, data):
+        with pytest.raises(ValueError):
+            ClusterConfig.from_dict(data)
 
 
 class TestConfigConstruction:
