@@ -154,6 +154,32 @@ class TestShardedStageBody:
         assert np.array_equal(out, self.run(stacked, shard_axis, parallel=False))
 
 
+class TestShardedChunkedExecution:
+    """Each core runs its chunk of the product through the one stage body:
+    the thread backend equals the sequential schedule for any seed."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        return operands(8, (9, 5, 24), (9, 24, 5))
+
+    @pytest.mark.parametrize("shard_axis", ["batch", "contraction"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_thread_backend_matches_sequential(self, stacked, shard_axis, seed):
+        a, b = stacked
+        sequential = ShardedDPTC(
+            num_cores=3, noise=NoiseModel.paper_default(),
+            shard_axis=shard_axis, parallel=False,
+        )
+        want = sequential.matmul(a, b, rng=np.random.default_rng(seed))
+        sequential.close()
+        engine = ShardedDPTC(
+            num_cores=3, noise=NoiseModel.paper_default(), shard_axis=shard_axis,
+        )
+        got = engine.matmul(a, b, rng=np.random.default_rng(seed))
+        engine.close()
+        assert np.array_equal(want, got)
+
+
 class TestProfileStages:
     def test_reports_every_stage(self):
         core = DPTC(noise=NoiseModel.paper_default())
