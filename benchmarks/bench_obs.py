@@ -9,8 +9,7 @@ Sections, each with a hard gate and a measurement:
   - hot path: a noisy two-core
     :class:`~repro.core.sharding.ShardedDPTC` matmul under an active
     :class:`~repro.obs.trace.Tracer` is bit-identical to the untraced
-    run and to the sequential (``parallel=False``) oracle on both shard
-    axes — one stage body serves both;
+    run on both shard axes — one stage body serves both;
   - serving: the canonical demo workload
     (:func:`repro.obs.demo.run_workload`) returns bit-identical
     request results and an identical metrics snapshot traced vs
@@ -77,33 +76,25 @@ def _operands() -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _sharded(shard_axis: str = "batch", parallel: bool = True) -> ShardedDPTC:
+def _sharded(shard_axis: str = "batch") -> ShardedDPTC:
     return ShardedDPTC(
         num_cores=HEAD_CORES,
         noise=NoiseModel.paper_default(),
         shard_axis=shard_axis,
-        parallel=parallel,
     )
 
 
 def hotpath_equality() -> dict:
-    """Traced == untraced == sequential oracle on the sharded noisy matmul."""
+    """Traced == untraced on the sharded noisy matmul, both axes."""
     a, b = _operands()
     tracer = Tracer()
     equal = {}
     for shard_axis in ("batch", "contraction"):
         engine = _sharded(shard_axis)
-        oracle_engine = _sharded(shard_axis, parallel=False)
-        try:
-            untraced = engine.matmul(a, b, rng=np.random.default_rng(3))
-            oracle = oracle_engine.matmul(a, b, rng=np.random.default_rng(3))
-            with tracer.activate():
-                traced = engine.matmul(a, b, rng=np.random.default_rng(3))
-        finally:
-            engine.close()
-            oracle_engine.close()
+        untraced = engine.matmul(a, b, rng=np.random.default_rng(3))
+        with tracer.activate():
+            traced = engine.matmul(a, b, rng=np.random.default_rng(3))
         equal[f"{shard_axis}_traced_equals_untraced"] = bit_equal(traced, untraced)
-        equal[f"{shard_axis}_traced_equals_oracle"] = bit_equal(traced, oracle)
     return {"bit_equal": equal, "spans_emitted": len(tracer.collector)}
 
 
@@ -256,11 +247,8 @@ def traced_overhead(repeats: int = 5) -> dict:
         with tracer.activate():
             return run()
 
-    try:
-        untraced_s = best_of(run, repeats)
-        traced_s = best_of(run_traced, repeats)
-    finally:
-        engine.close()
+    untraced_s = best_of(run, repeats)
+    traced_s = best_of(run_traced, repeats)
     return {
         "untraced_s": untraced_s,
         "traced_s": traced_s,

@@ -273,7 +273,6 @@ def _overhead_run(sink=None):
         config=trace_workload_config(DEMO_BATCH),
         clock=clock,
         tracer=tracer,
-        close_executor=True,
     )
     with engine:
         for index in range(2 * DEMO_REQUESTS):

@@ -85,7 +85,6 @@ def _run_all(servable, payloads, max_batch_size, *, session_ids=None) -> list:
             queue_depth=len(payloads),
         ),
         clock=SimulatedClock(),
-        close_executor=True,
     )
     with engine:
         handles = [
@@ -148,7 +147,6 @@ def batching_equivalence() -> dict:
         config=EngineConfig(max_batch_size=4),
         clock=SimulatedClock(),
         cache=cache,
-        close_executor=True,
     )
     with engine:
         first = engine.submit(images[0], cache_key="prompt-0")
@@ -186,7 +184,6 @@ def throughput_curve() -> list[dict]:
                     max_wait_us=500.0,
                     queue_depth=2 * LOAD_REQUESTS,
                 ),
-                close_executor=True,
             )
             with engine:
                 result = run_open_loop(engine, images, gaps)
@@ -204,7 +201,6 @@ def closed_loop_row(max_batch_size: int = 8) -> dict:
     engine = ServingEngine(
         VisionServable(_vision_model()),
         config=EngineConfig(max_batch_size=max_batch_size, max_wait_us=500.0),
-        close_executor=True,
     )
     with engine:
         result = run_closed_loop(engine, images, rounds=4)
@@ -219,7 +215,6 @@ def simulated_metrics() -> dict:
         VisionServable(_vision_model()),
         config=EngineConfig(max_batch_size=4, max_wait_us=2_000.0),
         clock=clock,
-        close_executor=True,
     )
     rng = np.random.default_rng(4)
     with engine:

@@ -94,18 +94,6 @@ class LighteningTransformer:
                 shard_axis=shard_axis,
             )
 
-    def close(self) -> None:
-        """Release the sharded engine's worker pool (no-op single-core)."""
-        if isinstance(self._dptc, ShardedDPTC):
-            self._dptc.close()
-
-    def __enter__(self) -> "LighteningTransformer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Pool-owning accelerators can be used in `with` blocks.
-        self.close()
-
     # -- static design metrics ----------------------------------------------
     def area(self) -> AreaBreakdown:
         """Chip area breakdown (Fig. 7)."""

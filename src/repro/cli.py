@@ -369,7 +369,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         servable,
         config=trace_workload_config(args.max_batch_size),
         clock=SimulatedClock(),
-        close_executor=True,
     )
     with engine:
         handles = [
@@ -511,9 +510,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(engine_config.seed + 1)
     gaps = poisson_gaps(len(payloads), 1.0 / args.rate, rng)
     rows = []
-    with ServingEngine(
-        servable, config=engine_config, close_executor=True, tracer=tracer
-    ) as engine:
+    with ServingEngine(servable, config=engine_config, tracer=tracer) as engine:
         rows.append(run_open_loop(engine, payloads, gaps))
         users = min(args.users, len(payloads))
         rows.append(run_closed_loop(engine, payloads[:users], rounds=args.rounds))

@@ -96,7 +96,7 @@ class ServingCluster:
             a fixed seed for cross-replica bit-exactness.
         config: a :class:`~repro.cluster.config.ClusterConfig` carrying
             the fleet knobs (``replicas``, routing ``policy``,
-            ``max_retries``, ``close_executors``, the virtual-time
+            ``max_retries``, the virtual-time
             ``service_model``, the shared cache tier) and the
             per-replica ``engine`` :class:`EngineConfig` (batching,
             ``queue_depth`` backpressure, ``scheduler``,
@@ -152,7 +152,6 @@ class ServingCluster:
             )
         self.service_model = config.service_model
         self.max_retries = config.max_retries
-        self._close_executors = config.close_executors
         self.metrics = ClusterMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.recorder = recorder
@@ -201,7 +200,6 @@ class ServingCluster:
             self.factory(replica_id),
             config=self.config.engine,
             clock=self.clock,
-            close_executor=self._close_executors,
             memo_cache=memo_cache,
             tracer=self.tracer,
             recorder=self.recorder,

@@ -16,7 +16,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.cluster.router import POLICIES
-from repro.serving.config import EngineConfig, fields_from_dict
+from repro.serving.config import EngineConfig, check_scalar_types, fields_from_dict
 from repro.serving.scheduler import IterationCost
 
 
@@ -24,14 +24,15 @@ from repro.serving.scheduler import IterationCost
 class ClusterConfig:
     """Everything a serving cluster is built from.
 
+    Construction checks every field's type, then its range, and raises
+    ``ValueError`` naming the field.
+
     Attributes:
         replicas: initial fleet size.
         policy: routing policy registry name (see
             :data:`repro.cluster.router.POLICIES`).
         engine: per-replica :class:`EngineConfig`.
         max_retries: re-dispatches after a non-failover error.
-        close_executors: close each servable's photonic executor on
-            replica shutdown.
         service_model: virtual per-batch service times charged
             against each replica's ``busy_until`` horizon (manual mode
             only); mutually exclusive with ``engine.iteration_cost``.
@@ -53,13 +54,13 @@ class ClusterConfig:
     policy: str = "round_robin"
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_retries: int = 1
-    close_executors: bool = True
     service_model: IterationCost | None = None
     shared_cache: bool = False
     share_prefixes: bool = True
     memo_bytes: int | None = None
 
     def __post_init__(self) -> None:
+        check_scalar_types(self)
         if not isinstance(self.engine, EngineConfig):
             raise ValueError(f"engine must be an EngineConfig, got {self.engine!r}")
         if self.service_model is not None and not isinstance(

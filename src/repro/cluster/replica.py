@@ -57,8 +57,6 @@ class Replica:
         config: the :class:`~repro.serving.config.EngineConfig` its
             engine is built from (the cluster's ``config.engine``).
         clock: shared time source, passed to the engine.
-        close_executor: close the servable's photonic executor when the
-            engine closes.
         memo_cache: replica-private memoization cache for the engine.
         tracer / recorder: passed through to the engine.
     """
@@ -70,7 +68,6 @@ class Replica:
         *,
         config: EngineConfig,
         clock=None,
-        close_executor: bool = True,
         memo_cache: SessionCache | None = None,
         tracer=None,
         recorder=None,
@@ -86,7 +83,6 @@ class Replica:
             cache=memo_cache,
             tracer=tracer,
             recorder=recorder,
-            close_executor=close_executor,
         )
         self.state = HEALTHY
         #: Dispatched-but-not-completed requests (queued + executing).

@@ -68,9 +68,10 @@ class PhotonicExecutor:
                 f"shard_axis must be one of {SHARD_AXES}, got {self.shard_axis!r}"
             )
         if self.num_cores == 1:
-            # Degenerate grid: the plain batched engine (a ShardedDPTC
-            # with one core computes the same thing through the same
-            # code path; skip the pool machinery entirely).
+            # Degenerate grid: the plain batched engine.  A one-core
+            # ShardedDPTC would spawn a child stream from ``rng`` and
+            # so draw different noise; the plain DPTC keeps the
+            # single-core stream unspawned.
             self._dptc = DPTC(self.geometry, self.noise)
         else:
             self._dptc = ShardedDPTC(
@@ -82,18 +83,8 @@ class PhotonicExecutor:
         # (id(weight array), bits) -> (weakref to the array, its grid).
         self._weight_memo: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
-    def close(self) -> None:
-        """Release the sharded engine's worker pool (no-op single-core)."""
-        if isinstance(self._dptc, ShardedDPTC):
-            self._dptc.close()
-
-    def __enter__(self) -> "PhotonicExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Pool-owning executors can be used in `with` blocks (the
-        # serving worker relies on this for lifecycle management).
-        self.close()
+    def close(self) -> None:  # still called by perfbench/workloads.py; drop with it
+        """No-op: the executor holds no thread, file or pool to release."""
 
     @classmethod
     def ideal(

@@ -54,8 +54,8 @@ class TracedMatmulServable(Servable):
     ) -> None:
         self.m = m
         self.d = d
-        #: Exposed as ``executor`` so ``close_executor=True`` engines
-        #: release the sharded worker pool on close.
+        #: The sharded engine every batch runs on; its cores run in
+        #: core order, so the trace is the same on every run.
         self.executor = ShardedDPTC(
             num_cores=num_cores, noise=NoiseModel.paper_default()
         )
@@ -120,7 +120,6 @@ def run_workload(
         config=trace_workload_config(max_batch_size),
         clock=clock,
         tracer=tracer,
-        close_executor=True,
     )
     with engine:
         handles = []

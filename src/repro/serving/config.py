@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -59,9 +60,44 @@ def fields_from_dict(cls: type, data: Any) -> dict:
     return dict(data)
 
 
+#: Scalar field annotation -> (what its values must be, the check).
+#: ``bool`` is an ``int`` subclass, so it is refused where a number is
+#: meant.
+_SCALAR_CHECKS = {
+    "int": ("an int", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a str", lambda v: isinstance(v, str)),
+}
+
+
+def check_scalar_types(config: Any) -> None:
+    """Every ``int``/``float``/``bool``/``str`` field holds its type.
+
+    Reads each dataclass field's annotation (``"int"``, ``"int | None"``,
+    ...); a mismatch is a ``ValueError`` naming the field, raised before
+    any range check compares the value.
+    """
+    for f in dataclasses.fields(config):
+        kind, _, rest = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if kind not in _SCALAR_CHECKS or (value is None and rest == "None"):
+            continue
+        wanted, check = _SCALAR_CHECKS[kind]
+        if not check(value):
+            if rest == "None":
+                wanted += " or None"
+            raise ValueError(
+                f"{f.name} must be {wanted}, got {type(value).__name__} {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Everything one serving engine (or cluster replica) is built from.
+
+    Construction checks every field's type, then its range, and raises
+    ``ValueError`` naming the field.
 
     Attributes:
         max_batch_size: active lanes per iteration: the occupancy cap
@@ -97,6 +133,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_scalar_types(self)
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"

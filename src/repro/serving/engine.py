@@ -91,8 +91,6 @@ class ServingEngine:
             freezes a postmortem bundle (recent spans/events + its
             metrics registry) when an iteration dooms a session or a
             batch fails with an execution error.
-        close_executor: close the servable's photonic executor (its
-            sharded worker pools) when the engine closes.
     """
 
     def __init__(
@@ -105,7 +103,6 @@ class ServingEngine:
         metrics: Metrics | None = None,
         tracer=None,
         recorder=None,
-        close_executor: bool = False,
     ) -> None:
         config = config if config is not None else EngineConfig()
         self.config = config
@@ -121,7 +118,6 @@ class ServingEngine:
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.recorder = recorder
-        self._close_executor = close_executor
         self._queue = RequestQueue(config.queue_depth)
         self.scheduler = config.scheduler
         self.iteration_cost = config.iteration_cost
@@ -173,8 +169,7 @@ class ServingEngine:
 
         ``drain=True`` completes every pending request before shutdown;
         ``drain=False`` fails pending handles with :class:`EngineClosed`.
-        Idempotent.  Closes the servable's executor if requested at
-        construction.
+        Idempotent.
         """
         with self._lifecycle:
             if self._closed:
@@ -196,14 +191,6 @@ class ServingEngine:
             thread.join()
         elif drain:
             self._run_pending()
-        if self._close_executor:
-            executor = getattr(self.servable, "executor", None)
-            if executor is None:
-                executor = getattr(
-                    getattr(self.servable, "model", None), "executor", None
-                )
-            if executor is not None:
-                executor.close()
 
     @property
     def closed(self) -> bool:

@@ -382,7 +382,6 @@ def _batch1_engine(servable, queue_depth: int = 1) -> ServingEngine:
         servable,
         config=EngineConfig(max_batch_size=1, max_wait_us=0.0, queue_depth=queue_depth),
         clock=SimulatedClock(),
-        close_executor=True,
     )
 
 

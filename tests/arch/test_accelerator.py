@@ -167,30 +167,3 @@ class TestContractionShardedExecution:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             LighteningTransformer(lt_base(), num_cores=2, shard_axis="tile")
-
-    def test_close_releases_grid_pool(self):
-        acc = LighteningTransformer(
-            lt_base(), noise=NoiseModel.paper_default(), num_cores=2
-        )
-        rng = np.random.default_rng(10)
-        a = rng.normal(size=(4, 8, 16))
-        b = rng.normal(size=(4, 16, 8))
-        acc.matmul(a, b, rng=np.random.default_rng(0))
-        assert acc._dptc._pool is not None
-        acc.close()
-        assert acc._dptc._pool is None
-        # Single-core facade: close is a safe no-op.
-        LighteningTransformer(lt_base()).close()
-
-
-class TestContextManager:
-    def test_with_block_returns_the_accelerator(self):
-        with LighteningTransformer() as accelerator:
-            assert accelerator.config.name == "LT-B"
-
-    def test_exit_closes_the_sharded_pool(self):
-        with LighteningTransformer(num_cores=2) as accelerator:
-            a = np.ones((4, 2, 3))
-            b = np.ones((4, 3, 2))
-            assert np.array_equal(accelerator.matmul(a, b), a @ b)
-        accelerator.close()  # already closed by __exit__; stays a no-op

@@ -34,7 +34,6 @@ def scaled_cluster(
             policy="least_outstanding",
             engine=EngineConfig(max_batch_size=2, max_wait_us=0.0),
             service_model=service_model,
-            close_executors=False,
         ),
         clock=clock if clock is not None else SimulatedClock(),
         autoscaler=policy,

@@ -54,7 +54,6 @@ def echo_tier_cluster(replicas=2, policy="round_robin", *, shared=True):
         engine=EngineConfig(max_wait_us=0.0),
         shared_cache=shared,
         memo_bytes=1 << 20,
-        close_executors=False,
     )
     return ServingCluster(
         lambda rid: EchoServable(), config=config, clock=SimulatedClock()
@@ -85,7 +84,6 @@ def decode_tier_cluster(
         engine=engine,
         shared_cache=True,
         share_prefixes=share,
-        close_executors=False,
     )
     cluster = ServingCluster(
         lambda rid: DecodeServable(
@@ -325,7 +323,6 @@ class TestPrefixRegistration:
             replicas=1,
             engine=EngineConfig(max_wait_us=0.0),
             shared_cache=True,
-            close_executors=False,
         )
         with ServingCluster(
             lambda rid: EchoServable(), config=config, clock=SimulatedClock()

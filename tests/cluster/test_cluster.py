@@ -58,7 +58,6 @@ def manual_cluster(
     *,
     clock=None,
     tracer=None,
-    close_executors=False,
     **engine,
 ):
     """A simulated-clock fleet; ``engine`` holds :class:`EngineConfig`
@@ -68,7 +67,6 @@ def manual_cluster(
         policy=policy,
         engine=EngineConfig(**{"max_wait_us": 0.0, **engine}),
         service_model=service_model,
-        close_executors=close_executors,
     )
     return ServingCluster(
         factory,
@@ -161,7 +159,7 @@ class TestSubmitAndStep:
     def test_step_requires_manual_mode(self):
         cluster = ServingCluster(
             lambda rid: EchoServable(),
-            config=ClusterConfig(replicas=1, close_executors=False),
+            config=ClusterConfig(replicas=1),
         )
         with pytest.raises(RuntimeError, match="manual"):
             cluster.step()
@@ -202,8 +200,7 @@ class TestBitExactRouting:
         factory, payloads, sessions = routed_workload(workload)
         reference = sequential_outputs(factory(0), payloads, sessions)
         with manual_cluster(
-            factory, 3, policy=policy, close_executors=True,
-            max_batch_size=4, queue_depth=len(payloads),
+            factory, 3, policy=policy, max_batch_size=4, queue_depth=len(payloads),
         ) as cluster:
             handles = []
             for i, payload in enumerate(payloads):
@@ -395,9 +392,7 @@ class TestVirtualTime:
         with pytest.raises(ValueError, match="SimulatedClock"):
             ServingCluster(
                 lambda rid: EchoServable(),
-                config=ClusterConfig(
-                    replicas=1, service_model=IterationCost(), close_executors=False
-                ),
+                config=ClusterConfig(replicas=1, service_model=IterationCost()),
             )
 
     def test_virtual_stamps_follow_the_service_model(self):

@@ -44,7 +44,6 @@ def virtual_cluster(
             policy=policy,
             engine=EngineConfig(**{"max_batch_size": 4, "max_wait_us": 500.0, **engine}),
             service_model=service_model,
-            close_executors=False,
         ),
         clock=SimulatedClock(),
     )
@@ -54,7 +53,7 @@ class TestRunVirtualOpenLoop:
     def test_requires_manual_mode(self):
         cluster = ServingCluster(
             lambda rid: EchoServable(),
-            config=ClusterConfig(replicas=1, close_executors=False),
+            config=ClusterConfig(replicas=1),
         )
         with pytest.raises(ValueError, match="SimulatedClock"):
             run_virtual_open_loop(cluster, [1], [0.0])

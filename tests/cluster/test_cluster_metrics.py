@@ -203,7 +203,6 @@ def golden_fleet(policy, shared_cache, memo_bytes):
         service_model=IterationCost(base_s=2e-4, per_request_s=5e-5),
         shared_cache=shared_cache,
         memo_bytes=memo_bytes,
-        close_executors=False,
     )
     clock = SimulatedClock()
     cluster = ServingCluster(

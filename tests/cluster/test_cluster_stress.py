@@ -45,9 +45,7 @@ def test_threaded_clients_keep_counts_and_bits():
     cluster = ServingCluster(
         lambda replica_id: servable(),
         # least_outstanding migrates quiescent sessions between replicas.
-        config=ClusterConfig(
-            replicas=2, policy="least_outstanding", engine=ENGINE, close_executors=False
-        ),
+        config=ClusterConfig(replicas=2, policy="least_outstanding", engine=ENGINE),
     )
     outputs: dict[str, list] = {f"c{i}": [] for i in range(CLIENTS)}
     errors: list[BaseException] = []

@@ -25,7 +25,6 @@ def wall_cluster(factory, policy="round_robin", max_wait_us=200.0):
             replicas=2,
             policy=policy,
             engine=EngineConfig(max_batch_size=4, max_wait_us=max_wait_us),
-            close_executors=False,
         ),
     )
 

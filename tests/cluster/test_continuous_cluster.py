@@ -48,7 +48,6 @@ def continuous_cluster(replicas=3, policy="round_robin"):
             replicas=replicas,
             policy=policy,
             engine=CONTINUOUS,
-            close_executors=False,
         ),
         clock=SimulatedClock(),
     )

@@ -22,7 +22,6 @@ def replica():
         EchoServable(),
         config=EngineConfig(),
         clock=SimulatedClock(),
-        close_executor=False,
     )
 
 

@@ -32,7 +32,6 @@ def fleet(n=3):
             NullServable(),
             config=EngineConfig(),
             clock=SimulatedClock(),
-            close_executor=False,
         )
         for rid in range(n)
     }

@@ -5,7 +5,7 @@
 The load-bearing invariants: the body is bit-identical to composing the
 public stage methods by hand, its spans land under whatever span is
 ambient (``shard.core`` on a sharded engine), and a sharded engine's
-parallel and sequential schedules agree bit for bit on both axes.
+result and trace are each core's own stage body run in core order.
 """
 
 import numpy as np
@@ -19,8 +19,15 @@ from repro.core import (
     profile_stages,
 )
 from repro.core.hotpath import STAGES, best_of
-from repro.core.sharding import slice_batch_operand
+from repro.core.sharding import (
+    DigitalAccumulator,
+    contraction_slabs,
+    shard_bounds,
+    slice_batch_operand,
+)
 from repro.obs import Tracer
+from repro.obs.export import to_jsonl
+from repro.serving.clock import SimulatedClock
 
 STAGE_SPANS = [f"stage.{name}" for name in STAGES]
 
@@ -118,66 +125,73 @@ class TestShardedStageBody:
         a[4] = 0.0
         return a, b
 
-    def run(self, stacked, shard_axis, parallel, core_cls=DPTC):
-        engine = ShardedDPTC(
-            num_cores=3,
+    def engine(self, shard_axis, core_cls=DPTC, num_cores=3):
+        return ShardedDPTC(
+            num_cores=num_cores,
             noise=NoiseModel.paper_default(),
             core_cls=core_cls,
             shard_axis=shard_axis,
-            parallel=parallel,
         )
-        try:
-            return engine.matmul(*stacked, rng=np.random.default_rng(5))
-        finally:
-            engine.close()
 
     @pytest.mark.parametrize("core_cls", [DPTC, CalibratedDPTC])
-    def test_parallel_matches_sequential(self, stacked, shard_axis, core_cls):
-        want = self.run(stacked, shard_axis, parallel=False, core_cls=core_cls)
-        got = self.run(stacked, shard_axis, parallel=True, core_cls=core_cls)
-        assert np.array_equal(want, got)
+    def test_matches_each_core_on_its_spawned_stream(
+        self, stacked, shard_axis, core_cls
+    ):
+        """Core i runs its shard through its own ``matmul`` on spawned
+        stream i; shards concatenate, K-slab partials sum, in core order."""
+        a, b = stacked
+        engine = self.engine(shard_axis, core_cls)
+        got = engine.matmul(a, b, rng=np.random.default_rng(5))
+        streams = np.random.default_rng(5).spawn(3)
+        if shard_axis == "batch":
+            bounds = shard_bounds(a.shape[0], 3)
+            parts = [
+                core.matmul(a[start:stop], b[start:stop], rng=stream)
+                for core, (start, stop), stream in zip(engine.cores, bounds, streams)
+            ]
+            want = np.concatenate(parts, axis=0)
+        else:
+            partials = [
+                core.matmul(a_slab, b_slab, rng=stream)
+                for core, a_slab, b_slab, stream in zip(
+                    engine.cores,
+                    contraction_slabs(a, 3, axis=-1),
+                    contraction_slabs(b, 3, axis=-2),
+                    streams,
+                )
+            ]
+            want = DigitalAccumulator.accumulate(partials)
+        assert np.array_equal(got, want)
 
     def test_stage_spans_parent_under_shard_core(self, stacked, shard_axis):
         out, tracer, _ = traced(
-            lambda: self.run(stacked, shard_axis, parallel=True)
+            lambda: self.engine(shard_axis).matmul(
+                *stacked, rng=np.random.default_rng(5)
+            )
         )
         spans = tracer.collector.spans()
         by_id = {span.span_id: span for span in spans}
         cores = [span for span in spans if span.name == "shard.core"]
-        assert len(cores) == 3
+        assert [span.attrs["core"] for span in cores] == [0, 1, 2]
         for core_span in cores:
             children = tracer.collector.children_of(core_span.span_id)
             assert [span.name for span in children] == STAGE_SPANS
         stages = [span for span in spans if span.name.startswith("stage.")]
         assert len(stages) == 3 * len(STAGE_SPANS)
         assert all(by_id[span.parent_id].name == "shard.core" for span in stages)
-        assert np.array_equal(out, self.run(stacked, shard_axis, parallel=False))
 
-
-class TestShardedChunkedExecution:
-    """Each core runs its chunk of the product through the one stage body:
-    the thread backend equals the sequential schedule for any seed."""
-
-    @pytest.fixture(scope="class")
-    def stacked(self):
-        return operands(8, (9, 5, 24), (9, 24, 5))
-
-    @pytest.mark.parametrize("shard_axis", ["batch", "contraction"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_thread_backend_matches_sequential(self, stacked, shard_axis, seed):
-        a, b = stacked
-        sequential = ShardedDPTC(
-            num_cores=3, noise=NoiseModel.paper_default(),
-            shard_axis=shard_axis, parallel=False,
-        )
-        want = sequential.matmul(a, b, rng=np.random.default_rng(seed))
-        sequential.close()
-        engine = ShardedDPTC(
-            num_cores=3, noise=NoiseModel.paper_default(), shard_axis=shard_axis,
-        )
-        got = engine.matmul(a, b, rng=np.random.default_rng(seed))
-        engine.close()
-        assert np.array_equal(want, got)
+    def test_trace_is_identical_on_every_run(self, stacked, shard_axis):
+        """A traced two-core product on a simulated clock exports the
+        same JSONL bytes on every run: the cores run in core order."""
+        exports = set()
+        for _ in range(30):
+            tracer = Tracer(clock=SimulatedClock())
+            with tracer.activate():
+                self.engine(shard_axis, num_cores=2).matmul(
+                    *stacked, rng=np.random.default_rng(5)
+                )
+            exports.add(to_jsonl(tracer.collector))
+        assert len(exports) == 1
 
 
 class TestProfileStages:

@@ -107,9 +107,7 @@ if HAVE_HYPOTHESIS:
             rng = np.random.default_rng(seed)
             a = rng.normal(size=(batch, m, d))
             b = rng.normal(size=(batch, d, n))
-            engine = ShardedDPTC(
-                num_cores=num_cores, shard_axis=shard_axis, parallel=False
-            )
+            engine = ShardedDPTC(num_cores=num_cores, shard_axis=shard_axis)
             assert np.array_equal(engine.matmul(a, b), np.matmul(a, b))
 
 

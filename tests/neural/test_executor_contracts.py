@@ -40,12 +40,11 @@ class TestNoGradContract:
         b = rng.normal(size=(8, 5))
         if frozen:
             b.setflags(write=False)
-        with make_executor() as recording:
-            ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-            graph = recording.matmul(ta, tb, weight_operand=weight_operand)
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        graph = make_executor().matmul(ta, tb, weight_operand=weight_operand)
         assert graph.requires_grad and graph._parents
-        with make_executor() as lean, no_grad():
-            out = lean.matmul(
+        with no_grad():
+            out = make_executor().matmul(
                 Tensor(a, requires_grad=True),
                 Tensor(b, requires_grad=True),
                 weight_operand=weight_operand,
@@ -83,18 +82,17 @@ class TestNoisyTrainingPinned:
         """Two epochs on a noisy two-core executor: losses and accuracy
         equal the values recorded before the lean path existed."""
         data = striped_image_dataset(n_samples=24, image_size=8, n_classes=2, seed=3)
-        with PhotonicExecutor.paper_default(seed=7, num_cores=2) as executor:
-            model = TinyViT(
-                image_size=8,
-                patch_size=4,
-                dim=16,
-                depth=1,
-                heads=2,
-                n_classes=2,
-                executor=executor,
-                seed=5,
-            )
-            result = train_classifier(model, data, epochs=2, batch_size=8, seed=11)
+        model = TinyViT(
+            image_size=8,
+            patch_size=4,
+            dim=16,
+            depth=1,
+            heads=2,
+            n_classes=2,
+            executor=PhotonicExecutor.paper_default(seed=7, num_cores=2),
+            seed=5,
+        )
+        result = train_classifier(model, data, epochs=2, batch_size=8, seed=11)
         assert [loss.hex() for loss in result.losses] == [
             "0x1.24dcfc0e1b74dp-2",
             "0x1.92f32b7afa7abp-4",

@@ -113,7 +113,6 @@ class TestFleetTop:
             config=ClusterConfig(
                 replicas=2,
                 engine=EngineConfig(max_wait_us=0.0),
-                close_executors=False,
             ),
             clock=clock,
         )

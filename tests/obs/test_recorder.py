@@ -206,7 +206,6 @@ class TestClusterTrigger:
                 replicas=2,
                 policy="round_robin",
                 engine=EngineConfig(max_wait_us=0.0),
-                close_executors=False,
             ),
             clock=clock,
             tracer=tracer,

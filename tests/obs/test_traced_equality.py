@@ -68,11 +68,8 @@ def sharded(shard_axis):
             noise=NoiseModel.paper_default(),
             shard_axis=shard_axis,
         )
-        try:
-            with tracer.activate():
-                out = engine.matmul(*operands(), rng=np.random.default_rng(7))
-        finally:
-            engine.close()
+        with tracer.activate():
+            out = engine.matmul(*operands(), rng=np.random.default_rng(7))
         return [out], None, tracer
 
     return run
@@ -177,11 +174,8 @@ def test_default_sharded_executor_records_every_stage_under_shard_core():
     a = Tensor(rng.normal(size=(4, 5, 12)))
     w = Tensor(rng.normal(size=(12, 6)))
     tracer = Tracer()
-    try:
-        with tracer.activate():
-            executor.matmul(a, w, weight_operand=1)
-    finally:
-        executor.close()
+    with tracer.activate():
+        executor.matmul(a, w, weight_operand=1)
     spans = tracer.collector.spans()
     by_id = {span.span_id: span for span in spans}
     cores = tracer.collector.find("shard.core")
@@ -227,7 +221,7 @@ class TestRejectedAtSubmit:
     def test_cluster_request_spans_close(self):
         cluster = ServingCluster(
             lambda rid: VisionServable(tiny_vit(seed=0)),
-            config=ClusterConfig(replicas=1, close_executors=False),
+            config=ClusterConfig(replicas=1),
             clock=self.clock,
             tracer=self.tracer,
         )

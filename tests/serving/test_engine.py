@@ -40,16 +40,13 @@ class EchoServable(Servable):
         return outputs[:-1] if self.short_output else outputs
 
 
-def manual_engine(
-    servable=None, *, clock=None, cache=None, close_executor=False, **knobs
-) -> ServingEngine:
+def manual_engine(servable=None, *, clock=None, cache=None, **knobs) -> ServingEngine:
     """A simulated-clock engine; ``knobs`` are :class:`EngineConfig` fields."""
     return ServingEngine(
         servable if servable is not None else EchoServable(),
         config=EngineConfig(**knobs),
         clock=clock if clock is not None else SimulatedClock(),
         cache=cache,
-        close_executor=close_executor,
     )
 
 
@@ -176,17 +173,6 @@ class TestLifecycle:
         no separate policy object."""
         with pytest.raises(TypeError):
             EngineConfig(policy=object())
-
-    def test_close_executor_releases_the_pool(self):
-        from repro.neural.photonic import PhotonicExecutor
-
-        # A sharded executor gives close() a real worker pool to release.
-        model = tiny_vit(executor=PhotonicExecutor.ideal(num_cores=2), seed=0)
-        engine = manual_engine(VisionServable(model), close_executor=True)
-        engine.submit(np.zeros((16, 16)))
-        engine.run_until_idle()
-        engine.close()
-        model.executor.close()  # second close stays a no-op
 
 
 class TestCacheIntegration:

@@ -53,6 +53,34 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(**changes)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_batch_size", "x"),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", True),
+            ("max_wait_us", "1"),
+            ("max_wait_us", False),
+            ("queue_depth", True),
+            ("scheduler", 3),
+            ("num_cores", 2.0),
+            ("shard_axis", None),
+            ("block_size", np.float64(2.0)),
+            ("kv_capacity_bytes", 1.5),
+            ("kv_bits", None),
+            ("seed", "0"),
+        ],
+    )
+    def test_rejects_wrong_scalar_types(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            EngineConfig(**{field: value})
+
+    def test_accepts_numpy_scalars_and_ints_for_reals(self):
+        config = EngineConfig(
+            max_batch_size=np.int64(4), max_wait_us=0, kv_capacity_bytes=None
+        )
+        assert config.max_batch_size == 4 and config.max_wait_us == 0
+
     def test_replace_revalidates(self):
         config = EngineConfig()
         assert config.replace(max_batch_size=4).max_batch_size == 4
@@ -106,6 +134,23 @@ class TestClusterConfigValidation:
         ):
             with pytest.raises(ValueError):
                 ClusterConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replicas", 1.5),
+            ("replicas", True),
+            ("policy", None),
+            ("max_retries", "1"),
+            ("shared_cache", "yes"),
+            ("shared_cache", 1),
+            ("share_prefixes", None),
+            ("memo_bytes", 1.0),
+        ],
+    )
+    def test_rejects_wrong_scalar_types(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ClusterConfig(**{field: value})
 
     def test_service_model_excludes_iteration_cost(self):
         with pytest.raises(ValueError):
@@ -176,7 +221,6 @@ class TestConfigConstruction:
         config = ClusterConfig(
             replicas=2,
             engine=EngineConfig(max_wait_us=0.0),
-            close_executors=False,
         )
         with ServingCluster(
             lambda rid: EchoServable(), config=config, clock=SimulatedClock()
@@ -214,8 +258,7 @@ class TestConfigConstruction:
         [
             (
                 ServingEngine,
-                {"clock", "cache", "metrics", "tracer", "recorder",
-                 "close_executor"},
+                {"clock", "cache", "metrics", "tracer", "recorder"},
             ),
             (
                 ServingCluster,
@@ -223,8 +266,7 @@ class TestConfigConstruction:
             ),
             (
                 Replica,
-                {"replica_id", "clock", "close_executor", "memo_cache",
-                 "tracer", "recorder"},
+                {"replica_id", "clock", "memo_cache", "tracer", "recorder"},
             ),
         ],
     )

@@ -342,6 +342,22 @@ class TestConfigFlag:
         assert message.startswith(f"{verb}: bad --config: ")
         assert "\n" not in message
 
+    @pytest.mark.parametrize(
+        "verb, config, expected",
+        [
+            ("serve-bench", '{"max_batch_size": "x"}', "max_batch_size must be an int"),
+            ("serve-bench", '{"max_batch_size": 2.5}', "max_batch_size must be an int"),
+            ("cluster-bench", '{"replicas": 1.5}', "replicas must be an int"),
+            ("cluster-bench", '{"shared_cache": "yes"}', "shared_cache must be a bool"),
+            ("cluster-bench", '{"engine": {"queue_depth": true}}', "queue_depth must be an int"),
+        ],
+    )
+    def test_wrong_scalar_type_names_the_field(self, verb, config, expected):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--requests", "4", "--config", config])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"{verb}: bad --config: {expected}, got ")
+
 
 class TestTraceSamplingFlags:
     def run_trace(self, capsys, *extra):
