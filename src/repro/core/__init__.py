@@ -9,7 +9,8 @@
   matmul as leading-batch-axis shards or contraction (K-axis) slabs
   with digital partial-sum accumulation (the multi-core scaling axes
   of the accelerator), each core with its own RNG stream and
-  calibration state, run in core order on the caller.
+  calibration state, run in core order on the caller (or on a host
+  thread pool with ``parallel=True``).
 * :meth:`DPTC.matmul` runs a noisy product as the paper's four stages
   (SAMPLE/ENCODE/COMPUTE/DETECT), each in a ``stage.*`` span of the
   ambient tracer; :mod:`repro.core.hotpath` profiles those stages and

@@ -23,7 +23,8 @@ Per-core state is genuinely per-core:
 * each core draws noise from its own RNG stream, spawned from the call's
   generator by core index (``rng.spawn``), so noise statistics stay
   per-core and a fixed seed reproduces the exact same per-core draws
-  regardless of which cores end up with work.
+  regardless of which cores end up with work or, with ``parallel=True``,
+  how the thread scheduler interleaves them.
 
 **Exactness contract.**  On the ideal path the sharded result is
 *bit-identical* to the single-core batched call (and to ``np.matmul``)
@@ -44,20 +45,29 @@ matches the single-core engine distributionally — each core is its own
 physical device with its own stochastic encoding, exactly as in
 hardware.
 
-**Execution order.**  The cores run one after another, in core order,
-on the calling thread.  The hardware's cores work concurrently, and
-:mod:`repro.arch.latency` prices that; in this functional model a core
-is a separate :class:`DPTC` with its own stream, so running them in
-sequence changes no result, and a run's outputs and its trace depend
-only on the seed.
+**Execution order.**  By default the cores run one after another, in
+core order, on the calling thread.  The hardware's cores work
+concurrently, and :mod:`repro.arch.latency` prices that; in this
+functional model a core is a separate :class:`DPTC` with its own
+stream, so running them in sequence changes no result, and a run's
+outputs and its trace depend only on the seed.  ``parallel=True`` runs
+the shards on a host thread pool instead, one worker per core (numpy
+releases the GIL inside the heavy kernels): results are reassembled in
+core order and every core consumes only its own stream, so the output
+is bit-equal to the sequential schedule, but span order in a trace is
+not.  The pool is the engine's one host resource; its owner releases it
+with :meth:`ShardedDPTC.close` (a finalizer covers a dropped engine).
 
 **Tracing.**  :meth:`ShardedDPTC.matmul` opens a ``shard.matmul`` span
-and each core a ``shard.core`` span under it; the core's
-:meth:`DPTC.matmul` then records its four ``stage.*`` spans under
-``shard.core``.
+and each core a ``shard.core`` span under it (re-activated on the pool
+thread when ``parallel=True``); the core's :meth:`DPTC.matmul` then
+records its four ``stage.*`` spans under ``shard.core``.
 """
 
 from __future__ import annotations
+
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -164,6 +174,10 @@ class ShardedDPTC:
         geometry / noise / grid: forwarded to every core.
         core_cls: core implementation, e.g. :class:`CalibratedDPTC`;
             each core gets its own instance (own calibration state).
+        parallel: run the shards on a host thread pool instead of in
+            core order on the caller; the results are bit-identical,
+            the trace's span order is not.  Release the pool with
+            :meth:`close`.
         shard_axis: ``"batch"`` splits the leading batch axis into
             contiguous per-core shards; ``"contraction"`` splits the
             K axis into contiguous per-core slabs whose partial
@@ -177,6 +191,7 @@ class ShardedDPTC:
         noise: NoiseModel | None = None,
         grid: WDMGrid | None = None,
         core_cls: type[DPTC] = DPTC,
+        parallel: bool = False,
         shard_axis: str = "batch",
     ) -> None:
         if num_cores < 1:
@@ -191,6 +206,35 @@ class ShardedDPTC:
         self.geometry = self.cores[0].geometry
         self.noise = self.cores[0].noise
         self.grid = self.cores[0].grid
+        self.parallel = parallel
+        self._pool: ThreadPoolExecutor | None = None
+        self._finalizer: weakref.finalize | None = None
+
+    def close(self) -> None:
+        """Shut down the worker pool (idempotent; it recreates lazily).
+
+        Waits for in-flight core jobs, and detaches the
+        garbage-collection finalizer, so no executor outlives an
+        explicitly closed engine.
+        """
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        if self._finalizer is not None:
+            self._finalizer.detach()
+            self._finalizer = None
+
+    def _workers(self) -> ThreadPoolExecutor:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.num_cores, thread_name_prefix="dptc-core"
+            )
+            # Release the workers when this engine is collected; the
+            # finalizer holds the pool, not self, so no cycle.
+            self._finalizer = weakref.finalize(
+                self, self._pool.shutdown, wait=False
+            )
+        return self._pool
 
     def tile_matmul(
         self,
@@ -221,10 +265,35 @@ class ShardedDPTC:
         a: np.ndarray,
         b: np.ndarray,
         stream: np.random.Generator | None,
+        trace: tuple,
     ) -> np.ndarray:
-        """One core's shard under its ``shard.core`` span."""
-        with current_tracer().span("shard.core", core=index):
+        """One core's shard under its ``shard.core`` span.
+
+        ``trace`` is ``(tracer, parent_span)`` captured on the *caller*
+        thread: this method may run on a pool thread where the ambient
+        contextvars are empty, so the shard span crosses explicitly and
+        is re-activated here for the core's stage spans beneath.
+        """
+        tracer, parent = trace
+        with (
+            tracer.span("shard.core", parent=parent, core=index) as core_span,
+            tracer.activate(core_span),
+        ):
             return self.cores[index].matmul(a, b, rng=stream)
+
+    def _run_jobs(self, jobs: list[tuple], trace: tuple) -> list[np.ndarray]:
+        """Execute ``(core_index, a, b, stream)`` jobs, results in job order."""
+        if not self.parallel:
+            return [
+                self._core_matmul(index, a, b, stream, trace)
+                for index, a, b, stream in jobs
+            ]
+
+        def run(job: tuple) -> np.ndarray:
+            index, a, b, stream = job
+            return self._core_matmul(index, a, b, stream, trace)
+
+        return list(self._workers().map(run, jobs))
 
     def matmul(
         self,
@@ -241,15 +310,17 @@ class ShardedDPTC:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         out_shape = DPTC._broadcast_out_shape(a.shape, b.shape)
-        with current_tracer().span(
+        tracer = current_tracer()
+        with tracer.span(
             "shard.matmul",
             num_cores=self.num_cores,
             shard_axis=self.shard_axis,
             batch=list(out_shape[:-2]),
-        ):
+        ) as span:
+            trace = (tracer, span)
             if self.shard_axis == "contraction":
-                return self._matmul_contraction(a, b, out_shape, rng)
-            return self._matmul_batch(a, b, out_shape, rng)
+                return self._matmul_contraction(a, b, out_shape, rng, trace)
+            return self._matmul_batch(a, b, out_shape, rng, trace)
 
     def _matmul_batch(
         self,
@@ -257,6 +328,7 @@ class ShardedDPTC:
         b: np.ndarray,
         out_shape: tuple[int, ...],
         rng: np.random.Generator | None,
+        trace: tuple,
     ) -> np.ndarray:
         """Leading-batch-axis sharding (concatenate in shard order)."""
         batch = out_shape[:-2]
@@ -264,23 +336,26 @@ class ShardedDPTC:
         # <= 1 covers the zero-size batch axis too: core 0 returns the
         # empty stack exactly like the single-core engine.
         if not batch or batch[0] <= 1 or self.num_cores == 1:
-            return self._core_matmul(0, a, b, streams[0])
+            return self._core_matmul(0, a, b, streams[0], trace)
 
         batch_rank = len(batch)
+        jobs = []  # (core_index, a_shard, b_shard, stream)
+        for index, (start, stop) in enumerate(
+            shard_bounds(batch[0], self.num_cores)
+        ):
+            if start == stop:
+                continue
+            jobs.append(
+                (
+                    index,
+                    slice_batch_operand(a, batch_rank, start, stop),
+                    slice_batch_operand(b, batch_rank, start, stop),
+                    streams[index],
+                )
+            )
         # batch[0] >= 2 and num_cores >= 2 here, so there are always at
         # least two non-empty shards.
-        results = [
-            self._core_matmul(
-                index,
-                slice_batch_operand(a, batch_rank, start, stop),
-                slice_batch_operand(b, batch_rank, start, stop),
-                streams[index],
-            )
-            for index, (start, stop) in enumerate(
-                shard_bounds(batch[0], self.num_cores)
-            )
-            if start < stop
-        ]
+        results = self._run_jobs(jobs, trace)
         out = np.concatenate(results, axis=0)
         assert out.shape == out_shape
         return out
@@ -291,6 +366,7 @@ class ShardedDPTC:
         b: np.ndarray,
         out_shape: tuple[int, ...],
         rng: np.random.Generator | None,
+        trace: tuple,
     ) -> np.ndarray:
         """Contraction-axis sharding with digital partial-sum accumulation.
 
@@ -310,15 +386,16 @@ class ShardedDPTC:
             # Ideal: exact digital accumulation == the exact product.
             # num_cores == 1 (or a single-element contraction): the
             # plain batched engine, one slab on core 0 / stream 0.
-            return self._core_matmul(0, a, b, streams[0])
+            return self._core_matmul(0, a, b, streams[0], trace)
 
         a_slabs = contraction_slabs(a, self.num_cores, axis=-1)
         b_slabs = contraction_slabs(b, self.num_cores, axis=-2)
-        partials = [
-            self._core_matmul(index, a_slab, b_slab, streams[index])
+        jobs = [  # (core_index, a_slab, b_slab, stream)
+            (index, a_slab, b_slab, streams[index])
             for index, (a_slab, b_slab) in enumerate(zip(a_slabs, b_slabs))
             if a_slab.shape[-1] > 0  # num_cores > d: trailing cores idle
         ]
+        partials = self._run_jobs(jobs, trace)
         out = DigitalAccumulator.accumulate(partials)
         assert out.shape == out_shape
         return out

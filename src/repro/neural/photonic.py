@@ -51,6 +51,10 @@ class PhotonicExecutor:
         shard_axis: ``"batch"`` splits the leading batch axis across
             the cores; ``"contraction"`` splits the K axis, with
             digital partial-sum accumulation after photodetection.
+        parallel: run the cores on a host thread pool rather than in
+            core order on the caller (bit-identical results; see
+            :class:`ShardedDPTC`).  Release the pool with :meth:`close`
+            or a ``with`` block.
     """
 
     geometry: DPTCGeometry = field(default_factory=DPTCGeometry)
@@ -59,6 +63,7 @@ class PhotonicExecutor:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
     num_cores: int = 1
     shard_axis: str = "batch"
+    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -79,12 +84,21 @@ class PhotonicExecutor:
                 geometry=self.geometry,
                 noise=self.noise,
                 shard_axis=self.shard_axis,
+                parallel=self.parallel,
             )
         # (id(weight array), bits) -> (weakref to the array, its grid).
         self._weight_memo: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
-    def close(self) -> None:  # still called by perfbench/workloads.py; drop with it
-        """No-op: the executor holds no thread, file or pool to release."""
+    def close(self) -> None:
+        """Release the sharded engine's thread pool (no-op without one)."""
+        if isinstance(self._dptc, ShardedDPTC):
+            self._dptc.close()
+
+    def __enter__(self) -> "PhotonicExecutor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     @classmethod
     def ideal(
@@ -112,17 +126,26 @@ class PhotonicExecutor:
         seed: int | None = None,
         num_cores: int = 1,
         shard_axis: str = "batch",
-        backend: str = "thread",  # still passed by perfbench/workloads.py; drop with it
+        backend: str = "sequential",
     ) -> "PhotonicExecutor":
-        """Quantized execution with the paper's full noise model."""
-        if backend != "thread":
-            raise ValueError(f"backend must be 'thread', got {backend!r}")
+        """Quantized execution with the paper's full noise model.
+
+        ``backend="thread"`` runs the cores on a thread pool
+        (``parallel=True``).  ``perfbench``'s ``train-noisy`` workload
+        asks for thread cores, so the pool stays until that workload is
+        re-baselined (ROADMAP item 1).
+        """
+        if backend not in ("sequential", "thread"):
+            raise ValueError(
+                f"backend must be 'sequential' or 'thread', got {backend!r}"
+            )
         return cls(
             noise=NoiseModel.paper_default(),
             quant=quant or QuantConfig.int4(),
             rng=np.random.default_rng(seed),
             num_cores=num_cores,
             shard_axis=shard_axis,
+            parallel=backend == "thread",
         )
 
     def matmul(self, a: Tensor, b: Tensor, weight_operand: int | None = None) -> Tensor:

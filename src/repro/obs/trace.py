@@ -26,14 +26,15 @@ Design rules that keep the layer big-but-safe:
   records the sharded-core and stage spans beneath it.
 * **Caller-thread id assignment.**  Span ids are allocated sequentially
   under the tracer lock.  Single-threaded regimes (manual-mode engines,
-  sharded or not: the cores run in core order on the caller) therefore
-  produce identical id sequences on every run; the export layer additionally sorts by id, so dumps are stable
-  wherever creation order is.
+  sharded engines in their default core-order schedule) therefore
+  produce identical id sequences on every run; the export layer
+  additionally sorts by id, so dumps are stable wherever creation order
+  is.
 * **Explicit parents cross threads.**  The ambient current span is a
-  ``contextvars`` binding, which does not follow work onto another
-  thread; a span opened elsewhere (the serving engine's
-  ``engine.batch`` under its ``engine.iteration``) passes its parent
-  explicitly (``tracer.span(..., parent=span)`` or
+  ``contextvars`` binding, which does not follow work onto pool
+  threads; instrumentation that fans out (a ``parallel=True`` sharded
+  engine's cores) captures the parent span on the caller thread and
+  passes it explicitly (``tracer.span(..., parent=span)`` or
   :meth:`Tracer.activate`).
 """
 
@@ -152,7 +153,7 @@ class SpanCollector:
     Spans register at *creation* so an un-ended span (crash, abandoned
     handle) is still visible in the dump.  :meth:`spans` returns them
     sorted by span id — creation order under the tracer lock — so the
-    export is stable even when threads finished out of order.
+    export is stable even when pool threads finished out of order.
     """
 
     def __init__(self) -> None:
@@ -296,8 +297,8 @@ class Tracer:
         Instrumented layers that are not constructor-wired (the sharded
         engine, the DPTC stages) discover the tracer through
         :func:`current_tracer`; this is how an engine or a CLI verb
-        turns tracing on for everything beneath it, with ``parent`` as
-        the ambient span when one is given.
+        turns tracing on for everything beneath it — including pool
+        threads, where the caller re-activates with the captured parent.
         """
         tracer_token = _current_tracer.set(self)
         span_token = _current_span.set(parent) if parent is not None else None

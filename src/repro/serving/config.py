@@ -74,18 +74,37 @@ _SCALAR_CHECKS = {
 def check_scalar_types(config: Any) -> None:
     """Every ``int``/``float``/``bool``/``str`` field holds its type.
 
-    Reads each dataclass field's annotation (``"int"``, ``"int | None"``,
-    ...); a mismatch is a ``ValueError`` naming the field, raised before
-    any range check compares the value.
+    Reads each dataclass field's annotation as a string, so the config
+    module must use ``from __future__ import annotations``.  A scalar
+    field is spelled ``"int"`` or ``"int | None"`` (likewise the other
+    three); any other spelling that names a scalar (``"Optional[int]"``,
+    ``"int | float"``) is a ``TypeError``, so no field drops out of the
+    check unnoticed.  A value of the wrong type is a ``ValueError``
+    naming the field, raised before any range check compares the value.
     """
     for f in dataclasses.fields(config):
-        kind, _, rest = f.type.partition(" | ")
+        if not isinstance(f.type, str):
+            raise TypeError(
+                f"{type(config).__name__}.{f.name}: annotation {f.type!r} is not "
+                "a string; declare the config under `from __future__ import annotations`"
+            )
+        members = [member.strip() for member in f.type.split("|")]
+        kind, optional = members[0], members[1:] == ["None"]
+        if kind not in _SCALAR_CHECKS or members[1:] not in ([], ["None"]):
+            if any(m in _SCALAR_CHECKS for m in members) or f.type.startswith(
+                ("Optional[", "Union[")
+            ):
+                raise TypeError(
+                    f"{type(config).__name__}.{f.name}: spell a scalar field "
+                    f"'T' or 'T | None', got {f.type!r}"
+                )
+            continue
         value = getattr(config, f.name)
-        if kind not in _SCALAR_CHECKS or (value is None and rest == "None"):
+        if value is None and optional:
             continue
         wanted, check = _SCALAR_CHECKS[kind]
         if not check(value):
-            if rest == "None":
+            if optional:
                 wanted += " or None"
             raise ValueError(
                 f"{f.name} must be {wanted}, got {type(value).__name__} {value!r}"

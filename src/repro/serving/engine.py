@@ -27,6 +27,8 @@ Two execution regimes share every code path except what drives the loop:
 The engine inherits the photonic execution configuration from whatever
 executor the servable's model was built with — ``num_cores`` and
 ``shard_axis`` apply to the coalesced ``[batch, ...]`` stacks unchanged.
+The engine does not own that executor: one built with a thread pool
+(``parallel=True``) is closed by whoever built it.
 """
 
 from __future__ import annotations

@@ -87,6 +87,13 @@ class TestIdealEquivalence:
             out = contraction_engine(4, noise=noise).matmul(a, b)
             assert out.shape == (0, 3, 2)
 
+    def test_sequential_matches_parallel(self):
+        a, b = operands(2, (6, 4, 25), (6, 25, 4))
+        parallel = contraction_engine(3, parallel=True)
+        sequential = contraction_engine(3, parallel=False)
+        assert np.array_equal(parallel.matmul(a, b), sequential.matmul(a, b))
+        parallel.close()
+
 
 class TestDegenerateModes:
     def test_single_core_is_plain_batched_engine_ideal(self):
@@ -202,6 +209,18 @@ class TestPerCoreState:
         assert all(isinstance(core, CalibratedDPTC) for core in engine.cores)
         exact = np.matmul(a, b)
         assert np.allclose(engine.matmul(a, b), exact, rtol=1e-9, atol=1e-9)
+
+    def test_close_is_idempotent_and_pool_recreated(self):
+        engine = contraction_engine(
+            2, noise=NoiseModel.paper_default(), parallel=True
+        )
+        a, b = operands(12, (4, 3, 12), (4, 12, 3))
+        first = engine.matmul(a, b, rng=np.random.default_rng(1))
+        engine.close()
+        engine.close()
+        again = engine.matmul(a, b, rng=np.random.default_rng(1))
+        assert np.array_equal(first, again)
+        engine.close()
 
     def test_validation(self):
         with pytest.raises(ValueError):

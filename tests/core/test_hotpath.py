@@ -5,7 +5,8 @@
 The load-bearing invariants: the body is bit-identical to composing the
 public stage methods by hand, its spans land under whatever span is
 ambient (``shard.core`` on a sharded engine), and a sharded engine's
-result and trace are each core's own stage body run in core order.
+result and trace are each core's own stage body run in core order (the
+opt-in thread pool gives the same result bits).
 """
 
 import numpy as np
@@ -125,13 +126,35 @@ class TestShardedStageBody:
         a[4] = 0.0
         return a, b
 
-    def engine(self, shard_axis, core_cls=DPTC, num_cores=3):
+    def engine(self, shard_axis, core_cls=DPTC, num_cores=3, **options):
         return ShardedDPTC(
             num_cores=num_cores,
             noise=NoiseModel.paper_default(),
             core_cls=core_cls,
             shard_axis=shard_axis,
+            **options,
         )
+
+    @pytest.mark.parametrize("core_cls", [DPTC, CalibratedDPTC])
+    def test_parallel_matches_sequential(self, stacked, shard_axis, core_cls):
+        """The thread pool's result equals the core-order schedule bit for
+        bit, and its stage spans still land under ``shard.core``."""
+        want = self.engine(shard_axis, core_cls).matmul(
+            *stacked, rng=np.random.default_rng(5)
+        )
+        pooled = self.engine(shard_axis, core_cls, parallel=True)
+        try:
+            got, tracer, _ = traced(
+                lambda: pooled.matmul(*stacked, rng=np.random.default_rng(5))
+            )
+        finally:
+            pooled.close()
+        assert np.array_equal(want, got)
+        spans = tracer.collector.spans()
+        by_id = {span.span_id: span for span in spans}
+        stages = [span for span in spans if span.name.startswith("stage.")]
+        assert len(stages) == 3 * len(STAGE_SPANS)
+        assert all(by_id[span.parent_id].name == "shard.core" for span in stages)
 
     @pytest.mark.parametrize("core_cls", [DPTC, CalibratedDPTC])
     def test_matches_each_core_on_its_spawned_stream(
@@ -182,7 +205,8 @@ class TestShardedStageBody:
 
     def test_trace_is_identical_on_every_run(self, stacked, shard_axis):
         """A traced two-core product on a simulated clock exports the
-        same JSONL bytes on every run: the cores run in core order."""
+        same JSONL bytes on every run: by default the cores run in core
+        order on the caller."""
         exports = set()
         for _ in range(30):
             tracer = Tracer(clock=SimulatedClock())
@@ -192,6 +216,31 @@ class TestShardedStageBody:
                 )
             exports.add(to_jsonl(tracer.collector))
         assert len(exports) == 1
+
+
+class TestShardedChunkedExecution:
+    """Each core runs its chunk of the product through the one stage body:
+    the thread backend equals the core-order schedule for any seed."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        return operands(8, (9, 5, 24), (9, 24, 5))
+
+    @pytest.mark.parametrize("shard_axis", ["batch", "contraction"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_thread_backend_matches_sequential(self, stacked, shard_axis, seed):
+        a, b = stacked
+        sequential = ShardedDPTC(
+            num_cores=3, noise=NoiseModel.paper_default(), shard_axis=shard_axis
+        )
+        want = sequential.matmul(a, b, rng=np.random.default_rng(seed))
+        engine = ShardedDPTC(
+            num_cores=3, noise=NoiseModel.paper_default(),
+            shard_axis=shard_axis, parallel=True,
+        )
+        got = engine.matmul(a, b, rng=np.random.default_rng(seed))
+        engine.close()
+        assert np.array_equal(want, got)
 
 
 class TestProfileStages:

@@ -6,6 +6,8 @@ under a fixed seed, and exact ideal-path equivalence with the
 single-core batched engine.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,13 @@ class TestIdealEquivalence:
         assert np.array_equal(
             ShardedDPTC(num_cores=4).matmul(a, b), np.matmul(a, b)
         )
+
+    def test_sequential_matches_parallel(self):
+        a, b = operands(2, (6, 4, 12), (6, 12, 4))
+        parallel = ShardedDPTC(num_cores=3, parallel=True)
+        sequential = ShardedDPTC(num_cores=3, parallel=False)
+        assert np.array_equal(parallel.matmul(a, b), sequential.matmul(a, b))
+        parallel.close()
 
 
 class TestNoisySharding:
@@ -208,6 +217,15 @@ class TestPerCoreState:
         b = np.ones((geometry.n_lambda, geometry.n_v))
         assert np.array_equal(engine.tile_matmul(a, b), a @ b)
 
+    def test_close_is_idempotent(self):
+        engine = ShardedDPTC(num_cores=2, parallel=True)
+        a, b = operands(10, (4, 3, 12), (4, 12, 3))
+        engine.matmul(a, b)
+        engine.close()
+        engine.close()
+        # Pool is recreated lazily after close.
+        assert np.array_equal(engine.matmul(a, b), np.matmul(a, b))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardedDPTC(num_cores=0)
@@ -217,3 +235,36 @@ class TestPerCoreState:
             ShardedDPTC(num_cores=2).matmul(
                 np.ones((2, 4, 6)), np.ones((3, 6, 5))
             )
+
+
+class TestPoolLifecycle:
+    def test_close_releases_pool_and_finalizer(self):
+        engine = ShardedDPTC(
+            num_cores=2, noise=NoiseModel.paper_default(), parallel=True
+        )
+        a, b = operands(4, (4, 3, 12), (4, 12, 3))
+        engine.matmul(a, b, rng=np.random.default_rng(0))
+        assert engine._pool is not None
+        assert engine._finalizer is not None and engine._finalizer.alive
+        finalizer = engine._finalizer
+        engine.close()
+        assert engine._pool is None
+        assert engine._finalizer is None
+        assert not finalizer.alive  # detached: nothing left to leak
+        engine.close()  # idempotent
+
+    def test_finalizer_shuts_down_dropped_engine(self):
+        """An engine dropped without close() releases its pool via the
+        weakref finalizer (no leaked executors)."""
+        engine = ShardedDPTC(
+            num_cores=2, noise=NoiseModel.paper_default(), parallel=True
+        )
+        a, b = operands(5, (4, 3, 12), (4, 12, 3))
+        engine.matmul(a, b, rng=np.random.default_rng(0))
+        pool = engine._pool
+        finalizer = engine._finalizer
+        assert finalizer.alive
+        del engine
+        gc.collect()
+        assert not finalizer.alive  # finalizer ran at collection
+        assert pool._shutdown

@@ -147,6 +147,24 @@ class TestContractionAndBackendKnobs:
     def test_close_is_safe_on_single_core(self):
         PhotonicExecutor.ideal().close()
 
+    def test_close_releases_sharded_pool(self, rng):
+        executor = PhotonicExecutor.paper_default(
+            seed=0, num_cores=2, backend="thread"
+        )
+        a = Tensor(rng.normal(size=(4, 3, 12)))
+        b = Tensor(rng.normal(size=(4, 12, 3)))
+        executor.matmul(a, b)
+        assert executor._dptc._pool is not None
+        executor.close()
+        assert executor._dptc._pool is None
+
+    def test_default_backend_runs_cores_on_the_caller(self, rng):
+        executor = PhotonicExecutor.paper_default(seed=0, num_cores=2)
+        a = Tensor(rng.normal(size=(4, 3, 12)))
+        b = Tensor(rng.normal(size=(4, 12, 3)))
+        executor.matmul(a, b)
+        assert executor._dptc._pool is None
+
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             PhotonicExecutor(shard_axis="tile")
@@ -232,6 +250,29 @@ class TestStraightThroughGradients:
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         executor.matmul(a, b).sum().backward()
         assert a.grad is not None and b.grad is not None
+
+
+class TestContextManager:
+    def test_with_block_returns_the_executor(self):
+        with PhotonicExecutor.ideal() as executor:
+            a = Tensor(np.ones((2, 3)))
+            b = Tensor(np.ones((3, 2)))
+            assert np.array_equal(executor.matmul(a, b).data, np.full((2, 2), 3.0))
+
+    def test_exit_closes_the_sharded_pool(self):
+        pooled = PhotonicExecutor(quant=None, num_cores=2, parallel=True)
+        with pooled as executor:
+            a = Tensor(np.ones((4, 2, 3)))
+            b = Tensor(np.ones((4, 3, 2)))
+            executor.matmul(a, b)
+            assert executor._dptc._pool is not None
+        assert executor._dptc._pool is None
+        executor.close()  # already closed by __exit__; stays a no-op
+
+    def test_exit_propagates_exceptions(self):
+        with pytest.raises(RuntimeError):
+            with PhotonicExecutor(num_cores=2, parallel=True):
+                raise RuntimeError("boom")
 
 
 def frozen(array: np.ndarray) -> np.ndarray:

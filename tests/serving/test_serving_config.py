@@ -2,6 +2,7 @@
 validation and JSON round-trips, config-object construction of engines,
 clusters and servables, and config-only construction."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.serving import (
     ServingEngine,
     SimulatedClock,
 )
+from repro.serving.config import check_scalar_types
 from repro.workloads.llm import DecoderConfig, decode_servable
 from repro.workloads.transformer import TransformerConfig, servable_model
 
@@ -74,6 +76,16 @@ class TestEngineConfigValidation:
     def test_rejects_wrong_scalar_types(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "annotation", [int, "Optional[int]", "int | float", "None | int"]
+    )
+    def test_unreadable_scalar_annotation_is_refused(self, annotation):
+        """A scalar field the check cannot read raises instead of going
+        unchecked."""
+        config = dataclasses.make_dataclass("Knobs", [("size", annotation)])(1)
+        with pytest.raises(TypeError, match="Knobs.size"):
+            check_scalar_types(config)
 
     def test_accepts_numpy_scalars_and_ints_for_reals(self):
         config = EngineConfig(
