@@ -41,14 +41,11 @@ class OutputStationarySchedule:
     """
 
     def __init__(self, config: AcceleratorConfig, m: int, d: int, n: int) -> None:
-        if min(m, d, n) < 1:
-            raise ValueError(f"GEMM dims must be >= 1, got {(m, d, n)}")
+        self.row_tiles, self.inner_tiles, self.col_tiles = (
+            config.geometry.tile_counts(m, d, n)
+        )
         self.config = config
         self.m, self.d, self.n = m, d, n
-        geometry = config.geometry
-        self.row_tiles = math.ceil(m / geometry.n_h)
-        self.inner_tiles = math.ceil(d / geometry.n_lambda)
-        self.col_tiles = math.ceil(n / geometry.n_v)
 
     @property
     def total_tiles(self) -> int:

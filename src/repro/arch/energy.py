@@ -221,7 +221,7 @@ class LTEnergyModel:
             memory.operand_feed_energy_per_byte
         )
         # Outputs: digital partial-sum accumulation and final store.
-        tiles_d = math.ceil(op.k / config.geometry.n_lambda)
+        _, tiles_d, _ = config.geometry.tile_counts(op.m, op.k, op.n)
         digital_accums = math.ceil(
             tiles_d / config.optimizations.effective_accumulation_depth
         )

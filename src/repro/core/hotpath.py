@@ -8,9 +8,9 @@ its own ``stage.*`` span.  This module measures that body:
 
 * :func:`profile_stages` times the four stages separately through the
   public stage methods, plus the end-to-end call, for the
-  ``BENCH_hotpath.json`` breakdown and the ``repro hotpath-bench`` verb;
+  ``repro hotpath-bench`` verb and the nightly throughput floor;
 * :func:`best_of` is the one best-of-N wall-clock timer shared by the
-  benchmark scripts and the CLI.
+  CLI and the wall-clock floors of ``tests_nightly/``.
 """
 
 from __future__ import annotations

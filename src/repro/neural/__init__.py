@@ -52,7 +52,6 @@ from repro.neural.train import (
     TrainingResult,
     evaluate,
     train_classifier,
-    train_classifier_reference,
 )
 from repro.neural.vision import TinyViT
 
@@ -100,5 +99,4 @@ __all__ = [
     "striped_image_dataset",
     "token_order_dataset",
     "train_classifier",
-    "train_classifier_reference",
 ]

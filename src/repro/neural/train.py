@@ -90,10 +90,11 @@ def train_classifier(
     end-to-end), so every matrix product of the step is a single
     whole-batch — and, with ``num_cores > 1`` executors, multi-core
     sharded — photonic call.  The mean cross-entropy over the batch
-    makes the accumulated gradients identical to the per-sample loop
-    preserved as :func:`train_classifier_reference` (which summed
-    per-sample gradients and divided by the batch length), so on a
-    deterministic executor both loops follow the exact same trajectory.
+    makes the accumulated gradients identical to the seed's per-sample
+    loop, kept as the test oracle ``tests/neural/reference_train.py``
+    (which sums per-sample gradients and divides by the batch length),
+    so on a deterministic executor both loops follow the exact same
+    trajectory.
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
@@ -112,54 +113,6 @@ def train_classifier(
             loss.backward()
             optimizer.step()
             epoch_loss += loss.item() * len(batch)
-        losses.append(epoch_loss / len(dataset))
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: loss {losses[-1]:.4f}")
-    return TrainingResult(losses=losses, train_accuracy=evaluate(model, dataset))
-
-
-def train_classifier_reference(
-    model: Module,
-    dataset: Dataset,
-    epochs: int = 10,
-    lr: float = 1e-2,
-    batch_size: int = 16,
-    seed: int = 0,
-    verbose: bool = False,
-) -> TrainingResult:
-    """The seed per-sample training loop, preserved verbatim.
-
-    Every sample of a minibatch runs its own forward/backward; the
-    accumulated gradients are averaged before the Adam step.  Kept as
-    ground truth for :func:`train_classifier` — on a deterministic
-    executor the batched loop reproduces these losses exactly — and as
-    the baseline the sharded-execution benchmark measures its training
-    speedup against.
-    """
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
-    optimizer = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    model.train()
-    losses = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        epoch_loss = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            optimizer.zero_grad()
-            batch_loss = 0.0
-            for index in batch:
-                logits = model(dataset.inputs[index]).reshape(1, -1)
-                loss = cross_entropy(logits, dataset.labels[index : index + 1])
-                loss.backward()
-                batch_loss += loss.item()
-            # Average the accumulated gradients over the minibatch.
-            for param in optimizer.parameters:
-                if param.grad is not None:
-                    param.grad = param.grad / len(batch)
-            optimizer.step()
-            epoch_loss += batch_loss
         losses.append(epoch_loss / len(dataset))
         if verbose:
             print(f"epoch {epoch + 1}/{epochs}: loss {losses[-1]:.4f}")

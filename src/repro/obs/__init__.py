@@ -28,8 +28,8 @@ The observability subsystem of the serving stack:
   one-shot Prometheus HTTP exposition behind ``repro metrics``
   (``http.server`` loads when the first exposition is built).
 * :mod:`repro.obs.demo` — the small noisy traced workload behind
-  ``repro trace`` and ``benchmarks/bench_obs.py`` (imported lazily to
-  keep this package import-light).
+  ``repro trace`` and the obs tests (imported lazily to keep this
+  package import-light).
 """
 
 from repro.obs.export import (

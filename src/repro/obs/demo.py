@@ -1,4 +1,4 @@
-"""The canonical traced workload behind ``repro trace`` and bench_obs.
+"""The canonical traced workload behind ``repro trace`` and the obs tests.
 
 A deliberately small — but *fully layered* — serving run: a noisy
 :class:`~repro.core.sharding.ShardedDPTC` under a
@@ -14,8 +14,8 @@ Everything is seeded and single-threaded (manual stepping, one core
 running on the caller thread), so the resulting span tree — ids, parents,
 virtual timestamps, event order — is a pure function of
 ``(seed, requests)`` and the JSONL dump is byte-identical across
-reruns: the determinism gate of ``benchmarks/bench_obs.py`` and the
-contract of ``repro trace --seed S``.
+reruns: the contract of ``repro trace --seed S``, pinned by
+``tests/obs/test_export.py``.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def run_workload(
     """Run the demo workload; returns (collector, results, snapshot).
 
     ``traced=False`` runs the identical workload under the default
-    no-op tracer — the disabled baseline ``bench_obs.py`` compares the
-    traced run against bit for bit.  The collector is ``None`` in that
-    mode.  ``sink`` replaces the tracer's collector (implies tracing):
+    no-op tracer — the disabled baseline that
+    ``tests/obs/test_traced_equality.py`` compares the traced run
+    against bit for bit.  The collector is ``None`` in that mode.  ``sink`` replaces the tracer's collector (implies tracing):
     this is how ``repro trace --stream`` hangs a
     :class:`~repro.obs.stream.StreamingSpanWriter` under the identical
     workload — spans are *emitted* instead of accumulated, so the
@@ -148,10 +148,9 @@ def run_trace_workload(
 ) -> SpanCollector:
     """Run the traced demo workload; returns its span collector.
 
-    Shared by the ``repro trace`` CLI verb, ``bench_obs.py``'s
-    span-tree and determinism gates, and the obs test suite — one code
-    path, so the CLI's byte-determinism promise is exactly what the
-    bench gates.
+    Shared by the ``repro trace`` CLI verb and the obs tests' span-tree
+    and determinism checks — one code path, so the CLI's
+    byte-determinism promise is exactly what the tests pin.
     """
     collector, _, _ = run_workload(
         traced=True, seed=seed, requests=requests, max_batch_size=max_batch_size

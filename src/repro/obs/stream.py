@@ -20,7 +20,7 @@ without ever losing the spans a postmortem needs.
 Because sampling only filters the emitted lines — span ids, times, and
 contents are produced by the tracer exactly as in an unsampled run —
 a sampled dump is a strict, deterministic subset of the unsampled dump
-of the same seed (``benchmarks/bench_obs_stream.py`` gates this).
+of the same seed (``tests/obs/test_stream.py`` pins this).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class StreamingSpanWriter:
 
     Stats: ``spans_seen`` / ``spans_written`` / ``spans_dropped`` count
     lifetime spans, ``open_spans`` / ``peak_open`` expose the residency
-    bound ``benchmarks/bench_obs_stream.py`` gates.
+    bound ``tests/obs/test_stream.py`` pins.
     """
 
     def __init__(
@@ -151,8 +151,8 @@ class StreamingSpanWriter:
             self.spans_seen += 1
             # Per-trace bookkeeping only pays off when a sampler needs
             # the root decision; the everything-kept path skips it so
-            # streaming costs barely more than collecting (the overhead
-            # ceiling bench_obs_stream.py gates).
+            # streaming costs barely more than collecting (the 1.10x
+            # ceiling of tests_nightly/test_wallclock_floors.py).
             if self.sampler is not None:
                 root = span.span_id
                 if span.parent_id is not None:

@@ -21,8 +21,8 @@ Alerting uses the SRE multi-window rule: a (long, short) window pair
 fires only when *both* burn rates exceed the threshold — the long
 window proves the budget spend is real, the short window proves it is
 still happening (fast reset).  Transitions land in a deterministic
-alert ledger (``benchmarks/bench_obs_stream.py`` gates its exact
-reproducibility), and :meth:`SLOMonitor.firing` feeds the
+alert ledger (``tests/obs/test_timeseries.py`` pins its exact
+reproducibility on an overloaded fleet), and :meth:`SLOMonitor.firing` feeds the
 :class:`~repro.cluster.autoscaler.Autoscaler`'s optional SLO input.
 """
 

@@ -16,8 +16,8 @@ its runtime collaborators (clock, caches, tracer, recorder) and nothing
 else.
 
 Configs round-trip through JSON (:meth:`EngineConfig.to_dict` /
-:meth:`EngineConfig.from_dict`) so the CLI's ``--config`` flag and the
-benchmark scripts share one serialized form.
+:meth:`EngineConfig.from_dict`) so the CLI's ``--config`` flag and Python
+callers share one serialized form.
 """
 
 from __future__ import annotations

@@ -98,10 +98,10 @@ def multi_tenant_arrivals(
     rate until ``horizon_s``, tagging every arrival with a request kind
     (weighted draw) and, for session-shaped tenants, a session id.  The
     merged schedule is sorted by time (ties broken by tenant order) and
-    is a pure function of the specs and the generator state — both
-    ``benchmarks/bench_serving.py`` and the fleet affinity gate
+    is a pure function of the specs and the generator state — the
+    fleet affinity gate
     (``tests/cluster/test_cluster.py::TestBitExactRouting::
-    test_affinity_beats_round_robin_on_hit_rate``) replay identical
+    test_affinity_beats_round_robin_on_hit_rate``) replays identical
     mixes from equal seeds.
     """
     if horizon_s <= 0:

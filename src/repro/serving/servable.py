@@ -12,7 +12,9 @@ batch composition**: quantization scales are per-matrix (PR 2), padding
 targets are fixed by the model rather than the batch, and decode
 attention is per-session.  On a deterministic executor this makes a
 dynamically coalesced batch bit-identical to sequential single-request
-execution — the invariant ``benchmarks/bench_serving.py`` gates.
+execution — the invariant
+``tests/cluster/test_cluster.py::TestBitExactRouting`` pins on every
+servable.
 """
 
 from __future__ import annotations

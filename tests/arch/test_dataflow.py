@@ -22,6 +22,15 @@ class TestSchedule:
             4,
         )
         assert schedule.total_tiles == 24
+        # Non-divisible shapes round up, through the geometry's one count.
+        for (m, d, n), expected in [
+            ((13, 25, 1), (2, 3, 1)),
+            ((1, 1, 1), (1, 1, 1)),
+            ((25, 13, 30), (3, 2, 3)),
+        ]:
+            schedule = OutputStationarySchedule(cfg, m, d, n)
+            grid = (schedule.row_tiles, schedule.inner_tiles, schedule.col_tiles)
+            assert grid == cfg.geometry.tile_counts(m, d, n) == expected
 
     def test_cycles_round_up_over_cores(self, cfg):
         schedule = OutputStationarySchedule(cfg, 24, 36, 48)

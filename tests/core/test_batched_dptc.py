@@ -2,7 +2,7 @@
 
 The vectorised whole-batch engine (:meth:`DPTC.matmul`) is validated
 against the preserved per-matrix reference loop
-(:meth:`DPTC.matmul_reference`) three ways:
+(``tests/core/reference_dptc.py``) three ways:
 
 * the ideal batched path is bit-exact with :func:`np.matmul`;
 * the noisy batched path matches the reference loop *exactly* under a
@@ -15,11 +15,14 @@ Mixed-rank broadcasting (2-D weight against stacked activations) must
 follow numpy semantics throughout.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import DPTC, DPTCGeometry, NoiseModel
 from repro.core.noise import EncodingNoise, SystematicNoise
+from tests.core.reference_dptc import matmul_reference
 
 
 @pytest.fixture
@@ -44,6 +47,7 @@ BATCH_SHAPE_CASES = [
     ((2, 8, 5, 6), (2, 8, 6, 5)),  # [batch, heads, m, d] attention stack
     ((1, 4, 6), (5, 6, 3)),  # size-1 batch broadcast
     ((2, 1, 4, 6), (3, 6, 3)),  # nested broadcast
+    ((8, 8, 16, 16), (8, 8, 16, 16)),  # 8 heads x 8 sequences, 64 matrices
 ]
 
 
@@ -58,7 +62,7 @@ class TestIdealBatched:
     @pytest.mark.parametrize("a_shape,b_shape", BATCH_SHAPE_CASES)
     def test_reference_loop_matches_numpy(self, ideal, a_shape, b_shape):
         a, b = random_operands(np.random.default_rng(1), a_shape, b_shape)
-        assert np.allclose(ideal.matmul_reference(a, b), np.matmul(a, b))
+        assert np.allclose(matmul_reference(ideal, a, b), np.matmul(a, b))
 
 
 class TestNoisyBatchedExactEquivalence:
@@ -70,7 +74,7 @@ class TestNoisyBatchedExactEquivalence:
         a, b = random_operands(rng, a_shape, b_shape)
         draw = noisy.sample_noise(a.shape, b.shape, np.random.default_rng(3))
         fast = noisy.matmul(a, b, draw=draw)
-        loop = noisy.matmul_reference(a, b, draw=draw)
+        loop = matmul_reference(noisy, a, b, draw=draw)
         assert fast.shape == loop.shape
         assert np.allclose(fast, loop, rtol=1e-12, atol=1e-12)
 
@@ -79,8 +83,8 @@ class TestNoisyBatchedExactEquivalence:
         rng = np.random.default_rng(4)
         a, b = random_operands(rng, (6, 5, 12), (6, 12, 4))
         fast = noisy.matmul(a, b, rng=np.random.default_rng(7))
-        loop = noisy.matmul_reference(
-            a, b, draw=noisy.sample_noise(a.shape, b.shape, np.random.default_rng(7))
+        loop = matmul_reference(
+            noisy, a, b, draw=noisy.sample_noise(a.shape, b.shape, np.random.default_rng(7))
         )
         assert np.allclose(fast, loop, rtol=1e-12, atol=1e-12)
 
@@ -90,7 +94,7 @@ class TestNoisyBatchedExactEquivalence:
         rng = np.random.default_rng(5)
         a, b = random_operands(rng, (8, 24), (24, 6))
         fast = noisy.matmul(a, b, rng=np.random.default_rng(11))
-        loop = noisy.matmul_reference(a, b, rng=np.random.default_rng(11))
+        loop = matmul_reference(noisy, a, b, rng=np.random.default_rng(11))
         assert np.allclose(fast, loop, rtol=1e-12, atol=1e-12)
 
 
@@ -111,7 +115,7 @@ class TestNoisyBatchedDistributionalEquivalence:
             return np.asarray(out)
 
         fast = errors(noisy.matmul)
-        loop = errors(noisy.matmul_reference)
+        loop = errors(partial(matmul_reference, noisy))
         assert fast.mean() == pytest.approx(loop.mean(), rel=0.25)
         assert fast.std() == pytest.approx(loop.std(), abs=0.5 * loop.std() + 1e-4)
 
@@ -201,13 +205,13 @@ class TestZeroSliceMasking:
             noisy.matmul(np.zeros((4, 12)), b, rng=rng_fast), np.zeros((4, 4))
         )
         assert np.array_equal(
-            noisy.matmul_reference(np.zeros((4, 12)), b, rng=rng_loop),
+            matmul_reference(noisy, np.zeros((4, 12)), b, rng=rng_loop),
             np.zeros((4, 4)),
         )
         a2 = np.random.default_rng(22).normal(size=(4, 12))
         assert np.allclose(
             noisy.matmul(a2, b, rng=rng_fast),
-            noisy.matmul_reference(a2, b, rng=rng_loop),
+            matmul_reference(noisy, a2, b, rng=rng_loop),
             rtol=1e-12,
             atol=1e-12,
         )
@@ -220,7 +224,7 @@ class TestZeroSliceMasking:
         draw = noisy.sample_noise(a.shape, b.shape, np.random.default_rng(1))
         assert np.allclose(
             noisy.matmul(a, b, draw=draw),
-            noisy.matmul_reference(a, b, draw=draw),
+            matmul_reference(noisy, a, b, draw=draw),
             rtol=1e-12,
             atol=1e-12,
         )
@@ -242,7 +246,7 @@ class TestGeometryIndependence:
         # Deterministic model: no RNG consumed, exact agreement expected.
         assert np.allclose(
             dptc.matmul(a, b),
-            dptc.matmul_reference(a, b),
+            matmul_reference(dptc, a, b),
             rtol=1e-12,
             atol=1e-12,
         )

@@ -198,17 +198,19 @@ class TestPerCoreState:
     def test_calibrated_cores(self):
         """Per-core calibration survives the K split: on the
         deterministic dispersion-only path the calibrated sharded
-        engine recovers the exact product slab by slab."""
+        engine recovers the exact product slab by slab, on an even
+        split and on the uneven d=25 / 4-core one."""
         noise = NoiseModel(
             encoding=EncodingNoise(0.0, 0.0),
             systematic=SystematicNoise(0.0),
             include_dispersion=True,
         )
-        a, b = operands(11, (6, 5, 24), (6, 24, 5))
-        engine = contraction_engine(3, noise=noise, core_cls=CalibratedDPTC)
-        assert all(isinstance(core, CalibratedDPTC) for core in engine.cores)
-        exact = np.matmul(a, b)
-        assert np.allclose(engine.matmul(a, b), exact, rtol=1e-9, atol=1e-9)
+        for seed, num_cores, d in [(11, 3, 24), (0, 4, 25)]:
+            a, b = operands(seed, (6, 5, d), (6, d, 5))
+            engine = contraction_engine(num_cores, noise=noise, core_cls=CalibratedDPTC)
+            assert all(isinstance(core, CalibratedDPTC) for core in engine.cores)
+            exact = np.matmul(a, b)
+            assert np.allclose(engine.matmul(a, b), exact, rtol=1e-9, atol=1e-9)
 
     def test_close_is_idempotent_and_pool_recreated(self):
         engine = contraction_engine(

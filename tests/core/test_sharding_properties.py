@@ -17,7 +17,13 @@ layers of evidence:
 import numpy as np
 import pytest
 
-from repro.core import NoiseModel, ShardedDPTC, contraction_slabs, shard_bounds
+from repro.core import (
+    DigitalAccumulator,
+    NoiseModel,
+    ShardedDPTC,
+    contraction_slabs,
+    shard_bounds,
+)
 
 try:
     from hypothesis import given, settings
@@ -138,12 +144,12 @@ class TestSeededSweeps:
             b_slabs = contraction_slabs(b, shards, axis=-2)
             assert np.array_equal(np.concatenate(a_slabs, axis=-1), a)
             assert np.array_equal(np.concatenate(b_slabs, axis=-2), b)
-            # Paired slabs stay aligned: summed slab products == product.
-            acc = np.zeros((4, 3))
-            for sa, sb in zip(a_slabs, b_slabs):
-                if sa.shape[-1]:
-                    acc += sa @ sb
-            assert np.allclose(acc, a @ b)
+            # Paired slabs stay aligned: the digitally accumulated slab
+            # products equal the full product to reassociation precision.
+            acc = DigitalAccumulator.accumulate(
+                [sa @ sb for sa, sb in zip(a_slabs, b_slabs) if sa.shape[-1]]
+            )
+            assert np.allclose(acc, a @ b, rtol=1e-12, atol=1e-12)
 
     def test_slabs_are_views(self):
         x = np.arange(12, dtype=float).reshape(3, 4)

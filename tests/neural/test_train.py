@@ -14,8 +14,8 @@ from repro.neural import (
     striped_image_dataset,
     token_order_dataset,
     train_classifier,
-    train_classifier_reference,
 )
+from tests.neural.reference_train import train_classifier_reference
 
 
 class TestAdam:

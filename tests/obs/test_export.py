@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.hotpath import STAGES
 from repro.obs import (
     Tracer,
     to_chrome_trace,
@@ -138,6 +139,7 @@ class TestDemoWorkload:
         first = to_jsonl(run_trace_workload(seed=3, requests=8))
         second = to_jsonl(run_trace_workload(seed=3, requests=8))
         assert first == second
+        assert first != to_jsonl(run_trace_workload(seed=3, requests=9))
 
     def test_span_chain_reaches_the_stages(self):
         collector = run_trace_workload(seed=0, requests=8)
@@ -157,6 +159,16 @@ class TestDemoWorkload:
         assert chain == [
             "shard.core", "shard.matmul", "engine.batch", "engine.iteration",
         ]
+        # Every span of each kind, not just the first, has its parent.
+        parents = {
+            "engine.batch": "engine.iteration",
+            "shard.matmul": "engine.batch",
+            "shard.core": "shard.matmul",
+            **{f"stage.{name}": "shard.core" for name in STAGES},
+        }
+        for name, parent in parents.items():
+            spans = collector.find(name)
+            assert {by_id[span.parent_id].name for span in spans} == {parent}
 
     def test_request_spans_carry_lifecycle_events(self):
         collector = run_trace_workload(seed=0, requests=8)
@@ -166,6 +178,7 @@ class TestDemoWorkload:
             assert span.parent_id is None
             events = [event.name for event in span.events]
             assert events[0] == "submit"
+            assert "dispatch" in events
             assert "complete" in events
 
     def test_untraced_workload_collects_nothing(self):

@@ -80,12 +80,22 @@ class TestStreamingSpanWriter:
         )
 
     def test_residency_is_open_spans_not_total(self):
-        sink = io.StringIO()
-        writer = StreamingSpanWriter(sink)
-        run_workload(seed=0, requests=12, sink=writer)
-        assert writer.open_spans == 0  # workload ended every span
-        assert 0 < writer.peak_open < writer.spans_seen
-        writer.close()
+        """A writer that retained every span would hold the open
+        fraction flat at 1; a bounded one lets it fall with length."""
+
+        def stream(requests):
+            writer = StreamingSpanWriter(io.StringIO())
+            run_workload(seed=0, requests=requests, sink=writer)
+            assert writer.open_spans == 0  # workload ended every span
+            writer.close()
+            return writer
+
+        single, double = stream(24), stream(48)
+        assert 0 < 4 * single.peak_open < single.spans_seen < double.spans_seen
+        assert (
+            double.peak_open * single.spans_seen
+            < single.peak_open * double.spans_seen
+        )
 
     def test_output_is_end_order(self):
         sink = io.StringIO()

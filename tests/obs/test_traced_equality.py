@@ -26,6 +26,7 @@ from repro.obs import (
     StreamingSpanWriter,
     Tracer,
 )
+from repro.obs.demo import run_workload
 from repro.obs.trace import current_span, current_tracer
 from repro.serving import (
     EngineConfig,
@@ -55,7 +56,7 @@ def single_core(core_cls):
         core = core_cls(noise=NoiseModel.paper_default())
         with tracer.activate():
             out = core.matmul(*operands(), rng=np.random.default_rng(1))
-        return [out], None, tracer
+        return [out], None, tracer.collector
 
     return run
 
@@ -70,7 +71,7 @@ def sharded(shard_axis):
         )
         with tracer.activate():
             out = engine.matmul(*operands(), rng=np.random.default_rng(7))
-        return [out], None, tracer
+        return [out], None, tracer.collector
 
     return run
 
@@ -89,7 +90,7 @@ def continuous_preempting(traced):
     )
     assert engine._scheduler.preemptions > 0, "tight pool must preempt"
     outputs = [out for spec in specs for out in result["outputs"][spec.session_id]]
-    return outputs, engine.metrics.snapshot(), engine.tracer
+    return outputs, engine.metrics.snapshot(), engine.tracer.collector
 
 
 def cluster_failover(traced):
@@ -103,7 +104,13 @@ def cluster_failover(traced):
         assert cluster.fail_replica(cluster.router.directory["s1"]) == 3
         cluster.run_until_idle()
         outputs = [handle.result(timeout=0) for handle in handles]
-    return outputs, cluster.snapshot(), tracer
+    return outputs, cluster.snapshot(), tracer.collector
+
+
+def demo_workload(traced):
+    """The ``repro trace`` workload: sharded noisy matmuls under an engine."""
+    collector, results, snapshot = run_workload(traced=traced, seed=0, requests=12)
+    return results, snapshot, collector
 
 
 CASES = {
@@ -113,19 +120,20 @@ CASES = {
     "sharded-contraction-thread": sharded("contraction"),
     "engine-continuous-preempting": continuous_preempting,
     "cluster-fail-replica": cluster_failover,
+    "demo-workload": demo_workload,
 }
 
 
 @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
 def test_traced_equals_untraced(case):
     plain, plain_snapshot, _ = CASES[case](traced=False)
-    traced, traced_snapshot, tracer = CASES[case](traced=True)
+    traced, traced_snapshot, collector = CASES[case](traced=True)
     assert len(plain) == len(traced)
     for x, y in zip(plain, traced):
         np.testing.assert_array_equal(x, y)
     assert plain_snapshot == traced_snapshot
-    assert len(tracer.collector) > 0, "the traced run must record spans"
-    assert all(span.end is not None for span in tracer.collector.spans())
+    assert len(collector) > 0, "the traced run must record spans"
+    assert all(span.end is not None for span in collector.spans())
 
 
 class TestNullTracer:

@@ -106,6 +106,28 @@ class TestSubmitAndStep:
         assert handle.latency == pytest.approx(4e-3)
         assert handle.queue_wait == pytest.approx(4e-3)
 
+    def test_snapshot_is_exact_under_the_simulated_clock(self):
+        """A full batch leaves at once; a partial one leaves when its
+        2 ms wait budget expires, so its requests age exactly 2.5 ms."""
+        clock = SimulatedClock()
+        engine = manual_engine(
+            VisionServable(tiny_vit()), max_batch_size=4, max_wait_us=2_000.0, clock=clock
+        )
+        rng = np.random.default_rng(4)
+        with engine:
+            for _ in range(4):
+                engine.submit(rng.normal(size=(16, 16)))
+            assert engine.step(force=False) == 4
+            for _ in range(2):
+                engine.submit(rng.normal(size=(16, 16)))
+            assert engine.step(force=False) == 0
+            clock.advance(2.5e-3)
+            assert engine.step(force=False) == 2
+            snapshot = engine.metrics.snapshot()
+        assert snapshot["batch_occupancy"] == {"4": 1, "2": 1}
+        assert snapshot["completed"] == 6
+        assert snapshot["latency_s"]["p99"] == pytest.approx(2.5e-3, abs=1e-12)
+
 
 class TestFailurePaths:
     def test_execution_errors_propagate_to_every_handle(self):
