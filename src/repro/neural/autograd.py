@@ -13,11 +13,14 @@ Design notes:
   fake quantization, embedding gather) build directly on
   :meth:`Tensor.make` rather than subclassing;
 * there is no grad-accumulation tape reuse — each forward builds a
-  fresh graph, which is plenty for the model sizes used here.
+  fresh graph, and :meth:`Tensor.backward` releases it as it goes;
+* ``erf`` is a numpy port of Cephes, bit-identical to SciPy's erf, so
+  the package needs no SciPy.
 """
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from typing import Callable, Iterable
 
@@ -62,6 +65,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _released(grad: np.ndarray) -> None:
+    """The backward of a node whose graph :meth:`Tensor.backward` freed."""
+    raise RuntimeError(
+        "graph already released by backward(); run the forward again to "
+        "backpropagate a second time"
+    )
 
 
 class Tensor:
@@ -130,7 +141,16 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this node (defaults to d(self)/d(self)=1)."""
+        """Backpropagate from this node (defaults to d(self)/d(self)=1).
+
+        The graph is released as it is consumed, as PyTorch does without
+        ``retain_graph``: once an interior node has passed its gradient
+        to its parents it drops its ``.grad``, its backward closure and
+        its parents, so intermediate activations are freed during the
+        pass rather than when the next forward replaces the graph.  Leaf
+        tensors keep their accumulated ``.grad``.  A second backward
+        through a released graph raises :class:`RuntimeError`.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a non-differentiable tensor")
         if grad is None:
@@ -162,9 +182,18 @@ class Tensor:
 
         visit(self)
         self.grad = np.asarray(grad, dtype=float)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # ``order`` ends at the root: popping walks root to leaves and
+        # drops the list's reference, so a released node is freed as
+        # soon as the caller holds none.
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=float), self.data.shape)
@@ -361,9 +390,7 @@ class Tensor:
         return Tensor.make(out_data, (self,), backward)
 
     def erf(self) -> "Tensor":
-        from scipy.special import erf  # on first use: GELU is SciPy's only user
-
-        out_data = erf(self.data)
+        out_data = _erf(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -385,6 +412,85 @@ class Tensor:
                 other.accumulate_grad(grad * ~chosen)
 
         return Tensor.make(out_data, (self, other), backward)
+
+
+#: Cephes ``ndtr.c`` erf/erfc rational approximations, highest power
+#: first; the denominators U and Q are monic (Cephes' ``p1evl``).
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0,
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0,
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+
+
+def _horner(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: one rounded multiply, then one rounded add, per
+    coefficient (no fused multiply-add)."""
+    result = coefficients[0] * x
+    result += coefficients[1]
+    for coefficient in coefficients[2:]:
+        result *= x
+        result += coefficient
+    return result
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, bit-identical to SciPy's ``special.erf``.
+
+    Cephes ``ndtr.c``: ``x T(x²)/U(x²)`` for ``|x| <= 1``, otherwise
+    ``±(1 - exp(-x²) P(|x|)/Q(|x|))``.  Cephes switches to a third pair,
+    R/S, at ``|x| >= 8``, where erfc is below 1.2e-29 and ``1 - erfc``
+    rounds to exactly 1.0; P/Q at 8 rounds to the same 1.0, so ``x`` is
+    clamped to ±8, which also maps ±inf to ±1 and keeps ``x²`` finite
+    for the T/U pass, run over every element and then overwritten where
+    ``|x| > 1``.  A nan input gives nan, of its own sign where SciPy's
+    is always positive.  ``exp`` is libm's through
+    :func:`math.exp`, as in SciPy: numpy's SIMD ``np.exp`` differs from
+    it in the last bit on some inputs.
+    """
+    clamped = np.clip(x.reshape(-1), -8.0, 8.0)  # 1-d: 0-d ufunc results are scalars
+    squared = clamped * clamped
+    out = clamped * _horner(squared, _ERF_T)
+    out /= _horner(squared, _ERF_U)
+    outer = np.flatnonzero(squared > 1.0)
+    signed = clamped[outer]
+    far = np.abs(signed)
+    decay = np.fromiter(map(math.exp, (-far * far).tolist()), float, far.size)
+    erfc = decay * _horner(far, _ERFC_P) / _horner(far, _ERFC_Q)
+    out[outer] = np.copysign(1.0 - erfc, signed)
+    return out.reshape(x.shape)
 
 
 def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -1,6 +1,7 @@
 """Tests for the autograd engine: every op against numerical gradients."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -262,6 +263,48 @@ class TestGraphMechanics:
             out = out + 1.0
         out.sum().backward()
         assert np.allclose(t.grad, [1.0])
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self):
+        w = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        x = Tensor([[2.0, 1.0]])
+        h = x @ w
+        out = (h * h).sum()
+        out.backward()
+        assert h.grad is None and out.grad is None
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data.T @ (x.data @ w.data))
+        assert x.grad is None
+
+    def test_second_backward_through_a_released_graph_raises(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        h = t * t
+        out = h.sum()
+        out.backward()
+        with pytest.raises(RuntimeError, match="graph already released"):
+            out.backward()
+        with pytest.raises(RuntimeError, match="graph already released"):
+            (h * 2.0).sum().backward()
+        np.testing.assert_array_equal(t.grad, [2.0, 4.0])
+
+    def test_backward_frees_intermediates_without_gc(self):
+        t = Tensor(np.ones(1000), requires_grad=True)
+        dead_when_reached = []
+
+        def probe_backward(grad: np.ndarray) -> None:
+            dead_when_reached.append(alive() is None)
+            t.accumulate_grad(grad)
+
+        probe = Tensor.make(t.data * 1.0, (t,), probe_backward)
+        h = probe.exp()
+        loss = (h * h).sum()
+        # A Tensor holds its array, so the array's death is the node's.
+        alive = weakref.ref(h.data)
+        del h
+        assert alive() is not None
+        loss.backward()
+        # Freed once it had passed its gradient on, before its parent ran.
+        assert dead_when_reached == [True]
+        assert alive() is None
+        np.testing.assert_allclose(t.grad, 2.0 * np.e**2)
 
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)

@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from repro.neural import (
     Tensor,
+    TinyViT,
     accuracy,
     cross_entropy,
     gelu,
@@ -14,6 +15,7 @@ from repro.neural import (
     relu,
     softmax,
 )
+from repro.neural import autograd
 
 from tests.neural.gradcheck import check_gradients
 
@@ -77,6 +79,54 @@ class TestGELU:
 
     def test_gradient(self, rng):
         check_gradients(lambda t: gelu(t).sum(), rng.normal(size=(6,)))
+
+    def test_tinyvit_forward_and_backward_match_scipy_erf(self, monkeypatch):
+        """Every GELU activation of a TinyViT step, forward and backward,
+        has the same bits with SciPy's erf in place of the port."""
+
+        def step() -> list[np.ndarray]:
+            model = TinyViT(seed=3)
+            logits = model(np.random.default_rng(4).normal(size=(4, 16, 16)))
+            cross_entropy(logits, np.array([0, 1, 2, 3])).backward()
+            return [logits.data] + [param.grad for param in model.parameters()]
+
+        ported = step()
+        monkeypatch.setattr(autograd, "_erf", erf)
+        for mine, scipys in zip(ported, step(), strict=True):
+            np.testing.assert_array_equal(mine.view(np.int64), scipys.view(np.int64))
+
+
+class TestErfMatchesSciPy:
+    """``Tensor.erf`` is a numpy port of Cephes; ``scipy.special.erf`` is
+    its bit oracle."""
+
+    @staticmethod
+    def assert_bits_equal(x: np.ndarray) -> None:
+        np.testing.assert_array_equal(
+            Tensor(x).erf().data.view(np.int64), erf(x).view(np.int64)
+        )
+
+    def test_normal_samples(self):
+        rng = np.random.default_rng(27)
+        scales = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+        self.assert_bits_equal(
+            np.concatenate([rng.normal(scale=scale, size=120_000) for scale in scales])
+        )
+
+    def test_dense_sweep(self):
+        self.assert_bits_equal(np.linspace(-40.0, 40.0, 1_600_001))
+
+    def test_edge_values(self):
+        edges = [0.0, 1.0, 8.0, np.inf, 5e-324, 1e300]
+        edges += [np.nextafter(edge, direction) for edge in (1.0, 8.0) for direction in (0.0, 9.0)]
+        x = np.array(edges + [-value for value in edges] + [np.nan])
+        self.assert_bits_equal(x)
+        assert list(Tensor([np.inf, -np.inf]).erf().data) == [1.0, -1.0]
+
+    def test_scalar_and_empty_shapes(self):
+        assert Tensor(0.5).erf().data.shape == ()
+        self.assert_bits_equal(np.array(0.5))
+        assert Tensor(np.ones((2, 0))).erf().data.shape == (2, 0)
 
 
 class TestReLU:

@@ -1,11 +1,13 @@
 """Import footprint: the package loads only the libraries it runs.
 
 Every replica and trainer process pays for whatever ``import repro``
-drags in, so the heavy optional imports load on first use: SciPy with
-the first GELU (``Tensor.erf``) and ``http.server`` with the first
+drags in.  The package runs on numpy alone: GELU's ``Tensor.erf`` is a
+numpy port of SciPy's, so a trainer never loads SciPy, and the one heavy
+optional import, ``http.server``, loads with the first
 :class:`~repro.obs.live.MetricsExposition`.  The dependency guard keeps
-every third-party import in ``src/repro`` declared in ``pyproject.toml``,
-so a clean install of the declared dependencies can import the package.
+every third-party import in ``src/repro`` declared in ``pyproject.toml``
+and pins numpy as the only one, so a clean install of the declared
+dependencies can import the package.
 """
 
 import ast
@@ -22,8 +24,8 @@ PACKAGE_DIR = Path(repro.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Runs in a fresh interpreter: import every module under ``repro``, then
-#: exercise the two lazy imports one at a time, reporting which of the
-#: heavy modules are loaded after each stage.
+#: run a GELU and open the exposition one at a time, reporting which of
+#: the heavy modules are loaded after each stage.
 FOOTPRINT_SCRIPT = """
 import importlib, json, pkgutil, sys
 
@@ -74,8 +76,8 @@ class TestImportFootprint:
     def test_heavy_modules_load_only_on_first_use(self):
         stages = run_footprint_script()
         assert stages["import"] == []
-        assert stages["gelu"] == ["scipy", "scipy.special"]
-        assert stages["exposition"] == ["scipy", "scipy.special", "http.server"]
+        assert stages["gelu"] == []
+        assert stages["exposition"] == ["http.server"]
 
 
 def declared_dependencies(text: str) -> set[str]:
@@ -120,12 +122,11 @@ class TestDeclaredDependencies:
     def test_third_party_imports_are_declared(self):
         declared = declared_dependencies(PYPROJECT.read_text())
         imported = imported_top_levels(PACKAGE_DIR)
-        undeclared = {
+        third_party = {
             name: sorted(files)
             for name, files in imported.items()
-            if name not in sys.stdlib_module_names
-            and name != "repro"
-            and name not in declared
+            if name not in sys.stdlib_module_names and name != "repro"
         }
+        undeclared = {name: files for name, files in third_party.items() if name not in declared}
         assert undeclared == {}
-        assert {"numpy", "scipy"} <= imported.keys()
+        assert third_party.keys() == {"numpy"}
