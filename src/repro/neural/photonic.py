@@ -7,12 +7,15 @@ of Eq. 9 in the forward pass, while gradients flow through the ideal
 product (a straight-through estimator — the standard approach for
 noise-aware training, as in the paper's artifact).
 
-Static weights are quantized once.  A deployed model's weights are
-fixed, so the executor memoizes the quantized grid of every weight
-operand whose array is read-only and owns its memory (a frozen array,
-e.g. :class:`~repro.serving.servable.DecodeServable`'s projections).
-The memo is keyed on the array's identity and precision and holds a
-weak reference to it, so an entry dies with its array.  Writeable
+Static weights are quantized once per process.  A deployed model's
+weights are fixed, so the module memoizes the quantized grid of every
+weight operand whose array is read-only and owns its memory (a frozen
+array, e.g. :class:`~repro.serving.servable.DecodeServable`'s
+projections, which equal-seed replicas share).  The grid depends only
+on the array and the precision, so one memo serves every executor, as
+the paper's interconnect broadcasts one modulated weight to every core.
+It is keyed on the array's identity and precision and holds a weak
+reference to the array, so an entry dies with its array.  Writeable
 arrays (training parameters, which ``Adam`` replaces every step) and
 views are quantized afresh on every call, so no entry can go stale.
 """
@@ -30,6 +33,11 @@ from repro.core.sharding import SHARD_AXES, ShardedDPTC
 from repro.neural import quantization
 from repro.neural.autograd import Tensor, is_grad_enabled
 from repro.neural.quantization import QuantConfig, straight_through
+
+
+#: (id(frozen weight array), bits) -> (weak reference to the array, its
+#: read-only grid), shared by every executor in the process.
+_GRID_MEMO: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
 
 @dataclass
@@ -86,8 +94,6 @@ class PhotonicExecutor:
                 shard_axis=self.shard_axis,
                 parallel=self.parallel,
             )
-        # (id(weight array), bits) -> (weakref to the array, its grid).
-        self._weight_memo: dict[tuple[int, int], tuple[weakref.ref, np.ndarray]] = {}
 
     def close(self) -> None:
         """Release the sharded engine's thread pool (no-op without one)."""
@@ -208,21 +214,17 @@ class PhotonicExecutor:
         if not weight or data.flags.writeable or not data.flags.owndata:
             return quantization.quantize_array(data, bits, per_matrix=True)
         key = (id(data), bits)
-        entry = self._weight_memo.get(key)
+        entry = _GRID_MEMO.get(key)
         if entry is None or entry[0]() is not data:
-            # Concurrent misses on a shared executor each store the same
-            # grid; the later store wins and no lookup sees a stale one.
+            # Concurrent misses each store the same grid; the later
+            # store wins and no lookup sees a stale one.
             grid = quantization.quantize_array(data, bits, per_matrix=True)
             grid.flags.writeable = False
-            # A weak owner keeps the memo out of a cycle with its entries.
-            owner = weakref.ref(self)
 
             def forget(_dead: weakref.ref) -> None:
-                executor = owner()
-                if executor is not None:
-                    executor._weight_memo.pop(key, None)
+                _GRID_MEMO.pop(key, None)
 
-            entry = self._weight_memo[key] = (weakref.ref(data, forget), grid)
+            entry = _GRID_MEMO[key] = (weakref.ref(data, forget), grid)
         return entry[1]
 
     def _execute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

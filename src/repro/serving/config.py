@@ -23,6 +23,7 @@ callers share one serialized form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,10 +83,31 @@ def check_scalar_types(config: Any) -> None:
     check unnoticed.  A value of the wrong type is a ``ValueError``
     naming the field, raised before any range check compares the value.
     """
-    for f in dataclasses.fields(config):
+    for name, kind, optional in _scalar_fields(type(config)):
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        wanted, check = _SCALAR_CHECKS[kind]
+        if not check(value):
+            if optional:
+                wanted += " or None"
+            raise ValueError(
+                f"{name} must be {wanted}, got {type(value).__name__} {value!r}"
+            )
+
+
+@functools.cache
+def _scalar_fields(cls: type) -> tuple[tuple[str, str, bool], ...]:
+    """``(field, kind, optional)`` of each scalar field of ``cls``.
+
+    Parsed once per class; an unreadable annotation raises, and a
+    raising call is not cached, so every construction raises again.
+    """
+    plan = []
+    for f in dataclasses.fields(cls):
         if not isinstance(f.type, str):
             raise TypeError(
-                f"{type(config).__name__}.{f.name}: annotation {f.type!r} is not "
+                f"{cls.__name__}.{f.name}: annotation {f.type!r} is not "
                 "a string; declare the config under `from __future__ import annotations`"
             )
         members = [member.strip() for member in f.type.split("|")]
@@ -95,20 +117,12 @@ def check_scalar_types(config: Any) -> None:
                 ("Optional[", "Union[")
             ):
                 raise TypeError(
-                    f"{type(config).__name__}.{f.name}: spell a scalar field "
+                    f"{cls.__name__}.{f.name}: spell a scalar field "
                     f"'T' or 'T | None', got {f.type!r}"
                 )
             continue
-        value = getattr(config, f.name)
-        if value is None and optional:
-            continue
-        wanted, check = _SCALAR_CHECKS[kind]
-        if not check(value):
-            if optional:
-                wanted += " or None"
-            raise ValueError(
-                f"{f.name} must be {wanted}, got {type(value).__name__} {value!r}"
-            )
+        plan.append((f.name, kind, optional))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ servable.
 from __future__ import annotations
 
 import abc
+import numbers
+import weakref
 from typing import Any, Sequence
 
 import numpy as np
@@ -116,6 +118,45 @@ class TextServable(Servable):
         return [row.copy() for row in logits]
 
 
+class _DecoderWeights:
+    """The four frozen projection weights of one decoder draw."""
+
+    __slots__ = ("arrays", "__weakref__")
+
+    def __init__(self, config: DecoderConfig, seed) -> None:
+        rng = np.random.default_rng(seed)
+        dim, ffn = config.dim, config.ffn_dim
+        scale = 1.0 / np.sqrt(dim)
+        self.arrays = (
+            rng.normal(0.0, scale, (dim, 3 * dim)),
+            rng.normal(0.0, scale, (dim, dim)),
+            rng.normal(0.0, scale, (dim, ffn)),
+            rng.normal(0.0, 1.0 / np.sqrt(ffn), (ffn, dim)),
+        )
+        # Frozen: a read-only weight is quantized once per process and
+        # its grid reused on every step (see repro.neural.photonic).
+        for weight in self.arrays:
+            weight.setflags(write=False)
+
+
+#: (config, integer seed) -> the weights every live servable built from
+#: it shares; an entry dies with the last of them.
+_SHARED_WEIGHTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _decoder_weights(config: DecoderConfig, seed) -> _DecoderWeights:
+    """The shared weights of ``(config, seed)``; fresh unless ``seed`` is an int."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        return _DecoderWeights(config, seed)
+    key = (config, int(seed))
+    weights = _SHARED_WEIGHTS.get(key)
+    if weights is None:
+        # Concurrent misses each draw and store identical weights; the
+        # later store wins and every servable's copy stays valid.
+        weights = _SHARED_WEIGHTS[key] = _DecoderWeights(config, seed)
+    return weights
+
+
 class DecodeServable(Servable):
     """One LLM decode step over per-session KV caches (Sec. VI-B shape).
 
@@ -136,8 +177,13 @@ class DecodeServable(Servable):
     own step sequence, keeping batched decode bit-identical to
     sequential decode on a deterministic executor.
 
-    The four projection weights are read-only once constructed, so the
-    executor quantizes each of them once rather than on every step.
+    The four projection weights are drawn from ``default_rng(seed)``
+    and are read-only.  Servables built from an equal ``(config, seed)``
+    with an integer seed share one frozen copy of them for as long as
+    any of them lives, so a fleet's replicas draw them once and every
+    executor reuses one quantized grid of each (see
+    :mod:`repro.neural.photonic`).  Any other seed (``None``, a
+    ``Generator`` or ``SeedSequence``) draws fresh weights.
     """
 
     name = "decode"
@@ -176,18 +222,10 @@ class DecodeServable(Servable):
         )
         if self.cache.config is None:
             self.cache.config = config
-        rng = np.random.default_rng(seed)
-        dim, ffn = config.dim, config.ffn_dim
-        scale = 1.0 / np.sqrt(dim)
-        self.w_qkv = rng.normal(0.0, scale, (dim, 3 * dim))
-        self.w_out = rng.normal(0.0, scale, (dim, dim))
-        self.w_ffn1 = rng.normal(0.0, scale, (dim, ffn))
-        self.w_ffn2 = rng.normal(0.0, 1.0 / np.sqrt(ffn), (ffn, dim))
-        # Frozen: the executor quantizes a read-only weight once and
-        # reuses the grid on every step.
-        for weight in (self.w_qkv, self.w_out, self.w_ffn1, self.w_ffn2):
-            weight.setflags(write=False)
-        self._sqrt_dim = np.sqrt(dim)
+        # Holding the shared weights keeps their memo entry alive.
+        self._weights = _decoder_weights(config, seed)
+        self.w_qkv, self.w_out, self.w_ffn1, self.w_ffn2 = self._weights.arrays
+        self._sqrt_dim = np.sqrt(config.dim)
 
     def prepare(self, payload: Any) -> np.ndarray:
         x = np.asarray(payload, dtype=float)

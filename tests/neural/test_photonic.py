@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import DPTCGeometry, NoiseModel
 from repro.neural import PhotonicExecutor, QuantConfig, Tensor
-from repro.neural import quantization
+from repro.neural import photonic, quantization
 from repro.neural.quantization import quantize_array
 from repro.neural.train import Adam
 
@@ -298,8 +298,17 @@ def calls_on(calls, array) -> int:
     return sum(values is array for values in calls)
 
 
+def memo_entries_since(snapshot: dict) -> dict:
+    """Entries of the process-wide grid memo stored after ``snapshot``."""
+    return {
+        key: entry
+        for key, entry in photonic._GRID_MEMO.items()
+        if snapshot.get(key) is not entry
+    }
+
+
 class TestWeightMemo:
-    """A read-only, owning weight array is quantized once per executor;
+    """A read-only, owning weight array is quantized once per process;
     anything else is quantized afresh on every call."""
 
     def operands(self, executor, monkeypatch):
@@ -424,17 +433,50 @@ class TestWeightMemo:
                 optimizer.step()
             return executor, param.data
 
+        snapshot = dict(photonic._GRID_MEMO)
         executor, trained = train(freeze=True)
         gc.collect()
-        assert all(ref() is not None for ref, _ in executor._weight_memo.values())
-        assert len(executor._weight_memo) <= 1
+        entries = memo_entries_since(snapshot)
+        assert all(ref() is not None for ref, _ in entries.values())
+        assert len(entries) <= 1
         np.testing.assert_array_equal(trained, train(freeze=False)[1])
 
     def test_entry_dies_with_its_array(self, rng):
+        snapshot = dict(photonic._GRID_MEMO)
         executor = PhotonicExecutor.digital_reference()
         w = frozen(rng.normal(size=(6, 4)))
         executor.matmul(Tensor(rng.normal(size=(3, 6))), Tensor(w), weight_operand=1)
-        assert len(executor._weight_memo) == 1
+        assert len(memo_entries_since(snapshot)) == 1
         del w
         gc.collect()
-        assert executor._weight_memo == {}
+        assert memo_entries_since(snapshot) == {}
+
+    def test_executors_share_one_grid(self, rng, quantize_calls):
+        """The memo is process-wide: a second executor hits the grid the
+        first one stored, as every core sees one broadcast weight."""
+        w = frozen(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        first, second = (PhotonicExecutor.digital_reference() for _ in range(2))
+        outputs = [
+            executor.matmul(x, Tensor(w), weight_operand=1).data
+            for executor in (first, second, first, second)
+        ]
+        assert calls_on(quantize_calls, w) == 1
+        for output in outputs[1:]:
+            np.testing.assert_array_equal(output, outputs[0])
+
+    def test_each_precision_gets_its_own_grid(self, rng, quantize_calls):
+        snapshot = dict(photonic._GRID_MEMO)
+        w = frozen(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        for weight_bits in (4, 8, 4, 8):
+            PhotonicExecutor.digital_reference(QuantConfig(weight_bits, 4)).matmul(
+                x, Tensor(w), weight_operand=1
+            )
+        assert calls_on(quantize_calls, w) == 2
+        entries = memo_entries_since(snapshot)
+        assert set(entries) == {(id(w), 4), (id(w), 8)}
+        int4, int8 = entries[(id(w), 4)][1], entries[(id(w), 8)][1]
+        np.testing.assert_array_equal(int4, quantize_array(w, 4, per_matrix=True))
+        np.testing.assert_array_equal(int8, quantize_array(w, 8, per_matrix=True))
+        assert not np.array_equal(int4, int8)

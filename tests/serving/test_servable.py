@@ -1,5 +1,7 @@
 """Tests for the model-side servable adapters."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.serving import (
     mixed_decode_trace,
     run_decode_trace,
 )
+from repro.serving import servable as servable_module
 from repro.serving.loadgen import bit_equal, sequential_decode
 from repro.workloads import DecoderConfig, decode_servable, servable_model
 from repro.workloads.transformer import KIND_TEXT, TransformerConfig
@@ -348,9 +351,63 @@ class TestFrozenDecodeWeights:
         with pytest.raises(ValueError):
             servable.w_qkv *= 2.0
 
-    def test_two_replica_cluster_matches_sequential_oracle(self, monkeypatch):
-        """Each replica's executor quantizes its own weights once, and
-        the fleet still decodes bit-equal to batch-1 sequential decode."""
+    def weights(self, servable):
+        return (servable.w_qkv, servable.w_out, servable.w_ffn1, servable.w_ffn2)
+
+    def test_equal_config_and_seed_share_the_arrays(self):
+        first = DecodeServable(self.DECODER, seed=3)
+        for twin in (
+            DecodeServable(self.DECODER, seed=3, block_size=2),
+            DecodeServable(
+                DecoderConfig("frozen", depth=2, dim=16, heads=2, mlp_ratio=2.0),
+                seed=np.int64(3),
+            ),
+        ):
+            for mine, theirs in zip(self.weights(first), self.weights(twin)):
+                assert mine is theirs
+
+    def test_other_seed_or_config_gets_its_own_arrays(self):
+        first = DecodeServable(self.DECODER, seed=3)
+        other_seed = DecodeServable(self.DECODER, seed=4)
+        renamed = DecodeServable(
+            DecoderConfig("renamed", depth=2, dim=16, heads=2, mlp_ratio=2.0), seed=3
+        )
+        for mine, seeded, named in zip(
+            self.weights(first), self.weights(other_seed), self.weights(renamed)
+        ):
+            assert seeded is not mine and named is not mine
+            assert not np.array_equal(seeded, mine)
+            np.testing.assert_array_equal(named, mine)  # same dims, same draw
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, np.random.SeedSequence(3)], ids=["none", "bool", "seedseq"]
+    )
+    def test_non_integer_seeds_draw_fresh_weights(self, seed):
+        first, second = (DecodeServable(self.DECODER, seed=seed) for _ in range(2))
+        for mine, theirs in zip(self.weights(first), self.weights(second)):
+            assert mine is not theirs
+            assert not theirs.flags.writeable
+            if seed is None:
+                assert not np.array_equal(mine, theirs)
+
+    def test_entry_dies_with_the_last_servable(self):
+        key = (self.DECODER, 5)
+        servables = [DecodeServable(self.DECODER, seed=5) for _ in range(2)]
+        before = [weight.copy() for weight in self.weights(servables[0])]
+        servables.pop()
+        gc.collect()
+        assert key in servable_module._SHARED_WEIGHTS
+        servables.pop()
+        gc.collect()
+        assert key not in servable_module._SHARED_WEIGHTS
+        rebuilt = DecodeServable(self.DECODER, seed=5)
+        for old, new in zip(before, self.weights(rebuilt)):
+            assert old.tobytes() == new.tobytes()
+
+    def test_replicas_share_weights_and_match_oracle(self, monkeypatch):
+        """Three replicas plus one added replica hold one frozen copy of
+        the weights, the fleet quantizes each weight once, and it still
+        decodes bit-equal to batch-1 sequential decode."""
         specs = mixed_decode_trace(6, seed=4, max_steps=6, horizon_s=2e-3)
 
         def payload_fn(i, t):
@@ -359,6 +416,8 @@ class TestFrozenDecodeWeights:
         reference = sequential_decode(
             lambda: DecodeServable(self.DECODER, seed=0, block_size=2), specs, payload_fn
         )
+        gc.collect()  # the oracle's weights and grids die with its servables
+        assert (self.DECODER, 0) not in servable_module._SHARED_WEIGHTS
 
         calls = []
         original = quantization.quantize_array
@@ -368,16 +427,25 @@ class TestFrozenDecodeWeights:
             return original(values, bits, per_matrix=per_matrix)
 
         monkeypatch.setattr(quantization, "quantize_array", counting)
-        servables = []
+        servables, batches = [], []
 
         def factory(replica_id):
-            servables.append(DecodeServable(self.DECODER, seed=0, block_size=2))
-            return servables[-1]
+            servable = DecodeServable(self.DECODER, seed=0, block_size=2)
+            execute, index = servable.execute, len(servables)
+            batches.append(0)
+
+            def counted(requests):
+                batches[index] += 1
+                return execute(requests)
+
+            servable.execute = counted
+            servables.append(servable)
+            return servable
 
         with ServingCluster(
             factory,
             config=ClusterConfig(
-                replicas=2,
+                replicas=3,
                 policy="round_robin",
                 engine=EngineConfig(
                     max_batch_size=4,
@@ -388,16 +456,14 @@ class TestFrozenDecodeWeights:
             ),
             clock=SimulatedClock(),
         ) as cluster:
+            cluster.add_replica()
             result = run_decode_trace(cluster, specs, payload_fn=payload_fn)
 
         assert bit_equal(result["outputs"], reference)
-        assert len(servables) == 2
-        assert servables[0].executor is not servables[1].executor
+        assert len(servables) == 4 and all(batches)
+        assert len({id(servable.executor) for servable in servables}) == 4
         for servable in servables:
-            for weight in (
-                servable.w_qkv,
-                servable.w_out,
-                servable.w_ffn1,
-                servable.w_ffn2,
-            ):
-                assert sum(values is weight for values in calls) == 1
+            for mine, first in zip(self.weights(servable), self.weights(servables[0])):
+                assert mine is first
+        for weight in self.weights(servables[0]):
+            assert sum(values is weight for values in calls) == 1

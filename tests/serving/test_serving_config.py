@@ -87,6 +87,30 @@ class TestEngineConfigValidation:
         with pytest.raises(TypeError, match="Knobs.size"):
             check_scalar_types(config)
 
+    def test_unreadable_annotation_raises_on_every_construction(self):
+        """The per-class field plan is cached only once it parses."""
+        knobs = dataclasses.make_dataclass(
+            "Knobs",
+            [("size", "int | float")],
+            namespace={"__post_init__": check_scalar_types},
+        )
+        for _ in range(3):
+            with pytest.raises(TypeError, match="Knobs.size"):
+                knobs(1)
+
+    def test_checks_every_construction_against_one_plan(self, monkeypatch):
+        """Annotations are parsed once per class; values on every build."""
+        EngineConfig()
+        parsed = []
+        fields = dataclasses.fields
+        monkeypatch.setattr(
+            dataclasses, "fields", lambda cls: parsed.append(cls) or fields(cls)
+        )
+        EngineConfig(max_batch_size=2)
+        with pytest.raises(ValueError, match="^queue_depth must be "):
+            EngineConfig(queue_depth="8")
+        assert parsed == []
+
     def test_accepts_numpy_scalars_and_ints_for_reals(self):
         config = EngineConfig(
             max_batch_size=np.int64(4), max_wait_us=0, kv_capacity_bytes=None
