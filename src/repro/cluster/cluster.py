@@ -58,7 +58,7 @@ from repro.cluster.replica import (
 from repro.cluster.router import NoHealthyReplica, Router
 from repro.cluster.store import SharedCacheTier
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.cache import MISS, SessionCache, isolated
+from repro.serving.cache import MISS, MemoCache, isolated, memoized_step_error
 from repro.serving.clock import WallClock
 from repro.serving.request import EngineClosed, RequestHandle, ServingError
 from repro.serving.servable import Servable
@@ -191,7 +191,7 @@ class ServingCluster:
         # memo_bytes buys each replica a private memo cache (the
         # pre-tier baseline whose hits routing can forfeit).
         memo_cache = (
-            SessionCache(capacity_bytes=self.config.memo_bytes)
+            MemoCache(self.config.memo_bytes)
             if self.config.memo_bytes is not None and self.tier is None
             else None
         )
@@ -338,7 +338,7 @@ class ServingCluster:
                     ),
                     None,
                 )
-                if template is None or template.config is None:
+                if template is None:
                     raise ValueError(
                         "prefix sharing needs replicas with a decoder "
                         "SessionCache (a DecodeServable fleet)"
@@ -384,9 +384,12 @@ class ServingCluster:
 
         ``cache_key`` consults the shared tier (when configured) before
         routing — a fleet-wide hit resolves immediately on whatever
-        replica computed it first, under any policy.  ``prefix_id``
-        (with ``session_id``) forks the session from a registered
-        shared prompt prefix at first dispatch.
+        replica computed it first, under any policy.  On a fleet of KV
+        sessions a ``cache_key`` with a ``session_id`` is a
+        ``ValueError`` (a hit would skip the step's K/V commit), as on
+        the engine.  ``prefix_id`` (with ``session_id``) forks the
+        session from a registered shared prompt prefix at first
+        dispatch.
 
         Raises :class:`QueueFull` when the chosen replica's queue is at
         capacity (cluster-level backpressure) and
@@ -402,6 +405,14 @@ class ServingCluster:
                 )
             if prefix_id is not None and session_id is None:
                 raise ValueError("prefix_id needs a session_id to fork")
+            # A tier hit returns before any engine sees the request, so
+            # the engine's refusal does not cover it.
+            if (
+                cache_key is not None
+                and session_id is not None
+                and any(r.session_cache is not None for r in self._replicas.values())
+            ):
+                raise memoized_step_error(session_id)
             self._next_request_id += 1
             handle = ClusterHandle(self._next_request_id - 1, self.clock.now())
             span = self.tracer.start_span(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.serving.cache import SessionCache
+from repro.serving.cache import MemoCache, SessionCache
 from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
 from repro.serving.request import InferenceRequest, RequestHandle
@@ -68,7 +68,7 @@ class Replica:
         *,
         config: EngineConfig,
         clock=None,
-        memo_cache: SessionCache | None = None,
+        memo_cache: MemoCache | None = None,
         tracer=None,
         recorder=None,
     ) -> None:
@@ -142,8 +142,7 @@ class Replica:
     @property
     def session_cache(self) -> SessionCache | None:
         """The servable's KV/session cache, when it has one."""
-        cache = getattr(self.servable, "cache", None)
-        return cache if isinstance(cache, SessionCache) else None
+        return self.engine.session_cache
 
     def load(self, now: float) -> float:
         """Backlog signal for routing/autoscaling: outstanding work plus

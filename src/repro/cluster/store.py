@@ -1,13 +1,13 @@
 """Cluster-wide shared cache tier: a fleet memo + refcounted prefix chains.
 
-Per-replica :class:`~repro.serving.cache.SessionCache` memos forfeit
+Per-replica :class:`~repro.serving.cache.MemoCache` memos forfeit
 fleet hit rate under any non-sticky routing policy — a prompt computed
 on replica 0 is recomputed when the router sends its repeat to replica
 1.  :class:`SharedCacheTier` hoists both cache concerns above the
 replica set:
 
-* fleet-wide **prompt memoization** — ``tier.memo`` is a plain
-  :class:`~repro.serving.cache.SessionCache` (the same LRU byte budget
+* fleet-wide **prompt memoization** — ``tier.memo`` is a
+  :class:`~repro.serving.cache.MemoCache` (the same LRU byte budget
   and key semantics as the per-replica memo), so hits survive any
   routing policy;
 * reference-counted **common-prefix KV chains**
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import threading
 
-from repro.serving.cache import KVBlock, PrefixChain, SessionCache
+from repro.serving.cache import KVBlock, MemoCache, PrefixChain, zero_pages
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
 
 
 class SharedCacheTier:
     """Fleet-wide prompt memo + refcounted prefix chains.
 
-    Memoization: ``memo`` is a :class:`~repro.serving.cache.SessionCache`
+    Memoization: ``memo`` is a :class:`~repro.serving.cache.MemoCache`
     bounded by ``memo_capacity_bytes``; like the engine with its own
     memo, callers store and hand out isolated copies.
 
@@ -44,7 +44,7 @@ class SharedCacheTier:
     """
 
     def __init__(self, *, memo_capacity_bytes: int | None = None) -> None:
-        self.memo = SessionCache(capacity_bytes=memo_capacity_bytes)
+        self.memo = MemoCache(memo_capacity_bytes)
         # One lock guards the two custody maps: prefix id -> chain, and
         # -> {replica id: holder count} (replicas holding none are
         # absent; so is an unreferenced prefix).
@@ -78,13 +78,7 @@ class SharedCacheTier:
                         f"{existing.tokens} tokens, not {tokens}"
                     )
                 return existing
-            blocks: list[KVBlock] = []
-            remaining = tokens
-            while remaining > 0:
-                block = KVBlock(block_size, config.dim)
-                block.fill_zeros(min(remaining, block_size))
-                remaining -= block.fill
-                blocks.append(block)
+            blocks = zero_pages(tokens, lambda: KVBlock(block_size, config.dim))
             chain = self._chains[prefix_id] = PrefixChain(
                 prefix_id=prefix_id,
                 tokens=tokens,
@@ -182,17 +176,13 @@ class SharedCacheTier:
 
     # -- observability --------------------------------------------------------
     def stats(self) -> dict:
-        memo = self.memo
+        memo = self.memo.stats()
         with self._lock:
             prefixes = len(self._chains)
             shared_bytes = sum(chain.nbytes for chain in self._chains.values())
             referenced = len(self._holders)
         return {
-            "hits": memo.hits,
-            "misses": memo.misses,
-            "evictions": memo.evictions,
-            "memo_entries": memo.memo_entries,
-            "memo_bytes": memo.memo_bytes,
+            **memo,
             "prefixes": prefixes,
             "shared_bytes": shared_bytes,
             "referenced_prefixes": referenced,

@@ -9,9 +9,9 @@ apply unchanged).  ``EngineConfig.scheduler`` picks
 the loop's batching window and intake: ``"request"`` holds a partial
 batch up to ``max_wait_us`` and admits one FIFO batch of at most
 ``max_batch_size`` per iteration, ``"continuous"`` admits every arrival
-with no window.  A :class:`SessionCache` memoizes repeated prompts and
-keeps KV-session accounting consistent with the Sec. VI-B decode
-analysis, and :class:`Metrics` records throughput, latency
+with no window.  A :class:`MemoCache` memoizes repeated prompts, a
+decoder's paged :class:`SessionCache` keeps its KV-session accounting
+consistent with the Sec. VI-B decode analysis, and :class:`Metrics` records throughput, latency
 percentiles, and batch occupancy — deterministically, under a
 :class:`SimulatedClock`, so the whole pipeline is testable without
 sleeping.
@@ -21,6 +21,7 @@ from repro.serving.cache import (
     MISS,
     BlockPool,
     KVBlock,
+    MemoCache,
     PrefixChain,
     Session,
     SessionCache,
@@ -70,6 +71,7 @@ __all__ = [
     "IterationScheduler",
     "KVBlock",
     "MISS",
+    "MemoCache",
     "Metrics",
     "PrefixChain",
     "QueueFull",

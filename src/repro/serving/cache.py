@@ -1,20 +1,18 @@
-"""Session cache: prompt memoization + paged (block) KV accounting.
+"""The serving layer's two caches, one class per concern.
 
-Two concerns the serving layer needs from one component:
-
-* **Prompt memoization** — repeated prompts (identical ``cache_key``)
-  are served straight from an LRU store of previously computed
-  activations, skipping the photonic core entirely.  A byte budget
-  bounds the store (every value is charged, see :func:`memo_nbytes`);
-  least-recently-used entries are evicted.
-* **KV-session accounting** — decode-shaped workloads
-  (:mod:`repro.workloads.llm`) keep per-request K/V state between
-  steps.  Sessions store their per-step K/V vectors in fixed-size
-  **pages** (:class:`KVBlock` of ``block_size`` tokens) drawn from a
-  :class:`BlockPool` with a byte budget and a free list, the layout
-  that lets the iteration scheduler share photonic
-  GEMV batches across sessions of different lengths without
-  re-padding.  Byte accounting is *defined* as
+* :class:`MemoCache` — **prompt memoization**: repeated prompts
+  (identical ``cache_key``) are served straight from an LRU store of
+  previously computed activations, skipping the photonic core
+  entirely.  A byte budget bounds the store (every value is charged,
+  see :func:`memo_nbytes`); least-recently-used entries are evicted.
+* :class:`SessionCache` — **paged KV sessions** of one decoder:
+  decode-shaped workloads (:mod:`repro.workloads.llm`) keep
+  per-request K/V state between steps.  Sessions store their per-step
+  K/V vectors in fixed-size **pages** (:class:`KVBlock` of
+  ``block_size`` tokens) drawn from a :class:`BlockPool` with a byte
+  budget and a free list, the layout that lets the iteration
+  scheduler share photonic GEMV batches across sessions of different
+  lengths without re-padding.  Byte accounting is *defined* as
   :func:`repro.workloads.llm.kv_cache_bytes` at the session's
   **page-rounded** context length, so the per-session ledger, the
   pool budget, and the Sec. VI-B analysis can never disagree about
@@ -29,7 +27,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +55,16 @@ def memo_nbytes(value: Any) -> int:
     if isinstance(value, (list, tuple, set, frozenset)):
         return size + sum(map(memo_nbytes, value))
     return size
+
+
+def memoized_step_error(session_id: str) -> ValueError:
+    """The refusal of a ``cache_key`` on a KV session's decode step: a
+    memo hit would skip the step's K/V commit, so the session's context
+    would silently fall behind its inputs."""
+    return ValueError(
+        f"a decode step of session {session_id!r} cannot carry a "
+        "cache_key: a memo hit would skip its K/V commit"
+    )
 
 
 class KVBlock:
@@ -103,6 +111,18 @@ class KVBlock:
         self.keys[:] = 0.0
         self.values[:] = 0.0
         self.fill = 0
+
+
+def zero_pages(tokens: int, allocate: Callable[[], KVBlock]) -> list[KVBlock]:
+    """The pages of a ``tokens``-long zero-state prompt: zeroed blocks
+    from ``allocate``, each filled before the next is drawn."""
+    pages: list[KVBlock] = []
+    while tokens > 0:
+        block = allocate()
+        block.fill_zeros(min(tokens, block.block_size))
+        tokens -= block.fill
+        pages.append(block)
+    return pages
 
 
 class BlockPool:
@@ -253,14 +273,12 @@ class PrefixChain:
 class Session:
     """Per-request decode state (one generation stream), paged.
 
-    K/V vectors live in ``blocks``; ``prompt_slots`` of the leading
-    slots hold materialized zero-state prompt tokens (pooled caches
-    materialize the prompt so the page count always equals
-    ``blocks_for(context_len)``; config-less caches keep the prompt
-    implicit, ``prompt_slots == 0``).  ``swapped`` marks a preempted
-    session whose blocks currently live outside the pool budget (the
-    host-memory swap of the iteration scheduler) — the arrays, and
-    therefore the bits, are untouched.
+    K/V vectors live in ``blocks``; the leading ``prompt_len`` slots
+    hold materialized zero-state prompt tokens, so the page count
+    always equals ``blocks_for(context_len)``.  ``swapped`` marks a
+    preempted session whose blocks currently live outside the pool
+    budget (the host-memory swap of the iteration scheduler) — the
+    arrays, and therefore the bits, are untouched.
 
     ``shared_blocks`` leading blocks alias a :class:`PrefixChain`
     owned by the shared cache tier: they are read-only here, excluded
@@ -271,7 +289,6 @@ class Session:
     session_id: str
     prompt_len: int = 0
     blocks: list[KVBlock] = field(default_factory=list)
-    prompt_slots: int = 0
     swapped: bool = False
     shared_blocks: int = 0
     prefix_id: str | None = None
@@ -288,7 +305,7 @@ class Session:
     @property
     def generated(self) -> int:
         """Tokens appended by decode steps (excludes the prompt)."""
-        return sum(block.fill for block in self.blocks) - self.prompt_slots
+        return sum(block.fill for block in self.blocks) - self.prompt_len
 
     @property
     def context_len(self) -> int:
@@ -299,7 +316,7 @@ class Session:
         """Per-slot views of one of ``keys``/``values`` past the prompt,
         in step order: one walk over the pages."""
         rows: list[np.ndarray] = []
-        skip = self.prompt_slots
+        skip = self.prompt_len
         for block in self.blocks:
             if skip >= block.fill:
                 skip -= block.fill
@@ -320,7 +337,7 @@ class Session:
         return self._generated("values")
 
     def _frozen_kv(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """The implicit prompt plus every page but the last, concatenated.
+        """Every page but the last, concatenated.
 
         Only the last page is ever appended to: earlier pages are full
         or shared read-only prefix pages, and swap and migration move
@@ -331,8 +348,7 @@ class Session:
         frozen = max(len(self.blocks) - 1, 0)
         memo = self._kv_memo
         if memo is None or memo[0] > frozen:
-            implicit = self.prompt_len - self.prompt_slots
-            memo = (0, np.zeros((implicit, dim)), np.zeros((implicit, dim)))
+            memo = (0, np.zeros((0, dim)), np.zeros((0, dim)))
         covered, keys, values = memo
         if covered < frozen:
             pages = self.blocks[covered:frozen]
@@ -351,9 +367,8 @@ class Session:
         batch's pending steps) after the committed context, in the same
         single concatenation of at most the frozen-page memo, the last
         page and the pending pairs.  Prompt tokens are zero-state
-        whether materialized in pages or implicit, so the result is
-        bit-identical to the flat-list layout paging replaced, and it
-        is always a fresh array.
+        pages, so the result is bit-identical to the flat-list layout
+        paging replaced, and it is always a fresh array.
         """
         keys, values = self._frozen_kv(dim)
         parts_k, parts_v = [keys], [values]
@@ -379,71 +394,27 @@ class Session:
         return len(blocks) > self.shared_blocks and not blocks[-1].full
 
 
-class SessionCache:
-    """LRU activation memoizer + paged KV-session ledger.
+class MemoCache:
+    """Byte-budgeted LRU activation memo keyed by ``cache_key``.
 
     Args:
-        config: decoder architecture the KV accounting is sized for;
-            required for the session ledger and the block pool,
-            optional for pure memoization.
-        capacity_bytes: LRU budget of the memo store (``None`` =
-            unbounded).  Entries larger than the whole budget are not
-            admitted.
-        kv_bits: K/V element precision used by the byte accounting
-            (the paper's decode analysis defaults to int8).
-        block_size: tokens per KV page.  1 (the default) makes paging
-            degenerate — byte accounting is exactly the pre-paging
-            per-token ledger; larger pages round every session's
-            footprint up to whole blocks.
-        kv_capacity_bytes: byte budget of the :class:`BlockPool`
-            (``None`` = unbounded).  The budget is enforced by the
-            engine's iteration scheduler (preemption), not by
-            ``append_kv``.
+        capacity_bytes: LRU budget of the store (``None`` = unbounded).
+            Entries larger than the whole budget are not admitted.
     """
 
-    def __init__(
-        self,
-        config: DecoderConfig | None = None,
-        *,
-        capacity_bytes: int | None = None,
-        kv_bits: int = 8,
-        block_size: int = 1,
-        kv_capacity_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, capacity_bytes: int | None = None) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
             raise ValueError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if config is None and kv_capacity_bytes is not None:
-            raise ValueError(
-                "a KV byte budget needs a DecoderConfig to size its pages"
-            )
-        self.config = config
         self.capacity_bytes = capacity_bytes
-        self.kv_bits = kv_bits
-        self.block_size = block_size
-        self.pool: BlockPool | None = (
-            BlockPool(
-                config,
-                block_size=block_size,
-                capacity_bytes=kv_capacity_bytes,
-                kv_bits=kv_bits,
-            )
-            if config is not None
-            else None
-        )
         self._memo: OrderedDict[Any, tuple[Any, int]] = OrderedDict()
         self._memo_bytes = 0
-        self._sessions: dict[str, Session] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         # get() runs on submitter threads while put() runs on the
-        # worker; the LRU order, byte ledger, and counters share a lock
-        # (reentrant: stats() reads the session ledger through it too).
-        self._lock = threading.RLock()
+        # worker; the LRU order, byte ledger, and counters share a lock.
+        self._lock = threading.Lock()
 
-    # -- prompt memoization --------------------------------------------------
     def get(self, key: Any) -> Any:
         """Cached value for ``key`` or the :data:`MISS` sentinel."""
         with self._lock:
@@ -482,14 +453,55 @@ class SessionCache:
         with self._lock:
             return self._memo_bytes
 
-    # -- KV sessions ---------------------------------------------------------
-    def _require_config(self) -> DecoderConfig:
-        if self.config is None:
-            raise ValueError(
-                "KV accounting needs a DecoderConfig; construct the cache "
-                "with SessionCache(config)"
-            )
-        return self.config
+    def stats(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "memo_entries": self.memo_entries,
+            "memo_bytes": self.memo_bytes,
+        }
+
+
+class SessionCache:
+    """Paged KV-session ledger of one decoder.
+
+    Args:
+        config: decoder architecture the pages and the byte accounting
+            are sized for.
+        kv_bits: K/V element precision used by the byte accounting
+            (the paper's decode analysis defaults to int8).
+        block_size: tokens per KV page.  1 (the default) makes paging
+            degenerate — byte accounting is exactly the pre-paging
+            per-token ledger; larger pages round every session's
+            footprint up to whole blocks.
+        kv_capacity_bytes: byte budget of the :class:`BlockPool`
+            (``None`` = unbounded).  The budget is enforced by the
+            engine's iteration scheduler (preemption), not by
+            ``append_kv``.
+    """
+
+    def __init__(
+        self,
+        config: DecoderConfig,
+        *,
+        kv_bits: int = 8,
+        block_size: int = 1,
+        kv_capacity_bytes: int | None = None,
+    ) -> None:
+        self.config = config
+        self.kv_bits = kv_bits
+        self.block_size = block_size
+        self.pool = BlockPool(
+            config,
+            block_size=block_size,
+            capacity_bytes=kv_capacity_bytes,
+            kv_bits=kv_bits,
+        )
+        self._sessions: dict[str, Session] = {}
+        # Scheduler, cluster and worker threads share the session map
+        # and the pool (reentrant: stats() reads the ledger through it).
+        self._lock = threading.RLock()
 
     def open_session(self, session_id: str, prompt_len: int = 0) -> Session:
         if prompt_len < 0:
@@ -497,18 +509,14 @@ class SessionCache:
         with self._lock:
             if session_id in self._sessions:
                 raise ValueError(f"session {session_id!r} already open")
-            session = Session(session_id=session_id, prompt_len=prompt_len)
-            if self.pool is not None and prompt_len > 0:
-                # Materialize the (zero-state) prompt into pages so the
-                # resident block count always equals the page-rounded
-                # ledger — pool budget and session_bytes cannot diverge.
-                remaining = prompt_len
-                for _ in range(self.pool.blocks_for(prompt_len)):
-                    block = self.pool.allocate()
-                    block.fill_zeros(min(remaining, block.block_size))
-                    remaining -= block.fill
-                    session.blocks.append(block)
-                session.prompt_slots = prompt_len
+            # Materialize the (zero-state) prompt into pages so the
+            # resident block count always equals the page-rounded
+            # ledger — pool budget and session_bytes cannot diverge.
+            session = Session(
+                session_id=session_id,
+                prompt_len=prompt_len,
+                blocks=zero_pages(prompt_len, self.pool.allocate),
+            )
             self._sessions[session_id] = session
             return session
 
@@ -531,10 +539,8 @@ class SessionCache:
     def append_kv(self, session_id: str, k: np.ndarray, v: np.ndarray) -> int:
         """Append one decode step's K/V; returns the new context length.
 
-        Allocates a fresh page when the session's last block is full —
-        from the pool when the cache has one (zeroed free-list reuse),
-        directly otherwise (config-less caches keep working without a
-        ledger).
+        Allocates a fresh page from the pool (zeroed free-list reuse)
+        when the session's last block is full.
         """
         with self._lock:
             session = self.session(session_id)
@@ -559,10 +565,7 @@ class SessionCache:
         k = np.asarray(k, dtype=float)
         v = np.asarray(v, dtype=float)
         if not session.has_room:
-            if self.pool is not None:
-                session.blocks.append(self.pool.allocate())
-            else:
-                session.blocks.append(KVBlock(self.block_size, k.shape[0]))
+            session.blocks.append(self.pool.allocate())
         session.blocks[-1].append(k, v)
 
     def context_len(self, session_id: str) -> int:
@@ -581,25 +584,23 @@ class SessionCache:
         page for page.  Shared prefix pages are excluded: the tier
         charges them once fleet-wide (:meth:`shared_session_bytes`
         reports this session's view of that chain)."""
-        config = self._require_config()
         session = self.session(session_id)
         private = session.private_blocks
         if private == 0:
             return 0
         return kv_cache_bytes(
-            config, private * self.block_size, bits=self.kv_bits
+            self.config, private * self.block_size, bits=self.kv_bits
         )
 
     def shared_session_bytes(self, session_id: str) -> int:
         """Bytes of the shared prefix pages this session aliases
         (page-rounded).  Summing this across sessions multiple-counts
         the chain — fleet accounting uses the tier's single charge."""
-        config = self._require_config()
         session = self.session(session_id)
         if session.shared_blocks == 0:
             return 0
         return kv_cache_bytes(
-            config,
+            self.config,
             session.shared_blocks * self.block_size,
             bits=self.kv_bits,
         )
@@ -632,8 +633,7 @@ class SessionCache:
             if session.swapped:
                 return 0
             session.swapped = True
-            if self.pool is not None:
-                self.pool.discharge(session.private_blocks)
+            self.pool.discharge(session.private_blocks)
             return session.private_blocks
 
     def swap_in(self, session_id: str) -> int:
@@ -643,8 +643,7 @@ class SessionCache:
             if not session.swapped:
                 return 0
             session.swapped = False
-            if self.pool is not None:
-                self.pool.charge(session.private_blocks)
+            self.pool.charge(session.private_blocks)
             return session.private_blocks
 
     def pop_session(self, session_id: str) -> Session:
@@ -666,7 +665,7 @@ class SessionCache:
         with self._lock:
             session = self.session(session_id)
             del self._sessions[session_id]
-            if self.pool is not None and not session.swapped:
+            if not session.swapped:
                 self.pool.discharge(session.private_blocks)
             return session
 
@@ -684,7 +683,7 @@ class SessionCache:
                     f"session {session.session_id!r} already open here"
                 )
             self._sessions[session.session_id] = session
-            if self.pool is not None and not session.swapped:
+            if not session.swapped:
                 self.pool.charge(session.private_blocks)
             return session
 
@@ -702,7 +701,6 @@ class SessionCache:
         ``shared_blocks``.  The boundary must be page-aligned or cover
         the whole context, so the chain never splits a page.
         """
-        config = self._require_config()
         with self._lock:
             session = self.session(session_id)
             if session.shared_blocks:
@@ -713,10 +711,6 @@ class SessionCache:
             if session.swapped:
                 raise ValueError(
                     "cannot export a prefix from a swapped-out session"
-                )
-            if session.prompt_len != session.prompt_slots:
-                raise ValueError(
-                    "cannot export an implicit (unmaterialized) prompt prefix"
                 )
             if tokens is None:
                 tokens = session.context_len
@@ -737,20 +731,19 @@ class SessionCache:
                 blocks=tuple(session.blocks[:n_blocks]),
                 block_size=self.block_size,
                 nbytes=kv_cache_bytes(
-                    config, n_blocks * self.block_size, bits=self.kv_bits
+                    self.config, n_blocks * self.block_size, bits=self.kv_bits
                 ),
             )
             session.shared_blocks = n_blocks
             session.prefix_id = prefix_id
-            if self.pool is not None:
-                self.pool.discharge(n_blocks)
+            self.pool.discharge(n_blocks)
             return chain
 
     def adopt_prefix(self, session_id: str, chain: PrefixChain) -> Session:
         """Open a session whose prompt is a shared :class:`PrefixChain`.
 
-        The new session aliases the chain's pages (prompt fully
-        materialized: ``prompt_len == prompt_slots == chain.tokens``)
+        The new session aliases the chain's pages (its prompt is the
+        chain's ``tokens`` materialized slots)
         without charging this cache's pool — the tier already accounts
         for the chain once fleet-wide.  The first decode step allocates
         a fresh private page (see :attr:`Session.has_room`), so
@@ -768,7 +761,6 @@ class SessionCache:
                 session_id=session_id,
                 prompt_len=chain.tokens,
                 blocks=list(chain.blocks),
-                prompt_slots=chain.tokens,
                 shared_blocks=len(chain.blocks),
                 prefix_id=chain.prefix_id,
             )
@@ -791,14 +783,13 @@ class SessionCache:
         cluster's job.
         """
         with self._lock:
-            freed = self.session_bytes(session_id) if self.config else 0
+            freed = self.session_bytes(session_id)
             session = self._sessions.pop(session_id)
             private = session.blocks[session.shared_blocks :]
-            if self.pool is not None:
-                if session.swapped:
-                    self.pool.recycle(private)
-                else:
-                    self.pool.release(private)
+            if session.swapped:
+                self.pool.recycle(private)
+            else:
+                self.pool.release(private)
             session.blocks = []
             return freed
 
@@ -820,19 +811,12 @@ class SessionCache:
 
     # -- observability -------------------------------------------------------
     def stats(self) -> dict:
-        stats = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "memo_entries": self.memo_entries,
-            "memo_bytes": self.memo_bytes,
+        return {
             "open_sessions": self.open_sessions,
             "swapped_sessions": self.swapped_sessions,
             "prefix_sessions": self.prefix_sessions,
             "block_size": self.block_size,
-            "total_kv_bytes": self.total_kv_bytes() if self.config else 0,
-            "resident_kv_bytes": self.resident_kv_bytes() if self.config else 0,
+            "total_kv_bytes": self.total_kv_bytes(),
+            "resident_kv_bytes": self.resident_kv_bytes(),
+            "pool": self.pool.stats(),
         }
-        if self.pool is not None:
-            stats["pool"] = self.pool.stats()
-        return stats

@@ -29,16 +29,13 @@ import numbers
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.sharding import SHARD_AXES
 from repro.serving.scheduler import IterationCost
 
 #: Engine scheduling modes: the batching window and per-iteration
 #: intake of the one iteration loop (request-level dynamic batching vs
 #: iteration-level continuous batching).
 SCHEDULERS = ("request", "continuous")
-
-#: Executor sharding axes accepted by
-#: :meth:`repro.neural.photonic.PhotonicExecutor.ideal`.
-SHARD_AXES = ("batch", "contraction")
 
 
 def fields_from_dict(cls: type, data: Any) -> dict:

@@ -39,7 +39,13 @@ from typing import Any
 
 from repro.neural.autograd import no_grad
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.cache import MISS, SessionCache, isolated
+from repro.serving.cache import (
+    MISS,
+    MemoCache,
+    SessionCache,
+    isolated,
+    memoized_step_error,
+)
 from repro.serving.clock import WallClock
 from repro.serving.config import SCHEDULERS, EngineConfig
 from repro.serving.metrics import Metrics
@@ -78,8 +84,10 @@ class ServingEngine:
         clock: time source.  A real clock (default) enables the
             background worker thread; a simulated clock selects manual
             stepping and never sleeps.
-        cache: optional :class:`SessionCache` consulted at submit time
-            for ``cache_key`` memoization (hits bypass the queue).
+        cache: optional :class:`~repro.serving.cache.MemoCache`
+            consulted at submit time for ``cache_key`` memoization (hits
+            bypass the queue).  Decode KV state is not kept here but in
+            the servable's own :class:`~repro.serving.cache.SessionCache`.
         metrics: recorder; a fresh :class:`Metrics` by default.
         tracer: an :class:`~repro.obs.trace.Tracer` to emit request /
             iteration / batch spans into (and to activate around batch
@@ -101,7 +109,7 @@ class ServingEngine:
         *,
         config: EngineConfig | None = None,
         clock=None,
-        cache: SessionCache | None = None,
+        cache: MemoCache | None = None,
         metrics: Metrics | None = None,
         tracer=None,
         recorder=None,
@@ -133,9 +141,12 @@ class ServingEngine:
         # KV residency is governed by the *servable's* session cache
         # (where decode state lives), not the memoization cache.
         session_cache = getattr(servable, "cache", None)
+        #: The servable's KV sessions, or ``None`` for a stateless one.
+        self.session_cache = (
+            session_cache if isinstance(session_cache, SessionCache) else None
+        )
         self._scheduler = IterationScheduler(
-            max_active=config.max_batch_size,
-            cache=session_cache if isinstance(session_cache, SessionCache) else None,
+            max_active=config.max_batch_size, cache=self.session_cache
         )
         # Guards scheduler state: the worker composes while clients
         # release sessions / the cluster evicts for failover.  Taken
@@ -231,12 +242,9 @@ class ServingEngine:
         """
         with self._sched_lock:
             self._scheduler.release(session_id)
-        session_cache = getattr(self.servable, "cache", None)
-        if (
-            isinstance(session_cache, SessionCache)
-            and session_cache.has_session(session_id)
-        ):
-            return session_cache.close_session(session_id)
+        cache = self.session_cache
+        if cache is not None and cache.has_session(session_id):
+            return cache.close_session(session_id)
         return 0
 
     # -- submission ----------------------------------------------------------
@@ -251,8 +259,11 @@ class ServingEngine:
     ) -> RequestHandle:
         """Admit one request; returns its Future-style handle.
 
-        ``cache_key`` consults the engine's :class:`SessionCache` first:
-        a hit resolves the handle immediately without queueing.  When
+        ``cache_key`` consults the engine's
+        :class:`~repro.serving.cache.MemoCache` first: a hit resolves
+        the handle immediately without queueing.  A ``cache_key`` on a
+        ``session_id`` of a servable with KV sessions is a
+        ``ValueError``: a hit would skip that step's K/V commit.  When
         the bounded queue is full, wall-clock submissions block (the
         backpressure path) unless ``block=False`` / ``timeout`` says to
         raise :class:`~repro.serving.request.QueueFull`; manual-mode
@@ -260,6 +271,12 @@ class ServingEngine:
         """
         if self._closed:
             raise EngineClosed("engine is closed")
+        if (
+            cache_key is not None
+            and session_id is not None
+            and self.session_cache is not None
+        ):
+            raise memoized_step_error(session_id)
         request_id = next(self._ids)
         arrival = self.clock.now()
         handle = RequestHandle(request_id, arrival)

@@ -106,7 +106,7 @@ class IterationScheduler:
         if max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
         self.max_active = max_active
-        self.cache = cache if cache is not None and cache.pool is not None else None
+        self.cache = cache
         self._steps: dict[str, deque[InferenceRequest]] = {}
         self._priority: dict[str, int] = {}
         self._stamp = 0

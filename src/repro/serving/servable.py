@@ -193,7 +193,6 @@ class DecodeServable(Servable):
         config: DecoderConfig,
         *,
         executor=None,
-        cache: SessionCache | None = None,
         seed: int = 0,
         block_size: int = 1,
         kv_capacity_bytes: int | None = None,
@@ -205,23 +204,12 @@ class DecodeServable(Servable):
         self.executor = (
             executor if executor is not None else PhotonicExecutor.digital_reference()
         )
-        if cache is not None and (block_size != 1 or kv_capacity_bytes is not None):
-            raise ValueError(
-                "pass paging knobs (block_size / kv_capacity_bytes) or an "
-                "explicit cache, not both"
-            )
-        self.cache = (
-            cache
-            if cache is not None
-            else SessionCache(
-                config,
-                kv_bits=kv_bits,
-                block_size=block_size,
-                kv_capacity_bytes=kv_capacity_bytes,
-            )
+        self.cache = SessionCache(
+            config,
+            kv_bits=kv_bits,
+            block_size=block_size,
+            kv_capacity_bytes=kv_capacity_bytes,
         )
-        if self.cache.config is None:
-            self.cache.config = config
         # Holding the shared weights keeps their memo entry alive.
         self._weights = _decoder_weights(config, seed)
         self.w_qkv, self.w_out, self.w_ffn1, self.w_ffn2 = self._weights.arrays

@@ -199,17 +199,7 @@ def pad_prompts(
     return padded, lengths
 
 
-def decode_servable(
-    config: DecoderConfig,
-    *,
-    executor=None,
-    cache=None,
-    seed: int | None = None,
-    block_size: int | None = None,
-    kv_capacity_bytes: int | None = None,
-    kv_bits: int | None = None,
-    engine=None,
-):
+def decode_servable(config: DecoderConfig, *, executor=None, engine=None):
     """Serving entry point: a decode-step servable for this decoder.
 
     Returns a :class:`~repro.serving.servable.DecodeServable` — batched
@@ -218,19 +208,19 @@ def decode_servable(
     :class:`~repro.serving.cache.SessionCache` KV accounting that is
     consistent with :func:`kv_cache_bytes` by construction.
 
-    ``block_size`` selects the KV page size (tokens per
+    ``engine`` (an :class:`~repro.serving.config.EngineConfig`) is the
+    one place the decoder's serving knobs are set: its ``seed`` draws
+    the weights, ``block_size`` selects the KV page size (tokens per
     :class:`~repro.serving.cache.KVBlock`; 1 = exact per-token
-    accounting) and ``kv_capacity_bytes`` bounds the session
-    :class:`~repro.serving.cache.BlockPool` — the budget the
-    continuous scheduler enforces by preemption.  Ignored when an
-    explicit ``cache`` is supplied.
-
-    ``engine`` (an :class:`~repro.serving.config.EngineConfig`) supplies
-    the seed, paging, and accelerator knobs in one object — the unified
-    serving API; explicit keyword arguments override the corresponding
-    engine fields.
+    accounting), ``kv_capacity_bytes`` bounds the session
+    :class:`~repro.serving.cache.BlockPool` (the budget the scheduler
+    enforces by preemption), ``kv_bits`` sets the accounted K/V
+    precision, and ``num_cores``/``shard_axis`` build the executor when
+    none is given.  Without ``engine`` the :class:`EngineConfig`
+    defaults apply and the executor defaults to the digital reference.
     """
-    # Lazy import: workloads stays importable without the serving layer.
+    # Lazy imports: workloads stays importable without the serving layer.
+    from repro.serving.config import EngineConfig
     from repro.serving.servable import DecodeServable
 
     if engine is not None and executor is None:
@@ -240,25 +230,15 @@ def decode_servable(
             num_cores=engine.num_cores,
             shard_axis=engine.shard_axis,
         )
-    if seed is None:
-        seed = engine.seed if engine is not None else 0
-    if block_size is None:
-        block_size = engine.block_size if engine is not None else 1
-    if kv_capacity_bytes is None and engine is not None:
-        kv_capacity_bytes = engine.kv_capacity_bytes
-    if kv_bits is None:
-        kv_bits = engine.kv_bits if engine is not None else 8
-    if cache is not None:
-        return DecodeServable(
-            config, executor=executor, cache=cache, seed=seed, kv_bits=kv_bits
-        )
+    if engine is None:
+        engine = EngineConfig()
     return DecodeServable(
         config,
         executor=executor,
-        seed=seed,
-        block_size=block_size,
-        kv_capacity_bytes=kv_capacity_bytes,
-        kv_bits=kv_bits,
+        seed=engine.seed,
+        block_size=engine.block_size,
+        kv_capacity_bytes=engine.kv_capacity_bytes,
+        kv_bits=engine.kv_bits,
     )
 
 

@@ -18,6 +18,8 @@ from repro.serving import (
     DecodeSessionSpec,
     EngineConfig,
     IterationCost,
+    MemoCache,
+    ServingEngine,
     SessionCache,
     SimulatedClock,
     VisionServable,
@@ -26,7 +28,12 @@ from repro.serving import (
     run_decode_trace,
 )
 from repro.serving.loadgen import bit_equal, sequential_decode, sequential_outputs
-from repro.workloads.llm import DecoderConfig, kv_cache_bytes, shared_kv_cache_bytes
+from repro.workloads.llm import (
+    DecoderConfig,
+    decode_servable,
+    kv_cache_bytes,
+    shared_kv_cache_bytes,
+)
 from repro.workloads.transformer import servable_model
 from tests.cluster.sim_gates import TINY_VIT, golden
 
@@ -297,6 +304,61 @@ class TestFleetMemo:
             np.testing.assert_array_equal(first.result(timeout=0), [2, 2])
             np.testing.assert_array_equal(second.result(timeout=0), [10, 10])
             assert not second.cache_hit
+
+
+class TestMemoizedDecodeSteps:
+    """A memo hit on a decode step would skip that step's K/V commit,
+    leaving the session one token short of its inputs; so a ``cache_key``
+    on a KV session's step is refused at submit, before any memo lookup
+    or session state, by the engine's memo, the replica-private memos
+    and the shared tier alike."""
+
+    ENGINE = EngineConfig(max_wait_us=0.0, scheduler="continuous", seed=0)
+
+    def target(self, memo):
+        def servable(replica_id=None):
+            return decode_servable(DECODER, engine=self.ENGINE)
+
+        if memo == "engine":
+            return ServingEngine(
+                servable(), config=self.ENGINE, clock=SimulatedClock(),
+                cache=MemoCache(),
+            )
+        config = ClusterConfig(
+            replicas=2, engine=self.ENGINE, memo_bytes=1 << 20,
+            shared_cache=memo == "tier",
+        )
+        return ServingCluster(servable, config=config, clock=SimulatedClock())
+
+    @staticmethod
+    def memos(target, memo):
+        if memo == "engine":
+            return [target.cache]
+        if memo == "tier":
+            return [target.tier.memo]
+        return [r.engine.cache for r in target.replicas.values()]
+
+    @pytest.mark.parametrize("memo", ["engine", "replica", "tier"])
+    def test_cache_key_on_a_decode_session_is_refused(self, memo):
+        with self.target(memo) as target:
+            for sid in ("a", "b"):
+                with pytest.raises(ValueError, match="cache_key"):
+                    target.submit(
+                        np.ones(DECODER.dim), cache_key="first-token", session_id=sid
+                    )
+            assert target.pending == 0
+            assert all(
+                cache.hits == cache.misses == cache.memo_entries == 0
+                for cache in self.memos(target, memo)
+            )
+            # Without the key both sessions see identical inputs, so
+            # they hold identical context and decode identical outputs.
+            outputs = {}
+            for sid in ("a", "b"):
+                target.submit(np.ones(DECODER.dim), session_id=sid)
+                outputs[sid] = target.submit(np.full(DECODER.dim, 0.5), session_id=sid)
+            target.run_until_idle()
+            assert bit_equal(outputs["a"].result(timeout=0), outputs["b"].result(timeout=0))
 
 
 class TestPrefixRegistration:

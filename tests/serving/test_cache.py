@@ -1,9 +1,9 @@
-"""Tests for the session cache (memoization + KV accounting)."""
+"""Tests for the prompt memo and the paged KV-session cache."""
 
 import numpy as np
 import pytest
 
-from repro.serving import MISS, SessionCache
+from repro.serving import MISS, MemoCache, SessionCache
 from repro.workloads import DecoderConfig, kv_cache_bytes
 
 
@@ -13,7 +13,7 @@ def toy_decoder() -> DecoderConfig:
 
 class TestMemoization:
     def test_miss_then_hit(self):
-        cache = SessionCache()
+        cache = MemoCache()
         assert cache.get("k") is MISS
         value = np.arange(4.0)
         cache.put("k", value)
@@ -21,14 +21,14 @@ class TestMemoization:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_byte_accounting(self):
-        cache = SessionCache()
+        cache = MemoCache()
         cache.put("a", np.zeros(4))  # 32 bytes
         cache.put("b", np.zeros(2))  # 16 bytes
         assert cache.memo_entries == 2
         assert cache.memo_bytes == 48
 
     def test_lru_eviction(self):
-        cache = SessionCache(capacity_bytes=64)
+        cache = MemoCache(capacity_bytes=64)
         cache.put("a", np.zeros(4))  # 32 bytes
         cache.put("b", np.zeros(4))  # 32 bytes -> at capacity
         assert cache.get("a") is not MISS  # refresh "a"; "b" is now LRU
@@ -40,20 +40,20 @@ class TestMemoization:
         assert cache.memo_bytes == 64
 
     def test_oversized_entries_are_not_admitted(self):
-        cache = SessionCache(capacity_bytes=16)
+        cache = MemoCache(capacity_bytes=16)
         cache.put("huge", np.zeros(64))
         assert cache.get("huge") is MISS
         assert cache.memo_bytes == 0
 
     def test_replacing_a_key_updates_bytes(self):
-        cache = SessionCache()
+        cache = MemoCache()
         cache.put("k", np.zeros(8))
         cache.put("k", np.zeros(2))
         assert cache.memo_entries == 1
         assert cache.memo_bytes == 16
 
     def test_non_array_values_are_charged(self):
-        cache = SessionCache()
+        cache = MemoCache()
         cache.put("list", [0.0] * 1000)
         assert cache.memo_bytes >= 8 * 1000
         cache.put("int", 10)
@@ -62,7 +62,7 @@ class TestMemoization:
 
     def test_validates_capacity(self):
         with pytest.raises(ValueError):
-            SessionCache(capacity_bytes=-1)
+            MemoCache(capacity_bytes=-1)
 
 
 class TestSessions:
@@ -76,8 +76,8 @@ class TestSessions:
         session = cache.session("s")
         assert len(session.keys) == 2 and session.prompt_len == 3
 
-    @pytest.mark.parametrize("config", [toy_decoder(), None], ids=["paged", "implicit"])
-    def test_keys_and_values_span_pages_like_a_per_slot_walk(self, config):
+    @pytest.mark.parametrize("block_size", [1, 2], ids=["per_token", "paged"])
+    def test_keys_and_values_span_pages_like_a_per_slot_walk(self, block_size):
         """``keys``/``values`` over a 3+ page session are the per-slot views
         a slot-by-slot page walk finds, in step order."""
 
@@ -88,7 +88,7 @@ class TestSessions:
                 index -= block.fill
             raise IndexError(index)
 
-        cache = SessionCache(config, block_size=2)
+        cache = SessionCache(toy_decoder(), block_size=block_size)
         cache.open_session("s", prompt_len=3)
         rng = np.random.default_rng(0)
         steps = [(rng.normal(size=16), rng.normal(size=16)) for _ in range(6)]
@@ -96,7 +96,7 @@ class TestSessions:
             cache.append_kv("s", k, v)
         session = cache.session("s")
         assert len(session.blocks) >= 3
-        first = session.prompt_slots
+        first = session.prompt_len
         for name, column in (("keys", 0), ("values", 1)):
             rows = getattr(session, name)
             assert len(rows) == len(steps)
@@ -153,19 +153,16 @@ class TestSessions:
         assert cache.total_kv_bytes() == kv_cache_bytes(config, 2)
         assert not cache.has_session("b")
 
-    def test_session_api_needs_a_config(self):
-        cache = SessionCache()
-        cache.open_session("s", prompt_len=1)
-        with pytest.raises(ValueError):
-            cache.session_bytes("s")
+    def test_needs_a_config_and_always_pools(self):
+        with pytest.raises(TypeError):
+            SessionCache()
+        cache = SessionCache(toy_decoder(), block_size=2)
+        assert cache.pool.block_size == 2
+        assert not hasattr(cache, "get") and "hits" not in cache.stats()
 
     def test_stats(self):
         cache = SessionCache(toy_decoder())
         cache.open_session("s", prompt_len=2)
-        cache.put("k", np.zeros(4))
-        cache.get("k")
-        cache.get("missing")
         stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["open_sessions"] == 1
         assert stats["total_kv_bytes"] == kv_cache_bytes(toy_decoder(), 2)

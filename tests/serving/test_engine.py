@@ -10,7 +10,7 @@ from repro.serving import (
     Servable,
     ServingEngine,
     ServingError,
-    SessionCache,
+    MemoCache,
     SimulatedClock,
     VisionServable,
 )
@@ -199,7 +199,7 @@ class TestLifecycle:
 
 class TestCacheIntegration:
     def test_repeated_prompt_is_served_from_cache(self):
-        cache = SessionCache(capacity_bytes=1 << 16)
+        cache = MemoCache(1 << 16)
         engine = manual_engine(cache=cache)
         first = engine.submit(5, cache_key="p")
         engine.run_until_idle()
@@ -211,7 +211,7 @@ class TestCacheIntegration:
         assert cache.hits == 1
 
     def test_distinct_keys_miss(self):
-        engine = manual_engine(cache=SessionCache())
+        engine = manual_engine(cache=MemoCache())
         engine.submit(5, cache_key="a")
         engine.run_until_idle()
         other = engine.submit(6, cache_key="b")

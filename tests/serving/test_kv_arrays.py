@@ -32,13 +32,6 @@ def _append(cache, sid, rng, n):
         cache.append_kv(sid, *_step(rng))
 
 
-def _implicit_prompt(rng):
-    cache = SessionCache()  # config-less: the prompt stays implicit
-    cache.open_session("s", prompt_len=3)
-    _append(cache, "s", rng, 2)
-    return cache.session("s")
-
-
 def _materialized_prompt(rng):
     cache = SessionCache(toy_decoder(), block_size=2)
     cache.open_session("s", prompt_len=3)
@@ -77,13 +70,12 @@ def _swapped_in(rng):
 
 
 def _empty(rng):
-    cache = SessionCache()
+    cache = SessionCache(toy_decoder())
     cache.open_session("s")
     return cache.session("s")
 
 
 LAYOUTS = [
-    _implicit_prompt,
     _materialized_prompt,
     _shared_prefix,
     _adopted,

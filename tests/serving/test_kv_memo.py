@@ -1,8 +1,8 @@
 """``Session.kv_arrays`` memoizes the concatenation of every page but the
 last.  Against the per-page concatenation it replaced, kept here verbatim
 as the oracle, the result is bit-identical across appends that cross page
-boundaries, swap, migration, prefix forks, page reuse after close, the
-implicit prompt of a config-less cache, and pending pairs."""
+boundaries, swap, migration, prefix forks, page reuse after close, and
+pending pairs."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,12 +23,8 @@ def toy_decoder() -> DecoderConfig:
 
 def per_page_kv(session, dim, extra=()):
     """The reference: the per-page concatenation, as it was before the memo."""
-    implicit = session.prompt_len - session.prompt_slots
     parts_k: list[np.ndarray] = []
     parts_v: list[np.ndarray] = []
-    if implicit:
-        parts_k.append(np.zeros((implicit, dim)))
-        parts_v.append(np.zeros((implicit, dim)))
     for block in session.blocks:
         if block.fill:
             parts_k.append(block.keys[: block.fill])
@@ -52,11 +48,9 @@ def assert_matches(session, rng, pending):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_memo_matches_the_per_page_concatenation(data):
-    paged = data.draw(st.booleans(), label="paged")
     block_size = data.draw(st.integers(1, 4), label="block_size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-    config = toy_decoder() if paged else None
-    caches = [SessionCache(config, block_size=block_size) for _ in range(2)]
+    caches = [SessionCache(toy_decoder(), block_size=block_size) for _ in range(2)]
     where = {"s0": 0}  # tracked session id -> index of the cache holding it
     caches[0].open_session("s0", prompt_len=data.draw(st.integers(0, 6)))
     opened = 1
@@ -80,9 +74,9 @@ def test_memo_matches_the_per_page_concatenation(data):
             where[sid] = 1 - where[sid]
             caches[where[sid]].adopt_session(cache.pop_session(sid))
         elif op == "fork":
-            # A prefix chain needs a materialized prompt, an unshared and
-            # resident donor, and a page-aligned (or whole-context) cut.
-            if not paged or session.shared_blocks or session.swapped:
+            # A prefix chain needs an unshared and resident donor, and a
+            # page-aligned (or whole-context) cut.
+            if session.shared_blocks or session.swapped:
                 continue
             context = session.context_len
             if context < 1:

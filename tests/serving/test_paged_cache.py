@@ -270,19 +270,6 @@ class TestCloseSemantics:
         assert cache.pool.in_use == 1
 
 
-class TestValidation:
-    def test_kv_capacity_requires_config(self):
-        with pytest.raises(ValueError):
-            SessionCache(kv_capacity_bytes=1024)
-
-    def test_configless_cache_has_no_pool(self):
-        cache = SessionCache()
-        assert cache.pool is None
-        cache.open_session("s", prompt_len=1)
-        k = np.ones(4)
-        assert cache.append_kv("s", k, k) == 2
-
-
 class TestPrefixExportAdopt:
     """Copy-on-write prefix sharing: export transfers page custody out
     of the pool, adopters alias the chain without charging it, and the
@@ -342,7 +329,7 @@ class TestPrefixExportAdopt:
         cache = SessionCache(config, block_size=2)
         session = cache.adopt_prefix("fork", chain)
         assert cache.pool.in_use == 0  # shared pages are tier custody
-        assert session.prompt_len == session.prompt_slots == 4
+        assert session.prompt_len == session.context_len == 4
         assert not session.has_room  # first append must open a new page
         k = np.ones(config.dim)
         cache.append_kv("fork", k, k)

@@ -16,7 +16,7 @@ from repro.serving import (
     InferenceRequest,
     RequestHandle,
     ServingEngine,
-    SessionCache,
+    MemoCache,
     SimulatedClock,
     TextServable,
     VisionServable,
@@ -168,13 +168,24 @@ class TestDecodeServable:
         for expected, got in zip(seq_out, first + second):
             assert np.array_equal(expected, got)
 
-    def test_shared_executor_and_cache_injection(self):
-        cache = SessionCache()
+    def test_engine_config_sizes_the_cache(self):
+        """``EngineConfig`` is the one source of a served decoder's KV
+        settings and seed; an executor passed in is used as is."""
+        config = self.config()
+        engine = EngineConfig(
+            block_size=2, kv_capacity_bytes=1 << 12, kv_bits=4, seed=3
+        )
         executor = PhotonicExecutor.ideal()
-        servable = DecodeServable(self.config(), executor=executor, cache=cache)
+        servable = decode_servable(config, executor=executor, engine=engine)
         assert servable.executor is executor
-        assert servable.cache is cache
-        assert cache.config == self.config()  # adopted for KV accounting
+        cache = servable.cache
+        assert cache.config == config
+        assert cache.block_size == cache.pool.block_size == 2
+        assert cache.kv_bits == cache.pool.kv_bits == 4
+        assert cache.pool.capacity_bytes == 1 << 12
+        reference = DecodeServable(config, seed=3)
+        for ours, theirs in zip(servable._weights.arrays, reference._weights.arrays):
+            np.testing.assert_array_equal(ours, theirs)
 
 
 class TestWorkloadEntryPoints:
@@ -208,7 +219,7 @@ class TestWorkloadEntryPoints:
 
     def test_decode_servable_entry_point(self):
         config = DecoderConfig("toy", depth=2, dim=16, heads=2, mlp_ratio=2.0)
-        servable = decode_servable(config, seed=0)
+        servable = decode_servable(config)
         assert isinstance(servable, DecodeServable)
         assert servable.cache.config == config
 
@@ -247,7 +258,7 @@ class TestDecodeBatchAtomicity:
 
 class TestCacheIsolation:
     def test_cached_results_never_alias(self):
-        cache = SessionCache(capacity_bytes=1 << 16)
+        cache = MemoCache(1 << 16)
         engine = ServingEngine(
             VisionServable(tiny_vit(seed=0)),
             config=EngineConfig(max_batch_size=2),

@@ -283,11 +283,13 @@ class TestConfigConstruction:
             a.forward(image).data, b.forward(image).data
         )
 
-    def test_explicit_kwargs_override_engine_fields(self):
-        servable = decode_servable(
-            DECODER, engine=EngineConfig(block_size=4), block_size=2
-        )
-        assert servable.cache.block_size == 2
+    def test_decode_servable_knobs_come_only_from_engine(self):
+        """The seed and KV settings have no per-call override: the
+        ``EngineConfig`` is their one source."""
+        params = inspect.signature(decode_servable).parameters
+        assert list(params) == ["config", "executor", "engine"]
+        with pytest.raises(TypeError):
+            decode_servable(DECODER, engine=EngineConfig(block_size=4), block_size=2)
 
     @pytest.mark.parametrize(
         "cls, runtime",

@@ -15,7 +15,6 @@ from repro.serving import (
     InferenceRequest,
     RequestHandle,
     ServingEngine,
-    SessionCache,
     SimulatedClock,
 )
 from repro.workloads import (
@@ -133,8 +132,8 @@ class TestKVAccountingConsistency:
 
     def test_batched_decode_accounts_every_session(self):
         config = toy_decoder()
-        cache = SessionCache(config)
-        servable = DecodeServable(config, cache=cache, seed=0)
+        servable = DecodeServable(config, seed=0)
+        cache = servable.cache
         rng = np.random.default_rng(3)
         engine = ServingEngine(
             servable, config=EngineConfig(max_batch_size=4), clock=SimulatedClock()
@@ -148,7 +147,7 @@ class TestKVAccountingConsistency:
 
     def test_kv_bits_thread_through(self):
         config = toy_decoder()
-        cache = SessionCache(config, kv_bits=4)
-        servable = DecodeServable(config, cache=cache, seed=0)
+        servable = DecodeServable(config, seed=0, kv_bits=4)
+        cache = servable.cache
         servable.execute([decode_request(servable, np.ones(16), "s")])
         assert cache.session_bytes("s") == kv_cache_bytes(config, 1, bits=4)

@@ -33,9 +33,10 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     # per-replica holder counts); a miscount silently corrupts every
     # replica, so its file is gated tighter than its package.
     ("repro/cluster/store", 90.0),
-    # The hot path reorders RNG-consuming stages across threads; an
-    # untested branch there is a silent bit-equality break, so its
-    # file is gated tighter than its package.
+    # The hot-path module holds the per-stage profile behind
+    # ``repro hotpath-bench`` and ``best_of``, the one timer of every
+    # wall-clock floor; an untested branch there misreports a stage or
+    # a floor, so its file is gated tighter than its package.
     ("repro/core/hotpath", 90.0),
     # The tracing/telemetry substrate promises byte-determinism and a
     # zero-cost disabled path; an untested branch is a silent
