@@ -1,8 +1,15 @@
 """Tests for the optimizer, datasets, and training loop."""
 
+import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.neural.train as train_module
 from repro.neural import (
     Adam,
     Dataset,
@@ -178,12 +185,16 @@ class TestBatchedLoopEquivalence:
 
 
 class TestEvaluate:
-    def test_evaluate_restores_training_mode(self):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_evaluate_keeps_the_callers_mode(self, training):
         data = striped_image_dataset(n_samples=5, n_classes=2)
         model = TinyViT(n_classes=2, depth=1)
         model.train()
+        if not training:
+            model.eval()
         evaluate(model, data)
-        assert model.training
+        assert model.training is training
+        assert model.blocks[0].ffn.drop.training is training
 
     def test_accuracy_in_unit_interval(self):
         data = striped_image_dataset(n_samples=8, n_classes=2)
@@ -204,3 +215,123 @@ class TestEvaluate:
         data = striped_image_dataset(n_samples=4, n_classes=2)
         with pytest.raises(ValueError):
             evaluate(TinyViT(n_classes=2, depth=1), data, batch_size=0)
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+#: Runs in a fresh interpreter: noise-aware training of the benchmark's
+#: TinyViT on two batch-sharded thread cores, one epoch per call, and the
+#: minor page faults each epoch took.  A step's activations swing the
+#: heap by several MB, more than glibc's default trim threshold.  A
+#: no-grad forward runs first, so glibc's sliding mmap threshold has
+#: moved before training starts, as it has in a model served or
+#: evaluated before it is trained.
+FAULTS_SCRIPT = """
+import json, resource
+
+from repro.neural import PhotonicExecutor, TinyViT, no_grad
+from repro.neural import striped_image_dataset, train_classifier
+
+executor = PhotonicExecutor.paper_default(
+    seed=1, num_cores=2, shard_axis="batch", backend="thread"
+)
+model = TinyViT(
+    image_size=16, patch_size=4, dim=32, depth=2, heads=4, n_classes=4,
+    mlp_ratio=2.0, executor=executor, seed=0,
+)
+data = striped_image_dataset(n_samples=64, seed=1)
+with no_grad():
+    model(data.inputs[:16])
+faults = []
+for epoch in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_classifier(model, data, epochs=1, batch_size=16, seed=epoch)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+executor.close()
+print(json.dumps(faults))
+"""
+
+
+@pytest.fixture
+def fresh_retention():
+    """Let ``_retain_heap`` run again, before and after the test."""
+    train_module._retain_heap.cache_clear()
+    yield
+    train_module._retain_heap.cache_clear()
+
+
+class TestHeapRetention:
+    """The trainer keeps its freed heap mapped from one step to the next."""
+
+    @pytest.mark.skipif(not on_glibc(), reason="heap retention is glibc-only")
+    def test_epochs_after_the_first_fault_in_almost_nothing(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.dirname(train_module.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", FAULTS_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        faults = json.loads(result.stdout.splitlines()[-1])
+        # Trimmed after every step, the heap costs about 10k faults an
+        # epoch, and with only the top pad set (the mmap threshold left
+        # frozen where it stood) about 1.6k; kept mapped, a few dozen.
+        assert max(faults[1:]) < 300, faults
+
+    @pytest.mark.skipif(not on_glibc(), reason="heap retention is glibc-only")
+    def test_applied_once_per_process(self, fresh_retention, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        def cdll(name):
+            calls.append(("lookup", name))
+            return SimpleNamespace(mallopt=mallopt)
+
+        monkeypatch.setattr(train_module.ctypes, "CDLL", cdll)
+        train_module._retain_heap()
+        train_module._retain_heap()
+        size = train_module._RETAINED_BYTES
+        assert calls == [
+            ("lookup", None),
+            (train_module._M_MMAP_THRESHOLD, size),
+            (train_module._M_TOP_PAD, size),
+        ]
+
+    @pytest.mark.parametrize("missing", ["glibc", "libc", "mallopt"])
+    def test_training_runs_without_mallopt(self, fresh_retention, monkeypatch, missing):
+        data = striped_image_dataset(n_samples=8, n_classes=2, seed=1)
+
+        def run():
+            model = TinyViT(n_classes=2, depth=1, seed=0)
+            return train_classifier(model, data, epochs=1, batch_size=4, seed=0)
+
+        expected = run()
+        train_module._retain_heap.cache_clear()
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        def no_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        if missing == "glibc":
+            monkeypatch.setattr(train_module.os, "confstr", no_glibc)
+        elif missing == "libc":
+            monkeypatch.setattr(train_module.ctypes, "CDLL", no_library)
+        else:
+            monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: object())
+        result = run()
+        assert result.losses == expected.losses
+        assert result.train_accuracy == expected.train_accuracy
