@@ -7,34 +7,32 @@ Usage::
     python -m repro.cli run    [--config lt-b|lt-l] [--bits N] [--model NAME]
     python -m repro.cli compare [--bits N] [--model NAME]
     python -m repro.cli report [--skip-accuracy]
-    python -m repro.cli serve-bench [--model tiny-vit|tiny-bert] [--requests N]
-    python -m repro.cli cluster-bench [--replicas N] [--policy NAME] [--autoscale]
-    python -m repro.cli hotpath-bench [--batch N] [--noise paper|off] [--out FILE]
+    python -m repro.cli bench  SCENARIO [--config JSON] [--requests N]
+                               [--rate R] [--trace PATH] [--out FILE]
     python -m repro.cli trace  [--seed N] [--requests N] [--out FILE]
                                [--sample RATE] [--stream]
     python -m repro.cli top    [--replicas N] [--frames N] [--fail-replica ID]
     python -m repro.cli metrics [--requests N] [--port P]
 
-``trace`` runs the deterministic demo workload from
-:mod:`repro.obs.demo` and dumps the span tree (JSONL by default; a
-``--out`` ending in anything but ``.jsonl`` writes Chrome trace-event
-JSON for Perfetto).  ``--sample RATE`` keeps one in RATE traces
-(incident spans always survive) and ``--stream`` exports each span the
-moment it ends instead of holding the run in memory — both produce
-deterministic subsets of the full dump.  ``top`` renders live ANSI
-fleet-dashboard frames over a demo cluster (optionally failing a
-replica mid-run, which drops a flight-recorder postmortem), and
-``metrics`` prints the demo registry in Prometheus text format (with
-``--port``, serves exactly one HTTP scrape of it).  The bench verbs
-take ``--trace PATH`` to capture the same span tree for a real
-benchmark run.
+``bench`` builds and drives one scenario of
+:mod:`repro.workloads.scenarios` (``serve-vit``, ``fleet-decode``,
+``hotpath``, ...) and prints its table.  ``--config`` takes the
+scenario's settings as inline JSON or a path to a JSON file, laid field
+by field over the scenario's default config; a bad value is a one-line
+exit.  ``--trace PATH`` captures the run's span tree and ``--out FILE``
+writes the report as JSON.
 
-The serving verbs construct from the unified config objects
-(:class:`~repro.serving.config.EngineConfig` /
-:class:`~repro.cluster.config.ClusterConfig`): ``--config`` takes the
-config as inline JSON or a path to a JSON file, and the per-field flags
-(``--max-batch-size``, ``--scheduler``, ...) override individual
-fields on top.
+``trace`` runs the deterministic ``demo`` scenario and dumps the span
+tree (JSONL by default; a ``--out`` ending in anything but ``.jsonl``
+writes Chrome trace-event JSON for Perfetto).  ``--sample RATE`` keeps
+one in RATE traces (incident spans always survive) and ``--stream``
+exports each span the moment it ends instead of holding the run in
+memory — both produce deterministic subsets of the full dump.  ``top``
+renders live ANSI fleet-dashboard frames over a cluster of demo
+servables (optionally failing a replica mid-run, which drops a
+flight-recorder postmortem), and ``metrics`` prints the demo registry
+in Prometheus text format (with ``--port``, serves exactly one HTTP
+scrape of it).
 
 Models: deit-t, deit-s, deit-b, bert-base, bert-large.
 """
@@ -188,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Deterministic demo trace: run the obs workload, dump the spans."""
+    """Deterministic demo trace: run the demo scenario, dump the spans."""
     from repro.obs import (
         StreamingSpanWriter,
         TraceSampler,
@@ -196,7 +194,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         to_jsonl,
         write_trace,
     )
-    from repro.obs.demo import run_trace_workload, run_workload
+    from repro.workloads.scenarios import DEMO, demo_workload
 
     if args.requests < 1:
         raise SystemExit("trace: --requests must be >= 1")
@@ -204,36 +202,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
         sampler = TraceSampler(args.sample) if args.sample is not None else None
     except ValueError as error:
         raise SystemExit(f"trace: {error}")
+    if args.stream and not args.out:
+        raise SystemExit("trace: --stream needs --out FILE")
+    if (args.stream or sampler is not None) and args.out and not args.out.endswith(".jsonl"):
+        flag = "--stream" if args.stream else "--sample"
+        raise SystemExit(f"trace: {flag} writes JSONL; --out must end in .jsonl")
+    config = DEMO.replace(seed=args.seed, max_batch_size=args.max_batch_size)
     if args.stream:
-        if not args.out:
-            raise SystemExit("trace: --stream needs --out FILE")
-        if not args.out.endswith(".jsonl"):
-            raise SystemExit("trace: --stream writes JSONL; --out must end in .jsonl")
         # Spans hit disk at span end instead of accumulating in memory;
         # the workload (and therefore every span id/timestamp) is the
         # batch path's, so the file sorts into the same canonical lines.
         with StreamingSpanWriter(args.out, sampler=sampler) as writer:
-            run_workload(
-                seed=args.seed,
-                requests=args.requests,
-                max_batch_size=args.max_batch_size,
-                sink=writer,
-            )
+            demo_workload(config, requests=args.requests, sink=writer)
         print(
             f"streamed {writer.spans_written}/{writer.spans_seen} spans "
             f"-> {args.out} (peak {writer.peak_open} open)"
         )
         return 0
-    collector = run_trace_workload(
-        seed=args.seed,
-        requests=args.requests,
-        max_batch_size=args.max_batch_size,
-    )
+    collector, _, _ = demo_workload(config, requests=args.requests, traced=True)
     if sampler is not None:
-        if args.out and not args.out.endswith(".jsonl"):
-            raise SystemExit(
-                "trace: --sample writes JSONL; --out must end in .jsonl"
-            )
         lines = sampled_lines(collector, sampler)
         text = "\n".join(lines) + ("\n" if lines else "")
         if args.out:
@@ -264,11 +251,12 @@ def cmd_top(args: argparse.Namespace) -> int:
         FlightRecorder,
         SLOMonitor,
         TimeSeriesRecorder,
+        Tracer,
         latency_objective,
     )
-    from repro.obs.demo import TracedMatmulServable
     from repro.obs.live import ANSI_HOME
     from repro.serving import EngineConfig, IterationCost, SimulatedClock
+    from repro.workloads.scenarios import TracedMatmulServable, demo_payloads
 
     if args.replicas < 1:
         raise SystemExit("top: --replicas must be >= 1")
@@ -278,8 +266,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         raise SystemExit("top: --frames must be >= 1")
     if args.rate <= 0:
         raise SystemExit("top: --rate must be > 0")
-    from repro.obs import Tracer
-
     clock = SimulatedClock()
     recorder = FlightRecorder(clock=clock)
     # Trace the run and tee span ends into the recorder's ring, so a
@@ -315,9 +301,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
     cluster.slo_monitor = monitor
     top = FleetTop(cluster, monitor=monitor, color=not args.no_color)
-    payload_rng = np.random.default_rng(args.seed + 2)
+    payloads = demo_payloads(args.seed)
     gap_rng = np.random.default_rng(args.seed + 3)
-    servable = TracedMatmulServable(seed=args.seed)
     frame_every = max(1, args.requests // args.frames)
     fail_at = args.requests // 2 if args.fail_replica is not None else None
 
@@ -329,8 +314,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     with cluster:
         for index in range(args.requests):
             clock.advance(float(gap_rng.exponential(1.0 / args.rate)))
-            payload = payload_rng.uniform(-1.0, 1.0, (servable.m, servable.d))
-            cluster.submit(payload, session_id=f"session-{index % 4}")
+            cluster.submit(next(payloads), session_id=f"session-{index % 4}")
             cluster.step(force=False)
             if fail_at is not None and index == fail_at:
                 try:
@@ -355,27 +339,17 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Prometheus text dump of the demo workload's registry."""
-    import numpy as np
-
-    from repro.obs.demo import TracedMatmulServable, trace_workload_config
     from repro.obs.live import MetricsExposition, threaded_fetch
-    from repro.serving import ServingEngine, SimulatedClock
+    from repro.serving import SimulatedClock
+    from repro.workloads.scenarios import DEMO, demo_engine, demo_payloads
 
     if args.requests < 1:
         raise SystemExit("metrics: --requests must be >= 1")
-    servable = TracedMatmulServable(seed=args.seed)
-    payload_rng = np.random.default_rng(args.seed + 2)
-    engine = ServingEngine(
-        servable,
-        config=trace_workload_config(args.max_batch_size),
-        clock=SimulatedClock(),
-    )
-    with engine:
+    config = DEMO.replace(seed=args.seed, max_batch_size=args.max_batch_size)
+    payloads = demo_payloads(args.seed)
+    with demo_engine(config, clock=SimulatedClock()) as engine:
         handles = [
-            engine.submit(
-                payload_rng.uniform(-1.0, 1.0, (servable.m, servable.d)),
-                session_id=f"session-{index % 3}",
-            )
+            engine.submit(next(payloads), session_id=f"session-{index % 3}")
             for index in range(args.requests)
         ]
         engine.run_until_idle()
@@ -394,399 +368,48 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_tracer(args: argparse.Namespace):
-    """The bench verbs' ``--trace PATH`` tracer (``None`` when off)."""
-    if not getattr(args, "trace", None):
-        return None
-    from repro.obs import Tracer
-
-    return Tracer()
-
-
-def _dump_tracer(tracer, path: str) -> None:
-    from repro.obs import write_trace
-
-    written = write_trace(tracer.collector, path)
-    print(f"wrote {len(tracer.collector)} spans -> {written}")
-
-
-#: Small serving-demo architectures (fast enough for interactive runs).
-SERVE_MODELS = ("tiny-vit", "tiny-bert")
-
-
-def _load_config(verb: str, cls, text: str):
-    """``cls`` from a ``--config`` value: inline JSON (starts with ``{``)
-    or a path to a JSON file.  Any bad value is a one-line exit."""
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Build and drive one scenario of :mod:`repro.workloads.scenarios`."""
     import json
     from pathlib import Path
 
-    text = text.strip()
-    try:
-        data = json.loads(text if text.startswith("{") else Path(text).read_text())
-        return cls.from_dict(data)
-    except (OSError, TypeError, ValueError) as error:
-        raise SystemExit(f"{verb}: bad --config: {error}")
+    from repro.obs import Tracer, write_trace
+    from repro.workloads.scenarios import SCENARIOS, configure
 
-
-def _engine_overrides(args: argparse.Namespace) -> dict:
-    """EngineConfig field overrides from the per-field CLI flags."""
-    overrides = {}
-    for flag in (
-        "max_batch_size",
-        "max_wait_us",
-        "scheduler",
-        "num_cores",
-        "seed",
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    return overrides
-
-
-def _serve_setup(args: argparse.Namespace, engine_config):
-    """(servable, payloads) for the serve-bench workload."""
-    import numpy as np
-
-    from repro.serving import TextServable, VisionServable
-    from repro.workloads.transformer import KIND_TEXT, servable_model
-
-    rng = np.random.default_rng(engine_config.seed)
-    if args.model == "tiny-vit":
-        config = TransformerConfig(
-            "serve-tiny-vit", depth=1, dim=32, heads=2, seq_len=17,
-            mlp_ratio=2.0, n_classes=4, patch_size=4, image_size=16,
-            in_channels=1,
-        )
-        model = servable_model(config, engine=engine_config)
-        servable = VisionServable(model)
-        payloads = [rng.normal(size=(16, 16)) for _ in range(args.requests)]
-    else:
-        config = TransformerConfig(
-            "serve-tiny-bert", depth=1, dim=32, heads=2, seq_len=17,
-            mlp_ratio=2.0, kind=KIND_TEXT, n_classes=2,
-        )
-        model = servable_model(config, engine=engine_config)
-        servable = TextServable(model, pad_id=0)
-        payloads = [
-            rng.integers(1, 32, size=int(rng.integers(1, 17)))
-            for _ in range(args.requests)
-        ]
-    return servable, payloads
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Dynamic-batching serving benchmark (open- and closed-loop load)."""
-    import numpy as np
-
-    from repro.serving import (
-        EngineConfig,
-        ServingEngine,
-        poisson_gaps,
-        run_closed_loop,
-        run_open_loop,
-    )
-
-    if args.requests < 1:
-        raise SystemExit("serve-bench: --requests must be >= 1")
-    if args.rate <= 0:
-        raise SystemExit("serve-bench: --rate must be > 0")
-    if args.users < 1 or args.rounds < 1:
-        raise SystemExit("serve-bench: --users and --rounds must be >= 1")
-    base = (
-        _load_config("serve-bench", EngineConfig, args.config)
-        if args.config
-        else EngineConfig(max_wait_us=2_000.0)
-    )
-    try:
-        engine_config = base.replace(
-            queue_depth=max(base.queue_depth, args.requests),
-            **_engine_overrides(args),
-        )
-    except ValueError as error:
-        raise SystemExit(f"serve-bench: {error}")
-    servable, payloads = _serve_setup(args, engine_config)
-    tracer = _build_tracer(args)
-    rng = np.random.default_rng(engine_config.seed + 1)
-    gaps = poisson_gaps(len(payloads), 1.0 / args.rate, rng)
-    rows = []
-    with ServingEngine(servable, config=engine_config, tracer=tracer) as engine:
-        rows.append(run_open_loop(engine, payloads, gaps))
-        users = min(args.users, len(payloads))
-        rows.append(run_closed_loop(engine, payloads[:users], rounds=args.rounds))
-        occupancy = engine.metrics.batch_occupancy()
-        iteration_occupancy = engine.metrics.iteration_occupancy()
-    for row in rows:
-        row.setdefault("concurrency", "-")
-    print(
-        render_table(
-            rows,
-            title=(
-                f"serve-bench {args.model}: "
-                f"max_batch_size={engine_config.max_batch_size}, "
-                f"max_wait_us={engine_config.max_wait_us:g}, "
-                f"rate={args.rate:g} req/s, "
-                f"scheduler={engine_config.scheduler}"
-            ),
-        )
-    )
-    print(
-        "batch occupancy: "
-        + ", ".join(f"{size}x{count}" for size, count in occupancy.items())
-    )
-    if iteration_occupancy:
-        print(
-            "iteration occupancy: "
-            + ", ".join(
-                f"{size}x{count}" for size, count in iteration_occupancy.items()
-            )
-        )
-    if tracer is not None:
-        _dump_tracer(tracer, args.trace)
-    return 0
-
-
-#: Cluster-bench workloads: stateless vision or session-pinned decode.
-CLUSTER_MODELS = ("tiny-vit", "decode")
-
-
-def cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """Multi-replica routing/autoscaling demo (simulated clock, no sleeps)."""
-    import numpy as np
-
-    from repro.cluster import (
-        AutoscalerPolicy,
-        ClusterConfig,
-        ServingCluster,
-        run_virtual_open_loop,
-        run_virtual_schedule,
-    )
-    from repro.serving import (
-        EngineConfig,
-        IterationCost,
-        SimulatedClock,
-        TenantSpec,
-        VisionServable,
-        multi_tenant_arrivals,
-    )
-    from repro.workloads.llm import DecoderConfig, decode_servable
-    from repro.workloads.transformer import servable_model
-
-    if args.requests < 1:
-        raise SystemExit("cluster-bench: --requests must be >= 1")
-    if args.rate <= 0:
-        raise SystemExit("cluster-bench: --rate must be > 0")
-
-    base = (
-        _load_config("cluster-bench", ClusterConfig, args.config)
-        if args.config
-        else ClusterConfig(
-            replicas=3,
-            policy="least_outstanding",
-            engine=EngineConfig(max_wait_us=500.0),
-            service_model=IterationCost(),
-        )
-    )
-    cluster_overrides = {}
-    if args.replicas is not None:
-        cluster_overrides["replicas"] = args.replicas
-    if args.policy is not None:
-        cluster_overrides["policy"] = args.policy
-    if args.shared_cache:
-        cluster_overrides["shared_cache"] = True
-    if args.service_base_us is not None or args.service_per_request_us is not None:
-        model = base.service_model if base.service_model is not None else IterationCost()
-        cluster_overrides["service_model"] = IterationCost(
-            base_s=(
-                args.service_base_us * 1e-6
-                if args.service_base_us is not None
-                else model.base_s
-            ),
-            per_request_s=(
-                args.service_per_request_us * 1e-6
-                if args.service_per_request_us is not None
-                else model.per_request_s
-            ),
-        )
-    try:
-        config = base.replace(
-            engine=base.engine.replace(
-                queue_depth=max(base.engine.queue_depth, args.requests),
-                **_engine_overrides(args),
-            ),
-            **cluster_overrides,
-        )
-    except ValueError as error:
-        raise SystemExit(f"cluster-bench: {error}")
-
-    seed = config.engine.seed
-    if args.model == "tiny-vit":
-        model_config = TransformerConfig(
-            "cluster-tiny-vit", depth=1, dim=32, heads=2, seq_len=17,
-            mlp_ratio=2.0, n_classes=4, patch_size=4, image_size=16,
-            in_channels=1,
-        )
-
-        def factory(replica_id: int):
-            model = servable_model(model_config, engine=config.engine)
-            return VisionServable(model)
-    else:
-        decoder = DecoderConfig(
-            "cluster-decode", depth=2, dim=16, heads=2, mlp_ratio=2.0
-        )
-
-        def factory(replica_id: int):
-            return decode_servable(decoder, engine=config.engine)
-
-    autoscaler = (
-        AutoscalerPolicy(
-            min_replicas=1,
-            max_replicas=config.replicas,
-            high_backlog=50.0,
-            low_backlog=0.5,
-            latency_slo_s=args.slo_ms * 1e-3,
-            cooldown_s=0.5e-3,
-        )
-        if args.autoscale
-        else None
-    )
-    target_replicas = config.replicas
-    if args.autoscale:
-        config = config.replace(replicas=1)
-    tracer = _build_tracer(args)
-    cluster = ServingCluster(
-        factory,
-        config=config,
-        clock=SimulatedClock(),
-        autoscaler=autoscaler,
-        tracer=tracer,
-    )
-    rng = np.random.default_rng(seed + 1)
-    with cluster:
-        if args.model == "tiny-vit":
-            payloads = [rng.normal(size=(16, 16)) for _ in range(args.requests)]
-            gaps = rng.exponential(1.0 / args.rate, size=args.requests)
-            report = run_virtual_open_loop(cluster, payloads, gaps)
-        else:
-            tenants = (
-                TenantSpec("chat-a", rate_rps=2 * args.rate / 3, sessions=4),
-                TenantSpec("chat-b", rate_rps=args.rate / 3, sessions=3),
-            )
-            arrivals = multi_tenant_arrivals(
-                tenants, horizon_s=args.requests / args.rate, rng=rng
-            )
-            report = run_virtual_schedule(
-                cluster,
-                arrivals,
-                lambda arrival: np.random.default_rng(arrival.index).normal(size=16),
-            )
-        report.pop("handles")
-        snapshot = cluster.snapshot()
-    print(
-        render_table(
-            [report],
-            title=(
-                f"cluster-bench {args.model}: policy={config.policy}, "
-                f"replicas={target_replicas}"
-                f"{' (autoscaled)' if args.autoscale else ''}, "
-                f"rate={args.rate:g} req/s (virtual time), "
-                f"scheduler={config.engine.scheduler}"
-                f"{', shared cache' if config.shared_cache else ''}"
-            ),
-        )
-    )
-    print(
-        "dispatches: "
-        + ", ".join(
-            f"replica-{rid}x{count}"
-            for rid, count in snapshot["dispatches"].items()
-        )
-    )
-    if args.model == "decode":
-        affinity = snapshot["affinity"]
-        print(
-            f"affinity: hit rate {affinity['hit_rate']:.3f} "
-            f"({affinity['hits']} hits / {affinity['misses']} misses), "
-            f"{snapshot['migrations']['count']} KV migrations "
-            f"({snapshot['migrations']['bytes']} bytes)"
-        )
-    if "tier" in snapshot:
-        tier = snapshot["tier"]
-        print(
-            f"tier: {tier['hits']} memo hits / {tier['misses']} misses, "
-            f"{tier['prefixes']} prefix chains "
-            f"({tier['shared_bytes']} shared bytes)"
-        )
-    for event in snapshot["events"]:
-        print(
-            f"event t={event['time'] * 1e3:8.3f} ms  {event['kind']:14s} "
-            f"replica-{event['replica_id']} (fleet {event['fleet_size']}): "
-            f"{event['reason']}"
-        )
-    if tracer is not None:
-        _dump_tracer(tracer, args.trace)
-    return 0
-
-
-def cmd_hotpath_bench(args: argparse.Namespace) -> int:
-    """Engine hot-path profile: per-stage timings and matmul throughput."""
-    import json
-
-    import numpy as np
-
-    from repro.core.dptc import DPTC
-    from repro.core.hotpath import STAGES, profile_stages
-    from repro.core.noise import NoiseModel
-
-    if min(args.batch, args.m, args.d, args.n) < 1:
-        raise SystemExit("hotpath-bench: --batch/--m/--d/--n must be >= 1")
-    if args.repeats < 1:
-        raise SystemExit("hotpath-bench: --repeats must be >= 1")
-    core = (
-        DPTC() if args.noise == "off" else DPTC(noise=NoiseModel.paper_default())
-    )
-    rng = np.random.default_rng(args.seed)
-    a = rng.uniform(-1.0, 1.0, (args.batch, args.m, args.d))
-    b = rng.uniform(-1.0, 1.0, (args.batch, args.d, args.n))
-
-    stages = profile_stages(core, a, b, seed=args.seed, repeats=args.repeats)
-    tracer = _build_tracer(args)
-    if tracer is not None:
-        # One extra call outside the timing loops, so the profile stays
-        # untraced.
-        with tracer.activate():
-            core.matmul(a, b, rng=np.random.default_rng(args.seed))
-    flop = 2.0 * args.batch * args.m * args.d * args.n
-    report = {
-        "shape": {"batch": args.batch, "m": args.m, "d": args.d, "n": args.n},
-        "noise": args.noise,
-        "stage_seconds": stages,
-        "throughput_gflops": flop / stages["total"] / 1e9,
+    verb = f"bench {args.scenario}"
+    if args.requests is not None and args.requests < 1:
+        raise SystemExit(f"{verb}: --requests must be >= 1")
+    if args.rate is not None and args.rate <= 0:
+        raise SystemExit(f"{verb}: --rate must be > 0")
+    config, run = SCENARIOS[args.scenario]
+    if args.config:
+        text = args.config.strip()
+        try:
+            data = json.loads(text if text.startswith("{") else Path(text).read_text())
+            config = configure(config, data)
+        except (OSError, TypeError, ValueError) as error:
+            raise SystemExit(f"{verb}: bad --config: {error}")
+    load = {
+        name: value
+        for name in ("requests", "rate")
+        if (value := getattr(args, name)) is not None
     }
-    rows = [
-        {"stage": name, "best_us": stages[name] * 1e6,
-         "share_pct": 100.0 * stages[name] / stages["total"]}
-        for name in STAGES
-        if name in stages
-    ]
-    rows.append({"stage": "total", "best_us": stages["total"] * 1e6, "share_pct": 100.0})
-    print(
-        render_table(
-            rows,
-            title=(
-                f"hotpath-bench [{args.batch}x{args.m}x{args.d}]x"
-                f"[{args.batch}x{args.d}x{args.n}], noise={args.noise}"
-            ),
-        )
-    )
-    print(f"matmul throughput: {report['throughput_gflops']:.3f} GFLOP/s")
+    tracer = Tracer() if args.trace else None
+    try:
+        title, rows, notes = run(config, tracer=tracer, **load)
+    except ValueError as error:
+        raise SystemExit(f"{verb}: {error}")
+    print(render_table(rows, title=f"{args.scenario}: {title}"))
+    for note in notes:
+        print(note)
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
+        report = {"scenario": args.scenario, "config": config.to_dict(),
+                  "title": title, "rows": rows, "notes": notes}
+        Path(args.out).write_text(json.dumps(report, indent=2, default=float))
         print(f"wrote {args.out}")
     if tracer is not None:
-        _dump_tracer(tracer, args.trace)
+        written = write_trace(tracer.collector, args.trace)
+        print(f"wrote {len(tracer.collector)} spans -> {written}")
     return 0
 
 
@@ -834,121 +457,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    def serving_config_flags(
-        p: argparse.ArgumentParser, kind: str, wait_default: float
-    ) -> None:
-        """The shared config surface of the serving verbs.
+    from repro.workloads.scenarios import SCENARIOS
 
-        Every flag defaults to None: resolution order is explicit flag >
-        ``--config`` JSON > the verb's built-in default.
-        """
-        p.add_argument(
-            "--config", metavar="JSON",
-            help=f"{kind} as inline JSON or a path to a JSON file; "
-            "the flags below override individual fields",
-        )
-        p.add_argument(
-            "--max-batch-size", type=int, default=None, help="(default 8)"
-        )
-        p.add_argument(
-            "--max-wait-us", type=float, default=None,
-            help=f"(default {wait_default:g})",
-        )
-        p.add_argument(
-            "--scheduler",
-            choices=("request", "continuous"),
-            default=None,
-            help="batch composition: request-level or iteration-level "
-            "(default request)",
-        )
-        p.add_argument("--seed", type=int, default=None, help="(default 0)")
-        p.add_argument(
-            "--trace", metavar="PATH", default=None,
-            help="capture a span trace of the run (.jsonl for JSON lines, "
-            "anything else for Chrome trace-event JSON)",
-        )
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="dynamic-batching serving benchmark (open/closed-loop load)",
+    p_bench = sub.add_parser(
+        "bench",
+        help="build and drive one named, seeded scenario "
+        "(serving, fleet, hot-path or demo)",
     )
-    p_serve.add_argument("--model", choices=SERVE_MODELS, default="tiny-vit")
-    p_serve.add_argument("--requests", type=int, default=32)
-    serving_config_flags(p_serve, "EngineConfig", 2_000.0)
-    p_serve.add_argument(
-        "--rate", type=float, default=2_000.0, help="open-loop arrival rate (req/s)"
+    p_bench.add_argument("scenario", choices=list(SCENARIOS))
+    p_bench.add_argument(
+        "--config", metavar="JSON",
+        help="settings as inline JSON or a path to a JSON file, laid "
+        "field by field over the scenario's default config",
     )
-    p_serve.add_argument("--users", type=int, default=4, help="closed-loop users")
-    p_serve.add_argument("--rounds", type=int, default=2, help="closed-loop rounds")
-    p_serve.add_argument("--num-cores", type=int, default=None, help="(default 1)")
-    p_serve.set_defaults(func=cmd_serve_bench)
-
-    p_cluster = sub.add_parser(
-        "cluster-bench",
-        help="multi-replica routing/autoscaling benchmark (virtual time)",
+    p_bench.add_argument(
+        "--requests", type=int, default=None,
+        help="requests to drive (default: the scenario's)",
     )
-    p_cluster.add_argument("--model", choices=CLUSTER_MODELS, default="tiny-vit")
-    p_cluster.add_argument("--replicas", type=int, default=None, help="(default 3)")
-    p_cluster.add_argument(
-        "--policy",
-        choices=(
-            "round_robin", "least_outstanding", "session_affinity",
-            "cache_aware",
-        ),
-        default=None,
-        help="(default least_outstanding)",
+    p_bench.add_argument(
+        "--rate", type=float, default=None,
+        help="open-loop arrival rate, req/s (default: the scenario's)",
     )
-    p_cluster.add_argument("--requests", type=int, default=48)
-    serving_config_flags(p_cluster, "ClusterConfig", 500.0)
-    p_cluster.add_argument(
-        "--rate", type=float, default=8_000.0,
-        help="open-loop arrival rate (req/s, virtual time)",
-    )
-    p_cluster.add_argument(
-        "--service-base-us", type=float, default=None,
-        help="virtual per-batch base service time (default 1000)",
-    )
-    p_cluster.add_argument(
-        "--service-per-request-us", type=float, default=None,
-        help="virtual incremental service time per batched request "
-        "(default 250)",
-    )
-    p_cluster.add_argument(
-        "--shared-cache", action="store_true",
-        help="build the fleet-wide shared cache tier "
-        "(prompt memo + prefix chains)",
-    )
-    p_cluster.add_argument(
-        "--autoscale", action="store_true",
-        help="start at 1 replica and let the SLO autoscaler grow to --replicas",
-    )
-    p_cluster.add_argument(
-        "--slo-ms", type=float, default=2.0,
-        help="p95 latency SLO for --autoscale (milliseconds)",
-    )
-    p_cluster.set_defaults(func=cmd_cluster_bench)
-
-    p_hotpath = sub.add_parser(
-        "hotpath-bench",
-        help="engine hot-path profile (per-stage timings, throughput)",
-    )
-    p_hotpath.add_argument("--batch", type=int, default=64)
-    p_hotpath.add_argument("--m", type=int, default=24)
-    p_hotpath.add_argument("--d", type=int, default=32)
-    p_hotpath.add_argument("--n", type=int, default=24)
-    p_hotpath.add_argument("--repeats", type=int, default=3)
-    p_hotpath.add_argument("--seed", type=int, default=0)
-    p_hotpath.add_argument(
-        "--noise", choices=("paper", "off"), default="paper",
-        help="noise model: the paper's calibrated stack, or an ideal "
-        "(noise-free) engine profiling compute/detect only",
-    )
-    p_hotpath.add_argument("--out", metavar="FILE", help="write the JSON report")
-    p_hotpath.add_argument(
+    p_bench.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="capture the stage spans of one untimed matmul",
+        help="capture a span trace of the run (.jsonl for JSON lines, "
+        "anything else for Chrome trace-event JSON)",
     )
-    p_hotpath.set_defaults(func=cmd_hotpath_bench)
+    p_bench.add_argument(
+        "--out", metavar="FILE", help="write the report as JSON"
+    )
+    p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser(
         "trace",

@@ -58,7 +58,13 @@ from repro.cluster.replica import (
 from repro.cluster.router import NoHealthyReplica, Router
 from repro.cluster.store import SharedCacheTier
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.serving.cache import MISS, MemoCache, isolated, memoized_step_error
+from repro.serving.cache import (
+    MISS,
+    MemoCache,
+    SessionCache,
+    isolated,
+    memoized_step_error,
+)
 from repro.serving.clock import WallClock
 from repro.serving.request import EngineClosed, RequestHandle, ServingError
 from repro.serving.servable import Servable
@@ -87,13 +93,40 @@ class _InFlight:
     span: Any = NULL_SPAN
 
 
+def _check_kv_settings(servable: Servable, engine) -> None:
+    """A replica decoder's KV cache must be the one ``engine`` describes.
+
+    The tier sizes shared prefix chains and the fleet accounts KV bytes
+    from ``ClusterConfig.engine``, so a factory whose caches disagree
+    with it is refused at every replica build (the initial fleet,
+    :meth:`ServingCluster.add_replica` and autoscaler scale-ups) instead
+    of serving with the wrong pages.
+    """
+    cache = getattr(servable, "cache", None)
+    if not isinstance(cache, SessionCache):
+        return
+    for name, have in (
+        ("block_size", cache.block_size),
+        ("kv_bits", cache.kv_bits),
+        ("kv_capacity_bytes", cache.pool.capacity_bytes),
+    ):
+        want = getattr(engine, name)
+        if have != want:
+            raise ValueError(
+                f"replica KV cache has {name}={have} but ClusterConfig.engine "
+                f"has {name}={want}; build decoders with "
+                "decode_servable(config, engine=cluster_config.engine)"
+            )
+
+
 class ServingCluster:
     """Multi-replica serving with routing, failover, and autoscaling.
 
     Args:
         factory: ``factory(replica_id) -> Servable`` builder; called for
             the initial fleet and every autoscaler scale-up.  Build with
-            a fixed seed for cross-replica bit-exactness.
+            a fixed seed for cross-replica bit-exactness.  A decoder's
+            KV cache must match ``config.engine`` (``ValueError``).
         config: a :class:`~repro.cluster.config.ClusterConfig` carrying
             the fleet knobs (``replicas``, routing ``policy``,
             ``max_retries``, the virtual-time
@@ -195,9 +228,11 @@ class ServingCluster:
             if self.config.memo_bytes is not None and self.tier is None
             else None
         )
+        servable = self.factory(replica_id)
+        _check_kv_settings(servable, self.config.engine)
         replica = Replica(
             replica_id,
-            self.factory(replica_id),
+            servable,
             config=self.config.engine,
             clock=self.clock,
             memo_cache=memo_cache,

@@ -6,8 +6,8 @@ policy, retry/drain behaviour, the virtual-time service model (an
 :class:`~repro.serving.scheduler.IterationCost`), and the shared cache
 tier's knobs, with one ``engine`` sub-config applied to every replica.
 It is the only way to set those knobs on
-:class:`~repro.cluster.cluster.ServingCluster`, and the ``repro
-cluster-bench`` CLI reads the same form via ``--config`` JSON.
+:class:`~repro.cluster.cluster.ServingCluster`, and ``repro bench
+fleet-*`` reads the same form via ``--config`` JSON.
 """
 
 from __future__ import annotations

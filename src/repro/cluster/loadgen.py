@@ -6,8 +6,8 @@ same gaps and step the cluster, so an open-loop Poisson run — fleet
 throughput, latency percentiles, autoscaler trajectory and all — is a
 bit-deterministic function of the seed and finishes in milliseconds of
 real time.  This is the regime the fleet-scaling gate
-(``tests/cluster/test_cluster_loadgen.py``) pins and the
-``repro cluster-bench`` CLI verb reports.
+(``tests/cluster/test_cluster_loadgen.py``) pins and the ``fleet-*``
+scenarios of :mod:`repro.workloads.scenarios` (``repro bench``) run.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ its own ``stage.*`` span.  This module measures that body:
 
 * :func:`profile_stages` times the four stages separately through the
   public stage methods, plus the end-to-end call, for the
-  ``repro hotpath-bench`` verb and the nightly throughput floor;
+  ``hotpath`` scenario (``repro bench hotpath``) and the nightly
+  throughput floor;
 * :func:`best_of` is the one best-of-N wall-clock timer shared by the
-  CLI and the wall-clock floors of ``tests_nightly/``.
+  profile and the wall-clock floors of ``tests_nightly/``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def profile_stages(
     COMPUTE/DETECT-only breakdown: ``compute`` times the exact product,
     ``detect`` is zero (no photodetection rescale on the ideal path),
     and the ``sample``/``encode`` keys are absent.  Consumers iterate
-    the keys that are present (``repro hotpath-bench --noise off``).
+    the keys that are present (``repro bench hotpath`` with
+    ``{"noise": "off"}``).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

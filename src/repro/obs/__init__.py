@@ -27,9 +27,9 @@ The observability subsystem of the serving stack:
 * :mod:`repro.obs.live` — the ``repro top`` fleet table renderer and
   one-shot Prometheus HTTP exposition behind ``repro metrics``
   (``http.server`` loads when the first exposition is built).
-* :mod:`repro.obs.demo` — the small noisy traced workload behind
-  ``repro trace`` and the obs tests (imported lazily to keep this
-  package import-light).
+
+The small noisy workload these surfaces trace is the ``demo`` scenario
+of :mod:`repro.workloads.scenarios`.
 """
 
 from repro.obs.export import (

@@ -16,7 +16,7 @@ its runtime collaborators (clock, caches, tracer, recorder) and nothing
 else.
 
 Configs round-trip through JSON (:meth:`EngineConfig.to_dict` /
-:meth:`EngineConfig.from_dict`) so the CLI's ``--config`` flag and Python
+:meth:`EngineConfig.from_dict`) so ``repro bench --config`` and Python
 callers share one serialized form.
 """
 

@@ -199,7 +199,9 @@ def golden_fleet(policy, shared_cache, memo_bytes):
     config = ClusterConfig(
         replicas=3,
         policy=policy,
-        engine=EngineConfig(max_batch_size=4, max_wait_us=0.0, queue_depth=64),
+        engine=EngineConfig(
+            max_batch_size=4, max_wait_us=0.0, queue_depth=64, block_size=2
+        ),
         service_model=IterationCost(base_s=2e-4, per_request_s=5e-5),
         shared_cache=shared_cache,
         memo_bytes=memo_bytes,

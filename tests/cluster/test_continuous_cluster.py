@@ -38,6 +38,7 @@ CONTINUOUS = EngineConfig(
     queue_depth=256,
     scheduler="continuous",
     iteration_cost=COST,
+    block_size=2,
 )
 
 
@@ -148,3 +149,29 @@ class TestValidation:
             for replica in cluster._replicas.values():
                 assert replica.engine.scheduler == "continuous"
                 assert replica.engine.iteration_cost is COST
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("block_size", 4), ("kv_bits", 4), ("kv_capacity_bytes", 1 << 16)],
+    )
+    def test_replica_kv_settings_must_match_the_engine(self, field, value):
+        settings = {"block_size": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field}={value} but"):
+            ServingCluster(
+                lambda rid: DecodeServable(DECODER, seed=5, **settings),
+                config=ClusterConfig(replicas=2, engine=CONTINUOUS),
+                clock=SimulatedClock(),
+            )
+
+    def test_a_mismatched_scale_up_is_refused(self):
+        def factory(rid):
+            return DecodeServable(DECODER, seed=0, block_size=2 if rid == 0 else 4)
+
+        with ServingCluster(
+            factory,
+            config=ClusterConfig(replicas=1, engine=CONTINUOUS),
+            clock=SimulatedClock(),
+        ) as cluster:
+            with pytest.raises(ValueError, match="block_size=4 but"):
+                cluster.add_replica()
+            assert cluster.fleet_size == 1

@@ -253,8 +253,8 @@ class TestProfileStages:
 
     def test_ideal_core_degrades_to_compute_detect_profile(self):
         # An ideal (noiseless) engine has no SAMPLE/ENCODE stages; the
-        # profile degrades instead of raising, so `repro hotpath-bench
-        # --noise off` works.
+        # profile degrades instead of raising, so the hotpath scenario
+        # with noise "off" works.
         a, b = operands(2, (4, 6, 12), (4, 12, 6))
         times = profile_stages(DPTC(), a, b, seed=0, repeats=1)
         assert set(times) == {"compute", "detect", "total"}

@@ -12,9 +12,9 @@ from repro.obs import (
     write_jsonl,
     write_trace,
 )
-from repro.obs.demo import run_trace_workload, run_workload
 from repro.obs.export import _atomic_write_text
 from repro.serving.clock import SimulatedClock
+from repro.workloads.scenarios import DEMO, demo_workload
 
 
 def sample_collector():
@@ -136,13 +136,18 @@ class TestAtomicWrite:
 
 class TestDemoWorkload:
     def test_jsonl_is_byte_identical_across_reruns(self):
-        first = to_jsonl(run_trace_workload(seed=3, requests=8))
-        second = to_jsonl(run_trace_workload(seed=3, requests=8))
+        def dump(requests):
+            collector, _, _ = demo_workload(
+                DEMO.replace(seed=3), requests=requests, traced=True
+            )
+            return to_jsonl(collector)
+
+        first, second = dump(8), dump(8)
         assert first == second
-        assert first != to_jsonl(run_trace_workload(seed=3, requests=9))
+        assert first != dump(9)
 
     def test_span_chain_reaches_the_stages(self):
-        collector = run_trace_workload(seed=0, requests=8)
+        collector = demo_workload(requests=8, traced=True)[0]
         by_id = {span.span_id: span for span in collector.spans()}
         names = {span.name for span in collector.spans()}
         assert {
@@ -171,7 +176,7 @@ class TestDemoWorkload:
             assert {by_id[span.parent_id].name for span in spans} == {parent}
 
     def test_request_spans_carry_lifecycle_events(self):
-        collector = run_trace_workload(seed=0, requests=8)
+        collector = demo_workload(requests=8, traced=True)[0]
         requests = collector.find("request")
         assert len(requests) == 8
         for span in requests:
@@ -182,7 +187,7 @@ class TestDemoWorkload:
             assert "complete" in events
 
     def test_untraced_workload_collects_nothing(self):
-        collector, results, snapshot = run_workload(seed=0, requests=4)
+        collector, results, snapshot = demo_workload(requests=4)
         assert collector is None
         assert len(results) == 4
         assert snapshot["completed"] == 4

@@ -15,8 +15,8 @@ from repro.obs import (
     sampled_lines,
     span_lines,
 )
-from repro.obs.demo import run_trace_workload, run_workload
 from repro.serving.clock import SimulatedClock
+from repro.workloads.scenarios import demo_workload
 
 
 def nested_tracer(traces=3, children=2):
@@ -72,9 +72,9 @@ class TestStreamingSpanWriter:
     def test_streams_exactly_the_batch_lines(self):
         sink = io.StringIO()
         writer = StreamingSpanWriter(sink)
-        run_workload(seed=0, requests=8, sink=writer)
+        demo_workload(requests=8, sink=writer)
         writer.close()
-        collector = run_trace_workload(seed=0, requests=8)
+        collector = demo_workload(requests=8, traced=True)[0]
         assert sorted(sink.getvalue().splitlines()) == sorted(
             span_lines(collector)
         )
@@ -85,7 +85,7 @@ class TestStreamingSpanWriter:
 
         def stream(requests):
             writer = StreamingSpanWriter(io.StringIO())
-            run_workload(seed=0, requests=requests, sink=writer)
+            demo_workload(requests=requests, sink=writer)
             assert writer.open_spans == 0  # workload ended every span
             writer.close()
             return writer
@@ -141,7 +141,7 @@ class TestStreamingSpanWriter:
         def stream(rate):
             sink = io.StringIO()
             with StreamingSpanWriter(sink, sampler=TraceSampler(rate)) as w:
-                run_workload(seed=0, requests=12, sink=w)
+                demo_workload(requests=12, sink=w)
             return sink.getvalue()
 
         full = stream(1)
@@ -162,7 +162,7 @@ class TestStreamingSpanWriter:
         def stream():
             sink = io.StringIO()
             with StreamingSpanWriter(sink, sampler=TraceSampler(2)) as w:
-                run_workload(seed=0, requests=8, sink=w)
+                demo_workload(requests=8, sink=w)
             return sink.getvalue()
 
         assert stream() == stream()
@@ -219,16 +219,16 @@ class TestStreamingSpanWriter:
 
 class TestSampledLines:
     def test_matches_streamed_sampling(self):
-        collector = run_trace_workload(seed=0, requests=12)
+        collector = demo_workload(requests=12, traced=True)[0]
         sink = io.StringIO()
         with StreamingSpanWriter(sink, sampler=TraceSampler(3)) as writer:
-            run_workload(seed=0, requests=12, sink=writer)
+            demo_workload(requests=12, sink=writer)
         assert sorted(sampled_lines(collector, TraceSampler(3))) == sorted(
             sink.getvalue().splitlines()
         )
 
     def test_strict_subset_in_id_order(self):
-        collector = run_trace_workload(seed=0, requests=12)
+        collector = demo_workload(requests=12, traced=True)[0]
         sampled = sampled_lines(collector, TraceSampler(3))
         full = span_lines(collector)
         assert set(sampled) < set(full)

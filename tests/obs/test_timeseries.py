@@ -13,8 +13,8 @@ from repro.obs import (
     error_rate_objective,
     latency_objective,
 )
-from repro.obs.demo import TracedMatmulServable
 from repro.serving import EngineConfig, IterationCost, SimulatedClock
+from repro.workloads.scenarios import TracedMatmulServable
 
 BUCKETS = (1e-3, 1e-2, 1e-1)
 

@@ -26,7 +26,6 @@ from repro.obs import (
     StreamingSpanWriter,
     Tracer,
 )
-from repro.obs.demo import run_workload
 from repro.obs.trace import current_span, current_tracer
 from repro.serving import (
     EngineConfig,
@@ -35,7 +34,7 @@ from repro.serving import (
     VisionServable,
     mixed_decode_trace,
 )
-from repro.workloads import kv_cache_bytes
+from repro.workloads import kv_cache_bytes, scenarios
 from tests.cluster.test_cluster import decode_cluster, decode_steps
 from tests.serving.test_continuous_engine import toy_decoder, trace_outputs
 from tests.serving.test_servable import tiny_vit
@@ -109,7 +108,7 @@ def cluster_failover(traced):
 
 def demo_workload(traced):
     """The ``repro trace`` workload: sharded noisy matmuls under an engine."""
-    collector, results, snapshot = run_workload(traced=traced, seed=0, requests=12)
+    collector, results, snapshot = scenarios.demo_workload(requests=12, traced=traced)
     return results, snapshot, collector
 
 

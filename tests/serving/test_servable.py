@@ -463,6 +463,7 @@ class TestFrozenDecodeWeights:
                     max_wait_us=0.0,
                     queue_depth=64,
                     scheduler="continuous",
+                    block_size=2,
                 ),
             ),
             clock=SimulatedClock(),

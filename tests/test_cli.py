@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestAreaCommand:
@@ -82,53 +86,55 @@ class TestParsing:
             main(["run", "--model", "gpt-17"])
 
 
+def bench(scenario, *extra, config=None):
+    """``repro bench SCENARIO`` with an optional inline ``--config``."""
+    argv = ["bench", scenario, *extra]
+    if config is not None:
+        argv += ["--config", config]
+    return main(argv)
+
+
 class TestServeBenchCommand:
     def test_tiny_vit_load(self, capsys):
-        assert main([
-            "serve-bench", "--model", "tiny-vit", "--requests", "6",
-            "--max-batch-size", "4", "--users", "2", "--rounds", "1",
-        ]) == 0
+        assert bench("serve-vit", "--requests", "6", config='{"max_batch_size": 4}') == 0
         out = capsys.readouterr().out
         assert "open-loop-poisson" in out
         assert "closed-loop" in out
         assert "batch occupancy" in out
 
     def test_tiny_bert_ragged_prompts(self, capsys):
-        assert main([
-            "serve-bench", "--model", "tiny-bert", "--requests", "5",
-            "--max-batch-size", "8", "--users", "2", "--rounds", "1",
-        ]) == 0
-        assert "serve-bench tiny-bert" in capsys.readouterr().out
+        assert bench("serve-bert", "--requests", "5", config='{"max_batch_size": 8}') == 0
+        assert "serve-bert: max_batch_size=8" in capsys.readouterr().out
 
     def test_bad_model_rejected(self):
         with pytest.raises(SystemExit):
-            main(["serve-bench", "--model", "gpt-17"])
+            main(["bench", "gpt-17"])
 
 
 class TestClusterBenchCommand:
     def test_vision_fleet(self, capsys):
-        assert main([
-            "cluster-bench", "--model", "tiny-vit", "--replicas", "2",
-            "--requests", "8", "--max-batch-size", "4",
-        ]) == 0
+        assert bench(
+            "fleet-vit", "--requests", "8",
+            config='{"replicas": 2, "engine": {"max_batch_size": 4}}',
+        ) == 0
         out = capsys.readouterr().out
         assert "virtual-open-loop" in out
         assert "replica-0" in out and "replica-1" in out
 
     def test_decode_affinity_stats(self, capsys):
-        assert main([
-            "cluster-bench", "--model", "decode", "--replicas", "3",
-            "--policy", "session_affinity", "--requests", "12",
-        ]) == 0
+        assert bench(
+            "fleet-decode", "--requests", "12",
+            config='{"replicas": 3, "policy": "session_affinity"}',
+        ) == 0
         out = capsys.readouterr().out
         assert "affinity: hit rate" in out
         assert "KV migrations" in out
 
     def test_decode_shared_cache_reports_the_tier(self, capsys):
-        assert main([
-            "cluster-bench", "--model", "decode", "--replicas", "2",
-            "--requests", "12", "--shared-cache",
-        ]) == 0
+        assert bench(
+            "fleet-decode", "--requests", "12",
+            config='{"replicas": 2, "shared_cache": true}',
+        ) == 0
         out = capsys.readouterr().out
         assert "shared cache" in out
         # Decode steps carry no cache keys and no prefixes: an idle tier.
@@ -138,39 +144,35 @@ class TestClusterBenchCommand:
         )
 
     def test_autoscale_emits_events(self, capsys):
-        assert main([
-            "cluster-bench", "--autoscale", "--replicas", "3",
-            "--requests", "24", "--rate", "20000", "--max-batch-size", "2",
-        ]) == 0
+        assert bench(
+            "fleet-autoscale", "--requests", "24", "--rate", "20000",
+            config='{"engine": {"max_batch_size": 2}}',
+        ) == 0
         out = capsys.readouterr().out
-        assert "(autoscaled)" in out
+        assert "replicas=3 (autoscaled)" in out
         assert "scale_up" in out
 
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
-            main(["cluster-bench", "--policy", "random"])
+            bench("fleet-vit", config='{"policy": "random"}')
 
     def test_bad_replicas_rejected(self):
         with pytest.raises(SystemExit):
-            main(["cluster-bench", "--replicas", "0"])
+            bench("fleet-vit", config='{"replicas": 0}')
 
 
 class TestSchedulerFlag:
     def test_serve_bench_continuous(self, capsys):
-        assert main([
-            "serve-bench", "--model", "tiny-vit", "--requests", "6",
-            "--max-batch-size", "4", "--users", "2", "--rounds", "1",
-            "--scheduler", "continuous",
-        ]) == 0
+        assert bench(
+            "serve-vit", "--requests", "6",
+            config='{"max_batch_size": 4, "scheduler": "continuous"}',
+        ) == 0
         out = capsys.readouterr().out
         assert "scheduler=continuous" in out
         assert "iteration occupancy" in out
 
     def test_serve_bench_request_is_default(self, capsys):
-        assert main([
-            "serve-bench", "--model", "tiny-vit", "--requests", "4",
-            "--max-batch-size", "4", "--users", "2", "--rounds", "1",
-        ]) == 0
+        assert bench("serve-vit", "--requests", "4", config='{"max_batch_size": 4}') == 0
         out = capsys.readouterr().out
         assert "scheduler=request" in out
         # Request mode runs the one iteration loop: every batch is one
@@ -181,28 +183,33 @@ class TestSchedulerFlag:
         assert lines["iteration occupancy"] == lines["batch occupancy"]
 
     def test_cluster_bench_continuous_decode(self, capsys):
-        assert main([
-            "cluster-bench", "--model", "decode", "--replicas", "3",
-            "--policy", "session_affinity", "--requests", "12",
-            "--scheduler", "continuous",
-        ]) == 0
+        assert bench(
+            "fleet-decode", "--requests", "12",
+            config='{"replicas": 3, "policy": "session_affinity", '
+            '"engine": {"scheduler": "continuous"}}',
+        ) == 0
         out = capsys.readouterr().out
         assert "scheduler=continuous" in out
         assert "KV migrations" in out
 
     def test_bad_scheduler_rejected(self):
         with pytest.raises(SystemExit):
-            main(["serve-bench", "--scheduler", "sorcery"])
+            bench("serve-vit", config='{"scheduler": "sorcery"}')
         with pytest.raises(SystemExit):
-            main(["cluster-bench", "--scheduler", "sorcery"])
+            bench("fleet-vit", config='{"engine": {"scheduler": "sorcery"}}')
+
+
+#: A hot-path shape small enough for tier-1.
+SMALL_HOTPATH = {"batch": 8, "m": 4, "d": 12, "n": 4, "repeats": 1}
+
+
+def hotpath_config(**changes):
+    return json.dumps({**SMALL_HOTPATH, **changes})
 
 
 class TestHotpathBenchCommand:
     def test_stage_table_and_summary(self, capsys):
-        assert main([
-            "hotpath-bench", "--batch", "8", "--m", "4", "--d", "12",
-            "--n", "4", "--repeats", "1",
-        ]) == 0
+        assert bench("hotpath", config=hotpath_config()) == 0
         out = capsys.readouterr().out
         for stage in ("sample", "encode", "compute", "detect", "total"):
             assert stage in out
@@ -210,31 +217,22 @@ class TestHotpathBenchCommand:
 
     def test_writes_json_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "BENCH_hotpath.json"
-        assert main([
-            "hotpath-bench", "--batch", "8", "--m", "4", "--d", "12",
-            "--n", "4", "--repeats", "1", "--out", str(artifact),
-        ]) == 0
-        import json
-
+        assert bench("hotpath", "--out", str(artifact), config=hotpath_config()) == 0
         report = json.loads(artifact.read_text())
-        assert set(report) == {
-            "shape", "noise", "stage_seconds", "throughput_gflops"
-        }
-        assert report["shape"] == {"batch": 8, "m": 4, "d": 12, "n": 4}
-        assert set(report["stage_seconds"]) == {
-            "sample", "encode", "compute", "detect", "total"
-        }
-        assert report["throughput_gflops"] > 0.0
+        assert set(report) == {"scenario", "config", "title", "rows", "notes"}
+        assert report["config"] == {**SMALL_HOTPATH, "seed": 0, "noise": "paper"}
+        stages = {row["stage"]: row["best_us"] for row in report["rows"]}
+        assert set(stages) == {"sample", "encode", "compute", "detect", "total"}
+        assert all(seconds > 0.0 for seconds in stages.values())
+        (note,) = report["notes"]
+        assert float(note.split(": ")[1].split()[0]) > 0.0
 
     def test_bad_shape_rejected(self):
         with pytest.raises(SystemExit):
-            main(["hotpath-bench", "--batch", "0"])
+            bench("hotpath", config='{"batch": 0}')
 
     def test_noise_off_profiles_compute_and_detect_only(self, capsys):
-        assert main([
-            "hotpath-bench", "--batch", "8", "--m", "4", "--d", "12",
-            "--n", "4", "--repeats", "1", "--noise", "off",
-        ]) == 0
+        assert bench("hotpath", config=hotpath_config(noise="off")) == 0
         out = capsys.readouterr().out
         assert "noise=off" in out
         assert "compute" in out and "detect" in out
@@ -242,18 +240,54 @@ class TestHotpathBenchCommand:
 
     def test_trace_flag_writes_spans(self, tmp_path, capsys):
         trace = tmp_path / "hotpath.jsonl"
-        assert main([
-            "hotpath-bench", "--batch", "8", "--m", "4", "--d", "12",
-            "--n", "4", "--repeats", "1", "--trace", str(trace),
-        ]) == 0
-        import json
-
+        assert bench("hotpath", "--trace", str(trace), config=hotpath_config()) == 0
         lines = trace.read_text().splitlines()
         # One traced matmul: its four stage spans, in order.
         assert [json.loads(line)["name"] for line in lines] == [
             "stage.sample", "stage.encode", "stage.compute", "stage.detect",
         ]
         assert "wrote 4 spans" in capsys.readouterr().out
+
+
+class TestBenchCommand:
+    def test_config_is_laid_over_the_scenario_default(self, capsys):
+        assert bench("serve-vit", "--requests", "4", config='{"max_batch_size": 3}') == 0
+        # max_wait_us keeps serve-vit's default, not EngineConfig's 1000.
+        assert "max_batch_size=3, max_wait_us=2000" in capsys.readouterr().out
+
+    def test_out_writes_rows_notes_and_the_applied_config(self, tmp_path, capsys):
+        artifact = tmp_path / "fleet.json"
+        assert bench(
+            "fleet-vit", "--requests", "8", "--out", str(artifact),
+            config='{"replicas": 2}',
+        ) == 0
+        report = json.loads(artifact.read_text())
+        assert report["scenario"] == "fleet-vit"
+        assert report["config"]["replicas"] == 2
+        assert report["config"]["engine"]["max_wait_us"] == 500.0
+        assert report["rows"][0]["completed"] == 8
+        assert report["notes"][0].startswith("dispatches: ")
+
+    def test_demo_trace_is_the_trace_verbs_spans(self, tmp_path, capsys):
+        trace = tmp_path / "demo.jsonl"
+        assert bench("demo", "--requests", "8", "--trace", str(trace)) == 0
+        assert "demo: max_batch_size=4, scheduler=continuous" in capsys.readouterr().out
+        assert main(["trace", "--requests", "8"]) == 0
+        assert trace.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve-vit", "--requests", "0"], "bench serve-vit: --requests must be >= 1"),
+            (["fleet-vit", "--rate", "0"], "bench fleet-vit: --rate must be > 0"),
+            (["hotpath", "--rate", "5"], "bench hotpath: hotpath profiles one matmul"),
+            (["demo", "--rate", "5"], "bench demo: demo steps its engine"),
+        ],
+    )
+    def test_bad_load_is_a_one_line_exit(self, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv])
+        assert str(exit_info.value.code).startswith(message)
 
 
 class TestTraceCommand:
@@ -263,15 +297,11 @@ class TestTraceCommand:
         assert main(["trace", "--seed", "1", "--requests", "8"]) == 0
         second = capsys.readouterr().out
         assert first == second
-        import json
-
         names = {json.loads(line)["name"] for line in first.splitlines()}
         assert "request" in names
         assert "stage.detect" in names
 
     def test_out_extension_selects_format(self, tmp_path, capsys):
-        import json
-
         jsonl = tmp_path / "trace.jsonl"
         chrome = tmp_path / "trace.json"
         assert main(["trace", "--requests", "4", "--out", str(jsonl)]) == 0
@@ -285,12 +315,8 @@ class TestTraceCommand:
             main(["trace", "--requests", "0"])
 
     def test_serve_bench_trace_flag(self, tmp_path, capsys):
-        import json
-
         trace = tmp_path / "serve.jsonl"
-        assert main([
-            "serve-bench", "--requests", "6", "--trace", str(trace),
-        ]) == 0
+        assert bench("serve-vit", "--requests", "6", "--trace", str(trace)) == 0
         names = {
             json.loads(line)["name"]
             for line in trace.read_text().splitlines()
@@ -298,12 +324,8 @@ class TestTraceCommand:
         assert "request" in names
 
     def test_cluster_bench_trace_flag(self, tmp_path, capsys):
-        import json
-
         trace = tmp_path / "cluster.jsonl"
-        assert main([
-            "cluster-bench", "--requests", "8", "--trace", str(trace),
-        ]) == 0
+        assert bench("fleet-vit", "--requests", "8", "--trace", str(trace)) == 0
         names = {
             json.loads(line)["name"]
             for line in trace.read_text().splitlines()
@@ -312,14 +334,16 @@ class TestTraceCommand:
         assert "cluster.request" in names
 
 
+#: The ``--config`` cases are keyed by the retired verbs ``serve-bench`` and
+#: ``cluster-bench``; these are the scenarios that took over their configs.
+SCENARIO_OF = {"serve-bench": "serve-vit", "cluster-bench": "fleet-vit"}
+
+
 class TestConfigFlag:
     def test_config_file_sets_engine_fields(self, tmp_path, capsys):
         path = tmp_path / "engine.json"
         path.write_text('{"max_batch_size": 3, "max_wait_us": 0.0}')
-        assert main([
-            "serve-bench", "--requests", "4", "--users", "2", "--rounds", "1",
-            "--config", str(path),
-        ]) == 0
+        assert bench("serve-vit", "--requests", "4", config=str(path)) == 0
         assert "max_batch_size=3, max_wait_us=0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", ["serve-bench", "cluster-bench"])
@@ -336,10 +360,11 @@ class TestConfigFlag:
         ],
     )
     def test_bad_config_is_a_one_line_exit(self, verb, config, capsys):
+        scenario = SCENARIO_OF[verb]
         with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--requests", "4", "--config", config])
+            bench(scenario, "--requests", "4", config=config)
         message = str(exit_info.value.code)
-        assert message.startswith(f"{verb}: bad --config: ")
+        assert message.startswith(f"bench {scenario}: bad --config: ")
         assert "\n" not in message
 
     @pytest.mark.parametrize(
@@ -353,10 +378,26 @@ class TestConfigFlag:
         ],
     )
     def test_wrong_scalar_type_names_the_field(self, verb, config, expected):
+        scenario = SCENARIO_OF[verb]
         with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--requests", "4", "--config", config])
+            bench(scenario, "--requests", "4", config=config)
         message = str(exit_info.value.code)
-        assert message.startswith(f"{verb}: bad --config: {expected}, got ")
+        assert message.startswith(f"bench {scenario}: bad --config: {expected}, got ")
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            ('{"batch": 2.5}', "batch must be an int, got float 2.5"),
+            ('{"noise": "loud"}', "noise must be 'paper' or 'off', got 'loud'"),
+            ('{"bogus": 1}', "unknown HotpathConfig fields ['bogus']"),
+        ],
+    )
+    def test_hotpath_config_errors_share_the_format(self, config, expected):
+        with pytest.raises(SystemExit) as exit_info:
+            bench("hotpath", config=config)
+        assert str(exit_info.value.code).startswith(
+            f"bench hotpath: bad --config: {expected}"
+        )
 
 
 class TestTraceSamplingFlags:
@@ -423,6 +464,23 @@ class TestTraceSamplingFlags:
             main([
                 "trace", "--stream", "--out", str(tmp_path / "trace.json"),
             ])
+
+    @pytest.mark.parametrize("flags", [["--sample", "2"], ["--stream"]])
+    def test_a_bad_out_is_refused_before_the_workload_is_built(
+        self, flags, tmp_path, monkeypatch
+    ):
+        from repro.workloads import scenarios
+
+        def never(**kwargs):
+            raise AssertionError("the demo workload was built")
+
+        monkeypatch.setattr(scenarios, "TracedMatmulServable", never)
+        out = tmp_path / "trace.json"
+        with pytest.raises(SystemExit, match="writes JSONL; --out must end in .jsonl"):
+            main(["trace", *flags, "--out", str(out)])
+        assert not out.exists()
+        with pytest.raises(AssertionError, match="was built"):
+            main(["trace", *flags, "--out", str(tmp_path / "trace.jsonl")])
 
 
 class TestTopCommand:
@@ -493,3 +551,47 @@ class TestMetricsCommand:
     def test_bad_requests_rejected(self):
         with pytest.raises(SystemExit):
             main(["metrics", "--requests", "0"])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every distinct ``repro`` command in the README's shell
+    blocks: each line of a ``bash`` block, each ``$`` prompt of a
+    ``console`` block."""
+    commands, lang = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            lang = line[3:].strip() if lang is None else None
+            continue
+        if lang == "console" and line.startswith("$ "):
+            line = line[2:]
+        elif lang != "bash":
+            continue
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["repro"]:
+            argv = argv[1:argv.index("|")] if "|" in argv else argv[1:]
+            if argv not in commands:
+                commands.append(argv)
+    return commands
+
+
+class TestReadmeCommands:
+    def test_the_readme_shows_commands(self):
+        verbs = {argv[0] for argv in readme_commands()}
+        assert {"bench", "trace", "top", "metrics", "verify"} <= verbs
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv in readme_commands() if argv[0] == "bench"],
+        ids=" ".join,
+    )
+    def test_bench_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"{argv[1]}: ")

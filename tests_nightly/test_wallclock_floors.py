@@ -9,10 +9,10 @@ Every check here is a speedup floor, a throughput floor or an overhead
 ceiling.  The deterministic half of each measured path (bit-equality,
 span trees, ledgers, residency) is a tier-1 test.  Timings are
 best-of-N through :func:`repro.core.hotpath.best_of`; each overhead
-ceiling times its two sides alternately (:func:`best_ratio`); the
-serving curve is clocked by :func:`repro.serving.run_open_loop`, first
-submit to last completion, best of two runs.  Run with ``-s`` to see the
-measured values.
+ceiling and the training speed-up time their two sides alternately
+(:func:`best_ratio`); the serving curve is clocked by
+:func:`repro.serving.run_open_loop`, first submit to last completion,
+best of two runs.  Run with ``-s`` to see the measured values.
 """
 
 import io
@@ -33,7 +33,6 @@ from repro.neural import (
     train_classifier,
 )
 from repro.obs import StreamingSpanWriter, Tracer, span_lines
-from repro.obs.demo import TracedMatmulServable, trace_workload_config
 from repro.serving import (
     EngineConfig,
     ServingEngine,
@@ -42,6 +41,7 @@ from repro.serving import (
     poisson_gaps,
     run_open_loop,
 )
+from repro.workloads.scenarios import DEMO, TracedMatmulServable
 from tests.core.reference_dptc import matmul_reference
 from tests.neural.reference_train import train_classifier_reference
 
@@ -115,9 +115,11 @@ def test_batched_training_beats_the_per_sample_loop():
         model = TinyViT(n_classes=4, depth=1, executor=executor, seed=0)
         train(model, data, epochs=1, lr=5e-3, seed=0)
 
-    batched_s = best_of(lambda: epoch(train_classifier, 2), 3)
-    reference_s = best_of(lambda: epoch(train_classifier_reference, 1), 2)
-    speedup = reference_s / batched_s
+    speedup = best_ratio(
+        lambda: epoch(train_classifier_reference, 1),
+        lambda: epoch(train_classifier, 2),
+        rounds=3,
+    )
     print(f"batched vs per-sample training: {speedup:.2f}x")
     assert speedup >= MIN_TRAIN_SPEEDUP
 
@@ -171,7 +173,7 @@ def test_engine_throughput_floor():
     assert gflops >= MIN_THROUGHPUT_GFLOPS
 
 
-def best_ratio(measured, baseline) -> float:
+def best_ratio(measured, baseline, rounds: int = OVERHEAD_ROUNDS) -> float:
     """Best time of ``measured()`` over best time of ``baseline()``.
 
     After one warm-up call of each, the two sides alternate round by
@@ -181,7 +183,7 @@ def best_ratio(measured, baseline) -> float:
     measured()
     baseline()
     best = {measured: float("inf"), baseline: float("inf")}
-    for index in range(OVERHEAD_ROUNDS):
+    for index in range(rounds):
         for fn in (measured, baseline) if index % 2 else (baseline, measured):
             start = time.perf_counter()
             fn()
@@ -215,7 +217,7 @@ def traced_serving_run(collector=None):
     servable = TracedMatmulServable(seed=0, m=16, d=64, n=32)
     rng = np.random.default_rng(2)
     engine = ServingEngine(
-        servable, config=trace_workload_config(4), clock=clock, tracer=tracer
+        servable, config=DEMO, clock=clock, tracer=tracer
     )
     with engine:
         for index in range(48):

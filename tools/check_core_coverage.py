@@ -34,7 +34,7 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     # replica, so its file is gated tighter than its package.
     ("repro/cluster/store", 90.0),
     # The hot-path module holds the per-stage profile behind
-    # ``repro hotpath-bench`` and ``best_of``, the one timer of every
+    # ``repro bench hotpath`` and ``best_of``, the one timer of every
     # wall-clock floor; an untested branch there misreports a stage or
     # a floor, so its file is gated tighter than its package.
     ("repro/core/hotpath", 90.0),
@@ -42,6 +42,9 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     # zero-cost disabled path; an untested branch is a silent
     # determinism or overhead regression, so the package gates at 90.
     ("repro/obs/", 90.0),
+    # The scenario catalogue builds and drives every ``repro bench``
+    # run and the demo behind ``repro trace``/``top``/``metrics``.
+    ("repro/workloads/scenarios", 85.0),
 ]
 
 
