@@ -42,7 +42,6 @@ Two execution regimes, like the engine underneath:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
@@ -66,31 +65,57 @@ from repro.serving.cache import (
     memoized_step_error,
 )
 from repro.serving.clock import WallClock
+from repro.serving.metrics import RequestRecord
 from repro.serving.request import EngineClosed, RequestHandle, ServingError
 from repro.serving.servable import Servable
 
 
 class ClusterHandle(RequestHandle):
-    """Future-style view of one cluster request (routing-aware)."""
+    """Future-style view of one cluster request (routing-aware).
 
-    def __init__(self, request_id: int, arrival: float) -> None:
+    The handle is also the cluster's record of the request (payload,
+    keys, tenant, trace span), so a failover or retry re-dispatches it
+    as is.  The cluster lends it to the replica engine that serves it:
+    the engine's :meth:`_resolve`/:meth:`_fail` hand the outcome to the
+    cluster, which stamps, retries or fails over, and settles the
+    caller through :meth:`_settle_value`/:meth:`_settle_error`.
+    """
+
+    def __init__(
+        self,
+        cluster: "ServingCluster",
+        request_id: int,
+        arrival: float,
+        payload: Any,
+        cache_key: Any = None,
+        session_id: str | None = None,
+        tenant: str | None = None,
+        prefix_id: str | None = None,
+    ) -> None:
         super().__init__(request_id, arrival)
         self.replica_id: int | None = None  #: replica that served it
         self.retries = 0  #: re-dispatches after execution errors
+        self.payload = payload
+        self.cache_key = cache_key
+        self.session_id = session_id
+        self.tenant = tenant
+        self.prefix_id = prefix_id
+        #: Open cluster.request trace span (inert with tracing disabled).
+        self.span: Any = NULL_SPAN
+        self._cluster = cluster
+        #: The replica holding the request; ``None`` while an engine's
+        #: submit is still taking it (see ServingCluster._on_done).
+        self._replica: Replica | None = None
+        self._early: tuple | None = None
 
+    _settle_value = RequestHandle._resolve
+    _settle_error = RequestHandle._fail
 
-@dataclass
-class _InFlight:
-    """Cluster-side record of one dispatched request (re-routable)."""
+    def _resolve(self, value, *, started, finished, batch_size, cache_hit=False):
+        self._cluster._on_done(self, value, None, started, finished, batch_size, cache_hit)
 
-    handle: ClusterHandle
-    payload: Any
-    cache_key: Any = None
-    session_id: str | None = None
-    tenant: str | None = None
-    prefix_id: str | None = None
-    #: Open cluster.request trace span (inert with tracing disabled).
-    span: Any = NULL_SPAN
+    def _fail(self, error, *, started=None, finished=None, batch_size=None):
+        self._cluster._on_done(self, None, error, started, finished, batch_size, False)
 
 
 def _check_kv_settings(servable: Servable, engine) -> None:
@@ -387,22 +412,22 @@ class ServingCluster:
                 )
 
     def _ensure_prefix_session_locked(
-        self, record: _InFlight, replica: Replica
+        self, handle: ClusterHandle, replica: Replica
     ) -> None:
         """Open the session's prompt state on its replica, if absent."""
         cache = replica.session_cache
-        if cache is None or cache.has_session(record.session_id):
+        if cache is None or cache.has_session(handle.session_id):
             return
-        prompt_len = self._prefixes[record.prefix_id]
+        prompt_len = self._prefixes[handle.prefix_id]
         if self.tier is not None and self.config.share_prefixes:
             chain = self.tier.acquire_prefix(
-                record.prefix_id, replica.replica_id
+                handle.prefix_id, replica.replica_id
             )
-            cache.adopt_prefix(record.session_id, chain)
-            self._session_prefix[record.session_id] = record.prefix_id
+            cache.adopt_prefix(handle.session_id, chain)
+            self._session_prefix[handle.session_id] = handle.prefix_id
             self.metrics.record_prefix_adoption(shared=True)
         else:
-            cache.open_session(record.session_id, prompt_len=prompt_len)
+            cache.open_session(handle.session_id, prompt_len=prompt_len)
             self.metrics.record_prefix_adoption(shared=False)
 
     # -- submission ----------------------------------------------------------
@@ -448,9 +473,12 @@ class ServingCluster:
                 and any(r.session_cache is not None for r in self._replicas.values())
             ):
                 raise memoized_step_error(session_id)
+            handle = ClusterHandle(
+                self, self._next_request_id, self.clock.now(), payload,
+                cache_key, session_id, tenant, prefix_id,
+            )
             self._next_request_id += 1
-            handle = ClusterHandle(self._next_request_id - 1, self.clock.now())
-            span = self.tracer.start_span(
+            span = handle.span = self.tracer.start_span(
                 "cluster.request",
                 parent=self._span,
                 request_id=handle.request_id,
@@ -462,69 +490,67 @@ class ServingCluster:
                 hit = self.tier.memo.get(cache_key)
                 if hit is not MISS:
                     now = handle.arrival
-                    handle._resolve(
+                    handle._settle_value(
                         isolated(hit), started=now, finished=now,
                         batch_size=0, cache_hit=True,
                     )
-                    self.metrics.record_request(handle)
+                    self.metrics.record(RequestRecord(now, now, now, 0, True))
                     span.set_attr("cache_hit", True)
                     span.add_event("complete", tier_hit=True)
                     self.tracer.end(span)
                     return handle
-        record = _InFlight(
-            handle, payload,
-            cache_key=cache_key, session_id=session_id, tenant=tenant,
-            prefix_id=prefix_id, span=span,
-        )
-        try:
-            self._dispatch(record)
-        except Exception as error:  # unroutable / invalid payload / full
-            span.add_event("rejected", error=type(error).__name__)
-            self.tracer.end(span)
-            raise
+            try:
+                self._dispatch_locked(handle)
+            except Exception as error:  # unroutable / invalid payload / full
+                span.add_event("rejected", error=type(error).__name__)
+                self.tracer.end(span)
+                raise
         return handle
 
-    def _dispatch(self, record: _InFlight) -> None:
-        """Route and enqueue one record (initial submit or re-dispatch)."""
+    def _dispatch(self, handle: ClusterHandle) -> None:
+        """Route and enqueue a request again (failover or retry)."""
         with self._lock:
-            prefix_holders = None
-            if record.prefix_id is not None and self.tier is not None:
-                prefix_holders = self.tier.replicas_holding(record.prefix_id)
-            decision = self.router.route(
-                self._replicas, record.session_id, prefix_holders
-            )
-            replica = decision.replica
-            if decision.migrate_from is not None:
-                self._migrate_locked(
-                    record.session_id, decision.migrate_from, replica
-                )
-            if record.prefix_id is not None:
-                self._ensure_prefix_session_locked(record, replica)
-            engine_handle = replica.engine.submit(
-                record.payload,
-                cache_key=record.cache_key,
-                session_id=record.session_id,
-                block=False,
-            )
-            self.router.begin(record.session_id)
-            replica.outstanding += 1
-            record.handle.replica_id = replica.replica_id
-            replica.inflight[engine_handle] = record
-            self.metrics.record_dispatch(
-                replica.replica_id,
-                tenant=record.tenant,
-                affinity_hit=decision.affinity_hit,
-                new_session=decision.new_session,
-            )
-            record.span.add_event(
-                "route",
-                replica_id=replica.replica_id,
-                affinity_hit=decision.affinity_hit,
-                migrated=decision.migrate_from is not None,
-            )
-        engine_handle.add_done_callback(
-            lambda eh, rec=record, rep=replica: self._on_done(rep, rec, eh)
+            self._dispatch_locked(handle)
+
+    def _dispatch_locked(self, handle: ClusterHandle) -> None:
+        """Route and enqueue one request; the caller holds the lock."""
+        session_id = handle.session_id
+        prefix_holders = None
+        if handle.prefix_id is not None and self.tier is not None:
+            prefix_holders = self.tier.replicas_holding(handle.prefix_id)
+        decision = self.router.route(self._replicas, session_id, prefix_holders)
+        replica = decision.replica
+        if decision.migrate_from is not None:
+            self._migrate_locked(session_id, decision.migrate_from, replica)
+        if handle.prefix_id is not None:
+            self._ensure_prefix_session_locked(handle, replica)
+        handle._replica = None
+        replica.engine.submit(
+            handle.payload,
+            cache_key=handle.cache_key,
+            session_id=session_id,
+            block=False,
+            handle=handle,
         )
+        self.router.begin(session_id)
+        replica.outstanding += 1
+        handle.replica_id = replica.replica_id
+        handle._replica = replica
+        self.metrics.record_dispatch(
+            replica.replica_id,
+            tenant=handle.tenant,
+            affinity_hit=decision.affinity_hit,
+            new_session=decision.new_session,
+        )
+        handle.span.add_event(
+            "route",
+            replica_id=replica.replica_id,
+            affinity_hit=decision.affinity_hit,
+            migrated=decision.migrate_from is not None,
+        )
+        early, handle._early = handle._early, None
+        if early is not None:
+            self._on_done(handle, *early)
 
     def _move_session_locked(
         self, session_id: str, source: Replica, target: Replica
@@ -558,55 +584,66 @@ class ServingCluster:
         self.metrics.record_migration(nbytes)
 
     # -- completion propagation ----------------------------------------------
-    def _on_done(self, replica: Replica, record: _InFlight, engine_handle) -> None:
-        """Handle callback: resolve, fail over, or retry one request."""
+    def _on_done(
+        self,
+        handle: ClusterHandle,
+        value: Any,
+        error: BaseException | None,
+        started: float | None,
+        finished: float | None,
+        batch_size: int | None,
+        cache_hit: bool,
+    ) -> None:
+        """An engine's outcome for ``handle``: settle, fail over, or retry."""
         with self._lock:
-            replica.inflight.pop(engine_handle, None)
+            replica = handle._replica
+            if replica is None:
+                # Resolved inside the engine's submit (a replica memo
+                # hit): the dispatch finishes its bookkeeping first and
+                # then hands the outcome back here.
+                handle._early = (value, error, started, finished, batch_size, cache_hit)
+                return
             replica.outstanding -= 1
-            self.router.finish(record.session_id)
-            error = engine_handle._error
+            self.router.finish(handle.session_id)
             if error is None:
-                cache_hit = engine_handle.cache_hit
-                value = engine_handle._value
                 if (
-                    record.cache_key is not None
+                    handle.cache_key is not None
                     and self.tier is not None
                     and not cache_hit
                 ):
                     # Publish the freshly computed result fleet-wide so
                     # any replica's next request for this key hits.
-                    self.tier.memo.put(record.cache_key, isolated(value))
-                batch_size = engine_handle.batch_size or 0
-                handle = record.handle
+                    self.tier.memo.put(handle.cache_key, isolated(value))
+                batch_size = batch_size or 0
                 arrival = handle.arrival
                 if self.service_model is not None and not cache_hit:
                     started, finished = replica.virtual_stamp(
                         max(batch_size, 1), self.clock.now(), self.service_model
                     )
                 else:
-                    started = engine_handle.started
-                    finished = engine_handle.finished
                     if started is None:
                         started = arrival
                     if finished is None:
                         finished = arrival
                 handle.replica_id = replica.replica_id
-                handle._resolve(
+                handle._settle_value(
                     value,
                     started=started,
                     finished=finished,
                     batch_size=batch_size,
                     cache_hit=cache_hit,
                 )
-                self.metrics.record_request(handle)
-                record.span.add_event(
+                self.metrics.record(
+                    RequestRecord(arrival, started, finished, batch_size, cache_hit)
+                )
+                handle.span.add_event(
                     "complete",
                     replica_id=replica.replica_id,
                     cache_hit=cache_hit,
                 )
-                self.tracer.end(record.span)
+                self.tracer.end(handle.span)
                 return
-            if record.handle.done():
+            if handle.done():
                 return  # already settled (double-failure race)
             # A closing cluster neither fails over nor retries: the
             # EngineClosed from each replica's shutdown is the final
@@ -617,32 +654,29 @@ class ServingCluster:
             retryable = (
                 not failover
                 and not self._closed
-                and record.handle.retries < self.max_retries
+                and handle.retries < self.max_retries
             )
         if failover or retryable:
             if failover:
                 self.metrics.record_failover()
-                record.span.add_event(
+                handle.span.add_event(
                     "failover", from_replica=replica.replica_id
                 )
             else:
-                record.handle.retries += 1
+                handle.retries += 1
                 self.metrics.record_retry()
-                record.span.add_event("retry", attempt=record.handle.retries)
+                handle.span.add_event("retry", attempt=handle.retries)
             try:
-                self._dispatch(record)
+                self._dispatch(handle)
                 return
             except ServingError as redispatch_error:
                 error = redispatch_error
-        record.handle._fail(
-            error,
-            started=engine_handle.started,
-            finished=engine_handle.finished,
-            batch_size=engine_handle.batch_size,
+        handle._settle_error(
+            error, started=started, finished=finished, batch_size=batch_size
         )
         self.metrics.record_failures()
-        record.span.add_event("failed", error=type(error).__name__)
-        self.tracer.end(record.span)
+        handle.span.add_event("failed", error=type(error).__name__)
+        self.tracer.end(handle.span)
 
     def release_session(self, session_id: str) -> int:
         """Retire a finished decode session fleet-wide.
@@ -678,14 +712,14 @@ class ServingCluster:
         with self._lock:
             replica = self._replicas[replica_id]
             evicted = replica.fail()  # marks FAILED, evicts the queue
-            records = [
-                replica.inflight.pop(request.handle)
+            handles = [
+                request.handle
                 for request in evicted
-                if request.handle in replica.inflight
+                if isinstance(request.handle, ClusterHandle)
             ]
-            replica.outstanding -= len(records)
-            for record in records:
-                self.router.finish(record.session_id)
+            replica.outstanding -= len(handles)
+            for handle in handles:
+                self.router.finish(handle.session_id)
             self.metrics.record_event(
                 ClusterEvent(
                     self.clock.now(), "replica_failed", replica_id,
@@ -693,7 +727,7 @@ class ServingCluster:
                 )
             )
             self._span.add_event(
-                "replica_failed", replica_id=replica_id, evicted=len(records)
+                "replica_failed", replica_id=replica_id, evicted=len(handles)
             )
         # Outside the lock: joins the worker thread, whose completion
         # callbacks re-enter the cluster lock.
@@ -701,16 +735,16 @@ class ServingCluster:
         with self._lock:
             self._rehome_sessions_locked(replica)
         rerouted = 0
-        for record in records:
-            record.span.add_event("failover", from_replica=replica_id)
+        for handle in handles:
+            handle.span.add_event("failover", from_replica=replica_id)
             try:
-                self._dispatch(record)
+                self._dispatch(handle)
                 rerouted += 1
             except ServingError as error:
-                record.handle._fail(error)
+                handle._settle_error(error)
                 self.metrics.record_failures()
-                record.span.add_event("failed", error=type(error).__name__)
-                self.tracer.end(record.span)
+                handle.span.add_event("failed", error=type(error).__name__)
+                self.tracer.end(handle.span)
         self.metrics.record_failover(rerouted)
         if self.recorder is not None:
             self.recorder.note(
@@ -721,7 +755,7 @@ class ServingCluster:
                 registry=self.metrics.registry,
                 snapshot=self.snapshot(),
                 replica_id=replica_id,
-                evicted=len(records),
+                evicted=len(handles),
                 rerouted=rerouted,
             )
         return rerouted

@@ -222,6 +222,7 @@ class ClusterMetrics(RequestLedger):
         replica-private hits both count; the denominator is every
         completed request)."""
         with self._lock:
+            self._fold()
             completed = len(self._records)
             return self._cache_hits_c.value / completed if completed else 0.0
 

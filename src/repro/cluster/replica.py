@@ -29,12 +29,10 @@ Lifetime dispatch counts live in the fleet's
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.serving.cache import MemoCache, SessionCache
 from repro.serving.config import EngineConfig
 from repro.serving.engine import ServingEngine
-from repro.serving.request import InferenceRequest, RequestHandle
+from repro.serving.request import InferenceRequest
 from repro.serving.scheduler import IterationCost
 from repro.serving.servable import Servable
 
@@ -89,8 +87,6 @@ class Replica:
         self.outstanding = 0
         #: Virtual-time horizon this replica is busy until (service model).
         self.busy_until = 0.0
-        #: Engine handle -> cluster in-flight record, for failover.
-        self.inflight: dict[RequestHandle, Any] = {}
         # Virtual batch stamping state: (start, end) of the batch whose
         # members are currently resolving, and how many are left.
         self._vbatch: tuple[float, float] = (0.0, 0.0)

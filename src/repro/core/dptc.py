@@ -218,6 +218,9 @@ class DPTC:
         self._channel_cache: OrderedDict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = OrderedDict()
+        # The noise model is frozen, so its ideality is known once; a
+        # reassigned ``noise`` falls back to asking it.
+        self._ideal_noise = self.noise if self.noise.is_ideal else None
 
     def tile_matmul(
         self,
@@ -369,7 +372,8 @@ class DPTC:
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.noise.is_ideal:
+        noise = self.noise
+        if noise is self._ideal_noise or noise.is_ideal:
             # The plain product validates its own batch broadcast; the
             # rank and core checks come first so every error message is
             # the one _broadcast_out_shape gives.

@@ -174,29 +174,22 @@ class PhotonicExecutor:
         result is a graph-free :class:`Tensor` with the same bits.
         """
         a_data, b_data = a.data, b.data
-        if self.quant is not None:
-            bits_a = (
-                self.quant.weight_bits
-                if weight_operand == 0
-                else self.quant.activation_bits
-            )
-            bits_b = (
-                self.quant.weight_bits
-                if weight_operand == 1
-                else self.quant.activation_bits
-            )
+        quant = self.quant
+        if quant is not None:
             # Per-matrix scales: each [m, d] slice of a stacked operand
             # gets its own grid (like the DPTC's per-matrix beta), so
             # batched execution quantizes each sample exactly as the
             # per-sample path would — no cross-batch scale coupling.
-            a_data = self._quantize(a_data, bits_a, weight=weight_operand == 0)
-            b_data = self._quantize(b_data, bits_b, weight=weight_operand == 1)
+            w_bits, x_bits = quant.weight_bits, quant.activation_bits
+            a_weight, b_weight = weight_operand == 0, weight_operand == 1
+            a_data = self._quantize(a_data, w_bits if a_weight else x_bits, a_weight)
+            b_data = self._quantize(b_data, w_bits if b_weight else x_bits, b_weight)
 
         out_data = self._execute(a_data, b_data)
-        if not (is_grad_enabled() and (a.requires_grad or b.requires_grad)):
+        if not ((a.requires_grad or b.requires_grad) and is_grad_enabled()):
             # No gradient will be recorded: skip the autograd nodes.
             return Tensor(out_data)
-        if self.quant is not None:
+        if quant is not None:
             a = straight_through(a, a_data)
             b = straight_through(b, b_data)
 

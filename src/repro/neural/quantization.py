@@ -85,12 +85,15 @@ def quantize_array(
     # the scale into 0 and the grid into inf/nan — zero and sub-tiny
     # inputs (or, per-matrix, slices) are returned unchanged instead,
     # so per-matrix slices still quantize exactly like per-sample calls
-    # on the same slice.
-    degenerate = max_abs < _TINY
-    if np.logical_or.reduce(degenerate, axis=None):  # .any() minus its Python layer
+    # on the same slice.  The common case asks one reduction (the
+    # smallest max-abs; ``fmin`` skips NaN slices, which are never
+    # degenerate) and
+    # builds the per-slice mask only when some slice is degenerate.
+    degenerate = None
+    if np.fmin.reduce(max_abs, axis=None) < _TINY:
+        degenerate = max_abs < _TINY
         scale = np.where(degenerate, 1.0, max_abs) / levels
     else:
-        degenerate = None
         scale = max_abs / levels
     np.divide(values, scale, out=snapped)
     np.rint(snapped, out=snapped)

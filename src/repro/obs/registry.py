@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 #: Default histogram bucket upper bounds (seconds-flavoured, matching
 #: the serving layer's latency scales under both real and virtual time).
@@ -169,12 +169,30 @@ class MetricsRegistry:
         self._families: dict[str, dict[tuple, Any]] = {}
         #: name -> (kind, help)
         self._meta: dict[str, tuple[str, str]] = {}
+        self._collectors: list[Callable[[], None]] = []
+
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Call ``collect()`` before every read and every instrument
+        lookup, so an instrument is current when it is handed out.
+
+        The hook of an owner whose instruments are derived from state it
+        keeps anyway (a request ledger folds its exact records into its
+        counters and histograms): the owner updates them on read instead
+        of on every write.  An instrument kept from an earlier lookup
+        shows the values of that lookup until the next one.
+        """
+        self._collectors.append(collect)
+
+    def _collect(self) -> None:
+        for collect in self._collectors:
+            collect()
 
     # -- instrument access ----------------------------------------------------
     def _instrument(
         self, name: str, kind: str, help: str, factory, labels: dict[str, Any]
     ):
         key = _label_key(labels)
+        self._collect()
         with self._lock:
             meta = self._meta.get(name)
             if meta is None:
@@ -211,6 +229,7 @@ class MetricsRegistry:
     # -- read side ------------------------------------------------------------
     def series(self, name: str) -> list[tuple[dict[str, str], Any]]:
         """Every ``(labels, instrument)`` of one family, label-sorted."""
+        self._collect()
         with self._lock:
             family = self._families.get(name, {})
             return [
@@ -235,6 +254,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-able dump: name -> list of {labels, kind, value} rows."""
+        self._collect()
         with self._lock:
             families = {
                 name: sorted(family.items())
@@ -255,6 +275,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4)."""
+        self._collect()
         with self._lock:
             families = {
                 name: sorted(family.items())
@@ -303,6 +324,7 @@ class MetricsRegistry:
         Counters and histograms sum; gauges take the other's value
         (last write wins).  Families new to this registry are created.
         """
+        other._collect()
         with other._lock:
             other_families = {
                 name: list(family.items())

@@ -269,6 +269,38 @@ class PrefixChain:
         return len(self.blocks)
 
 
+class _KVMirror:
+    """A session's committed K/V rows in two contiguous buffers.
+
+    ``rows`` rows are valid; the capacity past them takes a decode
+    batch's pending rows for one read.  ``pages``, ``last`` and
+    ``fill`` are the block list's length, its last page and that
+    page's fill when the mirror was last synced, which is how a read
+    tells that an append (or a new page) has happened since.
+    """
+
+    __slots__ = ("pages", "last", "fill", "rows", "keys", "values")
+
+    def __init__(self, dim: int, capacity: int) -> None:
+        self.pages = 0
+        self.last: KVBlock | None = None
+        self.fill = 0
+        self.rows = 0
+        self.keys = np.empty((capacity, dim))
+        self.values = np.empty((capacity, dim))
+
+    def reserve(self, rows: int) -> None:
+        """Room for ``rows`` rows, keeping the valid ones (doubling)."""
+        if rows <= len(self.keys):
+            return
+        capacity = max(rows, 2 * len(self.keys))
+        for name in ("keys", "values"):
+            old = getattr(self, name)
+            new = np.empty((capacity, old.shape[1]))
+            new[: self.rows] = old[: self.rows]
+            setattr(self, name, new)
+
+
 @dataclass
 class Session:
     """Per-request decode state (one generation stream), paged.
@@ -292,8 +324,8 @@ class Session:
     swapped: bool = False
     shared_blocks: int = 0
     prefix_id: str | None = None
-    #: ``(pages covered, keys, values)`` of :meth:`_frozen_kv`.
-    _kv_memo: tuple[int, np.ndarray, np.ndarray] | None = field(
+    #: The contiguous copy of the committed K/V that :meth:`kv_view` reads.
+    _mirror: _KVMirror | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -336,27 +368,71 @@ class Session:
         """Generated-token V vectors, in step order (views into pages)."""
         return self._generated("values")
 
-    def _frozen_kv(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every page but the last, concatenated.
+    def _sync(self, dim: int) -> _KVMirror:
+        """Bring the mirror up to date with the pages.
 
         Only the last page is ever appended to: earlier pages are full
         or shared read-only prefix pages, and swap and migration move
-        this object with its pages.  So the concatenation is memoized
-        here and extended once per page that stops being the last.  A
-        shorter block list (a closed session) rebuilds it.
+        this object with its pages.  So while the mirrored last page is
+        still in place the sync copies from it onwards; any other block
+        list (a closed session, a first read) is copied whole.
         """
-        frozen = max(len(self.blocks) - 1, 0)
-        memo = self._kv_memo
-        if memo is None or memo[0] > frozen:
-            memo = (0, np.zeros((0, dim)), np.zeros((0, dim)))
-        covered, keys, values = memo
-        if covered < frozen:
-            pages = self.blocks[covered:frozen]
-            keys = np.concatenate([keys] + [b.keys[: b.fill] for b in pages])
-            values = np.concatenate([values] + [b.values[: b.fill] for b in pages])
-            memo = (frozen, keys, values)
-        self._kv_memo = memo
-        return keys, values
+        blocks = self.blocks
+        mirror = self._mirror
+        if (
+            mirror is not None
+            and 0 < mirror.pages <= len(blocks)
+            and blocks[mirror.pages - 1] is mirror.last
+        ):
+            start, rows = mirror.pages - 1, mirror.rows - mirror.fill
+        else:
+            start = rows = 0
+            mirror = self._mirror = _KVMirror(
+                dim, sum(block.fill for block in blocks) + 1
+            )
+        for block in blocks[start:]:
+            fill = block.fill
+            mirror.rows = rows  # reserve() keeps the rows copied so far
+            mirror.reserve(rows + fill + 1)
+            mirror.keys[rows : rows + fill] = block.keys[:fill]
+            mirror.values[rows : rows + fill] = block.values[:fill]
+            rows += fill
+        mirror.rows = rows
+        mirror.pages = len(blocks)
+        mirror.last = blocks[-1] if blocks else None
+        mirror.fill = mirror.last.fill if blocks else 0
+        return mirror
+
+    def kv_view(
+        self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`kv_arrays` without the copy, for one attention read.
+
+        The result views the session's mirror of its pages, with the
+        ``extra`` pairs written into the mirror's spare rows.  It is
+        valid until the session's next read or append; the pages stay
+        the source of truth (swap, migration and prefix forks move or
+        alias pages, and the next read re-syncs from them).
+        """
+        blocks = self.blocks
+        mirror = self._mirror
+        last = blocks[-1] if blocks else None
+        if (
+            mirror is None
+            or mirror.last is not last
+            or mirror.pages != len(blocks)
+            or (last is not None and last.fill != mirror.fill)
+        ):
+            mirror = self._sync(dim)
+        rows = mirror.rows
+        if extra:
+            mirror.reserve(rows + len(extra))
+            keys, values = mirror.keys, mirror.values
+            for key, value in extra:
+                keys[rows] = key
+                values[rows] = value
+                rows += 1
+        return mirror.keys[:rows], mirror.values[:rows]
 
     def kv_arrays(
         self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
@@ -364,22 +440,13 @@ class Session:
         """``([context, dim], [context, dim])`` K/V for attention.
 
         ``extra`` appends uncommitted ``(k, v)`` vector pairs (a decode
-        batch's pending steps) after the committed context, in the same
-        single concatenation of at most the frozen-page memo, the last
-        page and the pending pairs.  Prompt tokens are zero-state
-        pages, so the result is bit-identical to the flat-list layout
-        paging replaced, and it is always a fresh array.
+        batch's pending steps) after the committed context.  Prompt
+        tokens are zero-state pages, so the result is bit-identical to
+        the flat-list layout paging replaced, and it is always a fresh
+        array (a copy of :meth:`kv_view`).
         """
-        keys, values = self._frozen_kv(dim)
-        parts_k, parts_v = [keys], [values]
-        if self.blocks:
-            last = self.blocks[-1]
-            parts_k.append(last.keys[: last.fill])
-            parts_v.append(last.values[: last.fill])
-        for key, value in extra:
-            parts_k.append(key[None])
-            parts_v.append(value[None])
-        return np.concatenate(parts_k), np.concatenate(parts_v)
+        keys, values = self.kv_view(dim, extra)
+        return keys.copy(), values.copy()
 
     @property
     def has_room(self) -> bool:

@@ -48,7 +48,7 @@ from repro.serving.cache import (
 )
 from repro.serving.clock import WallClock
 from repro.serving.config import SCHEDULERS, EngineConfig
-from repro.serving.metrics import Metrics
+from repro.serving.metrics import Metrics, RequestRecord
 from repro.serving.request import (
     EngineClosed,
     InferenceRequest,
@@ -256,8 +256,15 @@ class ServingEngine:
         session_id: str | None = None,
         block: bool = True,
         timeout: float | None = None,
+        handle: RequestHandle | None = None,
     ) -> RequestHandle:
         """Admit one request; returns its Future-style handle.
+
+        ``handle`` is an unresolved handle to resolve instead of a fresh
+        one: a :class:`~repro.cluster.cluster.ServingCluster` lends its
+        own, so one handle carries a request from the caller through
+        the replica that serves it.  The engine's ledger records the
+        request at the engine's own arrival time either way.
 
         ``cache_key`` consults the engine's
         :class:`~repro.serving.cache.MemoCache` first: a hit resolves
@@ -279,7 +286,8 @@ class ServingEngine:
             raise memoized_step_error(session_id)
         request_id = next(self._ids)
         arrival = self.clock.now()
-        handle = RequestHandle(request_id, arrival)
+        if handle is None:
+            handle = RequestHandle(request_id, arrival)
         tracer = self.tracer
         span = tracer.start_span(
             "request", request_id=request_id, session_id=session_id
@@ -297,7 +305,7 @@ class ServingEngine:
                     batch_size=0,
                     cache_hit=True,
                 )
-                self.metrics.record_request(handle)
+                self.metrics.record(RequestRecord(arrival, arrival, arrival, 0, True))
                 span.set_attr("cache_hit", True)
                 span.add_event("complete", cache_hit=True)
                 tracer.end(span)
@@ -533,12 +541,13 @@ class ServingEngine:
                     # Store an isolated copy: the requester's result must
                     # never alias the cache entry (or later hits).
                     cache.put(request.cache_key, isolated(output))
-                handle = request.handle
-                handle._resolve(
+                request.handle._resolve(
                     output, started=started, finished=finished, batch_size=size
                 )
                 request.span.add_event("complete", batch_size=size)
                 tracer.end(request.span)
-                metrics.record_request(handle)
+                metrics.record(
+                    RequestRecord(request.arrival, started, finished, size, False)
+                )
         finally:
             tracer.end(span)

@@ -78,13 +78,23 @@ class RequestLedger:
     ``{FAMILY}_*``; exact per-request rows live in ``_records``, the
     source of the percentile and throughput reads.  A subclass sets the
     family prefix as the class attribute ``FAMILY``.
+
+    Recording a request only appends its row.  The completed and
+    cache-hit counters and the latency and queue-wait histograms hold
+    nothing the rows do not, so they are folded from the rows not yet
+    counted whenever the registry is read (its collector hook), in
+    record order: every read sees exactly what observing each row as it
+    came would have built.
     """
 
     FAMILY: str
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: a registry read under the lock (see merged) folds
+        # through the collector, which takes it again.
+        self._lock = threading.RLock()
         self._records: list[RequestRecord] = []
+        self._folded = 0  # rows already in the registry instruments
         self.registry = registry if registry is not None else MetricsRegistry()
         family = self.FAMILY
         self._completed_c = self.registry.counter(
@@ -102,6 +112,7 @@ class RequestLedger:
         self._queue_wait_h = self.registry.histogram(
             f"{family}_queue_wait_seconds", "Admission-to-execution wait"
         )
+        self.registry.add_collector(self._fold)
 
     # -- write side ----------------------------------------------------------
     def record_request(self, handle: RequestHandle) -> None:
@@ -118,14 +129,22 @@ class RequestLedger:
         )
 
     def record(self, record: RequestRecord) -> None:
-        """Record one already-built :class:`RequestRecord` (merging path)."""
+        """Record one already-built :class:`RequestRecord`."""
         with self._lock:
             self._records.append(record)
-            self._completed_c.inc()
-            if record.cache_hit:
-                self._cache_hits_c.inc()
-            self._latency_h.observe(record.latency)
-            self._queue_wait_h.observe(record.queue_wait)
+
+    def _fold(self) -> None:
+        """Count the rows recorded since the last fold into the registry."""
+        with self._lock:
+            completed, hits = self._completed_c, self._cache_hits_c
+            latency, queue_wait = self._latency_h, self._queue_wait_h
+            for arrival, started, finished, _, cache_hit in self._records[self._folded :]:
+                completed.inc()
+                if cache_hit:
+                    hits.inc()
+                latency.observe(finished - arrival)
+                queue_wait.observe(started - arrival)
+            self._folded = len(self._records)
 
     def record_failures(self, count: int = 1) -> None:
         with self._lock:
@@ -150,6 +169,7 @@ class RequestLedger:
     @property
     def cache_hits(self) -> int:
         with self._lock:
+            self._fold()
             return int(self._cache_hits_c.value)
 
     def throughput(self) -> float:
@@ -243,8 +263,9 @@ class Metrics(RequestLedger):
         out = cls()
         for part in parts:
             with part._lock:
+                out.registry.merge_from(part.registry)  # folds the part first
                 out._records.extend(part._records)
-                out.registry.merge_from(part.registry)
+                out._folded = len(out._records)  # the merged instruments hold them
         return out
 
     def _occupancy_series(self, name: str) -> dict[int, int]:

@@ -173,7 +173,7 @@ class RequestHandle:
         self._settle()
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceRequest:
     """One queued unit of work (payload already ``prepare()``-d).
 

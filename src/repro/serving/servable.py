@@ -121,7 +121,7 @@ class TextServable(Servable):
 class _DecoderWeights:
     """The four frozen projection weights of one decoder draw."""
 
-    __slots__ = ("arrays", "__weakref__")
+    __slots__ = ("arrays", "tensors", "__weakref__")
 
     def __init__(self, config: DecoderConfig, seed) -> None:
         rng = np.random.default_rng(seed)
@@ -137,6 +137,8 @@ class _DecoderWeights:
         # its grid reused on every step (see repro.neural.photonic).
         for weight in self.arrays:
             weight.setflags(write=False)
+        #: The same arrays as the gradient-free operands every step passes.
+        self.tensors = tuple(Tensor(weight) for weight in self.arrays)
 
 
 #: (config, integer seed) -> the weights every live servable built from
@@ -224,9 +226,9 @@ class DecodeServable(Servable):
         _require_finite(x)
         return x
 
-    def _project(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _project(self, x: np.ndarray, w: Tensor) -> np.ndarray:
         """Batched photonic ``[b, 1, k] @ [k, n]`` projection."""
-        return self.executor.matmul(Tensor(x), Tensor(w), weight_operand=1).data
+        return self.executor.matmul(Tensor(x), w, weight_operand=1).data
 
     def _attend(
         self,
@@ -235,12 +237,12 @@ class DecodeServable(Servable):
         pending: list[tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
         """Digital single-query attention over the session's committed
-        KV state (read straight from its paged blocks) plus this batch's
+        KV state (its pages' contiguous mirror) plus this batch's
         pending (uncommitted) K/V pairs."""
         dim = self.config.dim
         session = self.cache.find_session(session_id)
         if session is not None:
-            keys, values = session.kv_arrays(dim, pending)
+            keys, values = session.kv_view(dim, pending)
         else:
             keys = np.stack([key for key, _ in pending])
             values = np.stack([value for _, value in pending])
@@ -265,8 +267,9 @@ class DecodeServable(Servable):
         # state (exactly like sequential execution) while nothing is
         # committed to the cache until the whole batch succeeds.
         pending: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        w_qkv, w_out, w_ffn1, w_ffn2 = self._weights.tensors
         with no_grad():
-            qkv = self._project(xs, self.w_qkv)  # [b, 1, 3*dim]
+            qkv = self._project(xs, w_qkv)  # [b, 1, 3*dim]
             dim = self.config.dim
             q, k, v = qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
             contexts = []
@@ -275,9 +278,9 @@ class DecodeServable(Servable):
                 staged.append((k[i, 0], v[i, 0]))
                 contexts.append(self._attend(request.session_id, q[i, 0], staged))
             ctx = np.array(contexts)[:, None, :]
-            h = xs + self._project(ctx, self.w_out)
-            f1 = np.maximum(self._project(h, self.w_ffn1), 0.0)
-            y = h + self._project(f1, self.w_ffn2)
+            h = xs + self._project(ctx, w_out)
+            f1 = np.maximum(self._project(h, w_ffn1), 0.0)
+            y = h + self._project(f1, w_ffn2)
         # The whole batch succeeded: commit every staged K/V (lazily
         # opening sessions), so a failed batch leaves no state behind.
         self.cache.commit_kv(pending)

@@ -158,7 +158,9 @@ class TestEventsAndSnapshot:
 
 #: ``golden_record(golden_fleet(*knobs))`` of every :data:`GOLDEN_FLEETS`
 #: entry, recorded before the engine and fleet recorders shared one
-#: request ledger; re-record it only for an intended snapshot change.
+#: request ledger (the per-replica ``engine_prometheus`` samples were
+#: added later, recorded before the ledger's record path was slimmed);
+#: re-record it only for an intended snapshot change.
 GOLDEN_PATH = Path(__file__).with_name("golden_fleet_snapshots.json")
 DECODER = DecoderConfig("golden", depth=2, dim=8, heads=2, mlp_ratio=2.0)
 PREFIX = "sys"
@@ -254,6 +256,10 @@ def golden_record(cluster):
     return {
         "snapshot": cluster.snapshot(),
         "prometheus": prometheus_samples(cluster.metrics.to_prometheus()),
+        "engine_prometheus": {
+            str(rid): prometheus_samples(replica.engine.metrics.to_prometheus())
+            for rid, replica in sorted(cluster.replicas.items())
+        },
     }
 
 
@@ -270,6 +276,7 @@ class TestGoldenFleetSnapshot:
             golden["snapshot"], sort_keys=True
         )
         assert record["prometheus"] == golden["prometheus"]
+        assert record["engine_prometheus"] == golden["engine_prometheus"]
 
     @pytest.mark.parametrize("fleet", sorted(GOLDEN_FLEETS))
     def test_replica_dispatched_reads_the_dispatch_ledger(self, fleet):
