@@ -81,6 +81,11 @@ class ClusterHandle(RequestHandle):
     caller through :meth:`_settle_value`/:meth:`_settle_error`.
     """
 
+    __slots__ = (
+        "replica_id", "retries", "payload", "cache_key", "session_id", "tenant",
+        "prefix_id", "span", "_cluster", "_replica", "_early",
+    )
+
     def __init__(
         self,
         cluster: "ServingCluster",

@@ -81,23 +81,27 @@ def quantize_array(
     # once.
     snapped = np.abs(values)
     max_abs = np.maximum.reduce(snapped, axis=axes, keepdims=True)
+    # The smallest max-abs decides the two rare cases; ``fmin`` skips
+    # NaN slices, which neither case concerns (NaN stays NaN).
+    smallest = np.fmin.reduce(max_abs, axis=None)
     # A subnormal max-abs underflows when divided by `levels`, turning
     # the scale into 0 and the grid into inf/nan — zero and sub-tiny
     # inputs (or, per-matrix, slices) are returned unchanged instead,
     # so per-matrix slices still quantize exactly like per-sample calls
-    # on the same slice.  The common case asks one reduction (the
-    # smallest max-abs; ``fmin`` skips NaN slices, which are never
-    # degenerate) and
-    # builds the per-slice mask only when some slice is degenerate.
+    # on the same slice.
     degenerate = None
-    if np.fmin.reduce(max_abs, axis=None) < _TINY:
+    if smallest < _TINY:
         degenerate = max_abs < _TINY
         scale = np.where(degenerate, 1.0, max_abs) / levels
     else:
         scale = max_abs / levels
     np.divide(values, scale, out=snapped)
     np.rint(snapped, out=snapped)
-    _clip(snapped, -levels, levels, out=snapped)
+    # With a normal scale, |value| / scale rounds to at most
+    # levels * (1 + 2**-52), which rint takes to at most `levels` while
+    # levels < 2**50: the clip only bites when some scale is subnormal.
+    if smallest < levels * _TINY or levels >= 2**50:
+        _clip(snapped, -levels, levels, out=snapped)
     snapped *= scale
     if degenerate is None:
         return snapped

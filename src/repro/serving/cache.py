@@ -275,8 +275,8 @@ class _KVMirror:
     ``rows`` rows are valid; the capacity past them takes a decode
     batch's pending rows for one read.  ``pages``, ``last`` and
     ``fill`` are the block list's length, its last page and that
-    page's fill when the mirror was last synced, which is how a read
-    tells that an append (or a new page) has happened since.
+    page's fill when the mirror last matched the pages, which is how a
+    read tells that the pages have changed since.
     """
 
     __slots__ = ("pages", "last", "fill", "rows", "keys", "values")
@@ -288,6 +288,22 @@ class _KVMirror:
         self.rows = 0
         self.keys = np.empty((capacity, dim))
         self.values = np.empty((capacity, dim))
+
+    def current(self, blocks: list[KVBlock]) -> bool:
+        """Does the mirror hold exactly the filled slots of ``blocks``?"""
+        last = blocks[-1] if blocks else None
+        return (
+            self.last is last
+            and self.pages == len(blocks)
+            and (last is None or last.fill == self.fill)
+        )
+
+    def mark(self, blocks: list[KVBlock], rows: int) -> None:
+        """Record that the mirror now holds ``blocks`` in ``rows`` rows."""
+        self.rows = rows
+        self.pages = len(blocks)
+        self.last = blocks[-1] if blocks else None
+        self.fill = self.last.fill if blocks else 0
 
     def reserve(self, rows: int) -> None:
         """Room for ``rows`` rows, keeping the valid ones (doubling)."""
@@ -397,11 +413,28 @@ class Session:
             mirror.keys[rows : rows + fill] = block.keys[:fill]
             mirror.values[rows : rows + fill] = block.values[:fill]
             rows += fill
-        mirror.rows = rows
-        mirror.pages = len(blocks)
-        mirror.last = blocks[-1] if blocks else None
-        mirror.fill = mirror.last.fill if blocks else 0
+        mirror.mark(blocks, rows)
         return mirror
+
+    def append(
+        self, key: np.ndarray, value: np.ndarray, allocate: Callable[[], KVBlock]
+    ) -> None:
+        """Append one step's K/V to the last private page (a fresh page
+        from ``allocate`` when it has no room), and to the mirror while
+        the mirror is current."""
+        blocks = self.blocks
+        mirror = self._mirror
+        if mirror is not None and not mirror.current(blocks):
+            mirror = None
+        if not self.has_room:
+            blocks.append(allocate())
+        blocks[-1].append(key, value)
+        if mirror is not None:
+            rows = mirror.rows
+            mirror.reserve(rows + 2)  # the row, and one pending row
+            mirror.keys[rows] = key
+            mirror.values[rows] = value
+            mirror.mark(blocks, rows + 1)
 
     def kv_view(
         self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
@@ -414,15 +447,8 @@ class Session:
         the source of truth (swap, migration and prefix forks move or
         alias pages, and the next read re-syncs from them).
         """
-        blocks = self.blocks
         mirror = self._mirror
-        last = blocks[-1] if blocks else None
-        if (
-            mirror is None
-            or mirror.last is not last
-            or mirror.pages != len(blocks)
-            or (last is not None and last.fill != mirror.fill)
-        ):
+        if mirror is None or not mirror.current(self.blocks):
             mirror = self._sync(dim)
         rows = mirror.rows
         if extra:
@@ -629,11 +655,9 @@ class SessionCache:
 
     def _append(self, session: Session, k: np.ndarray, v: np.ndarray) -> None:
         """The one append body (caller holds the lock)."""
-        k = np.asarray(k, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if not session.has_room:
-            session.blocks.append(self.pool.allocate())
-        session.blocks[-1].append(k, v)
+        session.append(
+            np.asarray(k, dtype=float), np.asarray(v, dtype=float), self.pool.allocate
+        )
 
     def context_len(self, session_id: str) -> int:
         return self.session(session_id).context_len

@@ -442,18 +442,19 @@ class ServingEngine:
         """
         queue = self._queue
         while True:
-            with queue.not_empty:
+            with queue.mutex:
                 while (arrivals := self._intake_locked(force=False)) is None:
                     if queue._items:
                         # Sleep out the rest of the head's window (a
                         # full batch or close() notifies earlier).
-                        queue.not_empty.wait(
-                            queue._items[0].arrival + self._window_s - self.clock.now()
+                        queue.wait(
+                            queue.not_empty,
+                            queue._items[0].arrival + self._window_s - self.clock.now(),
                         )
                     elif queue.closed:
                         return
                     else:
-                        queue.not_empty.wait()
+                        queue.wait(queue.not_empty)
             self._run_iteration(arrivals)
 
     # -- flight recording -----------------------------------------------------

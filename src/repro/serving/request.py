@@ -49,6 +49,11 @@ class RequestHandle:
     allocates one.
     """
 
+    __slots__ = (
+        "request_id", "arrival", "started", "finished", "batch_size", "cache_hit",
+        "_value", "_error", "_lock", "_resolved", "_waiters", "_callbacks",
+    )
+
     def __init__(self, request_id: int, arrival: float) -> None:
         self.request_id = request_id
         self.arrival = arrival  #: submit time (engine clock)
@@ -198,7 +203,9 @@ class RequestQueue:
     ``not_empty`` and ``not_full`` share one mutex, so the
     :class:`~repro.serving.engine.ServingEngine` worker can wait for an
     iteration to come due and pop its intake atomically while producers
-    wait for capacity.
+    wait for capacity.  Every wait goes through :meth:`wait`, which
+    counts the waiters, so a put or pop with nobody waiting (every
+    manual-mode one) skips the notification.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -210,6 +217,15 @@ class RequestQueue:
         self.not_empty = threading.Condition(self.mutex)
         self.not_full = threading.Condition(self.mutex)
         self._closed = False
+        self._waiting = 0  # threads inside wait(); guarded by the mutex
+
+    def wait(self, condition: threading.Condition, timeout: float | None = None) -> None:
+        """``condition.wait(timeout)``, counted.  Caller holds ``mutex``."""
+        self._waiting += 1
+        try:
+            condition.wait(timeout)
+        finally:
+            self._waiting -= 1
 
     def __len__(self) -> int:
         with self.mutex:
@@ -232,7 +248,7 @@ class RequestQueue:
         ``block=False`` (or an expired ``timeout``) raises
         :class:`QueueFull` instead of waiting for a free slot.
         """
-        with self.not_full:
+        with self.mutex:
             if self._closed:
                 raise EngineClosed("queue is closed")
             if len(self._items) >= self.maxsize:
@@ -250,17 +266,18 @@ class RequestQueue:
                             f"queue still at capacity ({self.maxsize}) "
                             f"after {timeout}s"
                         )
-                    self.not_full.wait(remaining)
+                    self.wait(self.not_full, remaining)
                 if self._closed:
                     raise EngineClosed("queue closed while waiting for capacity")
             self._items.append(request)
-            self.not_empty.notify()
+            if self._waiting:
+                self.not_empty.notify()
             return len(self._items)
 
     def pop_locked(self, n: int) -> list[InferenceRequest]:
         """Pop up to ``n`` requests FIFO.  Caller must hold ``mutex``."""
         batch = [self._items.popleft() for _ in range(min(n, len(self._items)))]
-        if batch:
+        if batch and self._waiting:
             self.not_full.notify_all()
         return batch
 

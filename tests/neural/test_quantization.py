@@ -108,6 +108,58 @@ class TestQuantizeArray:
             assert np.max(np.abs(values - quantized)) <= step / 2 + 1e-12
 
 
+def reference_quantize(values, bits, per_matrix=False):
+    """The snap chain with every step unconditional: a per-slice mask of
+    degenerate slices and a clip after ``rint``."""
+    values = np.asarray(values, dtype=float)
+    levels = quantization_levels(bits)
+    axes = (-2, -1) if per_matrix and values.ndim > 2 else None
+    max_abs = np.max(np.abs(values), axis=axes, keepdims=True)
+    degenerate = max_abs < np.finfo(float).tiny
+    scale = np.where(degenerate, 1.0, max_abs) / levels
+    snapped = np.clip(np.rint(values / scale), -levels, levels) * scale
+    return np.where(degenerate, values, snapped)
+
+
+#: Magnitudes from subnormal through normal to huge, and the specials.
+SPECIAL_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-306]),
+)
+
+
+class TestMatchesReference:
+    """The common-path shortcuts (one reduction for the degenerate check,
+    no clip while every scale is normal) change no bit."""
+
+    @given(
+        values=hnp.arrays(
+            float, st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5)),
+            elements=SPECIAL_FLOATS,
+        ),
+        bits=st.sampled_from([2, 3, 4, 8, 16, 52, 60]),
+        per_matrix=st.booleans(),
+    )
+    def test_bit_equal_to_the_unconditional_chain(self, values, bits, per_matrix):
+        with np.errstate(all="ignore"):
+            got = quantize_array(values, bits, per_matrix=per_matrix)
+            want = reference_quantize(values, bits, per_matrix=per_matrix)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wide_grid_still_clips(self):
+        """At 53 bits one rounding step is past half a level: m / (m / L)
+        rounds above L and only the clip brings it back."""
+        values = np.array([2.770888466262316, -1.0])
+        got = quantize_array(values, 53)
+        assert got.tobytes() == reference_quantize(values, 53).tobytes()
+
+    def test_nan_slice_beside_a_zero_slice(self):
+        values = np.array([[[np.nan, 1.0]], [[0.0, 0.0]], [[1e-310, 0.0]]])
+        got = quantize_array(values, 4, per_matrix=True)
+        assert got.tobytes() == reference_quantize(values, 4, per_matrix=True).tobytes()
+        assert got[1:].tobytes() == values[1:].tobytes()
+
+
 class TestPerMatrixQuantization:
     """Per-matrix scales decouple the slices of a stacked activation."""
 
