@@ -232,6 +232,7 @@ class ServingCluster:
         self._prefixes: dict[str, int] = {}
         #: Sessions forked from a tier chain (holder-refcount custody).
         self._session_prefix: dict[str, str] = {}
+        #: Replicas by id, in id order (ids only grow and none is removed).
         self._replicas: dict[int, Replica] = {}
         self._next_replica_id = 0
         self._next_request_id = 0
@@ -275,10 +276,7 @@ class ServingCluster:
         return replica
 
     def _healthy_locked(self) -> list[Replica]:
-        return sorted(
-            (r for r in self._replicas.values() if r.state == HEALTHY),
-            key=lambda r: r.replica_id,
-        )
+        return [r for r in self._replicas.values() if r.state == HEALTHY]
 
     def _scale_up_locked(self, now: float, reason: str) -> Replica:
         replica = self._add_replica_locked()
@@ -363,7 +361,7 @@ class ServingCluster:
             if self._closed:
                 return
             self._closed = True
-            replicas = sorted(self._replicas.values(), key=lambda r: r.replica_id)
+            replicas = list(self._replicas.values())
         for replica in replicas:
             if not replica.engine.closed:
                 replica.engine.close(drain=drain)
@@ -795,10 +793,7 @@ class ServingCluster:
         if not self.manual:
             raise RuntimeError("step() is for manual (simulated-clock) mode")
         with self._lock:
-            live = sorted(
-                (r for r in self._replicas.values() if r.alive),
-                key=lambda r: r.replica_id,
-            )
+            live = [r for r in self._replicas.values() if r.alive]
         executed = 0
         for replica in live:
             if not replica.engine.closed:
@@ -818,16 +813,13 @@ class ServingCluster:
                 self.slo_monitor.tick(self.clock.now())
             if self.autoscaler is not None:
                 self.autoscaler.evaluate(self.clock.now())
-            ready = sorted(
-                (
-                    r
-                    for r in self._replicas.values()
-                    if r.state == DRAINING
-                    and r.outstanding == 0
-                    and r.engine.pending == 0
-                ),
-                key=lambda r: r.replica_id,
-            )
+            ready = [
+                r
+                for r in self._replicas.values()
+                if r.state == DRAINING
+                and r.outstanding == 0
+                and r.engine.pending == 0
+            ]
             for replica in ready:
                 self._rehome_sessions_locked(replica)
                 replica.state = STOPPED

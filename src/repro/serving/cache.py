@@ -93,11 +93,12 @@ class KVBlock:
         return self.fill >= self.block_size
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        if self.full:
+        fill = self.fill
+        if fill >= self.block_size:
             raise ValueError("append to a full KV block")
-        self.keys[self.fill] = k
-        self.values[self.fill] = v
-        self.fill += 1
+        self.keys[fill] = k
+        self.values[fill] = v
+        self.fill = fill + 1
 
     def fill_zeros(self, tokens: int) -> None:
         """Occupy ``tokens`` slots with zero-state (prompt) tokens."""
@@ -421,7 +422,8 @@ class Session:
     ) -> None:
         """Append one step's K/V to the last private page (a fresh page
         from ``allocate`` when it has no room), and to the mirror while
-        the mirror is current."""
+        the mirror is current.  The one append body (the cache holds
+        its lock); the row writes cast array-likes to float."""
         blocks = self.blocks
         mirror = self._mirror
         if mirror is not None and not mirror.current(blocks):
@@ -484,7 +486,10 @@ class Session:
         copy-on-write fork point).
         """
         blocks = self.blocks
-        return len(blocks) > self.shared_blocks and not blocks[-1].full
+        if len(blocks) <= self.shared_blocks:
+            return False
+        last = blocks[-1]
+        return last.fill < last.block_size
 
 
 class MemoCache:
@@ -637,7 +642,7 @@ class SessionCache:
         """
         with self._lock:
             session = self.session(session_id)
-            self._append(session, k, v)
+            session.append(k, v, self.pool.allocate)
             return session.context_len
 
     def commit_kv(
@@ -645,19 +650,14 @@ class SessionCache:
     ) -> None:
         """Append a decode batch's ``(k, v)`` pairs per session, in order,
         under one lock; absent sessions are opened (empty prompt)."""
+        allocate = self.pool.allocate
         with self._lock:
             for session_id, pairs in staged.items():
                 session = self._sessions.get(session_id)
                 if session is None:
                     session = self.open_session(session_id)
                 for k, v in pairs:
-                    self._append(session, k, v)
-
-    def _append(self, session: Session, k: np.ndarray, v: np.ndarray) -> None:
-        """The one append body (caller holds the lock)."""
-        session.append(
-            np.asarray(k, dtype=float), np.asarray(v, dtype=float), self.pool.allocate
-        )
+                    session.append(k, v, allocate)
 
     def context_len(self, session_id: str) -> int:
         return self.session(session_id).context_len

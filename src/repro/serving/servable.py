@@ -271,12 +271,12 @@ class DecodeServable(Servable):
         with no_grad():
             qkv = self._project(xs, w_qkv)  # [b, 1, 3*dim]
             dim = self.config.dim
-            q, k, v = qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
+            q, k, v = qkv[:, 0, :dim], qkv[:, 0, dim : 2 * dim], qkv[:, 0, 2 * dim :]
             contexts = []
-            for i, request in enumerate(requests):
+            for request, q_i, k_i, v_i in zip(requests, q, k, v):
                 staged = pending.setdefault(request.session_id, [])
-                staged.append((k[i, 0], v[i, 0]))
-                contexts.append(self._attend(request.session_id, q[i, 0], staged))
+                staged.append((k_i, v_i))
+                contexts.append(self._attend(request.session_id, q_i, staged))
             ctx = np.array(contexts)[:, None, :]
             h = xs + self._project(ctx, w_out)
             f1 = np.maximum(self._project(h, w_ffn1), 0.0)
@@ -284,4 +284,4 @@ class DecodeServable(Servable):
         # The whole batch succeeded: commit every staged K/V (lazily
         # opening sessions), so a failed batch leaves no state behind.
         self.cache.commit_kv(pending)
-        return [y[i, 0].copy() for i in range(len(requests))]
+        return [row.copy() for row in y[:, 0]]

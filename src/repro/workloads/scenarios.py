@@ -166,8 +166,14 @@ def fleet(
     """The fleet of ``model`` (``"vit"`` or ``"decode"``) on a simulated clock.
 
     With ``autoscale`` it starts at one replica under an SLO autoscaler
-    that may grow it to ``config.replicas``.
+    that may grow it to ``config.replicas``.  A ``tracer``'s collector
+    receives the fleet's spans stamped on the fleet's own clock, so a
+    traced run is byte-identical across reruns and its span times are
+    the virtual times of the report.
     """
+    clock = SimulatedClock()
+    if tracer is not None:
+        tracer = Tracer(clock=clock, collector=tracer.collector)
     if model == "vit":
         def factory(replica_id: int):
             return VisionServable(servable_model(TINY_VIT, engine=config.engine))
@@ -182,8 +188,7 @@ def fleet(
         )
         config = config.replace(replicas=1)
     return ServingCluster(
-        factory, config=config, clock=SimulatedClock(),
-        autoscaler=autoscaler, tracer=tracer,
+        factory, config=config, clock=clock, autoscaler=autoscaler, tracer=tracer,
     )
 
 

@@ -4,7 +4,9 @@ After one warm-up round has bound every labelled metric instrument, a
 decode round on a two-replica continuous ``cache_aware`` cluster makes
 no registry lookups at all, and looks each planned session up in its
 ``SessionCache`` once while composing the iteration and once more when
-the servable reads its K/V; the commit makes none.
+the servable reads its K/V; the commit makes none.  Each token is one
+handle and one request object, each ledger records it once, and its
+submit takes the cluster lock once.
 """
 
 import functools
@@ -13,9 +15,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ServingCluster
+from repro.cluster import cluster as cluster_module
 from repro.neural.photonic import PhotonicExecutor
 from repro.obs.registry import MetricsRegistry
 from repro.serving import EngineConfig, IterationScheduler, SessionCache, SimulatedClock
+from repro.serving import request as request_module
+from repro.serving.metrics import RequestLedger
+from repro.serving.request import RequestHandle
 from repro.workloads.llm import DecoderConfig, decode_servable
 
 DECODER = DecoderConfig("budget", depth=1, dim=16, heads=2, mlp_ratio=2.0)
@@ -117,5 +123,95 @@ def test_steady_decode_binds_instruments_once_and_looks_sessions_up_once(counted
     assert counted["compose_lookups"] == counted["planned"]
     # The only other lookup is the attention read in the servable.
     assert counted["lookups"] == 2 * counted["planned"]
+    release(cluster, "steady")
+    cluster.close()
+
+
+class CountingLock:
+    """A lock proxy that counts the ``with`` blocks entered while
+    ``counts["in_submit"]`` is set."""
+
+    def __init__(self, lock, counts):
+        self.lock = lock
+        self.counts = counts
+
+    def __enter__(self):
+        if self.counts["in_submit"]:
+            self.counts["submit_locks"] += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+@pytest.fixture
+def objects(monkeypatch):
+    """Count, per kind, the objects built from the classes of the cluster
+    and request modules (a handle is a ``RequestHandle``; anything else
+    built there per token is a request object), the rows the ledgers
+    record, and the cluster-lock blocks entered inside ``submit``."""
+    counts = {
+        "handles": 0, "requests": 0, "records": 0, "submit_locks": 0, "in_submit": False,
+    }
+
+    def counting_init(cls, init):
+        kind = "handles" if issubclass(cls, RequestHandle) else "requests"
+
+        @functools.wraps(init)
+        def wrapper(self, *args, **kwargs):
+            if type(self) is cls:  # a subclass's super().__init__ counts once
+                counts[kind] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for module in (cluster_module, request_module):
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and not issubclass(cls, BaseException)
+            ):
+                monkeypatch.setattr(cls, "__init__", counting_init(cls, cls.__init__))
+    record = RequestLedger.record
+
+    def counting_record(self, row):
+        counts["records"] += 1
+        record(self, row)
+
+    monkeypatch.setattr(RequestLedger, "record", counting_record)
+    submit = ServingCluster.submit
+
+    def counting_submit(self, *args, **kwargs):
+        if not isinstance(self._lock, CountingLock):
+            self._lock = CountingLock(self._lock, counts)
+        counts["in_submit"] = True
+        try:
+            return submit(self, *args, **kwargs)
+        finally:
+            counts["in_submit"] = False
+
+    monkeypatch.setattr(ServingCluster, "submit", counting_submit)
+    return counts
+
+
+def test_steady_decode_makes_one_handle_and_one_request_per_token(objects):
+    rng = np.random.default_rng(0)
+    cluster = build()
+    decode_round(cluster, "warm", rng)
+    release(cluster, "warm")
+    for key in ("handles", "requests", "records", "submit_locks"):
+        objects[key] = 0
+
+    tokens = decode_round(cluster, "steady", rng)
+
+    assert tokens == SESSIONS * STEPS
+    # The cluster's handle rides through the engine that serves it and
+    # doubles as the cluster's record of the request.
+    assert objects["handles"] == tokens
+    assert objects["requests"] == tokens
+    # One row in the serving engine's ledger, one in the fleet's.
+    assert objects["records"] == 2 * tokens
+    assert objects["submit_locks"] == tokens
     release(cluster, "steady")
     cluster.close()

@@ -333,6 +333,19 @@ class TestTraceCommand:
         assert "cluster" in names
         assert "cluster.request" in names
 
+    @pytest.mark.parametrize("scenario", ["fleet-vit", "fleet-decode", "fleet-autoscale"])
+    def test_fleet_trace_runs_on_the_fleet_clock(self, tmp_path, capsys, scenario):
+        """A fleet runs on its SimulatedClock and so do its spans: two
+        runs write the same bytes, and span times are the run's virtual
+        times (the root span opens at 0, the run lasts milliseconds)."""
+        traces = [tmp_path / f"run{i}.jsonl" for i in range(2)]
+        for trace in traces:
+            assert bench(scenario, "--requests", "8", "--trace", str(trace)) == 0
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+        spans = [json.loads(line) for line in traces[0].read_text().splitlines()]
+        assert spans[0]["name"] == "cluster" and spans[0]["start"] == 0.0
+        assert max(span["end"] for span in spans) < 1.0
+
 
 #: The ``--config`` cases are keyed by the retired verbs ``serve-bench`` and
 #: ``cluster-bench``; these are the scenarios that took over their configs.
