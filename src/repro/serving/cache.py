@@ -271,24 +271,27 @@ class PrefixChain:
 
 
 class _KVMirror:
-    """A session's committed K/V rows in two contiguous buffers.
+    """A session's committed K/V rows, copied into two contiguous buffers.
 
     ``rows`` rows are valid; the capacity past them takes a decode
     batch's pending rows for one read.  ``pages``, ``last`` and
     ``fill`` are the block list's length, its last page and that
     page's fill when the mirror last matched the pages, which is how a
-    read tells that the pages have changed since.
+    reader tells that the pages have changed since.
     """
 
     __slots__ = ("pages", "last", "fill", "rows", "keys", "values")
 
-    def __init__(self, dim: int, capacity: int) -> None:
-        self.pages = 0
-        self.last: KVBlock | None = None
-        self.fill = 0
-        self.rows = 0
-        self.keys = np.empty((capacity, dim))
-        self.values = np.empty((capacity, dim))
+    def __init__(self, blocks: list[KVBlock], dim: int) -> None:
+        rows = sum(block.fill for block in blocks)
+        self.keys = np.empty((rows + 1, dim))
+        self.values = np.empty((rows + 1, dim))
+        rows = 0
+        for block in blocks:
+            self.keys[rows : rows + block.fill] = block.keys[: block.fill]
+            self.values[rows : rows + block.fill] = block.values[: block.fill]
+            rows += block.fill
+        self.mark(blocks, rows)
 
     def current(self, blocks: list[KVBlock]) -> bool:
         """Does the mirror hold exactly the filled slots of ``blocks``?"""
@@ -385,38 +388,6 @@ class Session:
         """Generated-token V vectors, in step order (views into pages)."""
         return self._generated("values")
 
-    def _sync(self, dim: int) -> _KVMirror:
-        """Bring the mirror up to date with the pages.
-
-        Only the last page is ever appended to: earlier pages are full
-        or shared read-only prefix pages, and swap and migration move
-        this object with its pages.  So while the mirrored last page is
-        still in place the sync copies from it onwards; any other block
-        list (a closed session, a first read) is copied whole.
-        """
-        blocks = self.blocks
-        mirror = self._mirror
-        if (
-            mirror is not None
-            and 0 < mirror.pages <= len(blocks)
-            and blocks[mirror.pages - 1] is mirror.last
-        ):
-            start, rows = mirror.pages - 1, mirror.rows - mirror.fill
-        else:
-            start = rows = 0
-            mirror = self._mirror = _KVMirror(
-                dim, sum(block.fill for block in blocks) + 1
-            )
-        for block in blocks[start:]:
-            fill = block.fill
-            mirror.rows = rows  # reserve() keeps the rows copied so far
-            mirror.reserve(rows + fill + 1)
-            mirror.keys[rows : rows + fill] = block.keys[:fill]
-            mirror.values[rows : rows + fill] = block.values[:fill]
-            rows += fill
-        mirror.mark(blocks, rows)
-        return mirror
-
     def append(
         self, key: np.ndarray, value: np.ndarray, allocate: Callable[[], KVBlock]
     ) -> None:
@@ -427,7 +398,7 @@ class Session:
         blocks = self.blocks
         mirror = self._mirror
         if mirror is not None and not mirror.current(blocks):
-            mirror = None
+            mirror = self._mirror = None  # the next read copies the pages
         if not self.has_room:
             blocks.append(allocate())
         blocks[-1].append(key, value)
@@ -445,13 +416,16 @@ class Session:
 
         The result views the session's mirror of its pages, with the
         ``extra`` pairs written into the mirror's spare rows.  It is
-        valid until the session's next read or append; the pages stay
-        the source of truth (swap, migration and prefix forks move or
-        alias pages, and the next read re-syncs from them).
+        valid until the session's next read or append.  The pages stay
+        the source of truth: :meth:`append` writes each step to both,
+        and a read that finds the pages changed any other way (a first
+        read, a closed session) copies them afresh.  Only the last page
+        is ever appended to, and swap and migration move this object
+        with its pages, so neither invalidates the mirror.
         """
         mirror = self._mirror
         if mirror is None or not mirror.current(self.blocks):
-            mirror = self._sync(dim)
+            mirror = self._mirror = _KVMirror(self.blocks, dim)
         rows = mirror.rows
         if extra:
             mirror.reserve(rows + len(extra))

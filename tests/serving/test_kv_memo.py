@@ -1,8 +1,8 @@
-"""``Session.kv_arrays`` memoizes the concatenation of every page but the
-last.  Against the per-page concatenation it replaced, kept here verbatim
-as the oracle, the result is bit-identical across appends that cross page
-boundaries, swap, migration, prefix forks, page reuse after close, and
-pending pairs."""
+"""``Session.kv_arrays`` reads a contiguous mirror of the pages that each
+append writes through.  Against the per-page concatenation it replaced,
+kept here verbatim as the oracle, the result is bit-identical across
+appends that cross page boundaries, swap, migration, prefix forks, page
+reuse after close, and pending pairs."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ def toy_decoder() -> DecoderConfig:
 
 
 def per_page_kv(session, dim, extra=()):
-    """The reference: the per-page concatenation, as it was before the memo."""
+    """The reference: the per-page concatenation, as it was before the mirror."""
     parts_k: list[np.ndarray] = []
     parts_v: list[np.ndarray] = []
     for block in session.blocks:
@@ -40,7 +40,7 @@ def per_page_kv(session, dim, extra=()):
 def assert_matches(session, rng, pending):
     extra = [(rng.normal(size=DIM), rng.normal(size=DIM)) for _ in range(pending)]
     want = per_page_kv(session, DIM, extra)
-    for _ in range(2):  # building or extending the memo, then a memo hit
+    for _ in range(2):  # copying the pages or reading the mirror, then a mirror read
         assert bit_equal(session.kv_arrays(DIM, extra), want)
     return want
 
@@ -95,14 +95,14 @@ def test_memo_matches_the_per_page_concatenation(data):
             kept = tuple(array.copy() for array in handed_out)
             cache.close_session(sid)
             del where[sid]
-            assert_matches(session, rng, 0)  # a closed session's memo shrinks
+            assert_matches(session, rng, 0)  # a closed session's mirror empties
             # The freed pages go, reset, to the next session opened here.
             fresh = f"s{opened}"
             opened += 1
             cache.open_session(fresh, prompt_len=data.draw(st.integers(0, 6)))
             where[fresh] = caches.index(cache)
             append(fresh, data.draw(st.integers(0, 2 * block_size + 1)))
-            # A result handed out earlier aliases neither a page nor the memo.
+            # A result handed out earlier aliases neither a page nor the mirror.
             assert bit_equal(handed_out, kept)
         for tracked in sorted(where):
             pending = data.draw(st.integers(0, 3), label="pending")
