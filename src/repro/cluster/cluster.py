@@ -481,14 +481,19 @@ class ServingCluster:
                 cache_key, session_id, tenant, prefix_id,
             )
             self._next_request_id += 1
-            span = handle.span = self.tracer.start_span(
-                "cluster.request",
-                parent=self._span,
-                request_id=handle.request_id,
-                session_id=session_id,
-                tenant=tenant,
-            )
-            span.add_event("submit")
+            # An untraced cluster skips the per-request span calls (one
+            # body: tests/obs/test_traced_equality.py pins traced ==
+            # untraced).
+            span = handle.span
+            if self.tracer is not NULL_TRACER:
+                span = handle.span = self.tracer.start_span(
+                    "cluster.request",
+                    parent=self._span,
+                    request_id=handle.request_id,
+                    session_id=session_id,
+                    tenant=tenant,
+                )
+                span.add_event("submit")
             if cache_key is not None and self.tier is not None:
                 hit = self.tier.memo.get(cache_key)
                 if hit is not MISS:
@@ -545,12 +550,13 @@ class ServingCluster:
             affinity_hit=decision.affinity_hit,
             new_session=decision.new_session,
         )
-        handle.span.add_event(
-            "route",
-            replica_id=replica.replica_id,
-            affinity_hit=decision.affinity_hit,
-            migrated=decision.migrate_from is not None,
-        )
+        if handle.span is not NULL_SPAN:
+            handle.span.add_event(
+                "route",
+                replica_id=replica.replica_id,
+                affinity_hit=decision.affinity_hit,
+                migrated=decision.migrate_from is not None,
+            )
         early, handle._early = handle._early, None
         if early is not None:
             self._on_done(handle, *early)
@@ -639,12 +645,13 @@ class ServingCluster:
                 self.metrics.record(
                     RequestRecord(arrival, started, finished, batch_size, cache_hit)
                 )
-                handle.span.add_event(
-                    "complete",
-                    replica_id=replica.replica_id,
-                    cache_hit=cache_hit,
-                )
-                self.tracer.end(handle.span)
+                if handle.span is not NULL_SPAN:
+                    handle.span.add_event(
+                        "complete",
+                        replica_id=replica.replica_id,
+                        cache_hit=cache_hit,
+                    )
+                    self.tracer.end(handle.span)
                 return
             if handle.done():
                 return  # already settled (double-failure race)

@@ -289,10 +289,14 @@ class ServingEngine:
         if handle is None:
             handle = RequestHandle(request_id, arrival)
         tracer = self.tracer
-        span = tracer.start_span(
-            "request", request_id=request_id, session_id=session_id
-        )
-        span.add_event("submit")
+        # An untraced engine skips the per-request span calls (one body:
+        # tests/obs/test_traced_equality.py pins traced == untraced).
+        span = NULL_SPAN
+        if tracer is not NULL_TRACER:
+            span = tracer.start_span(
+                "request", request_id=request_id, session_id=session_id
+            )
+            span.add_event("submit")
         # Consult the cache before prepare(): hits skip validation and
         # padding entirely — the memoization path stays allocation-free.
         if cache_key is not None and self.cache is not None:
@@ -312,13 +316,13 @@ class ServingEngine:
                 return handle
         try:
             request = InferenceRequest(
-                payload=self.servable.prepare(payload),
-                handle=handle,
-                arrival=arrival,
-                cache_key=cache_key,
-                session_id=session_id,
-                request_id=request_id,
-                span=span,
+                self.servable.prepare(payload),
+                handle,
+                arrival,
+                cache_key,
+                session_id,
+                request_id,
+                span,
             )
             depth = self._queue.put(
                 request, block=block and not self.manual, timeout=timeout
@@ -327,7 +331,8 @@ class ServingEngine:
             span.add_event("rejected", error=type(error).__name__)
             tracer.end(span)
             raise
-        span.add_event("queue", depth=depth)
+        if span is not NULL_SPAN:
+            span.add_event("queue", depth=depth)
         return handle
 
     @property
@@ -393,7 +398,7 @@ class ServingEngine:
                 for request in arrivals:
                     self._scheduler.enqueue(request)
                 iteration = self._scheduler.compose()
-            if arrivals:
+            if arrivals and span is not NULL_SPAN:
                 span.add_event(
                     "admission",
                     requests=[request.request_id for request in arrivals],
@@ -504,14 +509,16 @@ class ServingEngine:
         span.  ``parent`` is the enclosing ``engine.iteration`` span.
         """
         tracer = self.tracer
-        span = tracer.start_span(
-            "engine.batch",
-            parent=parent,
-            size=len(batch),
-            request_ids=[request.request_id for request in batch],
-        )
-        for request in batch:
-            request.span.add_event("dispatch", batch_size=len(batch))
+        span = NULL_SPAN
+        if tracer is not NULL_TRACER:
+            span = tracer.start_span(
+                "engine.batch",
+                parent=parent,
+                size=len(batch),
+                request_ids=[request.request_id for request in batch],
+            )
+            for request in batch:
+                request.span.add_event("dispatch", batch_size=len(batch))
         started = self.clock.now()
         try:
             with tracer.activate(span), no_grad():
@@ -545,8 +552,9 @@ class ServingEngine:
                 request.handle._resolve(
                     output, started=started, finished=finished, batch_size=size
                 )
-                request.span.add_event("complete", batch_size=size)
-                tracer.end(request.span)
+                if request.span is not NULL_SPAN:
+                    request.span.add_event("complete", batch_size=size)
+                    tracer.end(request.span)
                 metrics.record(
                     RequestRecord(request.arrival, started, finished, size, False)
                 )

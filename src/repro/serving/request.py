@@ -73,8 +73,6 @@ class RequestHandle:
 
     def _wait(self, timeout: float | None) -> None:
         """Block until resolved; ``TimeoutError`` once ``timeout`` passes."""
-        if self._resolved:
-            return
         with self._lock:
             if self._resolved:
                 return
@@ -87,14 +85,16 @@ class RequestHandle:
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until resolved; raise the execution error if it failed."""
-        self._wait(timeout)
+        if not self._resolved:
+            self._wait(timeout)
         if self._error is not None:
             raise self._error
         return self._value
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Block until resolved; return the failure (None on success)."""
-        self._wait(timeout)
+        if not self._resolved:
+            self._wait(timeout)
         return self._error
 
     @property

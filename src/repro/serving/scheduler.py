@@ -71,7 +71,7 @@ class IterationCost:
         return self.base_s + self.per_request_s * batch_size
 
 
-@dataclass
+@dataclass(slots=True)
 class Iteration:
     """One composed iteration: the batch to execute plus doomed requests
     (sessions whose KV demand cannot fit the pool at any priority).
@@ -239,7 +239,8 @@ class IterationScheduler:
                     continue
                 reserved += growth
             planned.append(sid)
-        iteration.batch.extend(self._steps[sid].popleft() for sid in planned)
+        steps = self._steps
+        iteration.batch.extend([steps[sid].popleft() for sid in planned])
         while self._sessionless and len(iteration.batch) < self.max_active:
             iteration.batch.append(self._sessionless.popleft())
         if iteration.batch:

@@ -137,7 +137,7 @@ class _DecoderWeights:
         # its grid reused on every step (see repro.neural.photonic).
         for weight in self.arrays:
             weight.setflags(write=False)
-        #: The same arrays as the gradient-free operands every step passes.
+        #: The arrays as gradient-free tensors, built once rather than per step.
         self.tensors = tuple(Tensor(weight) for weight in self.arrays)
 
 
@@ -247,11 +247,13 @@ class DecodeServable(Servable):
             keys = np.stack([key for key, _ in pending])
             values = np.stack([value for _, value in pending])
         # The reductions are the ufuncs ``.max()``/``.sum()`` call, minus
-        # the Python layer in between.
-        scores = keys @ q / self._sqrt_dim
-        weights = np.exp(scores - np.maximum.reduce(scores))
-        weights /= np.add.reduce(weights)
-        return weights @ values
+        # the Python layer in between; the softmax runs in place.
+        scores = keys @ q
+        scores /= self._sqrt_dim
+        scores -= np.maximum.reduce(scores)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores)
+        return scores @ values
 
     def execute(self, requests: Sequence[InferenceRequest]) -> list[np.ndarray]:
         # Validate the whole batch before touching any session: a bad
