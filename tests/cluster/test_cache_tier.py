@@ -13,6 +13,7 @@ from repro.cluster import (
     ServingCluster,
     SharedCacheTier,
 )
+from repro.obs import Tracer
 from repro.serving import (
     DecodeServable,
     DecodeSessionSpec,
@@ -256,6 +257,33 @@ class TestFleetMemo:
             cluster.run_until_idle()
             np.testing.assert_array_equal(repeat.result(timeout=0), 2 * np.ones(4))
             assert cluster.snapshot()["cache"]["hits"] == 0
+
+    def test_a_replica_memo_hit_settles_after_its_dispatch(self):
+        """A replica-private memo hit resolves inside the engine's submit;
+        the cluster finishes dispatching before it settles the caller, so
+        nothing stays outstanding and the span reads submit, route,
+        complete."""
+        clock = SimulatedClock()
+        config = ClusterConfig(
+            replicas=1, engine=EngineConfig(max_wait_us=0.0), memo_bytes=1 << 20
+        )
+        tracer = Tracer(clock=clock)
+        with ServingCluster(
+            lambda rid: EchoServable(), config=config, clock=clock, tracer=tracer
+        ) as cluster:
+            cluster.submit(np.ones(4), cache_key="k")
+            cluster.run_until_idle()
+            repeat = cluster.submit(np.ones(4), cache_key="k")
+            assert repeat.done() and repeat.cache_hit and repeat.replica_id == 0
+            np.testing.assert_array_equal(repeat.result(timeout=0), 2 * np.ones(4))
+            assert cluster.replicas[0].outstanding == 0
+        spans = [
+            span
+            for span in tracer.collector.spans()
+            if span.name == "cluster.request"
+            and span.attrs["request_id"] == repeat.request_id
+        ]
+        assert [event.name for event in spans[0].events] == ["submit", "route", "complete"]
 
     def test_hit_values_are_isolated(self):
         with echo_tier_cluster(shared=True) as cluster:
