@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs.registry import Counter, MetricsRegistry
-from repro.serving.request import RequestHandle
 
 #: Percentiles of the latency summaries.
 PERCENTILES = (50.0, 95.0, 99.0)
@@ -115,21 +114,8 @@ class RequestLedger:
         self.registry.add_collector(self._fold)
 
     # -- write side ----------------------------------------------------------
-    def record_request(self, handle: RequestHandle) -> None:
-        """Record a resolved (successful) request from its handle."""
-        arrival, started, finished = handle.arrival, handle.started, handle.finished
-        self.record(
-            RequestRecord(
-                arrival,
-                arrival if started is None else started,
-                arrival if finished is None else finished,
-                handle.batch_size or 0,
-                handle.cache_hit,
-            )
-        )
-
     def record(self, record: RequestRecord) -> None:
-        """Record one already-built :class:`RequestRecord`."""
+        """Record one resolved (successful) request's timing row."""
         with self._lock:
             self._records.append(record)
 

@@ -16,7 +16,6 @@ from repro.serving import (
     EngineConfig,
     IterationCost,
     Metrics,
-    RequestHandle,
     RequestRecord,
     SimulatedClock,
     decode_payload,
@@ -38,11 +37,9 @@ def engine_metrics(waits):
     """A per-engine recorder with the given queue waits (1 ms service)."""
     metrics = Metrics()
     for i, wait in enumerate(waits):
-        handle = RequestHandle(i, float(i))
-        handle._resolve(
-            None, started=i + wait, finished=i + wait + 1e-3, batch_size=2
+        metrics.record(
+            RequestRecord(float(i), i + wait, i + wait + 1e-3, 2, False)
         )
-        metrics.record_request(handle)
         metrics.record_batch(2)
     return metrics
 

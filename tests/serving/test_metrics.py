@@ -3,25 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.serving import Metrics, RequestHandle, summarize
+from repro.serving import Metrics, RequestRecord, summarize
 
 
-def resolved_handle(
+def request_record(
     arrival: float,
     started: float,
     finished: float,
     batch_size: int = 1,
     cache_hit: bool = False,
-) -> RequestHandle:
-    handle = RequestHandle(0, arrival)
-    handle._resolve(
-        None,
-        started=started,
-        finished=finished,
-        batch_size=batch_size,
-        cache_hit=cache_hit,
-    )
-    return handle
+) -> RequestRecord:
+    return RequestRecord(arrival, started, finished, batch_size, cache_hit)
 
 
 class TestMetrics:
@@ -36,8 +28,8 @@ class TestMetrics:
         metrics = Metrics()
         # Queue waits 1/2/3 ms; each batch runs for 1 ms.
         for i, wait in enumerate((1e-3, 2e-3, 3e-3)):
-            metrics.record_request(
-                resolved_handle(arrival=i, started=i + wait, finished=i + wait + 1e-3)
+            metrics.record(
+                request_record(arrival=i, started=i + wait, finished=i + wait + 1e-3)
             )
         latency = metrics.latency_summary()
         assert latency["p50"] == pytest.approx(3e-3)
@@ -47,13 +39,13 @@ class TestMetrics:
 
     def test_throughput_spans_arrival_to_completion(self):
         metrics = Metrics()
-        metrics.record_request(resolved_handle(arrival=0.0, started=0.0, finished=1.0))
-        metrics.record_request(resolved_handle(arrival=1.0, started=1.5, finished=2.0))
+        metrics.record(request_record(arrival=0.0, started=0.0, finished=1.0))
+        metrics.record(request_record(arrival=1.0, started=1.5, finished=2.0))
         assert metrics.throughput() == 1.0  # 2 requests over a 2 s span
 
     def test_degenerate_span_reports_zero(self):
         metrics = Metrics()
-        metrics.record_request(resolved_handle(arrival=1.0, started=1.0, finished=1.0))
+        metrics.record(request_record(arrival=1.0, started=1.0, finished=1.0))
         assert metrics.throughput() == 0.0
 
     def test_occupancy_histogram(self):
@@ -65,10 +57,10 @@ class TestMetrics:
 
     def test_cache_hits_and_failures(self):
         metrics = Metrics()
-        metrics.record_request(
-            resolved_handle(0.0, 0.0, 0.0, batch_size=0, cache_hit=True)
+        metrics.record(
+            request_record(0.0, 0.0, 0.0, batch_size=0, cache_hit=True)
         )
-        metrics.record_request(resolved_handle(0.0, 0.0, 1.0))
+        metrics.record(request_record(0.0, 0.0, 1.0))
         metrics.record_failures(3)
         assert metrics.cache_hits == 1
         assert metrics.completed == 2
@@ -79,7 +71,7 @@ class TestMetrics:
 
         metrics = Metrics()
         metrics.record_batch(2)
-        metrics.record_request(resolved_handle(0.0, 0.5, 1.0, batch_size=2))
+        metrics.record(request_record(0.0, 0.5, 1.0, batch_size=2))
         snapshot = metrics.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["batch_occupancy"] == {"2": 1}
@@ -95,7 +87,7 @@ class TestMetrics:
 
     def test_prometheus_exposition(self):
         metrics = Metrics()
-        metrics.record_request(resolved_handle(0.0, 0.5, 1.0))
+        metrics.record(request_record(0.0, 0.5, 1.0))
         metrics.record_batch(2)
         text = metrics.to_prometheus()
         assert "serving_requests_completed_total 1" in text
@@ -106,8 +98,8 @@ class TestMetrics:
         """Queue waits (submit -> batch formation) appear in the JSON."""
         metrics = Metrics()
         for i, wait in enumerate((1e-3, 2e-3, 4e-3, 8e-3)):
-            metrics.record_request(
-                resolved_handle(arrival=i, started=i + wait, finished=i + wait)
+            metrics.record(
+                request_record(arrival=i, started=i + wait, finished=i + wait)
             )
         wait = metrics.snapshot()["queue_wait_s"]
         assert set(wait) == {"mean", "p50", "p95", "p99"}
@@ -132,7 +124,7 @@ class TestSummarize:
 class TestMergedMetrics:
     def test_records_accessor_returns_copies(self):
         metrics = Metrics()
-        metrics.record_request(resolved_handle(0.0, 0.5, 1.0))
+        metrics.record(request_record(0.0, 0.5, 1.0))
         records = metrics.records()
         assert len(records) == 1
         records.clear()
@@ -144,8 +136,8 @@ class TestMergedMetrics:
         answer for any skewed split."""
         a, b = Metrics(), Metrics()
         for wait in (1e-3, 2e-3, 3e-3):
-            a.record_request(resolved_handle(0.0, wait, wait))
-        b.record_request(resolved_handle(0.0, 10e-3, 10e-3))
+            a.record(request_record(0.0, wait, wait))
+        b.record(request_record(0.0, 10e-3, 10e-3))
         a.record_batch(2)
         b.record_batch(2)
         b.record_batch(4)
@@ -158,7 +150,7 @@ class TestMergedMetrics:
         # per-part p50s (2 ms and 10 ms) would be 6 ms.
         assert merged.queue_wait_summary()["p50"] == pytest.approx(2.5e-3)
         # Merging copies: later records in the parts don't leak in.
-        a.record_request(resolved_handle(0.0, 1.0, 1.0))
+        a.record(request_record(0.0, 1.0, 1.0))
         assert merged.completed == 4
 
     def test_merged_of_no_parts_is_empty(self):
@@ -185,7 +177,7 @@ class TestMergedMetrics:
 
     def test_record_accepts_prebuilt_records(self):
         source = Metrics()
-        source.record_request(resolved_handle(0.0, 0.5, 1.0))
+        source.record(request_record(0.0, 0.5, 1.0))
         target = Metrics()
         for record in source.records():
             target.record(record)
