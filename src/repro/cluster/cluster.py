@@ -532,7 +532,7 @@ class ServingCluster:
             self._migrate_locked(session_id, decision.migrate_from, replica)
         if handle.prefix_id is not None:
             self._ensure_prefix_session_locked(handle, replica)
-        handle._replica = None
+        handle._replica = None  # an outcome inside submit waits (see _on_done)
         replica.engine.submit(
             handle.payload,
             cache_key=handle.cache_key,
