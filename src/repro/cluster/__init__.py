@@ -21,7 +21,7 @@ as well as wall-clock mode.
 from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.cluster.cluster import ClusterHandle, ServingCluster
 from repro.cluster.config import ClusterConfig
-from repro.cluster.loadgen import run_virtual_open_loop, run_virtual_schedule
+from repro.cluster.loadgen import run_virtual_open_loop
 from repro.cluster.metrics import ClusterEvent, ClusterMetrics
 from repro.cluster.replica import (
     ALIVE_STATES,
@@ -71,5 +71,4 @@ __all__ = [
     "SharedCacheTier",
     "make_policy",
     "run_virtual_open_loop",
-    "run_virtual_schedule",
 ]

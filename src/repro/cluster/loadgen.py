@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.cluster.cluster import ClusterHandle, ServingCluster
-from repro.serving.loadgen import Arrival
 
 
 def _require_manual(cluster: ServingCluster) -> None:
@@ -33,15 +32,21 @@ def run_virtual_open_loop(
     *,
     submit_kwargs: Callable[[int], dict] | None = None,
     step_each: bool = True,
+    force_each: bool = False,
 ) -> dict:
     """Open-loop run in virtual time: advance, submit, step, drain.
 
-    ``gaps[i]`` is the virtual pause before submitting ``payloads[i]``.
-    With ``step_each`` the cluster takes a policy-respecting step at
-    every arrival instant (batches dispatch when they fill or their
-    wait budget expires); the tail is drained with forced steps.
-    Returns the fleet report plus the resolved handles, in submit
-    order.
+    ``gaps[i]`` is the virtual pause before submitting ``payloads[i]``
+    (for a :func:`~repro.serving.loadgen.multi_tenant_arrivals`
+    schedule, :func:`~repro.serving.loadgen.arrival_gaps`) and
+    ``submit_kwargs(i)`` its submit options.  With ``step_each`` the
+    cluster takes a policy-respecting step at every arrival instant
+    (batches dispatch when they fill or their wait budget expires);
+    ``force_each`` executes every arrival immediately instead — the
+    one-request-per-step regime the affinity-vs-round-robin comparison
+    uses, where no session ever has in-flight work when its next step
+    routes.  The tail is drained with forced steps.  Returns the fleet
+    report plus the resolved handles, in submit order.
     """
     _require_manual(cluster)
     if len(payloads) != len(gaps):
@@ -52,44 +57,6 @@ def run_virtual_open_loop(
             cluster.clock.advance(gap)
         kwargs = submit_kwargs(i) if submit_kwargs is not None else {}
         handles.append(cluster.submit(payload, **kwargs))
-        if step_each:
-            cluster.step(force=False)
-    cluster.run_until_idle()
-    return _virtual_report(cluster, handles)
-
-
-def run_virtual_schedule(
-    cluster: ServingCluster,
-    arrivals: Sequence[Arrival],
-    payload_fn: Callable[[Arrival], Any],
-    *,
-    submit_kwargs: Callable[[Arrival], dict] | None = None,
-    step_each: bool = True,
-    force_each: bool = False,
-) -> dict:
-    """Drive a :func:`multi_tenant_arrivals` schedule through a cluster.
-
-    ``payload_fn(arrival)`` builds each request's payload;
-    ``submit_kwargs(arrival)`` its submit options (defaults to the
-    arrival's session id and tenant, which is what decode mixes want).
-    ``force_each`` executes every arrival immediately — the
-    one-request-per-step regime the affinity-vs-round-robin comparison
-    uses, where no session ever has in-flight work when its next step
-    routes.
-    """
-    _require_manual(cluster)
-    handles: list[ClusterHandle] = []
-    previous = 0.0
-    for arrival in arrivals:
-        if arrival.time > previous:
-            cluster.clock.advance(arrival.time - previous)
-            previous = arrival.time
-        kwargs = (
-            submit_kwargs(arrival)
-            if submit_kwargs is not None
-            else {"session_id": arrival.session, "tenant": arrival.tenant}
-        )
-        handles.append(cluster.submit(payload_fn(arrival), **kwargs))
         if step_each or force_each:
             cluster.step(force=force_each)
     cluster.run_until_idle()

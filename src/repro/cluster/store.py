@@ -13,7 +13,7 @@ replica set:
 * reference-counted **common-prefix KV chains**
   (:class:`~repro.serving.cache.PrefixChain`) that decode sessions
   fork from instead of re-materializing the same system prompt per
-  replica.  Chain pages are owned by the tier (never any replica's
+  replica.  Chains are owned by the tier (never any replica's
   :class:`~repro.serving.cache.BlockPool`), charged once fleet-wide,
   and guarded by per-replica holder counts so routing can prefer
   replicas already holding a session's prefix.
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.serving.cache import KVBlock, MemoCache, PrefixChain, zero_pages
+import numpy as np
+
+from repro.serving.cache import MemoCache, PrefixChain
 from repro.workloads.llm import DecoderConfig, kv_cache_bytes
 
 
@@ -34,7 +36,7 @@ class SharedCacheTier:
     bounded by ``memo_capacity_bytes``; like the engine with its own
     memo, callers store and hand out isolated copies.
 
-    Prefix chains: :meth:`ensure_prefix` builds the zero-state KV pages
+    Prefix chains: :meth:`ensure_prefix` builds the zero-state KV rows
     of a shared system prompt once; sessions adopt them via
     :meth:`~repro.serving.cache.SessionCache.adopt_prefix`.  The tier
     tracks per-replica holder counts (the longest-prefix placement
@@ -61,7 +63,7 @@ class SharedCacheTier:
         block_size: int = 1,
         kv_bits: int = 8,
     ) -> PrefixChain:
-        """The chain for ``prefix_id``, building zero-state pages once.
+        """The chain for ``prefix_id``, building zero-state rows once.
 
         Prompt tokens are zero-state K/V (the serving layer's prompt
         model), so a chain can be materialized directly from its token
@@ -78,14 +80,13 @@ class SharedCacheTier:
                         f"{existing.tokens} tokens, not {tokens}"
                     )
                 return existing
-            blocks = zero_pages(tokens, lambda: KVBlock(block_size, config.dim))
             chain = self._chains[prefix_id] = PrefixChain(
                 prefix_id=prefix_id,
-                tokens=tokens,
-                blocks=tuple(blocks),
+                keys=np.zeros((tokens, config.dim)),
+                values=np.zeros((tokens, config.dim)),
                 block_size=block_size,
                 nbytes=kv_cache_bytes(
-                    config, len(blocks) * block_size, bits=kv_bits
+                    config, -(-tokens // block_size) * block_size, bits=kv_bits
                 ),
             )
             return chain
@@ -170,7 +171,7 @@ class SharedCacheTier:
     @property
     def shared_bytes(self) -> int:
         """Fleet bytes of live prefix chains — each charged **once**,
-        however many sessions alias its pages."""
+        however many sessions fork from it."""
         with self._lock:
             return sum(chain.nbytes for chain in self._chains.values())
 

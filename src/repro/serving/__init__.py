@@ -20,7 +20,6 @@ sleeping.
 from repro.serving.cache import (
     MISS,
     BlockPool,
-    KVBlock,
     MemoCache,
     PrefixChain,
     Session,
@@ -69,7 +68,6 @@ __all__ = [
     "InferenceRequest",
     "IterationCost",
     "IterationScheduler",
-    "KVBlock",
     "MISS",
     "MemoCache",
     "Metrics",

@@ -7,12 +7,13 @@
   see :func:`memo_nbytes`); least-recently-used entries are evicted.
 * :class:`SessionCache` — **paged KV sessions** of one decoder:
   decode-shaped workloads (:mod:`repro.workloads.llm`) keep
-  per-request K/V state between steps.  Sessions store their per-step
-  K/V vectors in fixed-size **pages** (:class:`KVBlock` of
-  ``block_size`` tokens) drawn from a :class:`BlockPool` with a byte
-  budget and a free list, the layout that lets the iteration
-  scheduler share photonic GEMV batches across sessions of different
-  lengths without re-padding.  Byte accounting is *defined* as
+  per-request K/V state between steps.  Each session keeps its K/V
+  rows in one pair of contiguous buffers (what attention reads); its
+  footprint is counted in fixed-size **pages** of ``block_size``
+  tokens, charged to a :class:`BlockPool` with a byte budget and a
+  free list, the model that lets the iteration scheduler share
+  photonic GEMV batches across sessions of different lengths and
+  preempt by the page.  Byte accounting is *defined* as
   :func:`repro.workloads.llm.kv_cache_bytes` at the session's
   **page-rounded** context length, so the per-session ledger, the
   pool budget, and the Sec. VI-B analysis can never disagree about
@@ -26,7 +27,7 @@ import copy
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -67,70 +68,13 @@ def memoized_step_error(session_id: str) -> ValueError:
     )
 
 
-class KVBlock:
-    """One fixed-capacity page of per-token K/V vectors.
-
-    A block owns two ``[block_size, dim]`` arrays and a fill count;
-    token slots are written append-only.  Blocks are reusable: the
-    :class:`BlockPool` zeroes them on reallocation, so a recycled page
-    never leaks a previous session's state.
-    """
-
-    __slots__ = ("keys", "values", "fill", "block_size")
-
-    def __init__(self, block_size: int, dim: int) -> None:
-        if block_size < 1 or dim < 1:
-            raise ValueError(
-                f"block_size and dim must be >= 1, got {block_size}, {dim}"
-            )
-        self.keys = np.zeros((block_size, dim))
-        self.values = np.zeros((block_size, dim))
-        self.fill = 0
-        self.block_size = block_size
-
-    @property
-    def full(self) -> bool:
-        return self.fill >= self.block_size
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        fill = self.fill
-        if fill >= self.block_size:
-            raise ValueError("append to a full KV block")
-        self.keys[fill] = k
-        self.values[fill] = v
-        self.fill = fill + 1
-
-    def fill_zeros(self, tokens: int) -> None:
-        """Occupy ``tokens`` slots with zero-state (prompt) tokens."""
-        if self.fill + tokens > self.block_size:
-            raise ValueError(
-                f"{tokens} zero tokens do not fit a block at fill {self.fill}"
-            )
-        self.fill += tokens  # slots are already zeroed
-
-    def reset(self) -> None:
-        self.keys[:] = 0.0
-        self.values[:] = 0.0
-        self.fill = 0
-
-
-def zero_pages(tokens: int, allocate: Callable[[], KVBlock]) -> list[KVBlock]:
-    """The pages of a ``tokens``-long zero-state prompt: zeroed blocks
-    from ``allocate``, each filled before the next is drawn."""
-    pages: list[KVBlock] = []
-    while tokens > 0:
-        block = allocate()
-        block.fill_zeros(min(tokens, block.block_size))
-        tokens -= block.fill
-        pages.append(block)
-    return pages
-
-
 class BlockPool:
-    """Budgeted allocator of :class:`KVBlock` pages with a free list.
+    """Budgeted page ledger with a free list, in integer counts.
 
-    The pool charges one "in use" unit per resident block; its byte
-    view is ``in_use * block_bytes`` where ``block_bytes`` is
+    Pages hold no arrays (a session's rows live in its own buffers,
+    see :class:`Session`); the pool models the budget.  It charges one
+    "in use" unit per resident page; its byte view is
+    ``in_use * block_bytes`` where ``block_bytes`` is
     :func:`kv_cache_bytes` at ``block_size`` tokens — identical, per
     page, to the session ledger.  ``allocate`` itself never fails
     (a *soft* budget): the engine's iteration scheduler enforces the
@@ -138,9 +82,9 @@ class BlockPool:
     a batch would overrun.
 
     Swap and migration move custody without touching the free list:
-    :meth:`discharge` releases the budget of blocks that leave the
+    :meth:`discharge` releases the budget of pages that leave the
     pool (preempted to host memory, or exported to another replica)
-    while the arrays travel with their session; :meth:`charge` is the
+    while the rows travel with their session; :meth:`charge` is the
     inverse on re-admission/adoption.
     """
 
@@ -167,7 +111,7 @@ class BlockPool:
         self.capacity_blocks = (
             None if capacity_bytes is None else capacity_bytes // self.block_bytes
         )
-        self._free: list[KVBlock] = []
+        self.free_blocks = 0
         self.in_use = 0
         self.allocations = 0
         self.reuses = 0
@@ -179,10 +123,6 @@ class BlockPool:
         return -(-tokens // self.block_size)
 
     @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    @property
     def in_use_bytes(self) -> int:
         return self.in_use * self.block_bytes
 
@@ -192,27 +132,23 @@ class BlockPool:
             return True
         return self.in_use + blocks <= self.capacity_blocks
 
-    def allocate(self) -> KVBlock:
-        """One zeroed block, reusing the free list when possible."""
-        if self._free:
-            block = self._free.pop()
-            block.reset()
-            self.reuses += 1
-        else:
-            block = KVBlock(self.block_size, self.config.dim)
-            self.allocations += 1
-        self.in_use += 1
-        return block
+    def allocate(self, blocks: int = 1) -> None:
+        """Charge ``blocks`` pages, reusing free-list pages first."""
+        reused = min(blocks, self.free_blocks)
+        self.free_blocks -= reused
+        self.reuses += reused
+        self.allocations += blocks - reused
+        self.in_use += blocks
 
-    def release(self, blocks: "list[KVBlock]") -> None:
-        """Return resident blocks to the free list (session closed)."""
-        self.in_use -= len(blocks)
-        self._free.extend(blocks)
+    def release(self, blocks: int) -> None:
+        """Return resident pages to the free list (session closed)."""
+        self.in_use -= blocks
+        self.free_blocks += blocks
 
-    def recycle(self, blocks: "list[KVBlock]") -> None:
-        """Free-list blocks that were *not* charged (a swapped session
-        closing): reuse the arrays without double-crediting the budget."""
-        self._free.extend(blocks)
+    def recycle(self, blocks: int) -> None:
+        """Free-list pages that were *not* charged (a swapped session
+        closing): reuse them without double-crediting the budget."""
+        self.free_blocks += blocks
 
     def discharge(self, blocks: int) -> None:
         """Blocks leave pool custody (swap-out / migration export)."""
@@ -245,196 +181,170 @@ class BlockPool:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixChain:
-    """An immutable chain of leading KV pages shared across sessions.
+    """The leading K/V rows of a prompt, shared across sessions.
 
-    The chain owns its blocks (custody sits with the shared tier, not
-    any one replica's :class:`BlockPool`), and every adopter aliases
-    the same arrays read-only: ``Session.has_room`` never points an
-    append at a shared page, so the first private token after the fork
-    lands on a fresh pool page (copy-on-write at the fork boundary).
-    ``nbytes`` is :func:`kv_cache_bytes` at the chain's page-rounded
-    length — the fleet charges it **once** no matter how many sessions
-    fork from it.
+    ``keys`` and ``values`` are read-only ``[tokens, dim]`` arrays.
+    Custody sits with the shared tier, not any one replica's
+    :class:`BlockPool`: every adopter copies the rows into its own
+    buffers and counts the chain's pages as shared, and
+    ``Session.has_room`` never points an append at the chain's last
+    page, so the first private token after the fork opens a fresh
+    pool page (copy-on-write at the fork boundary).  ``nbytes`` is
+    :func:`kv_cache_bytes` at the chain's page-rounded length — the
+    fleet charges it **once** no matter how many sessions fork from
+    it.
     """
 
     prefix_id: str
-    tokens: int
-    blocks: tuple[KVBlock, ...]
+    keys: np.ndarray
+    values: np.ndarray
     block_size: int
     nbytes: int
 
+    def __post_init__(self) -> None:
+        self.keys.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @property
+    def tokens(self) -> int:
+        return len(self.keys)
+
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return -(-self.tokens // self.block_size)
 
 
-class _KVMirror:
-    """A session's committed K/V rows, copied into two contiguous buffers.
-
-    ``rows`` rows are valid; the capacity past them takes a decode
-    batch's pending rows for one read.  ``pages``, ``last`` and
-    ``fill`` are the block list's length, its last page and that
-    page's fill when the mirror last matched the pages, which is how a
-    reader tells that the pages have changed since.
-    """
-
-    __slots__ = ("pages", "last", "fill", "rows", "keys", "values")
-
-    def __init__(self, blocks: list[KVBlock], dim: int) -> None:
-        rows = sum(block.fill for block in blocks)
-        self.keys = np.empty((rows + 1, dim))
-        self.values = np.empty((rows + 1, dim))
-        rows = 0
-        for block in blocks:
-            self.keys[rows : rows + block.fill] = block.keys[: block.fill]
-            self.values[rows : rows + block.fill] = block.values[: block.fill]
-            rows += block.fill
-        self.mark(blocks, rows)
-
-    def current(self, blocks: list[KVBlock]) -> bool:
-        """Does the mirror hold exactly the filled slots of ``blocks``?"""
-        last = blocks[-1] if blocks else None
-        return (
-            self.last is last
-            and self.pages == len(blocks)
-            and (last is None or last.fill == self.fill)
-        )
-
-    def mark(self, blocks: list[KVBlock], rows: int) -> None:
-        """Record that the mirror now holds ``blocks`` in ``rows`` rows."""
-        self.rows = rows
-        self.pages = len(blocks)
-        self.last = blocks[-1] if blocks else None
-        self.fill = self.last.fill if blocks else 0
-
-    def reserve(self, rows: int) -> None:
-        """Room for ``rows`` rows, keeping the valid ones (doubling)."""
-        if rows <= len(self.keys):
-            return
-        capacity = max(rows, 2 * len(self.keys))
-        for name in ("keys", "values"):
-            old = getattr(self, name)
-            new = np.empty((capacity, old.shape[1]))
-            new[: self.rows] = old[: self.rows]
-            setattr(self, name, new)
-
-
-@dataclass
 class Session:
     """Per-request decode state (one generation stream), paged.
 
-    K/V vectors live in ``blocks``; the leading ``prompt_len`` slots
-    hold materialized zero-state prompt tokens, so the page count
-    always equals ``blocks_for(context_len)``.  ``swapped`` marks a
-    preempted session whose blocks currently live outside the pool
-    budget (the host-memory swap of the iteration scheduler) — the
-    arrays, and therefore the bits, are untouched.
+    The K/V rows live in two contiguous ``[capacity, dim]`` buffers,
+    ``context_len`` of them valid: the leading ``prompt_len`` hold
+    zero-state prompt tokens (an adopted chain's rows for a fork),
+    then one row per decode step.  The capacity past them takes a
+    decode batch's pending rows for one read; it grows by doubling.
 
-    ``shared_blocks`` leading blocks alias a :class:`PrefixChain`
-    owned by the shared cache tier: they are read-only here, excluded
-    from this cache's pool budget and byte ledger (the tier counts
-    them once fleet-wide), and never returned to the pool free list.
+    Pages are counts, not storage.  The leading ``shared_tokens`` rows
+    come from a :class:`PrefixChain` owned by the shared cache tier:
+    their ``shared_blocks`` pages are excluded from this cache's pool
+    budget and byte ledger (the tier counts them once fleet-wide), and
+    no append ever lands on their last page.  The rest are
+    ``private_blocks`` pool pages of ``block_size`` tokens.
+    ``swapped`` marks a preempted session whose pages currently sit
+    outside the pool budget (the host-memory swap of the iteration
+    scheduler) — the rows, and therefore the bits, are untouched.
     """
 
-    session_id: str
-    prompt_len: int = 0
-    blocks: list[KVBlock] = field(default_factory=list)
-    swapped: bool = False
-    shared_blocks: int = 0
-    prefix_id: str | None = None
-    #: The contiguous copy of the committed K/V that :meth:`kv_view` reads.
-    _mirror: _KVMirror | None = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "session_id",
+        "prompt_len",
+        "block_size",
+        "context_len",
+        "shared_tokens",
+        "prefix_id",
+        "swapped",
+        "_keys",
+        "_values",
     )
 
-    @property
-    def private_blocks(self) -> int:
-        """Pages owned by this session (pool custody when resident)."""
-        return len(self.blocks) - self.shared_blocks
+    def __init__(
+        self,
+        session_id: str,
+        dim: int,
+        block_size: int,
+        prompt_len: int = 0,
+        prefix: PrefixChain | None = None,
+    ) -> None:
+        if prefix is not None:
+            prompt_len = prefix.tokens
+        self.session_id = session_id
+        self.prompt_len = prompt_len
+        self.block_size = block_size
+        #: Rows of attendable context (prompt + generated).
+        self.context_len = prompt_len
+        self.shared_tokens = 0
+        self.prefix_id: str | None = None
+        self.swapped = False
+        # The prompt rows, and one spare row for a pending pair.
+        self._keys = np.zeros((prompt_len + 1, dim))
+        self._values = np.zeros((prompt_len + 1, dim))
+        if prefix is not None:
+            self._keys[:prompt_len] = prefix.keys
+            self._values[:prompt_len] = prefix.values
+            self.shared_tokens = prompt_len
+            self.prefix_id = prefix.prefix_id
 
     @property
     def generated(self) -> int:
         """Tokens appended by decode steps (excludes the prompt)."""
-        return sum(block.fill for block in self.blocks) - self.prompt_len
+        return self.context_len - self.prompt_len
 
     @property
-    def context_len(self) -> int:
-        """Tokens of attendable context (prompt + generated)."""
-        return self.prompt_len + self.generated
-
-    def _generated(self, attr: str) -> list[np.ndarray]:
-        """Per-slot views of one of ``keys``/``values`` past the prompt,
-        in step order: one walk over the pages."""
-        rows: list[np.ndarray] = []
-        skip = self.prompt_len
-        for block in self.blocks:
-            if skip >= block.fill:
-                skip -= block.fill
-                continue
-            page = getattr(block, attr)
-            rows.extend(page[slot] for slot in range(skip, block.fill))
-            skip = 0
-        return rows
+    def shared_blocks(self) -> int:
+        """Leading pages of the shared prefix chain (tier custody)."""
+        return -(-self.shared_tokens // self.block_size)
 
     @property
-    def keys(self) -> list[np.ndarray]:
-        """Generated-token K vectors, in step order (views into pages)."""
-        return self._generated("keys")
+    def private_blocks(self) -> int:
+        """Pages owned by this session (pool custody when resident)."""
+        return -(-(self.context_len - self.shared_tokens) // self.block_size)
 
     @property
-    def values(self) -> list[np.ndarray]:
-        """Generated-token V vectors, in step order (views into pages)."""
-        return self._generated("values")
+    def has_room(self) -> bool:
+        """Does the last *private* page have a free token slot?
+
+        Shared prefix pages are never appended to — a session whose
+        context ends at the shared boundary reports no room, so the
+        next append opens a fresh private page (the copy-on-write fork
+        point).
+        """
+        return (self.context_len - self.shared_tokens) % self.block_size != 0
+
+    def _reserve(self, rows: int) -> None:
+        """Room for ``rows`` rows, keeping the valid ones (doubling)."""
+        if rows <= len(self._keys):
+            return
+        capacity = max(rows, 2 * len(self._keys))
+        valid = self.context_len
+        for name in ("_keys", "_values"):
+            old = getattr(self, name)
+            new = np.empty((capacity, old.shape[1]))
+            new[:valid] = old[:valid]
+            setattr(self, name, new)
 
     def append(
-        self, key: np.ndarray, value: np.ndarray, allocate: Callable[[], KVBlock]
+        self, key: np.ndarray, value: np.ndarray, allocate: Callable[[], None]
     ) -> None:
-        """Append one step's K/V to the last private page (a fresh page
-        from ``allocate`` when it has no room), and to the mirror while
-        the mirror is current.  The one append body (the cache holds
+        """Write one step's K/V row, calling ``allocate`` first when the
+        row opens a private page.  The one append body (the cache holds
         its lock); the row writes cast array-likes to float."""
-        blocks = self.blocks
-        mirror = self._mirror
-        if mirror is not None and not mirror.current(blocks):
-            mirror = self._mirror = None  # the next read copies the pages
         if not self.has_room:
-            blocks.append(allocate())
-        blocks[-1].append(key, value)
-        if mirror is not None:
-            rows = mirror.rows
-            mirror.reserve(rows + 2)  # the row, and one pending row
-            mirror.keys[rows] = key
-            mirror.values[rows] = value
-            mirror.mark(blocks, rows + 1)
+            allocate()
+        rows = self.context_len
+        self._reserve(rows + 2)  # the row, and one pending row
+        self._keys[rows] = key
+        self._values[rows] = value
+        self.context_len = rows + 1
 
     def kv_view(
-        self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
+        self, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`kv_arrays` without the copy, for one attention read.
 
-        The result views the session's mirror of its pages, with the
-        ``extra`` pairs written into the mirror's spare rows.  It is
-        valid until the session's next read or append.  The pages stay
-        the source of truth: :meth:`append` writes each step to both,
-        and a read that finds the pages changed any other way (a first
-        read, a closed session) copies them afresh.  Only the last page
-        is ever appended to, and swap and migration move this object
-        with its pages, so neither invalidates the mirror.
+        The result views the session's buffers, with the ``extra``
+        pairs written into their spare rows.  It is valid until the
+        session's next read or append.
         """
-        mirror = self._mirror
-        if mirror is None or not mirror.current(self.blocks):
-            mirror = self._mirror = _KVMirror(self.blocks, dim)
-        rows = mirror.rows
+        rows = self.context_len
         if extra:
-            mirror.reserve(rows + len(extra))
-            keys, values = mirror.keys, mirror.values
+            self._reserve(rows + len(extra))
+            keys, values = self._keys, self._values
             for key, value in extra:
                 keys[rows] = key
                 values[rows] = value
                 rows += 1
-        return mirror.keys[:rows], mirror.values[:rows]
+        return self._keys[:rows], self._values[:rows]
 
     def kv_arrays(
         self, dim: int, extra: Sequence[tuple[np.ndarray, np.ndarray]] = ()
@@ -443,27 +353,18 @@ class Session:
 
         ``extra`` appends uncommitted ``(k, v)`` vector pairs (a decode
         batch's pending steps) after the committed context.  Prompt
-        tokens are zero-state pages, so the result is bit-identical to
+        tokens are zero-state rows, so the result is bit-identical to
         the flat-list layout paging replaced, and it is always a fresh
-        array (a copy of :meth:`kv_view`).
+        array (a copy of :meth:`kv_view`).  ``dim`` must be the width
+        the session was opened with.
         """
-        keys, values = self.kv_view(dim, extra)
+        if dim != self._keys.shape[1]:
+            raise ValueError(
+                f"session {self.session_id!r} holds {self._keys.shape[1]}-wide "
+                f"K/V rows, not {dim}"
+            )
+        keys, values = self.kv_view(extra)
         return keys.copy(), values.copy()
-
-    @property
-    def has_room(self) -> bool:
-        """Does the last *private* page have a free token slot?
-
-        Shared prefix pages are never appended to — a session whose
-        block list ends at the shared boundary reports no room, so the
-        next ``append_kv`` allocates a fresh private page (the
-        copy-on-write fork point).
-        """
-        blocks = self.blocks
-        if len(blocks) <= self.shared_blocks:
-            return False
-        last = blocks[-1]
-        return last.fill < last.block_size
 
 
 class MemoCache:
@@ -581,14 +482,13 @@ class SessionCache:
         with self._lock:
             if session_id in self._sessions:
                 raise ValueError(f"session {session_id!r} already open")
-            # Materialize the (zero-state) prompt into pages so the
-            # resident block count always equals the page-rounded
-            # ledger — pool budget and session_bytes cannot diverge.
+            # Charge the (zero-state) prompt's pages so the resident
+            # page count always equals the page-rounded ledger — pool
+            # budget and session_bytes cannot diverge.
             session = Session(
-                session_id=session_id,
-                prompt_len=prompt_len,
-                blocks=zero_pages(prompt_len, self.pool.allocate),
+                session_id, self.config.dim, self.block_size, prompt_len
             )
+            self.pool.allocate(self.pool.blocks_for(prompt_len))
             self._sessions[session_id] = session
             return session
 
@@ -611,8 +511,8 @@ class SessionCache:
     def append_kv(self, session_id: str, k: np.ndarray, v: np.ndarray) -> int:
         """Append one decode step's K/V; returns the new context length.
 
-        Allocates a fresh page from the pool (zeroed free-list reuse)
-        when the session's last block is full.
+        Charges a fresh pool page (free-list reuse first) when the
+        session's last private page is full.
         """
         with self._lock:
             session = self.session(session_id)
@@ -658,7 +558,7 @@ class SessionCache:
         )
 
     def shared_session_bytes(self, session_id: str) -> int:
-        """Bytes of the shared prefix pages this session aliases
+        """Bytes of the shared prefix pages this session counts
         (page-rounded).  Summing this across sessions multiple-counts
         the chain — fleet accounting uses the tier's single charge."""
         session = self.session(session_id)
@@ -689,9 +589,9 @@ class SessionCache:
     def swap_out(self, session_id: str) -> int:
         """Preempt: release the session's pool budget, keep its bits.
 
-        The page arrays stay attached to the session (modelling a swap
-        to host memory), so a later :meth:`swap_in` resumes with
-        bit-identical state.  Returns the blocks discharged.
+        The rows stay with the session (modelling a swap to host
+        memory), so a later :meth:`swap_in` resumes with bit-identical
+        state.  Returns the blocks discharged.
         """
         with self._lock:
             session = self.session(session_id)
@@ -716,10 +616,10 @@ class SessionCache:
 
         The cluster layer moves a decode session between replicas by
         popping it from the old owner's cache and
-        :meth:`adopt_session`-ing it into the new one — the **block
-        list travels with the** :class:`Session` object (and its pool
-        budget is discharged here), so a migrated session's functional
-        state, page layout, and therefore its bits are unchanged.
+        :meth:`adopt_session`-ing it into the new one — the **rows
+        travel with the** :class:`Session` object (and its pool budget
+        is discharged here), so a migrated session's functional state,
+        page count, and therefore its bits are unchanged.
 
         Custody follows the one rule every mover shares: resident
         **private** pages are pool-charged; swapped sessions carry no
@@ -741,11 +641,18 @@ class SessionCache:
         sessions stay uncharged until the scheduler swaps them in).
         Adoption never fails on budget: failover must not lose KV
         state, so an over-budget fleet resolves by later preemption.
+        A session paged at another ``block_size`` is refused: its page
+        counts would not match this pool's.
         """
         with self._lock:
             if session.session_id in self._sessions:
                 raise ValueError(
                     f"session {session.session_id!r} already open here"
+                )
+            if session.block_size != self.block_size:
+                raise ValueError(
+                    f"session pages of {session.block_size} tokens do not "
+                    f"fit a cache paged at {self.block_size}"
                 )
             self._sessions[session.session_id] = session
             if not session.swapped:
@@ -756,15 +663,16 @@ class SessionCache:
     def export_prefix(
         self, session_id: str, prefix_id: str, tokens: int | None = None
     ) -> PrefixChain:
-        """Freeze a session's leading pages into a shareable chain.
+        """Freeze a session's leading rows into a shareable chain.
 
         The first ``tokens`` of context (default: the whole context)
-        become a :class:`PrefixChain`: custody of those pages transfers
-        out of this cache's :class:`BlockPool` (discharged here, the
-        same custody rule :meth:`pop_session` applies to migration) and
-        the session keeps aliasing them read-only via
-        ``shared_blocks``.  The boundary must be page-aligned or cover
-        the whole context, so the chain never splits a page.
+        become a :class:`PrefixChain` holding a read-only copy of those
+        rows: custody of their pages transfers out of this cache's
+        :class:`BlockPool` (discharged here, the same custody rule
+        :meth:`pop_session` applies to migration) and the session
+        counts them as ``shared_blocks`` from now on.  The boundary
+        must be page-aligned or cover the whole context, so the chain
+        never splits a page.
         """
         with self._lock:
             session = self.session(session_id)
@@ -789,30 +697,31 @@ class SessionCache:
                     f"prefix boundary {tokens} must be page-aligned "
                     f"(block_size={self.block_size}) or the whole context"
                 )
-            n_blocks = -(-tokens // self.block_size)
+            keys, values = session.kv_view()
             chain = PrefixChain(
                 prefix_id=prefix_id,
-                tokens=tokens,
-                blocks=tuple(session.blocks[:n_blocks]),
+                keys=keys[:tokens].copy(),
+                values=values[:tokens].copy(),
                 block_size=self.block_size,
                 nbytes=kv_cache_bytes(
-                    self.config, n_blocks * self.block_size, bits=self.kv_bits
+                    self.config,
+                    self.pool.blocks_for(tokens) * self.block_size,
+                    bits=self.kv_bits,
                 ),
             )
-            session.shared_blocks = n_blocks
+            session.shared_tokens = tokens
             session.prefix_id = prefix_id
-            self.pool.discharge(n_blocks)
+            self.pool.discharge(chain.n_blocks)
             return chain
 
     def adopt_prefix(self, session_id: str, chain: PrefixChain) -> Session:
         """Open a session whose prompt is a shared :class:`PrefixChain`.
 
-        The new session aliases the chain's pages (its prompt is the
-        chain's ``tokens`` materialized slots)
-        without charging this cache's pool — the tier already accounts
-        for the chain once fleet-wide.  The first decode step allocates
-        a fresh private page (see :attr:`Session.has_room`), so
-        adopters never write into shared state.
+        The new session's prompt is a copy of the chain's rows, counted
+        as the chain's shared pages without charging this cache's pool
+        — the tier already accounts for the chain once fleet-wide.  The
+        first decode step charges a fresh private page (see
+        :attr:`Session.has_room`).
         """
         with self._lock:
             if session_id in self._sessions:
@@ -823,11 +732,7 @@ class SessionCache:
                     f"cache paged at {self.block_size}"
                 )
             session = Session(
-                session_id=session_id,
-                prompt_len=chain.tokens,
-                blocks=list(chain.blocks),
-                shared_blocks=len(chain.blocks),
-                prefix_id=chain.prefix_id,
+                session_id, self.config.dim, self.block_size, prefix=chain
             )
             self._sessions[session_id] = session
             return session
@@ -843,19 +748,17 @@ class SessionCache:
         Resident **private** pages go back on the pool free list for
         reuse; swapped pages are recycled without a budget credit (they
         were discharged at preemption).  Shared prefix pages are simply
-        dropped from this cache — the tier owns them and other sessions
-        may still be reading them; releasing the tier's refcount is the
-        cluster's job.
+        dropped from this cache — the tier owns them; releasing the
+        tier's refcount is the cluster's job.
         """
         with self._lock:
             freed = self.session_bytes(session_id)
             session = self._sessions.pop(session_id)
-            private = session.blocks[session.shared_blocks :]
             if session.swapped:
-                self.pool.recycle(private)
+                self.pool.recycle(session.private_blocks)
             else:
-                self.pool.release(private)
-            session.blocks = []
+                self.pool.release(session.private_blocks)
+            session.context_len = session.shared_tokens = 0  # emptied
             return freed
 
     @property
@@ -870,7 +773,7 @@ class SessionCache:
 
     @property
     def prefix_sessions(self) -> int:
-        """Open sessions aliasing a shared prefix chain."""
+        """Open sessions forked from a shared prefix chain."""
         with self._lock:
             return sum(1 for s in self._sessions.values() if s.shared_blocks)
 

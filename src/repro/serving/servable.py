@@ -237,12 +237,10 @@ class DecodeServable(Servable):
         pending: list[tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
         """Digital single-query attention over the session's committed
-        KV state (its pages' contiguous mirror) plus this batch's
-        pending (uncommitted) K/V pairs."""
-        dim = self.config.dim
+        KV rows plus this batch's pending (uncommitted) K/V pairs."""
         session = self.cache.find_session(session_id)
         if session is not None:
-            keys, values = session.kv_view(dim, pending)
+            keys, values = session.kv_view(pending)
         else:
             keys = np.stack([key for key, _ in pending])
             values = np.stack([value for _, value in pending])
@@ -269,20 +267,21 @@ class DecodeServable(Servable):
         # state (exactly like sequential execution) while nothing is
         # committed to the cache until the whole batch succeeds.
         pending: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        # The weight tensors and the wrapped activations never require
+        # grad, so the projections record no graph.
         w_qkv, w_out, w_ffn1, w_ffn2 = self._weights.tensors
-        with no_grad():
-            qkv = self._project(xs, w_qkv)  # [b, 1, 3*dim]
-            dim = self.config.dim
-            q, k, v = qkv[:, 0, :dim], qkv[:, 0, dim : 2 * dim], qkv[:, 0, 2 * dim :]
-            contexts = []
-            for request, q_i, k_i, v_i in zip(requests, q, k, v):
-                staged = pending.setdefault(request.session_id, [])
-                staged.append((k_i, v_i))
-                contexts.append(self._attend(request.session_id, q_i, staged))
-            ctx = np.array(contexts)[:, None, :]
-            h = xs + self._project(ctx, w_out)
-            f1 = np.maximum(self._project(h, w_ffn1), 0.0)
-            y = h + self._project(f1, w_ffn2)
+        qkv = self._project(xs, w_qkv)  # [b, 1, 3*dim]
+        dim = self.config.dim
+        q, k, v = qkv[:, 0, :dim], qkv[:, 0, dim : 2 * dim], qkv[:, 0, 2 * dim :]
+        contexts = []
+        for request, q_i, k_i, v_i in zip(requests, q, k, v):
+            staged = pending.setdefault(request.session_id, [])
+            staged.append((k_i, v_i))
+            contexts.append(self._attend(request.session_id, q_i, staged))
+        ctx = np.array(contexts)[:, None, :]
+        h = xs + self._project(ctx, w_out)
+        f1 = np.maximum(self._project(h, w_ffn1), 0.0)
+        y = h + self._project(f1, w_ffn2)
         # The whole batch succeeded: commit every staged K/V (lazily
         # opening sessions), so a failed batch leaves no state behind.
         self.cache.commit_kv(pending)

@@ -211,11 +211,10 @@ def decode_servable(config: DecoderConfig, *, executor=None, engine=None):
     ``engine`` (an :class:`~repro.serving.config.EngineConfig`) is the
     one place the decoder's serving knobs are set: its ``seed`` draws
     the weights, ``block_size`` selects the KV page size (tokens per
-    :class:`~repro.serving.cache.KVBlock`; 1 = exact per-token
-    accounting), ``kv_capacity_bytes`` bounds the session
-    :class:`~repro.serving.cache.BlockPool` (the budget the scheduler
-    enforces by preemption), ``kv_bits`` sets the accounted K/V
-    precision, and ``num_cores``/``shard_axis`` build the executor when
+    page; 1 = exact per-token accounting), ``kv_capacity_bytes`` bounds
+    the session :class:`~repro.serving.cache.BlockPool` (the budget the
+    scheduler enforces by preemption), ``kv_bits`` sets the accounted
+    K/V precision, and ``num_cores``/``shard_axis`` build the executor when
     none is given.  Without ``engine`` the :class:`EngineConfig`
     defaults apply and the executor defaults to the digital reference.
     """

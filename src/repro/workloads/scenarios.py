@@ -38,7 +38,6 @@ from repro.cluster import (
     ClusterConfig,
     ServingCluster,
     run_virtual_open_loop,
-    run_virtual_schedule,
 )
 from repro.core.dptc import DPTC
 from repro.core.hotpath import STAGES, profile_stages
@@ -54,6 +53,7 @@ from repro.serving import (
     TenantSpec,
     TextServable,
     VisionServable,
+    arrival_gaps,
     multi_tenant_arrivals,
     poisson_gaps,
     run_closed_loop,
@@ -213,7 +213,14 @@ def drive_fleet(cluster: ServingCluster, model: str, *, requests: int, rate: flo
     seed = cluster.config.engine.seed
     if model == "decode":
         arrivals = decode_arrivals(seed, requests, rate)
-        return run_virtual_schedule(cluster, arrivals, decode_token)
+        return run_virtual_open_loop(
+            cluster,
+            [decode_token(arrival) for arrival in arrivals],
+            arrival_gaps(arrivals),
+            submit_kwargs=lambda i: {
+                "session_id": arrivals[i].session, "tenant": arrivals[i].tenant,
+            },
+        )
     rng = np.random.default_rng(seed + 1)
     payloads = [rng.normal(size=(16, 16)) for _ in range(requests)]
     gaps = rng.exponential(1.0 / rate, size=requests)

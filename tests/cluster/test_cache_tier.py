@@ -436,9 +436,12 @@ class TestPrefixAdoption:
                 session = owner_of(cluster, sid).session_cache.session(sid)
                 assert session.prefix_id == PREFIX
                 assert session.shared_blocks == chain.n_blocks
-                # the leading pages ARE the chain's pages, not copies
-                for own, shared in zip(session.blocks, chain.blocks):
-                    assert own is shared
+                # the leading rows are the chain's rows, bit for bit
+                keys, values = session.kv_arrays(DECODER.dim)
+                assert bit_equal(
+                    (keys[: chain.tokens], values[: chain.tokens]),
+                    (chain.keys, chain.values),
+                )
                 assert session.private_blocks == 1  # one generated token
 
     def test_private_mode_materializes_prompts(self):
@@ -671,7 +674,8 @@ class TestSnapshotTier:
 class TestAdoptReleaseProperties:
     """Random adopt/append/close interleavings across three replica
     caches: the chain's pages must never enter a pool free list (no
-    double-free) and every private page must be released (no orphans)."""
+    double-free), every private page must be released (no orphans), and
+    the chain's rows never change."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -686,8 +690,7 @@ class TestAdoptReleaseProperties:
     def test_never_orphans_or_double_frees(self, ops):
         tier = SharedCacheTier()
         chain = tier.ensure_prefix(PREFIX, PROMPT, config=DECODER, block_size=BLOCK)
-        chain_ids = {id(block) for block in chain.blocks}
-        fills = [block.fill for block in chain.blocks]
+        rows = (chain.keys.copy(), chain.values.copy())
         caches = [SessionCache(DECODER, block_size=BLOCK) for _ in range(3)]
         open_sessions = []
         counter = 0
@@ -702,8 +705,13 @@ class TestAdoptReleaseProperties:
                     if r == i
                 )
                 assert cache.pool.in_use == private
-                assert all(id(b) not in chain_ids for b in cache.pool._free)
-            assert [block.fill for block in chain.blocks] == fills
+                # Every page the pool ever charged is in use or free:
+                # no chain page was released into it.
+                assert cache.pool.in_use + cache.pool.free_blocks == (
+                    cache.pool.allocations
+                )
+            assert bit_equal((chain.keys, chain.values), rows)
+            assert not chain.keys.flags.writeable
 
         for replica, action in ops:
             if action == 0 and open_sessions:

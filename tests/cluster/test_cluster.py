@@ -9,7 +9,7 @@ from repro.cluster import (
     ClusterConfig,
     NoHealthyReplica,
     ServingCluster,
-    run_virtual_schedule,
+    run_virtual_open_loop,
 )
 from repro.neural.photonic import PhotonicExecutor
 from repro.serving import (
@@ -22,6 +22,7 @@ from repro.serving import (
     TenantSpec,
     TextServable,
     VisionServable,
+    arrival_gaps,
     multi_tenant_arrivals,
 )
 from repro.serving.loadgen import bit_equal, sequential_outputs
@@ -228,10 +229,17 @@ class TestBitExactRouting:
             with decode_cluster(
                 replicas=3, policy=policy, max_batch_size=4, queue_depth=len(arrivals)
             ) as cluster:
-                handles = run_virtual_schedule(
+                handles = run_virtual_open_loop(
                     cluster,
-                    arrivals,
-                    lambda a: np.random.default_rng(a.index).normal(size=DECODER.dim),
+                    [
+                        np.random.default_rng(a.index).normal(size=DECODER.dim)
+                        for a in arrivals
+                    ],
+                    arrival_gaps(arrivals),
+                    submit_kwargs=lambda i: {
+                        "session_id": arrivals[i].session,
+                        "tenant": arrivals[i].tenant,
+                    },
                     force_each=True,  # quiesce sessions between steps
                 )["handles"]
                 outputs[policy] = [handle.result(timeout=0) for handle in handles]

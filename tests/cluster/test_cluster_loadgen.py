@@ -8,12 +8,12 @@ from repro.cluster import (
     ServingCluster,
     run_virtual_open_loop,
 )
-from repro.cluster.loadgen import run_virtual_schedule
 from repro.serving import (
     EngineConfig,
     IterationCost,
     SimulatedClock,
     TenantSpec,
+    arrival_gaps,
     multi_tenant_arrivals,
 )
 from tests.cluster.sim_gates import golden
@@ -119,8 +119,13 @@ class TestRunVirtualSchedule:
             tenants, horizon_s=10e-3, rng=np.random.default_rng(0)
         )
         with virtual_cluster() as cluster:
-            report = run_virtual_schedule(
-                cluster, arrivals, lambda arrival: arrival.index
+            report = run_virtual_open_loop(
+                cluster,
+                [arrival.index for arrival in arrivals],
+                arrival_gaps(arrivals),
+                submit_kwargs=lambda i: {
+                    "session_id": arrivals[i].session, "tenant": arrivals[i].tenant,
+                },
             )
         assert report["completed"] == len(arrivals)
         counts = cluster.metrics.tenant_counts()

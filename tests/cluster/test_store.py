@@ -74,7 +74,8 @@ class TestTierPrefixChains:
         tier = SharedCacheTier()
         chain = tier.ensure_prefix("sys", 5, config=config, block_size=2)
         assert chain.n_blocks == 3  # ceil(5 / 2) pages
-        assert [b.fill for b in chain.blocks] == [2, 2, 1]
+        assert chain.tokens == 5 and chain.keys.shape == (5, config.dim)
+        assert not chain.keys.any() and not chain.values.any()  # zero-state rows
         assert chain.nbytes == kv_cache_bytes(config, 6)  # page-rounded
         assert tier.prefix_ids == ["sys"]
         assert tier.shared_bytes == chain.nbytes

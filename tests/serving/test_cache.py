@@ -74,20 +74,12 @@ class TestSessions:
         assert cache.append_kv("s", k, k) == 4
         assert cache.append_kv("s", k, k) == 5
         session = cache.session("s")
-        assert len(session.keys) == 2 and session.prompt_len == 3
+        assert session.generated == 2 and session.prompt_len == 3
 
     @pytest.mark.parametrize("block_size", [1, 2], ids=["per_token", "paged"])
     def test_keys_and_values_span_pages_like_a_per_slot_walk(self, block_size):
-        """``keys``/``values`` over a 3+ page session are the per-slot views
-        a slot-by-slot page walk finds, in step order."""
-
-        def slot(session, index):  # one linear walk per slot
-            for block in session.blocks:
-                if index < block.fill:
-                    return block, index
-                index -= block.fill
-            raise IndexError(index)
-
+        """The K/V rows of a 3+ page session are its zero prompt rows,
+        then every step's vectors, in step order."""
         cache = SessionCache(toy_decoder(), block_size=block_size)
         cache.open_session("s", prompt_len=3)
         rng = np.random.default_rng(0)
@@ -95,16 +87,12 @@ class TestSessions:
         for k, v in steps:
             cache.append_kv("s", k, v)
         session = cache.session("s")
-        assert len(session.blocks) >= 3
+        assert cache.session_blocks("s") >= 3
         first = session.prompt_len
-        for name, column in (("keys", 0), ("values", 1)):
-            rows = getattr(session, name)
-            assert len(rows) == len(steps)
-            for i, row in enumerate(rows):
-                block, index = slot(session, first + i)
-                page = getattr(block, name)
-                assert np.shares_memory(row, page)
-                np.testing.assert_array_equal(row, page[index])
+        for rows, column in zip(session.kv_arrays(16), (0, 1)):
+            assert len(rows) == first + len(steps)
+            assert not rows[:first].any()
+            for i, row in enumerate(rows[first:]):
                 np.testing.assert_array_equal(row, steps[i][column])
 
     def test_duplicate_open_rejected(self):

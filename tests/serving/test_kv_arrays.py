@@ -102,5 +102,11 @@ def test_result_is_a_copy_of_the_pages():
     session = _materialized_prompt(rng)
     keys, _ = session.kv_arrays(DIM, [_step(rng)])
     keys[:] = 1.0
-    assert not np.shares_memory(keys, session.blocks[-1].keys)
+    assert not np.shares_memory(keys, session.kv_view()[0])
     assert not (session.kv_arrays(DIM)[0] == 1.0).all()
+
+
+def test_a_width_other_than_the_sessions_is_refused():
+    session = _empty(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="16-wide"):
+        session.kv_arrays(DIM // 2)

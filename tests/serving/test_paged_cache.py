@@ -1,46 +1,15 @@
-"""Tests for the paged KV layout: KVBlock, BlockPool, and the pooled
+"""Tests for the paged KV accounting: BlockPool and the pooled
 SessionCache invariants (page-rounded ledger, swap custody, reuse)."""
 
 import numpy as np
 import pytest
 
-from repro.serving import BlockPool, KVBlock, SessionCache
+from repro.serving import BlockPool, SessionCache
 from repro.workloads import DecoderConfig, kv_cache_bytes
 
 
 def toy_decoder() -> DecoderConfig:
     return DecoderConfig("toy", depth=2, dim=16, heads=2, mlp_ratio=2.0)
-
-
-class TestKVBlock:
-    def test_append_fills_slots(self):
-        block = KVBlock(4, 16)
-        assert block.fill == 0 and not block.full
-        block.append(np.ones(16), 2 * np.ones(16))
-        assert block.fill == 1
-        np.testing.assert_array_equal(block.keys[0], np.ones(16))
-        np.testing.assert_array_equal(block.values[0], 2 * np.ones(16))
-
-    def test_full_block_rejects_append(self):
-        block = KVBlock(2, 4)
-        block.append(np.zeros(4), np.zeros(4))
-        block.append(np.zeros(4), np.zeros(4))
-        assert block.full
-        with pytest.raises(ValueError):
-            block.append(np.zeros(4), np.zeros(4))
-
-    def test_fill_zeros_materializes_prompt_slots(self):
-        block = KVBlock(4, 8)
-        block.fill_zeros(3)
-        assert block.fill == 3
-        assert not block.keys[:3].any() and not block.values[:3].any()
-
-    def test_reset_clears_for_reuse(self):
-        block = KVBlock(2, 4)
-        block.append(np.ones(4), np.ones(4))
-        block.reset()
-        assert block.fill == 0
-        assert not block.keys.any() and not block.values.any()
 
 
 class TestBlockPool:
@@ -70,14 +39,12 @@ class TestBlockPool:
 
     def test_free_list_reuse(self):
         pool = BlockPool(toy_decoder(), block_size=2)
-        block = pool.allocate()
-        block.append(np.ones(16), np.ones(16))
-        pool.release([block])
-        assert pool.in_use == 0
-        again = pool.allocate()
-        assert again is block  # same storage, recycled
-        assert again.fill == 0 and not again.keys.any()
-        assert pool.reuses == 1 and pool.allocations == 1
+        pool.allocate()
+        pool.release(1)
+        assert pool.in_use == 0 and pool.free_blocks == 1
+        pool.allocate(2)  # the freed page first, then a fresh one
+        assert pool.free_blocks == 0 and pool.in_use == 2
+        assert pool.reuses == 1 and pool.allocations == 2
 
     def test_charge_discharge_custody(self):
         config = toy_decoder()
@@ -99,11 +66,12 @@ class TestBlockPool:
 
     def test_recycle_skips_custody_decrement(self):
         pool = BlockPool(toy_decoder(), block_size=2)
-        block = pool.allocate()
+        pool.allocate()
         pool.discharge(1)  # swapped out: custody already dropped
-        pool.recycle([block])
-        assert pool.in_use == 0
-        assert pool.allocate() is block
+        pool.recycle(1)
+        assert pool.in_use == 0 and pool.free_blocks == 1
+        pool.allocate()
+        assert pool.reuses == 1 and pool.allocations == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +205,16 @@ class TestPopAdopt:
         assert session.swapped
         assert src.pool.in_use == in_use  # nothing to discharge twice
 
+    def test_adopt_refuses_another_page_size(self):
+        config = toy_decoder()
+        src = SessionCache(config, block_size=2)
+        self._filled(config, src)
+        session = src.pop_session("s")
+        dst = SessionCache(config, block_size=4)
+        with pytest.raises(ValueError, match="do not fit"):
+            dst.adopt_session(session)
+        assert not dst.has_session("s") and dst.pool.in_use == 0
+
     def test_adopt_over_budget_succeeds(self):
         config = toy_decoder()
         src = SessionCache(config, block_size=1)
@@ -334,8 +312,11 @@ class TestPrefixExportAdopt:
         k = np.ones(config.dim)
         cache.append_kv("fork", k, k)
         assert cache.pool.in_use == 1  # fresh private page, not the chain
-        assert session.blocks[0] is chain.blocks[0]
-        assert chain.blocks[-1].fill == 2  # shared pages never written
+        keys, values = session.kv_arrays(config.dim)
+        np.testing.assert_array_equal(keys[:4], chain.keys)
+        np.testing.assert_array_equal(values[:4], chain.values)
+        assert not chain.keys.any() and not chain.values.any()  # never written
+        assert not chain.keys.flags.writeable
 
     def test_adopt_rejects_open_session_and_page_mismatch(self):
         config = toy_decoder()
@@ -361,10 +342,8 @@ class TestPrefixExportAdopt:
         cache.append_kv("fork", k, k)
         cache.close_session("fork")
         assert cache.pool.in_use == 0
-        assert len(cache.pool._free) == 1  # the private page only
-        assert all(id(b) not in {id(c) for c in chain.blocks}
-                   for b in cache.pool._free)
-        assert chain.blocks[0].fill == 2  # chain intact for the next fork
+        assert cache.pool.free_blocks == 1  # the private page only
+        assert chain.tokens == 4 and not chain.keys.any()  # intact for the next fork
 
     def test_prefix_sessions_in_stats(self):
         config = toy_decoder()

@@ -33,6 +33,11 @@ REGISTERED_GATES: list[tuple[str, float]] = [
     # per-replica holder counts); a miscount silently corrupts every
     # replica, so its file is gated tighter than its package.
     ("repro/cluster/store", 90.0),
+    # The session cache holds the KV custody ledger of every replica
+    # (pool charges, swap, migration and prefix-fork page counts) and
+    # the K/V rows attention reads; a miscount or a stale row silently
+    # corrupts decode, so its file is gated tighter than its package.
+    ("repro/serving/cache", 90.0),
     # The hot-path module holds the per-stage profile behind
     # ``repro bench hotpath`` and ``best_of``, the one timer of every
     # wall-clock floor; an untested branch there misreports a stage or
